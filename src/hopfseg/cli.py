@@ -32,20 +32,19 @@ def build_parser():
     p.add_argument("--input", "-i", required=True, help="JSON function spec file")
     p.add_argument("--out", "-o", default="out", help="output directory")
     p.add_argument("--resolution", type=int, default=256)
-    p.add_argument("--tol", type=float, default=1e-8)
     p.add_argument("--mu", type=float, default=1e4)
     p.add_argument("--eps", type=float, default=0.01)
     p.add_argument("--branch", type=int, default=0)
     p.add_argument("--samples", type=int, default=1024)
     p.add_argument("--base", type=str, default=None,
-                   help="base point as 're,im' (default: automatic)")
+                   help="base point as 're,im' (default: automatic); write a "
+                        "negative one as --base=-0.4,-0.3")
     return p
 
 
 def _defaults(args) -> dict:
     return {
         "resolution": args.resolution,
-        "tol": args.tol,
         "mu": args.mu,
         "eps": args.eps,
         "branch": args.branch,

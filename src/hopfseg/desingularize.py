@@ -16,7 +16,7 @@ and need no continuation bookkeeping.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -26,6 +26,7 @@ from .errors import (
     DeterminantFloor,
     NotAdmissible,
     SingularSolve,
+    SplitOrderMismatch,
 )
 from .mobius import apply, invert, is_general_position, make_general_position, pushforward_hopf
 from .quadrature import adaptive_gk
@@ -471,10 +472,11 @@ def split_zero(f: RationalFactored, z0, eps_target: float = 0.05, branch: int = 
                 W = np.zeros(0, dtype=complex)
             f_new = _assemble_f_new(ctx, omega0, W)
 
-            assert order_at(f_new, z0) == ctx.m0
-            assert order_at(f_new, z0 + omega0) == 1
-            for w, q in zip(ctx.omegas, ctx.qs):
-                assert order_at(f_new, z0 + w) == q
+            want = (ctx.m0, 1) + tuple(ctx.qs)
+            got = tuple(order_at(f_new, z0 + w) for w in (0.0, omega0) + tuple(ctx.omegas))
+            if got != want:
+                raise SplitOrderMismatch(f"zero orders {got} after splitting at eps = {eps:.3g}, "
+                                         f"expected {want}")
             rep_new = admissibility(f_new, z0)
             if not rep_new.admissible:
                 raise ClosenessFailed(f"perturbed function failed admissibility: {rep_new.residuals}")

@@ -209,10 +209,6 @@ def solve(config: DiffusionConfig, mu: float | None = None,
     )
 
 
-def segregation_defect(field: DiffusionField) -> float:
-    return field.defect
-
-
 def interface_cells(field: DiffusionField):
     """Centers of cells where the argmax species changes to a 4-neighbor."""
     G = field.resolution

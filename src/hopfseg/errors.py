@@ -33,10 +33,6 @@ class Unreachable(HopfSegError):
     """Target point cannot be joined to the base inside the slit disk."""
 
 
-class StepCollapse(HopfSegError):
-    """Branch-tracking refinement collapsed below resolution (path hits a root)."""
-
-
 class ToleranceNotMet(HopfSegError):
     """Adaptive quadrature could not reach the requested tolerance."""
 
@@ -73,8 +69,9 @@ class SearchExhausted(HopfSegError):
 
 # --- desingularization -----------------------------------------------------
 
-class QuadratureFailure(HopfSegError):
-    """A system/K integral failed to converge."""
+class SplitOrderMismatch(HopfSegError):
+    """The split function's zeros lost their intended orders (the new zero
+    merged with another one); shrinking eps further cannot repair this."""
 
 
 class DeterminantFloor(HopfSegError):

@@ -14,10 +14,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .desingularize import reduce_to_simple, split_zero
+from .errors import HopfSegError, SearchExhausted
 from .primitive import PathEngine
 from .rational import RationalFactored, monomial, rational
 from .slits import build_slit_disk
-from .states import ADMISSIBILITY_REL_TOL, admissibility
+from .states import ADMISSIBILITY_REL_TOL
+
+MAX_DRAW_ATTEMPTS = 200
 
 
 # -- the rigidity scan (one-parameter family z (z - w)^2 / 4) -----------------
@@ -124,12 +127,13 @@ def random_even_function(rng) -> RationalFactored:
     Draws are filtered on generator preconditions (root separation, roots
     clearly off the nodal set, separated boundary zeros) so the traced graph
     is meaningful at moderate resolutions; the counting identities are never
-    part of the filter.
+    part of the filter.  Raises SearchExhausted after MAX_DRAW_ATTEMPTS
+    rejected draws.
     """
     from .nodal import boundary_zeros
     from .states import reconstruct
 
-    while True:
+    for _ in range(MAX_DRAW_ATTEMPTS):
         k = int(rng.integers(1, 4))
         roots = []
         for _ in range(k):
@@ -155,8 +159,9 @@ def random_even_function(rng) -> RationalFactored:
             if len(bz) and min(gaps) < 0.35:
                 continue
             return f
-        except Exception:
+        except HopfSegError:
             continue
+    raise SearchExhausted(f"no acceptable draw in {MAX_DRAW_ATTEMPTS} attempts")
 
 
 def splitting_outputs() -> list[tuple[RationalFactored, complex]]:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import TraceStall
-from .quadrature import SqrtSegmentIntegrator, nearest_sqrt
+from .quadrature import SqrtSegmentIntegrator, continue_sqrt_chain, nearest_sqrt
 from .states import SegregatedState
 
 
@@ -176,10 +176,7 @@ def _critical_seeds(state: SegregatedState, zc: complex, order: int, r_seed: flo
     th = 2 * np.pi * np.arange(nn) / nn
     w = zc + r_seed * np.exp(1j * th)
     fv = f.eval(w)
-    vs = np.empty(nn, dtype=complex)
-    vs[0] = np.sqrt(fv[0])
-    for k in range(1, nn):
-        vs[k] = nearest_sqrt(fv[k], vs[k - 1])
+    vs = continue_sqrt_chain(fv, np.sqrt(fv[0]))
 
     def local_val(point, v_start):
         val, _, _ = integ.integrate(point, zc, v_start, tol=1e-16 + 1e-12 * abs(point - zc))
@@ -381,8 +378,7 @@ def trace(state: SegregatedState) -> NodalGraph:
     for k, ang in enumerate(bz):
         zb = complex(np.exp(1j * ang))
         z0 = (1.0 - 1.5 / G) * zb
-        raw, v0, _ = eng._raw(z0)
-        F0 = raw - eng._F_base
+        F0, v0 = eng.value_and_sqrt(z0)
         # corrector first: put the start point on the level set
         end, pts, _ = marcher.run(z0, v0, F0, -zb, bz_base + k, zb)
         if isinstance(end, tuple) and end[0] == "boundary":

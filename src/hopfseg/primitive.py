@@ -13,18 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import StepCollapse, ToleranceNotMet, Unreachable
-from .quadrature import SqrtSegmentIntegrator, nearest_sqrt
-from .rational import RationalFactored, order_at
-from .slits import (
-    GOLDEN_ANGLE,
-    BranchPath,
-    SlitDisk,
-    _bump_root_grazes,
-    _split_long,
-    build_slit_disk,
-    route_between,
-)
+from .errors import ToleranceNotMet, Unreachable
+from .quadrature import SqrtSegmentIntegrator
+from .rational import RationalFactored
+from .slits import GOLDEN_ANGLE, SlitDisk, point_segment_distance, route_path
 
 _REF_CANDIDATES = (
     0.3722 + 0.1107j,
@@ -69,6 +61,8 @@ class PathEngine:
     """Caches routing and reference-anchored values of F for one (f, slit)."""
 
     def __init__(self, f: RationalFactored, slit: SlitDisk, tol: float = 1e-10):
+        if tol < 1e-12:
+            raise ValueError("tolerance below 1e-12 is not supported")
         self.f = f
         self.slit = slit
         self.tol = tol
@@ -100,14 +94,10 @@ class PathEngine:
             for c in self.slit.cuts:
                 if abs(target - c.anchor) > 1e-12 and \
                         abs(target - c.anchor) <= c.length + 1e-12:
-                    from .slits import point_segment_distance
-
                     if point_segment_distance(target, c.anchor, c.end) <= 1e-12:
                         target = target + 1e-9j * c.direction
                         break
-        wps = route_between(self.slit, self.f, self.z_ref, target)
-        wps = _bump_root_grazes(wps, self.f, self.slit)
-        wps = _split_long(wps)
+        wps = route_path(self.slit, self.f, self.z_ref, target)
         total = 0.0 + 0.0j
         err = 0.0
         v = self.v_ref
@@ -127,7 +117,14 @@ class PathEngine:
         raw, _, _ = self._raw(target)
         return raw - self._F_base
 
+    def value_and_sqrt(self, target):
+        """(F(target) - F(base), continued f^{1/2} at target)."""
+        raw, v, _ = self._raw(target)
+        return raw - self._F_base, v
+
     def primitive(self, target, tol=None) -> PrimitiveValue:
+        if self.slit.on_cut_interior(target):
+            raise Unreachable(f"target {target} lies strictly inside a cut")
         if tol is not None and tol < self.tol:
             raise ToleranceNotMet("engine built with a looser tolerance than requested")
         raw, v, err = self._raw(target)
@@ -141,9 +138,6 @@ class PathEngine:
         if total_err > 10 * want:
             raise ToleranceNotMet(f"estimated error {total_err} above tolerance {want}")
         return PrimitiveValue(value=raw - self._F_base, sheet_end=sheet, est_error=total_err)
-
-    def re_f(self, target) -> float:
-        return self.F(target).real
 
     # -- boundary trace ------------------------------------------------------
 
@@ -161,13 +155,8 @@ class PathEngine:
 
         def gap_has_cut(a, b):
             # does any cut angle lie in (a, b], working mod 2*pi
-            for ca in cut_angles:
-                d = (ca - a) % (2 * np.pi)
-                if 1e-12 < d <= (b - a) % (2 * np.pi) or abs(d) <= 1e-12:
-                    if abs(d) <= 1e-12:
-                        continue
-                    return True
-            return False
+            return any(1e-12 < (ca - a) % (2 * np.pi) <= (b - a) % (2 * np.pi)
+                       for ca in cut_angles)
 
         pts = np.exp(1j * th)
         # nudge samples that sit exactly on a cut end: evaluate one-sided (ccw)
@@ -178,17 +167,13 @@ class PathEngine:
         out = np.empty(samples, dtype=complex)
         raw, v, _ = self._raw(pts[0])
         out[0] = raw
-        for i in range(1, samples + 1):
-            j = i % samples
-            if i == samples:
-                break
+        for i in range(1, samples):
             if gap_has_cut(th[i - 1], th[i]) or v == 0:
-                raw, v, _ = self._raw(pts[j])
-                out[j] = raw
+                raw, v, _ = self._raw(pts[i])
             else:
-                val, _, v = self._integ.integrate(pts[i - 1], pts[j], v, tol=self.tol)
+                val, _, v = self._integ.integrate(pts[i - 1], pts[i], v, tol=self.tol)
                 raw = raw + 2.0 * val
-                out[j] = raw
+            out[i] = raw
         return th, out - self._F_base
 
     def boundary_scale(self, samples: int = 32) -> float:
@@ -196,88 +181,3 @@ class PathEngine:
             _, vals = self.boundary_values(samples)
             self._scale = float(np.max(np.abs(vals)))
         return self._scale
-
-
-# -- functional surface matching the operation names -----------------------------
-
-
-def primitive(f: RationalFactored, slit: SlitDisk, target, tol: float = 1e-10) -> PrimitiveValue:
-    if tol < 1e-12:
-        raise ValueError("tolerance below 1e-12 is not supported")
-    if slit.on_cut_interior(target):
-        raise Unreachable(f"target {target} lies strictly inside a cut")
-    eng = PathEngine(f, slit, tol=tol)
-    return eng.primitive(target)
-
-
-def boundary_trace(f: RationalFactored, slit: SlitDisk, samples: int, tol: float = 1e-10):
-    """Re F at equispaced boundary angles (cut-adjacent angles one-sided)."""
-    eng = PathEngine(f, slit, tol=tol)
-    _, vals = eng.boundary_values(samples)
-    return vals.real
-
-
-def continue_sqrt(f: RationalFactored, path: BranchPath, rel_tol: float = 1e-12):
-    """Continued square-root samples along a polyline path.
-
-    Steps are bisected until the argument of f turns by < pi/2 between
-    consecutive samples; sheet_start fixes the determination at the first
-    non-root point.  Returns a list of (point, value) pairs.
-    """
-    wps = [complex(w) for w in path.waypoints]
-    if not wps:
-        return []
-
-    def refine(a, b, depth=0):
-        fa, fb = f.eval(a), f.eval(b)
-        if abs(fa) == 0 and abs(fb) == 0:
-            raise StepCollapse("segment joins two roots")
-        if abs(fa) == 0:
-            # roots are admitted at path endpoints; the approach is radial,
-            # so the argument is steady along a geometric ladder off the root
-            ladder = [a + (b - a) * 2.0 ** (-k) for k in range(30, 0, -1)]
-            out = [a, ladder[0]]
-            prev = ladder[0]
-            for q in ladder[1:] + [b]:
-                out.extend(refine(prev, q, depth + 1)[1:])
-                prev = q
-            return out
-        if abs(fb) == 0:
-            return refine(b, a, depth)[::-1]
-        if abs(np.angle(fb / fa)) < 0.45 * np.pi:
-            return [a, b]
-        if depth > 48 or abs(b - a) < 1e-14:
-            raise StepCollapse("refinement collapsed below 1e-14")
-        m = 0.5 * (a + b)
-        return refine(a, m, depth + 1)[:-1] + refine(m, b, depth + 1)
-
-    samples = [wps[0]]
-    for a, b in zip(wps[:-1], wps[1:]):
-        if a == b:
-            continue
-        samples.extend(refine(a, b)[1:])
-
-    vals = []
-    ref = None
-    for z in samples:
-        w = f.eval(z)
-        if abs(w) == 0:
-            vals.append((z, 0.0 + 0.0j))
-            continue
-        if ref is None:
-            ref = path.sheet_start * np.sqrt(w)
-            vals.append((z, complex(ref)))
-            continue
-        s = nearest_sqrt(w, ref)
-        vals.append((z, complex(s)))
-        ref = s
-    for z, v in vals:
-        w = f.eval(z)
-        if abs(w) > 0 and abs(v * v - w) > rel_tol * abs(w) * 10:
-            raise StepCollapse("continued values failed v^2 = f check")
-    return vals
-
-
-def make_engine(f: RationalFactored, base, tol: float = 1e-10, preferred_dirs=None):
-    slit = build_slit_disk(f, base, preferred_dirs=preferred_dirs)
-    return PathEngine(f, slit, tol=tol)

@@ -4,16 +4,18 @@ The integrand everywhere in this package is f^{1/2} along straight segments,
 with f rational in factored form.  The branch is fixed by continuity: a
 subinterval is accepted only if the argument of f turns by less than pi/2
 between consecutive nodes, which makes the nearest-sign choice against the
-running reference value provably correct.  Segments ending at a root of odd
-local order are integrated in a substituted parameter (t = s^2) so the
-integrand is smooth there.
+running reference value provably correct.  Segments ending at a root of any
+order are integrated in a substituted parameter (t = s^2) so the integrand
+is smooth there.  Both kinds of segment, and the plain real integrals of
+adaptive_gk, run through the one adaptive GK15/G7 recursion _gk.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import StepCollapse, ToleranceNotMet
+from .errors import ToleranceNotMet
+from .rational import order_at
 
 # QUADPACK 15-point Kronrod rule on [-1, 1]; Gauss nodes are every other one.
 _XGK = np.array([
@@ -39,14 +41,7 @@ _GAUSS_IDX = np.arange(1, 15, 2)
 
 _MAX_ARG_STEP = 0.45 * np.pi
 
-
-def gauss_legendre(n):
-    x, w = np.polynomial.legendre.leggauss(n)
-    return x, w
-
-
-GL6_X, GL6_W = gauss_legendre(6)
-GL12_X, GL12_W = gauss_legendre(12)
+GL6_X, GL6_W = np.polynomial.legendre.leggauss(6)
 
 
 def nearest_sqrt(w, ref):
@@ -62,16 +57,17 @@ def continue_sqrt_chain(fvals, v_start):
     """Assign continued sqrt values along an ordered node sequence.
 
     Requires the argument of f to rotate < pi/2 between consecutive nodes
-    (the caller checks); v_start is the continued value just before the
-    first node.
+    (the caller checks), so each principal root either agrees with the
+    previous continued value or is its negation: the branch is a running
+    product of sign flips.  A zero keeps the previous reference; v_start is
+    the continued value just before the first node.
     """
-    out = np.empty_like(fvals)
-    ref = v_start
-    for i, w in enumerate(fvals):
-        s = nearest_sqrt(w, ref)
-        out[i] = s
-        if s != 0:
-            ref = s
+    p = np.sqrt(fvals)
+    nz = p != 0
+    chain = np.concatenate(([v_start], p[nz]))
+    flips = np.where((chain[1:] * np.conj(chain[:-1])).real < 0, -1.0, 1.0)
+    out = np.zeros_like(p)
+    out[nz] = np.cumprod(flips) * p[nz]
     return out
 
 
@@ -108,6 +104,32 @@ def _winding_safe(f, z_pts, exclude_root=None):
     return bool(np.all(gaps <= 0.5 * np.minimum(d[:-1], d[1:])))
 
 
+def _gk(panel, a, b, carry, tol, max_depth, depth=0):
+    """Adaptive GK15/G7 over the parameter interval [a, b].
+
+    panel(a, b, nodes, carry) sees the 15 Kronrod nodes of [a, b] and the
+    value carried into a; it returns (integrand at the nodes, value carried
+    to b), or None when the panel must be split whatever its error.  A panel
+    is accepted once its Kronrod-Gauss difference meets tol or it is narrower
+    than roundoff resolves.  Returns (integral, error estimate, carry at b).
+    """
+    half = 0.5 * (b - a)
+    mid = a + half
+    out = panel(a, b, mid + half * _XGK, carry)
+    if out is not None:
+        w, carry_b = out
+        i15 = half * np.sum(_WGK * w)
+        i7 = half * np.sum(_WG7 * w[_GAUSS_IDX])
+        err = abs(i15 - i7)
+        if err <= tol or abs(half) < 1e-15:
+            return i15, err, carry_b
+    if depth >= max_depth:
+        raise ToleranceNotMet(f"panel [{a}, {b}] stuck above tol {tol}")
+    lval, lerr, carry_m = _gk(panel, a, mid, carry, 0.5 * tol, max_depth, depth + 1)
+    rval, rerr, carry_b = _gk(panel, mid, b, carry_m, 0.5 * tol, max_depth, depth + 1)
+    return lval + rval, lerr + rerr, carry_b
+
+
 class SqrtSegmentIntegrator:
     """Integrates f^{1/2} dz along straight segments with branch continuity."""
 
@@ -115,8 +137,6 @@ class SqrtSegmentIntegrator:
         self.f = f
         self.tol = tol
         self.max_depth = max_depth
-
-    # -- plain segments -----------------------------------------------------
 
     def integrate(self, za, zb, v_start, tol=None):
         """Integral of f^{1/2} from za to zb; v_start continues the branch at za.
@@ -128,108 +148,39 @@ class SqrtSegmentIntegrator:
         tol = self.tol if tol is None else tol
         if za == zb:
             return 0.0 + 0.0j, 0.0, v_start
-        n_end = self._root_order(zb)
-        if n_end > 0:
-            return self._integrate_into_root(za, zb, v_start, n_end, tol)
-        val, err, v_end = self._adaptive(za, zb, v_start, tol, 0)
-        return val, err, v_end
+        f = self.f
+        if order_at(f, zb, tol=1e-13) > 0:
+            # z = zb + (za - zb) s^2 turns the local factor (z - zb)^{n/2}
+            # into s^n times a smooth function, so the s-integrand is
+            # analytic at s = 0 for every order n.  s runs from 1 (za) down
+            # to 0 (the root); the branch is carried by the last node.
+            d = za - zb
 
-    def _root_order(self, z):
-        from .rational import order_at
+            def into_root(sa, sb, s, v_a):
+                z = zb + d * s * s
+                fv = f.eval(z)
+                if not (_winding_safe(f, z, exclude_root=zb)
+                        and _arg_steps_ok(np.concatenate(([v_a**2], fv)))):
+                    return None
+                v = continue_sqrt_chain(fv, v_a)
+                return v * (2.0 * d * s), v[-1]
 
-        return order_at(self.f, z, tol=1e-13)
+            val, err, _ = _gk(into_root, 1.0, 0.0, v_start, tol, self.max_depth)
+            return val, err, 0.0 + 0.0j
 
-    def _adaptive(self, za, zb, v_a, tol, depth):
-        if depth > self.max_depth:
-            if abs(zb - za) < 1e-14:
-                raise StepCollapse("refinement collapsed; segment passes through a root")
-            raise ToleranceNotMet(f"segment [{za}, {zb}] stuck above tol {tol}")
-        half = 0.5 * (zb - za)
-        mid = za + half
-        nodes = mid + half * _XGK
-        fv = self.f.eval(nodes)
-        f_b = self.f.eval(zb)
-        chain = np.concatenate(([v_a**2], fv, [f_b]))
-        z_chain = np.concatenate(([za], nodes, [zb]))
-        if not (_arg_steps_ok(chain) and _winding_safe(self.f, z_chain)):
-            lval, lerr, v_m = self._adaptive(za, mid, v_a, 0.5 * tol, depth + 1)
-            rval, rerr, v_b = self._adaptive(mid, zb, v_m, 0.5 * tol, depth + 1)
-            return lval + rval, lerr + rerr, v_b
-        v = continue_sqrt_chain(fv, v_a)
-        i15 = half * np.sum(_WGK * v)
-        i7 = half * np.sum(_WG7 * v[_GAUSS_IDX])
-        err = abs(i15 - i7)
-        if err <= tol or abs(half) < 1e-15:
-            v_b = nearest_sqrt(f_b, v[-1])
-            return i15, err, v_b
-        lval, lerr, v_m = self._adaptive(za, mid, v_a, 0.5 * tol, depth + 1)
-        rval, rerr, v_b = self._adaptive(mid, zb, v_m, 0.5 * tol, depth + 1)
-        return lval + rval, lerr + rerr, v_b
+        def chord(a, b, z, v_a):
+            z_chain = np.concatenate(([a], z, [b]))
+            fv = f.eval(z_chain[1:])
+            if not (_arg_steps_ok(np.concatenate(([v_a**2], fv)))
+                    and _winding_safe(f, z_chain)):
+                return None
+            v = continue_sqrt_chain(fv, v_a)
+            return v[:-1], v[-1]
 
-    # -- segments ending at a root ---------------------------------------------
-
-    def _integrate_into_root(self, za, z_root, v_a, order, tol):
-        """Integrate up to a root endpoint.
-
-        Substituting z = z_root + (za - z_root) s^2 turns the local factor
-        (z - z_root)^{order/2} into s^order times a smooth function, so the
-        s-integrand is analytic at s = 0 for every order.  Orientation: s = 1
-        corresponds to za, s = 0 to the root, and the branch is continued from
-        the za end inward.
-        """
-        d = za - z_root
-
-        def geom(s):
-            return z_root + d * s * s
-
-        # continued values on the s-grid (descending from s=1), via chain rule
-        # integral = int_1^0 f^{1/2}(geom) * 2 d s ds  (then negated for a->root)
-        val, err, _ = self._adaptive_sub(geom, d, 1.0, 0.0, v_a, tol, 0)
-        return val, err, 0.0 + 0.0j
-
-    def _adaptive_sub(self, geom, d, sa, sb, v_a, tol, depth):
-        """Adaptive GK in the substituted parameter s from sa to sb."""
-        if depth > self.max_depth:
-            raise ToleranceNotMet("substituted segment stuck above tolerance")
-        half = 0.5 * (sb - sa)
-        mid = sa + half
-        s_nodes = mid + half * _XGK
-        z_nodes = geom(s_nodes)
-        fv = self.f.eval(z_nodes)
-        chain = np.concatenate(([v_a**2], fv))
-        if not _winding_safe(self.f, z_nodes, exclude_root=geom(0.0)):
-            lval, lerr, v_m = self._adaptive_sub(geom, d, sa, mid, v_a, 0.5 * tol, depth + 1)
-            rval, rerr, v_b = self._adaptive_sub(geom, d, mid, sb, v_m, 0.5 * tol, depth + 1)
-            return lval + rval, lerr + rerr, v_b
-        if not _arg_steps_ok(chain):
-            lval, lerr, v_m = self._adaptive_sub(geom, d, sa, mid, v_a, 0.5 * tol, depth + 1)
-            rval, rerr, v_b = self._adaptive_sub(geom, d, mid, sb, v_m, 0.5 * tol, depth + 1)
-            return lval + rval, lerr + rerr, v_b
-        v = continue_sqrt_chain(fv, v_a)
-        w = v * (2.0 * d * s_nodes)  # dz/ds
-        i15 = half * np.sum(_WGK * w)
-        i7 = half * np.sum(_WG7 * w[_GAUSS_IDX])
-        err = abs(i15 - i7)
-        if err <= tol or abs(half) < 1e-15:
-            return i15, err, v[-1]
-        lval, lerr, v_m = self._adaptive_sub(geom, d, sa, mid, v_a, 0.5 * tol, depth + 1)
-        rval, rerr, v_b = self._adaptive_sub(geom, d, mid, sb, v_m, 0.5 * tol, depth + 1)
-        return lval + rval, lerr + rerr, v_b
+        return _gk(chord, za, zb, v_start, tol, self.max_depth)
 
 
-def adaptive_gk(fn, a, b, tol=1e-11, max_depth=50, _depth=0):
+def adaptive_gk(fn, a, b, tol=1e-11, max_depth=50):
     """Plain adaptive Gauss-Kronrod for a smooth (vectorized) scalar integrand."""
-    half = 0.5 * (b - a)
-    mid = a + half
-    nodes = mid + half * _XGK
-    v = fn(nodes)
-    i15 = half * np.sum(_WGK * v)
-    i7 = half * np.sum(_WG7 * v[_GAUSS_IDX])
-    err = abs(i15 - i7)
-    if err <= tol or _depth >= max_depth:
-        if _depth >= max_depth and err > 100 * max(tol, 1e-15):
-            raise ToleranceNotMet(f"adaptive_gk stuck at err {err}")
-        return i15
-    left = adaptive_gk(fn, a, mid, 0.5 * tol, max_depth, _depth + 1)
-    right = adaptive_gk(fn, mid, b, 0.5 * tol, max_depth, _depth + 1)
-    return left + right
+    val, _, _ = _gk(lambda lo, hi, x, _: (fn(x), None), a, b, None, tol, max_depth)
+    return val

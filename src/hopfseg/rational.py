@@ -136,24 +136,6 @@ class RationalFactored:
             out -= m / (zz - d)
         return complex(out) if scalar else out
 
-    def eval_without_root(self, z, root):
-        """f(z) / (z - root)^mult, i.e. the co-factor at a stored root."""
-        zz = np.asarray(z, dtype=complex)
-        out = np.full(zz.shape, self.leading, dtype=complex)
-        hit = False
-        for r, m in self.interior_roots:
-            if abs(r - root) < ORDER_MATCH_TOL:
-                hit = True
-                continue
-            out *= (zz - r) ** m
-        if not hit:
-            raise ValueError(f"{root} is not a stored root")
-        for u, m in self.unit_num:
-            out *= (zz - u) ** m
-        for d, m in self.unit_den:
-            out /= (zz - d) ** m
-        return out if out.shape else complex(out)
-
     def unit_log(self, z):
         """Analytic branch of log(c * unit_num / unit_den) on the closed disk.
 

@@ -117,7 +117,7 @@ def _svg_path(points):
     return " ".join(cmds)
 
 
-def render_svg(graph=None, state=None) -> str:
+def render_svg(graph) -> str:
     """Line rendering: unit disk, nodal arcs, filled interior criticals,
     open boundary zeros.  Deterministic output bytes for a fixed input."""
     lines = [
@@ -125,28 +125,22 @@ def render_svg(graph=None, state=None) -> str:
         'width="600" height="600">',
         '<circle cx="0" cy="0" r="1" fill="none" stroke="black" stroke-width="0.01"/>',
     ]
-    if graph is not None:
-        for arc in graph.arcs:
-            pts = arc.points
-            if len(pts) > 400:
-                step = len(pts) // 400 + 1
-                pts = tuple(pts[::step]) + (pts[-1],)
+    for arc in graph.arcs:
+        pts = arc.points
+        if len(pts) > 400:
+            step = len(pts) // 400 + 1
+            pts = tuple(pts[::step]) + (pts[-1],)
+        lines.append(
+            f'<path d="{_svg_path(pts)}" fill="none" stroke="black" stroke-width="0.008"/>'
+        )
+    for v in graph.vertices:
+        x, y = v.location.real, -v.location.imag
+        if v.kind == "interior-critical":
+            lines.append(f'<circle cx="{x:.4f}" cy="{y:.4f}" r="0.025" fill="black"/>')
+        else:
             lines.append(
-                f'<path d="{_svg_path(pts)}" fill="none" stroke="black" stroke-width="0.008"/>'
-            )
-        for v in graph.vertices:
-            x, y = v.location.real, -v.location.imag
-            if v.kind == "interior-critical":
-                lines.append(f'<circle cx="{x:.4f}" cy="{y:.4f}" r="0.025" fill="black"/>')
-            else:
-                lines.append(
-                    f'<circle cx="{x:.4f}" cy="{y:.4f}" r="0.025" fill="white" '
-                    'stroke="black" stroke-width="0.008"/>'
-                )
-    elif state is not None:
-        for z, _, _ in state.criticals:
-            lines.append(
-                f'<circle cx="{z.real:.4f}" cy="{-z.imag:.4f}" r="0.025" fill="black"/>'
+                f'<circle cx="{x:.4f}" cy="{y:.4f}" r="0.025" fill="white" '
+                'stroke="black" stroke-width="0.008"/>'
             )
     lines.append("</svg>")
     return "\n".join(lines) + "\n"

@@ -203,12 +203,6 @@ def build_slit_disk(f: RationalFactored, base, preferred_dirs=None) -> SlitDisk:
     return SlitDisk(cuts=tuple(cuts), base=base)
 
 
-@dataclass(frozen=True)
-class BranchPath:
-    waypoints: tuple
-    sheet_start: int = 1
-
-
 def _detour_radius(cut: Cut, slit: SlitDisk, f: RationalFactored) -> float:
     r = 1e-4
     for other in slit.cuts:
@@ -323,9 +317,9 @@ def _split_long(waypoints, max_step=MAX_WAYPOINT_STEP) -> tuple:
     return tuple(out)
 
 
-def route_path(slit: SlitDisk, f: RationalFactored, target, sheet_start=1) -> BranchPath:
-    """Public routing op: polyline from the slit base to the target."""
-    wps = route_between(slit, f, slit.base, target)
+def route_path(slit: SlitDisk, f: RationalFactored, src, dst) -> tuple:
+    """Integration waypoints from src to dst: the shortest cut-avoiding
+    polyline, bumped off roots it grazes and split into short segments."""
+    wps = route_between(slit, f, src, dst)
     wps = _bump_root_grazes(wps, f, slit)
-    wps = _split_long(wps)
-    return BranchPath(waypoints=wps, sheet_start=sheet_start)
+    return _split_long(wps)

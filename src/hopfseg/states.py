@@ -17,7 +17,7 @@ from scipy.sparse.csgraph import connected_components
 
 from .errors import GridTooCoarse, NotAdmissible, NotOnNodalSet
 from .primitive import PathEngine
-from .quadrature import GL6_W, GL6_X, adaptive_gk, nearest_sqrt
+from .quadrature import GL6_W, GL6_X, nearest_sqrt
 from .rational import RationalFactored, order_at
 from .slits import SlitDisk, build_slit_disk
 
@@ -32,13 +32,6 @@ class AdmissibilityReport:
     tolerance: float
     scale: float
 
-    def odd_admissible(self, f: RationalFactored) -> bool:
-        return all(
-            v <= self.tolerance
-            for z, v in self.residuals
-            if order_at(f, z) % 2 == 1
-        )
-
 
 def admissibility(f: RationalFactored, base, tol: float | None = None,
                   engine: PathEngine | None = None) -> AdmissibilityReport:
@@ -50,11 +43,9 @@ def admissibility(f: RationalFactored, base, tol: float | None = None,
     default tolerance is relative to the boundary scale of F.
     """
     eng = engine or PathEngine(f, build_slit_disk(f, base))
+    scale = eng.boundary_scale()
     if tol is None:
-        tol = ADMISSIBILITY_REL_TOL * max(eng.boundary_scale(), 1e-300)
-        scale = eng._scale
-    else:
-        scale = eng._scale if eng._scale is not None else float("nan")
+        tol = ADMISSIBILITY_REL_TOL * max(scale, 1e-300)
     residuals = []
     for z, _ in f.interior_roots:
         if abs(z - eng.slit.base) < 1e-14:
@@ -63,13 +54,7 @@ def admissibility(f: RationalFactored, base, tol: float | None = None,
             residuals.append((z, abs(eng.F(z).real)))
     ok = all(v <= tol for _, v in residuals)
     return AdmissibilityReport(admissible=ok, residuals=tuple(residuals),
-                               tolerance=tol, scale=scale if scale == scale else eng.boundary_scale())
-
-
-def signed_residual(f: RationalFactored, base, z, tol: float = 1e-11) -> float:
-    """Signed Re F(z); sign is determination-dependent, zeros are not."""
-    eng = PathEngine(f, build_slit_disk(f, base), tol=tol)
-    return eng.F(z).real
+                               tolerance=tol, scale=scale)
 
 
 def find_base_point(f: RationalFactored):
@@ -114,9 +99,6 @@ class SegregatedState:
     def cell_centers(self) -> np.ndarray:
         c = -1.0 + (np.arange(self.resolution) + 0.5) * self.h
         return c
-
-    def grid_tolerance(self) -> float:
-        return 2.0 * self.h * max(self.scale, 1.0)
 
     def value_at(self, z) -> float:
         """U(z) evaluated exactly (routed primitive, not grid lookup)."""
@@ -166,9 +148,7 @@ def _fill_grid(f: RationalFactored, eng: PathEngine, G: int):
     # seed at the far cell nearest the engine reference point
     if far.any():
         iy, ix = np.unravel_index(np.argmin(np.where(far, np.abs(Z - eng.z_ref), np.inf)), (G, G))
-        raw, v, _ = eng._raw(Z[iy, ix])
-        F[iy, ix] = raw - eng._F_base
-        V[iy, ix] = v
+        F[iy, ix], V[iy, ix] = eng.value_and_sqrt(Z[iy, ix])
         known[iy, ix] = True
 
     half_w = 0.5 * GL6_W
@@ -183,15 +163,9 @@ def _fill_grid(f: RationalFactored, eng: PathEngine, G: int):
         fv = f.eval(nodes)
         fc = f.eval(zc)
         ok = np.abs(np.angle(fc / (vp * vp))) < 0.45 * np.pi
-        s = np.sqrt(fv)
-        flip = np.abs(s - vp[:, None]) > np.abs(s + vp[:, None])
-        s = np.where(flip, -s, s)
-        integral = seg * (s @ half_w)
+        integral = seg * (nearest_sqrt(fv, vp[:, None]) @ half_w)
         fnew = F.ravel()[par_idx] + 2.0 * integral
-        sc = np.sqrt(fc)
-        flipc = np.abs(sc - vp) > np.abs(sc + vp)
-        vc = np.where(flipc, -sc, sc)
-        return fnew, vc, ok
+        return fnew, nearest_sqrt(fc, vp), ok
 
     flat = np.arange(G * G).reshape(G, G)
     steps = [
@@ -237,17 +211,13 @@ def _fill_grid(f: RationalFactored, eng: PathEngine, G: int):
             seg = np.abs(zc_left - cut.anchor) + np.abs(zc_left - cut.end)
             dcut = np.minimum(dcut, seg - cut.length)  # ellipse-slack proxy
         pick = cand_idx[int(np.argmax(dcut))]
-        raw, v, _ = eng._raw(Z.ravel()[pick])
-        F.ravel()[pick] = raw - eng._F_base
-        V.ravel()[pick] = v
+        F.ravel()[pick], V.ravel()[pick] = eng.value_and_sqrt(Z.ravel()[pick])
         known.ravel()[pick] = True
 
     # everything the wave could not certify goes through the routed primitive
     rest = inside & ~known
     for iy, ix in zip(*np.nonzero(rest)):
-        raw, v, _ = eng._raw(Z[iy, ix])
-        F[iy, ix] = raw - eng._F_base
-        V[iy, ix] = v
+        F[iy, ix], V[iy, ix] = eng.value_and_sqrt(Z[iy, ix])
         known[iy, ix] = True
 
     sre = np.where(inside, F.real, np.nan)
@@ -310,16 +280,10 @@ def reconstruct(f: RationalFactored, base, resolution: int = 256,
     base = complex(base)
     slit = build_slit_disk(f, base)
     eng = PathEngine(f, slit)
-    scale = eng.boundary_scale()
-    tol_adm = tol if tol is not None else ADMISSIBILITY_REL_TOL * max(scale, 1e-300)
-
-    odd_res = []
-    all_res = {}
-    for z, m in f.interior_roots:
-        val = 0.0 if abs(z - base) < 1e-14 else abs(eng.F(z).real)
-        all_res[z] = val
-        if m % 2 == 1:
-            odd_res.append((z, val))
+    rep = admissibility(f, base, tol, engine=eng)
+    scale, tol_adm = rep.scale, rep.tolerance
+    orders = [m for _, m in f.interior_roots]
+    odd_res = [zv for zv, m in zip(rep.residuals, orders) if m % 2 == 1]
     bad = [(z, v) for z, v in odd_res if v > tol_adm]
     if bad:
         raise NotAdmissible(f"Re F does not vanish at odd zeros: {bad}")
@@ -329,8 +293,8 @@ def reconstruct(f: RationalFactored, base, resolution: int = 256,
 
     crit = tuple(
         (z, m, m + 2)
-        for z, m in f.interior_roots
-        if all_res[z] <= tol_adm
+        for (z, v), m in zip(rep.residuals, orders)
+        if v <= tol_adm
     )
     thr = SPECIES_REL_THRESHOLD * max(scale, 1e-300)
     c = -1.0 + (np.arange(resolution) + 0.5) * (2.0 / resolution)

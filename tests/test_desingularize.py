@@ -16,7 +16,7 @@ from hopfseg.desingularize import (
     solve_weights,
     split_zero,
 )
-from hopfseg.errors import SingularSolve
+from hopfseg.errors import SingularSolve, SplitOrderMismatch
 from hopfseg.experiments import tuned_multizero
 from hopfseg.quadrature import adaptive_gk
 from hopfseg.rational import monomial, order_at, rational
@@ -230,3 +230,10 @@ def test_reduce_cubic_three_3pts():
     assert rep.formula_check and rep.euler_check
     mults = [v.multiplicity for v in gr.vertices if v.kind == "interior-critical"]
     assert sorted(mults) == [3, 3, 3]
+
+
+def test_split_rejects_merged_new_zero():
+    # at eps 1e-13 the new zero merges with z0 (root merge tolerance 1e-12):
+    # a typed error that the eps backtracking does not swallow
+    with pytest.raises(SplitOrderMismatch):
+        split_zero(monomial(0.25, 3), 0.0, eps_target=1e9, branch=0, eps0=1e-13)

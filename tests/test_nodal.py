@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from hopfseg.experiments import admissible_fw, figure5_function
+from hopfseg.errors import SearchExhausted
+from hopfseg.experiments import admissible_fw, figure5_function, random_even_function
 from hopfseg.nodal import boundary_zeros, counts, trace, verify_index
 from hopfseg.rational import monomial, rational
 from hopfseg.states import reconstruct
@@ -107,3 +108,18 @@ def test_graph_export_dict(cubic_graph):
     assert len(d["vertices"]) == len(g.vertices)
     assert all(set(v) == {"id", "x", "y", "kind", "index"} for v in d["vertices"])
     assert all(set(a) == {"from", "to", "points"} for a in d["arcs"])
+
+
+class _CoincidentDraws:
+    """Stub generator: two double roots at the same point on every draw."""
+
+    def integers(self, low, high):
+        return 2
+
+    def uniform(self, low, high):
+        return 0.0
+
+
+def test_random_even_function_gives_up():
+    with pytest.raises(SearchExhausted):
+        random_even_function(_CoincidentDraws())

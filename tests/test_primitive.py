@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from hopfseg.errors import Unreachable
-from hopfseg.primitive import PathEngine, boundary_trace, continue_sqrt, primitive
+from hopfseg.primitive import PathEngine
+from hopfseg.quadrature import SqrtSegmentIntegrator, continue_sqrt_chain, nearest_sqrt
 from hopfseg.rational import monomial, rational
-from hopfseg.slits import BranchPath, build_slit_disk, route_path
+from hopfseg.slits import build_slit_disk, route_between, route_path
 
 
 @pytest.fixture(scope="module")
@@ -26,7 +27,7 @@ def test_primitive_constant():
     f = rational(0.25)
     slit = build_slit_disk(f, 0.0)
     z = 0.3 + 0.4j
-    pv = primitive(f, slit, z, tol=1e-11)
+    pv = PathEngine(f, slit, tol=1e-11).primitive(z)
     assert pv.value == pytest.approx(z, abs=1e-10)
 
 
@@ -34,7 +35,7 @@ def test_primitive_rigidity_value():
     w = 0.1
     f = rational(0.25, roots=[(0, 1), (w, 2)])
     slit = build_slit_disk(f, 0.0)
-    pv = primitive(f, slit, w, tol=1e-11)
+    pv = PathEngine(f, slit, tol=1e-11).primitive(w)
     assert abs(pv.value) == pytest.approx((4 / 15) * 0.1**2.5, rel=1e-8)
 
 
@@ -48,16 +49,16 @@ def test_interior_branch_value(cubic_engine):
 
 def test_boundary_trace_closed_form(cubic_engine):
     f, slit, _ = cubic_engine
-    tr = boundary_trace(f, slit, 64, tol=1e-11)
-    th = 2 * np.pi * np.arange(64) / 64
+    th, vals = PathEngine(f, slit, tol=1e-11).boundary_values(64)
+    tr = vals.real
     assert np.max(np.abs(tr - 0.4 * np.cos(2.5 * th))) <= 1e-8
 
 
 def test_boundary_trace_constant():
     f = rational(0.25)
     slit = build_slit_disk(f, 0.0)
-    tr = boundary_trace(f, slit, 32, tol=1e-11)
-    th = 2 * np.pi * np.arange(32) / 32
+    th, vals = PathEngine(f, slit, tol=1e-11).boundary_values(32)
+    tr = vals.real
     assert np.max(np.abs(tr - np.cos(th))) < 1e-9
 
 
@@ -67,43 +68,56 @@ def test_boundary_trace_perturbed_family():
     w = eps * np.exp(1j * phi)
     f = rational(0.25, roots=[(0, 1), (w, 2)])
     slit = build_slit_disk(f, 0.0)
-    tr = boundary_trace(f, slit, 64, tol=1e-11)
-    th = 2 * np.pi * np.arange(64) / 64
+    th, vals = PathEngine(f, slit, tol=1e-11).boundary_values(64)
+    tr = vals.real
     closed = 0.4 * np.cos(2.5 * th) - (2 / 3) * eps * np.cos(1.5 * th + phi)
     assert np.max(np.abs(np.abs(tr) - np.abs(closed))) <= 1e-8
 
 
+def _along(waypoints, per_segment=8):
+    """Points on a polyline: its waypoints and per_segment - 1 between each."""
+    pts = [waypoints[0]]
+    for a, b in zip(waypoints[:-1], waypoints[1:]):
+        pts.extend(a + (b - a) * np.arange(1, per_segment + 1) / per_segment)
+    return pts
+
+
 def test_continue_sqrt_perfect_square():
+    # z^2/4 has no cut, so the continued root is z/2 everywhere
     f = monomial(0.25, 2)
-    path = BranchPath(waypoints=(0.1, 1.0), sheet_start=1)
-    vals = continue_sqrt(f, path)
-    for z, v in vals:
+    eng = PathEngine(f, build_slit_disk(f, 0.0))
+    for z in _along((0.1, 1.0)) + [-0.5 + 0.3j, -0.2 - 0.7j]:
+        _, v = eng.value_and_sqrt(z)
         assert v == pytest.approx(z / 2, rel=1e-12)
 
 
-def test_continue_sqrt_constant_both_sheets():
+def test_continue_sqrt_constant_both_sheets(cubic_engine):
     f = rational(0.25)
-    path = BranchPath(waypoints=(0.1, 0.5 + 0.2j), sheet_start=-1)
-    vals = continue_sqrt(f, path)
-    for _, v in vals:
-        assert v == pytest.approx(-0.5, rel=1e-12)
+    eng = PathEngine(f, build_slit_disk(f, 0.0))
+    for z in _along((0.1, 0.5 + 0.2j)):
+        F, v = eng.value_and_sqrt(z)
+        assert v == pytest.approx(0.5, rel=1e-12)
+        assert F == pytest.approx(z, abs=1e-12)
+        assert eng.primitive(z).sheet_end == 1
+    # z^3/4 with its cut on [0, 1]: the continued root is minus the
+    # principal one at i and the principal one at -i
+    _, _, cubic = cubic_engine
+    assert cubic.primitive(1j).sheet_end == -1
+    assert cubic.primitive(-1j).sheet_end == 1
 
 
-def test_continue_sqrt_arc_branch():
-    # half circle for z^3/4: value at e^{i pi/2} is (1/2) e^{i 3 pi/4}
-    f = monomial(0.25, 3)
-    th = np.linspace(0.0, np.pi, 41)   # includes pi/2 exactly
-    path = BranchPath(waypoints=tuple(np.exp(1j * th)), sheet_start=1)
-    vals = continue_sqrt(f, path)
-    target = min(vals, key=lambda pv: abs(pv[0] - 1j))
-    assert abs(target[0] - 1j) < 1e-12
-    assert target[1] == pytest.approx(0.5 * np.exp(1j * 0.75 * np.pi), rel=1e-9)
+def test_continue_sqrt_arc_branch(cubic_engine):
+    # z^3/4 with its cut on [0, 1]: the value at i is (1/2) e^{i 3 pi/4}
+    f, slit, eng = cubic_engine
+    assert slit.cuts[0].end == pytest.approx(1.0)
+    _, v = eng.value_and_sqrt(1j)
+    assert v == pytest.approx(0.5 * np.exp(1j * 0.75 * np.pi), rel=1e-9)
 
 
 def test_sheet_consistency_along_paths(cubic_engine):
-    f, slit, _ = cubic_engine
-    path = route_path(slit, f, -0.6 + 0.4j)
-    for z, v in continue_sqrt(f, path):
+    f, slit, eng = cubic_engine
+    for z in _along(route_path(slit, f, slit.base, -0.6 + 0.4j)):
+        _, v = eng.value_and_sqrt(z)
         w = f.eval(z)
         assert abs(v * v - w) <= 1e-12 * max(abs(w), 1e-30)
 
@@ -121,14 +135,11 @@ def test_path_independence(rng):
         mid = 0.5 * z + 0.25j * (1 if z.imag < 0 else -1)
         if abs(mid) > 0.95 or slit.on_cut_interior(mid):
             continue
-        from hopfseg.slits import _visible
-
-        if not _visible(mid, z, slit.cuts):
+        if route_between(slit, f, mid, z) != (mid, z):
             continue
-        via1 = eng._raw(mid)
-        integ = eng._integ
-        val, _, _ = integ.integrate(mid, z, via1[1], tol=1e-11)
-        indirect = via1[0] + 2 * val - eng._F_base
+        F_mid, v_mid = eng.value_and_sqrt(mid)
+        val, _, _ = SqrtSegmentIntegrator(f).integrate(mid, z, v_mid, tol=1e-11)
+        indirect = F_mid + 2 * val
         assert indirect == pytest.approx(direct.value, abs=5e-10)
 
 
@@ -164,9 +175,15 @@ def test_two_sided_cut_flip(cubic_engine):
 
 
 def test_primitive_rejects_target_inside_cut(cubic_engine):
-    f, slit, _ = cubic_engine
+    _, _, eng = cubic_engine
     with pytest.raises(Unreachable):
-        primitive(f, slit, 0.5 + 0.0j, tol=1e-10)
+        eng.primitive(0.5 + 0.0j)
+
+
+def test_engine_rejects_tolerance_below_floor(cubic_engine):
+    f, slit, _ = cubic_engine
+    with pytest.raises(ValueError):
+        PathEngine(f, slit, tol=1e-13)
 
 
 def test_boundary_values_match_pointwise(cubic_engine):
@@ -175,3 +192,20 @@ def test_boundary_values_match_pointwise(cubic_engine):
     for k in (3, 11, 19, 27):
         direct = eng.F(np.exp(1j * th[k]))
         assert vals[k] == pytest.approx(direct, abs=1e-9)
+
+
+def test_continue_sqrt_chain_matches_scalar_loop(rng):
+    # the sign-flip product must pick exactly the roots of the nearest-root
+    # loop on chains whose argument turns by < pi/2 per step, zeros included
+    for _ in range(50):
+        arg = np.cumsum(rng.uniform(-0.44 * np.pi, 0.44 * np.pi, 40))
+        fvals = rng.uniform(0.1, 2.0, 40) * np.exp(1j * arg)
+        fvals[rng.integers(0, 40, 3)] = 0.0
+        v_start = np.sqrt(fvals[0]) * np.exp(1j * rng.uniform(-0.2, 0.2)) * rng.choice([-1, 1])
+        want, ref = [], v_start
+        for w in fvals:
+            s = nearest_sqrt(w, ref)
+            want.append(s)
+            if s != 0:
+                ref = s
+        assert np.array_equal(continue_sqrt_chain(fvals, v_start), np.array(want))

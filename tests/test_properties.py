@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hopfseg.mobius import MobiusMap, apply, compose, dilate, invert, pushforward_hopf
-from hopfseg.primitive import PathEngine, continue_sqrt
+from hopfseg.primitive import PathEngine
 from hopfseg.rational import multiply, rational, winding_count
 from hopfseg.slits import build_slit_disk, route_path
 
@@ -56,10 +56,13 @@ def test_sheet_consistency_everywhere(f, target):
     slit = build_slit_disk(f, base)
     if slit.on_cut_interior(target):
         return
-    path = route_path(slit, f, target)
-    for z, v in continue_sqrt(f, path):
-        w = f.eval(z)
-        assert abs(v * v - w) <= 1e-11 * max(abs(w), 1e-300)
+    eng = PathEngine(f, slit, tol=1e-11)
+    wps = route_path(slit, f, base, target)
+    for a, b in zip(wps[:-1], wps[1:]):
+        for z in a + (b - a) * np.linspace(0.0, 1.0, 9)[1:]:
+            _, v = eng.value_and_sqrt(z)
+            w = f.eval(z)
+            assert abs(v * v - w) <= 1e-11 * max(abs(w), 1e-300)
 
 
 @given(factored_functions(max_roots=2, max_mult=2), small_alpha,

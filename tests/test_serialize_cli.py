@@ -6,6 +6,7 @@ import pytest
 
 from hopfseg.cli import main
 from hopfseg.errors import SchemaError
+from hopfseg.experiments import figure5_function
 from hopfseg.rational import monomial, rational
 from hopfseg.serialize import emit_function, parse_function, render_svg
 
@@ -145,3 +146,24 @@ def test_cli_schema_error_exit(tmp_path, capsys):
     assert code == 1
     msg = json.loads(capsys.readouterr().out)
     assert msg["error"] == "SchemaError"
+
+
+def test_cli_desingularize_merged_zero_reports_error(tmp_path, capsys):
+    p = _write_spec(tmp_path, monomial(0.25, 3))
+    code = main(["desingularize", "-i", str(p), "-o", str(tmp_path / "out"), "--eps", "1e-13"])
+    assert code == 1
+    msg = json.loads(capsys.readouterr().out)
+    assert msg["error"] == "SplitOrderMismatch"
+
+
+def test_cli_index_figure5_negative_base(tmp_path, capsys):
+    f, base = figure5_function()
+    assert base == -0.4 - 0.3j
+    p = _write_spec(tmp_path, f)
+    out = tmp_path / "out"
+    code = main(["index", "-i", str(p), "-o", str(out), "--resolution", "128",
+                 "--base=-0.4,-0.3"])
+    assert code == 0
+    rep = json.loads((out / "report.json").read_text())
+    assert rep["base"] == [-0.4, -0.3]
+    assert (rep["M"], rep["N"], rep["T"]) == (7, 6, 2)
