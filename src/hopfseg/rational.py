@@ -25,7 +25,7 @@ ORDER_MATCH_TOL = 1e-10
 
 
 def _merge_roots(pairs, tol=ROOT_MERGE_TOL):
-    """Merge roots closer than tol (multiplicities add); returns sorted tuple."""
+    """Merge roots closer than tol, or equal (multiplicities add); returns sorted tuple."""
     merged: list[list] = []
     for z, m in pairs:
         z = complex(z)
@@ -33,7 +33,7 @@ def _merge_roots(pairs, tol=ROOT_MERGE_TOL):
         if m < 1:
             raise ValueError(f"multiplicity must be >= 1, got {m}")
         for slot in merged:
-            if abs(slot[0] - z) < tol:
+            if slot[0] == z or abs(slot[0] - z) < tol:
                 slot[1] += m
                 break
         else:
@@ -204,13 +204,16 @@ def monomial(coeff, order):
 
 
 def multiply(f: RationalFactored, g: RationalFactored) -> RationalFactored:
-    return RationalFactored(
-        leading=f.leading * g.leading,
-        interior_roots=f.interior_roots + g.interior_roots,
-        unit_num=f.unit_num + g.unit_num,
-        unit_den=f.unit_den + g.unit_den,
-        delta_bd=min(f.delta_bd, g.delta_bd),
-    )
+    """f * g with every root kept where f or g has it.
+
+    The constructor merges roots closer than ROOT_MERGE_TOL, which would move a
+    root of f onto a nearby root of g, so that h(z) != f(z) g(z) next to them;
+    here only equal roots are merged.
+    """
+    h = RationalFactored(leading=f.leading * g.leading, delta_bd=min(f.delta_bd, g.delta_bd))
+    for name in ("interior_roots", "unit_num", "unit_den"):
+        object.__setattr__(h, name, _merge_roots(getattr(f, name) + getattr(g, name), tol=0.0))
+    return h
 
 
 def order_at(f: RationalFactored, z, tol=ORDER_MATCH_TOL) -> int:
