@@ -378,9 +378,8 @@ def _assemble_f_new(ctx: PerturbationContext, omega0: complex, W: np.ndarray):
     )
 
 
-def _state_distances(f_old, f_new, base, resolution=96):
-    st1 = reconstruct(f_old, base, resolution=resolution)
-    st2 = reconstruct(f_new, base, resolution=resolution)
+def _state_distances(st1, f_new):
+    st2 = reconstruct(f_new, st1.base, resolution=st1.resolution)
     d = st1.u - st2.u
     inside = st1.inside & st2.inside
     sup = float(np.nanmax(np.abs(d[inside])))
@@ -444,6 +443,7 @@ def split_zero(f: RationalFactored, z0, eps_target: float = 0.05, branch: int = 
 
     basin = np.pi / m
     last_exc = None
+    old_state = None          # built on first need, shared by every attempt
     tried_small_R = False
     for _ in range(36):
         try:
@@ -480,7 +480,9 @@ def split_zero(f: RationalFactored, z0, eps_target: float = 0.05, branch: int = 
             rep_new = admissibility(f_new, z0)
             if not rep_new.admissible:
                 raise ClosenessFailed(f"perturbed function failed admissibility: {rep_new.residuals}")
-            sup, h1 = _state_distances(f, f_new, z0)
+            if old_state is None:
+                old_state = reconstruct(f, z0, resolution=96)
+            sup, h1 = _state_distances(old_state, f_new)
             if sup + h1 > eps_target:
                 raise ClosenessFailed(f"state moved by {sup + h1} > {eps_target}")
             return DesingularizationResult(

@@ -58,8 +58,7 @@ def boundary_from_state(state: SegregatedState, samples: int = 1024) -> Diffusio
     (looked up from the state labels slightly inside the rim); disjointness
     is then exact by construction.
     """
-    eng = state.engine
-    th, vals = eng.boundary_values(samples)
+    th, vals = state.engine.boundary_values(samples)
     u_bd = np.abs(vals.real)
     bz = boundary_zeros(state)
     n = state.n_species
@@ -69,8 +68,6 @@ def boundary_from_state(state: SegregatedState, samples: int = 1024) -> Diffusio
         g[0] = u_bd
         return DiffusionConfig(g=g, angles=th, mu=0.0, resolution=state.resolution)
 
-    bz = sorted(bz)
-    c = state.cell_centers
     G = state.resolution
 
     def label_at(angle):

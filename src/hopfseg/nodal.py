@@ -3,9 +3,11 @@
 Arcs of {U = 0} are continued by predictor steps along the level set with a
 Newton corrector (the gradient of Re F is conj(F') = 2 conj(f^{1/2}), known
 in closed form along the continuation).  Crossing a cut merely flips the
-local sheet, Re F -> -Re F, so the marcher never needs to know about cuts;
-near critical points all values are taken relative to the critical point
-itself, which keeps full precision at any scale of approach.
+local sheet, Re F -> -Re F, so the marcher never needs to know where a cut
+runs; near critical points all values are taken relative to the critical
+point itself, which keeps full precision at any scale of approach.  The
+boundary zeros, where arcs end on the rim, come from the state's PathEngine,
+which owns the boundary march and the cut ends on the rim.
 """
 
 from __future__ import annotations
@@ -91,86 +93,27 @@ class IndexReport:
 # -- boundary zeros -----------------------------------------------------------
 
 
-def boundary_zeros(state: SegregatedState, samples: int | None = None):
+def boundary_zeros(state: SegregatedState):
     """Angles where the boundary trace of Re F changes sign.
 
-    Cut-adjacent sample gaps are split at the cut angle (the sheet flips
-    there without U vanishing); each remaining sign change is refined by
-    bisection on the one-sided trace.
+    The state's engine finds them along its own memoised boundary march
+    (PathEngine.boundary_zeros), at 64 samples per unit of total order
+    beyond two, and at least 256.
     """
-    eng = state.engine
-    total = state.f.total_interior_order
-    n = samples or max(256, 64 * (total + 2))
-    th, vals = eng.boundary_values(n)
-    re = vals.real
-    base_cuts = sorted(np.angle(c.end) % (2 * np.pi) for c in state.slit.cuts)
-    cut_angles = sorted(set(base_cuts) | {c + 2 * np.pi for c in base_cuts})
-
-    def re_at(theta):
-        return eng.F(np.exp(1j * theta)).real
-
-    def bisect(a, b, fa, fb):
-        for _ in range(60):
-            m = 0.5 * (a + b)
-            fm = re_at(m)
-            if fa * fm <= 0:
-                b, fb = m, fm
-            else:
-                a, fa = m, fm
-            if b - a < 1e-13:
-                break
-        return 0.5 * (a + b)
-
-    zeros = []
-    gap = 2 * np.pi / n
-    for i in range(n):
-        a = th[i]
-        b = th[(i + 1) % n] if i + 1 < n else 2 * np.pi
-        fa = re[i]
-        fb = re[(i + 1) % n]
-        # cuts inside this gap, including one sitting exactly at the right
-        # sample (that sample is evaluated one-sided past the cut)
-        inner_cuts = [c for c in cut_angles if a + 1e-12 < c <= b + 1e-12]
-        if not inner_cuts:
-            if fa == 0.0:
-                zeros.append(a)
-            elif fa * fb < 0:
-                zeros.append(bisect(a, b, fa, fb))
-            continue
-        # split the gap at the cut angles, evaluating one-sided
-        pieces = [a] + inner_cuts + [b]
-        for lo, hi in zip(pieces[:-1], pieces[1:]):
-            if hi - lo < 3e-9:
-                continue
-            lo_in = lo + 1e-9 if lo in inner_cuts else lo
-            hi_in = hi - 1e-9 if hi in inner_cuts else hi
-            flo = re_at(lo_in) if lo in inner_cuts else fa
-            fhi = re_at(hi_in) if hi in inner_cuts else fb
-            if flo * fhi < 0:
-                zeros.append(bisect(lo_in, hi_in, flo, fhi))
-    zeros = sorted(z % (2 * np.pi) for z in zeros)
-    merged = []
-    for z in zeros:
-        if merged and abs(z - merged[-1]) < 0.5 * gap:
-            continue
-        merged.append(z)
-    if len(merged) >= 2 and (merged[0] + 2 * np.pi - merged[-1]) < 0.5 * gap:
-        merged.pop()
-    return merged
+    n = max(256, 64 * (state.f.total_interior_order + 2))
+    return state.engine.boundary_zeros(n)
 
 
 # -- seeds around a critical point -------------------------------------------
 
 
-def _critical_seeds(state: SegregatedState, zc: complex, order: int, r_seed: float):
+def _critical_seeds(f, integ, zc: complex, order: int, r_seed: float):
     """Crossing points of {Re F = 0} on a small circle around the critical.
 
     All values are Re of 2*int_{zc}^{w} f^{1/2} along the radius, computed by
     the substituted integrator from the circle inward, so precision is
     relative to the local scale r^{m/2} rather than to the global one.
     """
-    f = state.f
-    integ = SqrtSegmentIntegrator(f, tol=1e-14)
     m = order + 2
     nn = 32 * m
     th = 2 * np.pi * np.arange(nn) / nn
@@ -219,21 +162,42 @@ def _critical_seeds(state: SegregatedState, zc: complex, order: int, r_seed: flo
 
 
 class _Marcher:
-    def __init__(self, state: SegregatedState, crit_locs, crit_snap):
-        self.state = state
-        self.f = state.f
-        self.integ = SqrtSegmentIntegrator(state.f, tol=1e-13)
+    def __init__(self, state: SegregatedState, integ, crit_locs, crit_snap):
+        self.integ = integ
         self.crit_locs = crit_locs
         self.crit_snap = crit_snap
         self.G = state.resolution
+        self.tight = 1e-12 * max(1.0, state.scale)
+        self.loose = 1e-9 * max(1.0, state.scale)
 
     def _advance(self, z, v, Fz, dz):
         """Move by dz, returning updated (z, v, F) via a 6-point Gauss chord."""
         val, _, v2 = self.integ.integrate(z, z + dz, v, tol=1e-13 * max(abs(dz), 1e-12))
         return z + dz, v2, Fz + 2.0 * val
 
-    def run(self, z0, v0, F0, direction, src_vid, src_loc):
-        """Trace one arc until it hits the boundary or snaps to a critical."""
+    def _correct(self, z, v, Fz, cap):
+        """Newton corrector onto Re F = 0 (the gradient of Re F is conj(F')).
+
+        Gives up on a step longer than cap; returns (z, v, F, converged).
+        """
+        for _ in range(12):
+            Fp = 2.0 * v
+            g2 = abs(Fp) ** 2
+            if g2 < 1e-60:
+                break
+            corr = -Fz.real * np.conj(Fp) / g2
+            if abs(corr) > cap:
+                break
+            z, v, Fz = self._advance(z, v, Fz, corr)
+            if abs(Fz.real) < self.tight:
+                return z, v, Fz, True
+        return z, v, Fz, False
+
+    def run(self, z0, v0, F0, direction, src_vid):
+        """Trace one arc until it hits the boundary or snaps to a critical.
+
+        Returns (the critical's index or ("boundary", angle), the points).
+        """
         pts = [z0]
         z, v, Fz = z0, v0, F0
         d = direction / abs(direction)
@@ -249,40 +213,15 @@ class _Marcher:
                 same_src = src_vid == jmin
                 if not same_src or travelled > 3.0 * self.crit_snap[jmin]:
                     pts.append(self.crit_locs[jmin])
-                    return jmin, tuple(pts), True
+                    return jmin, tuple(pts)
             step = 2.0 / G
             if jmin >= 0:
                 step = min(step, max(0.35 * dmin, 1e-11))
-            zn, vn, Fn = self._advance(z, v, Fz, step * d)
-            # Newton corrector onto Re F = 0 (gradient of Re F is conj(F'))
-            ok = False
-            for _ in range(12):
-                Fp = 2.0 * vn
-                g2 = abs(Fp) ** 2
-                if g2 < 1e-60:
-                    break
-                corr = -Fn.real * np.conj(Fp) / g2
-                if abs(corr) > 0.6 * step:
-                    break
-                zc, vc, Fc = self._advance(zn, vn, Fn, corr)
-                zn, vn, Fn = zc, vc, Fc
-                if abs(Fn.real) < 1e-12 * max(1.0, self.state.scale):
-                    ok = True
-                    break
-            if not ok and abs(Fn.real) > 1e-9 * max(1.0, self.state.scale):
-                # halve and retry once before giving up
-                zn, vn, Fn = self._advance(z, v, Fz, 0.5 * step * d)
-                for _ in range(12):
-                    Fp = 2.0 * vn
-                    g2 = abs(Fp) ** 2
-                    if g2 < 1e-60:
-                        break
-                    corr = -Fn.real * np.conj(Fp) / g2
-                    zc, vc, Fc = self._advance(zn, vn, Fn, corr)
-                    zn, vn, Fn = zc, vc, Fc
-                    if abs(Fn.real) < 1e-12 * max(1.0, self.state.scale):
-                        break
-                if abs(Fn.real) > 1e-9 * max(1.0, self.state.scale):
+            zn, vn, Fn, ok = self._correct(*self._advance(z, v, Fz, step * d), 0.6 * step)
+            if not ok and abs(Fn.real) > self.loose:
+                # halve and retry once, without the step cap, before giving up
+                zn, vn, Fn, _ = self._correct(*self._advance(z, v, Fz, 0.5 * step * d), np.inf)
+                if abs(Fn.real) > self.loose:
                     raise TraceStall(f"Newton failed near {zn}")
             dnew = zn - z
             travelled += abs(dnew)
@@ -303,7 +242,7 @@ class _Marcher:
                 zb = z + hi * d
                 zb /= abs(zb)
                 pts.append(zb)
-                return ("boundary", np.angle(zb) % (2 * np.pi)), tuple(pts), True
+                return ("boundary", np.angle(zb) % (2 * np.pi)), tuple(pts)
         raise TraceStall("arc exceeded the step budget")
 
 
@@ -323,7 +262,9 @@ def trace(state: SegregatedState) -> NodalGraph:
             [abs(z - w) for j, (w, _) in enumerate(crits) if j != i] + [2.0],
         )
         snap.append(min(2.0 / G, 0.3 * dmin))
-    marcher = _Marcher(state, crit_locs, snap)
+    # every integration below passes its own tolerance
+    integ = SqrtSegmentIntegrator(state.f)
+    marcher = _Marcher(state, integ, crit_locs, snap)
 
     vertices = []
     for i, (z, n) in enumerate(crits):
@@ -354,42 +295,33 @@ def trace(state: SegregatedState) -> NodalGraph:
     raw_arcs = []
     clean = True
 
+    def add_arc(src, start, end, pts):
+        """Keep an arc traced from vertex src; False if it reached no other vertex."""
+        if isinstance(end, tuple):     # ("boundary", angle)
+            end = bz_vid(end[1])
+            if end is None or end == src:
+                # an arc that immediately returns is a tracing failure
+                return False
+        raw_arcs.append((src, end, (start,) + pts))
+        return True
+
     for i, (zc, n) in enumerate(crits):
         r_seed = 2.0 * snap[i]
-        seeds = _critical_seeds(state, zc, n, r_seed)
+        seeds = _critical_seeds(state.f, integ, zc, n, r_seed)
         if len(seeds) != n + 2:
             clean = False
         for ang, v in seeds:
             z0 = zc + r_seed * np.exp(1j * ang)
-            integ = SqrtSegmentIntegrator(state.f, tol=1e-14)
             val, _, _ = integ.integrate(z0, zc, v, tol=1e-16 + 1e-13 * r_seed)
             F0 = -2.0 * val
-            end, pts, _ = marcher.run(z0, v, F0, np.exp(1j * ang), i, zc)
-            if isinstance(end, tuple) and end[0] == "boundary":
-                vid = bz_vid(end[1])
-                if vid is None:
-                    clean = False
-                    continue
-                raw_arcs.append((i, vid, (zc,) + pts))
-            else:
-                raw_arcs.append((i, end, (zc,) + pts))
+            clean &= add_arc(i, zc, *marcher.run(z0, v, F0, np.exp(1j * ang), i))
 
-    eng = state.engine
     for k, ang in enumerate(bz):
         zb = complex(np.exp(1j * ang))
         z0 = (1.0 - 1.5 / G) * zb
-        F0, v0 = eng.value_and_sqrt(z0)
+        F0, v0 = state.engine.value_and_sqrt(z0)
         # corrector first: put the start point on the level set
-        end, pts, _ = marcher.run(z0, v0, F0, -zb, bz_base + k, zb)
-        if isinstance(end, tuple) and end[0] == "boundary":
-            vid = bz_vid(end[1])
-            if vid is None or vid == bz_base + k:
-                # an arc that immediately returns is a tracing failure
-                clean = False
-                continue
-            raw_arcs.append((bz_base + k, vid, (zb,) + pts))
-        else:
-            raw_arcs.append((bz_base + k, end, (zb,) + pts))
+        clean &= add_arc(bz_base + k, zb, *marcher.run(z0, v0, F0, -zb, bz_base + k))
 
     # dedupe: every interior arc has been traced from each traceable endpoint
     def arclength_mid(pts):

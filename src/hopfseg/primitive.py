@@ -5,6 +5,11 @@ never on a cut) where the square root takes its principal value.  Values are
 then F(target) - F(base), which both fixes one global determination per slit
 system and lets paths start at a point where the branch is well defined even
 when the base itself is a zero of f.
+
+The rim is handled here too: one memoised march along boundary chords per
+sample count gives the boundary values of F, the boundary scale, and the
+boundary zeros of Re F, which are refined along chords from the march's own
+samples rather than by fresh routed paths.
 """
 
 from __future__ import annotations
@@ -70,8 +75,8 @@ class PathEngine:
         self.v_ref = complex(np.sqrt(f.eval(self.z_ref)))
         self._integ = SqrtSegmentIntegrator(f, tol)
         self._cache: dict = {}
+        self._marches: dict = {}
         self._F_base, _, self._base_err = self._raw(slit.base)
-        self._scale = None
 
     # -- reference-anchored raw primitive -----------------------------------
 
@@ -139,45 +144,108 @@ class PathEngine:
             raise ToleranceNotMet(f"estimated error {total_err} above tolerance {want}")
         return PrimitiveValue(value=raw - self._F_base, sheet_end=sheet, est_error=total_err)
 
-    # -- boundary trace ------------------------------------------------------
+    # -- the rim -------------------------------------------------------------
 
-    def boundary_values(self, samples: int):
-        """F at equispaced boundary angles, marching along boundary chords.
+    def _march(self, samples: int):
+        """(angles, points, raw values, carried roots, cut ends per gap).
 
-        Chords between consecutive samples are homotopic to the boundary arcs
-        (all roots sit well inside), so the march only needs a fresh routed
-        value when a cut meets the boundary inside the current gap.
+        Gap i runs from th[i] to the next sample.  A sample within 1e-9 of a
+        cut end is evaluated one-sided, nudged counterclockwise past it, so
+        the gap it ends holds that cut end.  Chords between consecutive
+        samples are homotopic to the boundary arcs (all roots sit well
+        inside), so the march needs a fresh routed value only after a gap
+        that holds a cut end.  Memoised per sample count.
         """
+        hit = self._marches.get(samples)
+        if hit is not None:
+            return hit
         if samples < 16:
             raise ValueError("need at least 16 boundary samples")
         th = 2.0 * np.pi * np.arange(samples) / samples
-        cut_angles = sorted(np.angle(c.end) % (2 * np.pi) for c in self.slit.cuts)
-
-        def gap_has_cut(a, b):
-            # does any cut angle lie in (a, b], working mod 2*pi
-            return any(1e-12 < (ca - a) % (2 * np.pi) <= (b - a) % (2 * np.pi)
-                       for ca in cut_angles)
-
+        ends = {np.angle(c.end) % (2 * np.pi) for c in self.slit.cuts}
+        ends = sorted(ends | {c + 2 * np.pi for c in ends})
+        right = np.append(th[1:], 2 * np.pi)
+        gap_cuts = [[c for c in ends if a + 1e-9 <= c < b + 1e-9] for a, b in zip(th, right)]
         pts = np.exp(1j * th)
-        # nudge samples that sit exactly on a cut end: evaluate one-sided (ccw)
         for i, t in enumerate(th):
-            for ca in cut_angles:
-                if abs((t - ca + np.pi) % (2 * np.pi) - np.pi) < 1e-9:
-                    pts[i] = np.exp(1j * (t + 1e-9))
-        out = np.empty(samples, dtype=complex)
-        raw, v, _ = self._raw(pts[0])
-        out[0] = raw
-        for i in range(1, samples):
-            if gap_has_cut(th[i - 1], th[i]) or v == 0:
+            if any(abs((t - c + np.pi) % (2 * np.pi) - np.pi) < 1e-9 for c in ends):
+                pts[i] = np.exp(1j * (t + 1e-9))
+        raws = np.empty(samples, dtype=complex)
+        roots = np.empty(samples, dtype=complex)
+        for i in range(samples):
+            if i == 0 or gap_cuts[i - 1] or v == 0:
                 raw, v, _ = self._raw(pts[i])
             else:
                 val, _, v = self._integ.integrate(pts[i - 1], pts[i], v, tol=self.tol)
                 raw = raw + 2.0 * val
-            out[i] = raw
-        return th, out - self._F_base
+            raws[i], roots[i] = raw, v
+        hit = self._marches[samples] = (th, pts, raws, roots, gap_cuts)
+        return hit
 
-    def boundary_scale(self, samples: int = 32) -> float:
-        if self._scale is None:
-            _, vals = self.boundary_values(samples)
-            self._scale = float(np.max(np.abs(vals)))
-        return self._scale
+    def boundary_values(self, samples: int):
+        """F at equispaced boundary angles, from the memoised boundary march."""
+        th, _, raws, _, _ = self._march(samples)
+        return th.copy(), raws - self._F_base
+
+    def boundary_scale(self) -> float:
+        return float(np.max(np.abs(self.boundary_values(32)[1])))
+
+    def boundary_zeros(self, samples: int):
+        """Increasing angles in [0, 2*pi) where Re F changes sign along the rim.
+
+        Each gap of the march is split at the cut ends it holds (the sheet
+        flips there without U vanishing).  Each sign change in a piece is
+        bisected on values integrated along the chord from the sample on the
+        same side of the gap's cut ends, continuing that sample's carried
+        root; only a piece between two cut ends takes routed values.
+        """
+        th, pts, raws, roots, gap_cuts = self._march(samples)
+        re = (raws - self._F_base).real
+
+        def value(k, theta):
+            """Re F at angle theta, along the chord from sample k (routed if None)."""
+            w = np.exp(1j * theta)
+            if k is None:
+                return self.F(w).real
+            val, _, _ = self._integ.integrate(pts[k], w, roots[k], tol=self.tol)
+            return (raws[k] + 2.0 * val - self._F_base).real
+
+        def bisect(k, a, b, fa):
+            for _ in range(60):
+                m = 0.5 * (a + b)
+                fm = value(k, m)
+                if fa * fm <= 0:
+                    b = m
+                else:
+                    a, fa = m, fm
+                if b - a < 1e-13:
+                    break
+            return 0.5 * (a + b)
+
+        zeros = []
+        for i, cuts in enumerate(gap_cuts):
+            j = (i + 1) % samples
+            if re[i] == 0.0:
+                zeros.append(th[i])
+            pieces = [th[i]] + cuts + [th[j] if j else 2 * np.pi]
+            for lo, hi in zip(pieces[:-1], pieces[1:]):
+                if hi - lo < 3e-9:
+                    continue
+                lo_cut, hi_cut = lo in cuts, hi in cuts
+                k = j if lo_cut else i
+                if lo_cut and hi_cut:
+                    k = None
+                lo_in = lo + 1e-9 if lo_cut else lo
+                hi_in = hi - 1e-9 if hi_cut else hi
+                flo = value(k, lo_in) if lo_cut else re[i]
+                fhi = value(k, hi_in) if hi_cut else re[j]
+                if flo * fhi < 0:
+                    zeros.append(bisect(k, lo_in, hi_in, flo))
+        half_gap = np.pi / samples
+        merged = []
+        for z in sorted(z % (2 * np.pi) for z in zeros):
+            if not merged or z - merged[-1] >= half_gap:
+                merged.append(z)
+        if len(merged) >= 2 and (merged[0] + 2 * np.pi - merged[-1]) < half_gap:
+            merged.pop()
+        return merged

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
 
+from hopfseg.desingularize import reduce_to_simple
 from hopfseg.errors import SearchExhausted
 from hopfseg.experiments import admissible_fw, figure5_function, random_even_function
 from hopfseg.nodal import boundary_zeros, counts, trace, verify_index
+from hopfseg.primitive import PathEngine
 from hopfseg.rational import monomial, rational
-from hopfseg.states import reconstruct
+from hopfseg.slits import build_slit_disk
+from hopfseg.states import find_base_point, reconstruct
 
 
 @pytest.fixture(scope="module")
@@ -44,6 +47,47 @@ def test_boundary_zero_angles(cubic_graph):
     assert len(bz) == 5
     for z, t in zip(sorted(bz), targets):
         assert z == pytest.approx(t, abs=1e-9)
+
+
+@pytest.mark.parametrize("side", ["after", "before"])
+def test_boundary_zero_next_to_cut_end(side):
+    # a simple zero at the base sends one cut to the rim at angle psi; a
+    # phase rotation puts a boundary zero inside psi's sample gap, on the
+    # piece right of psi (bisected from the next sample) or left of it
+    # (bisected from the previous one)
+    root = 0.3 + 0.2j
+    f0 = rational(0.25, roots=[(root, 1)])
+    slit = build_slit_disk(f0, root)
+    (cut,) = slit.cuts
+    psi = np.angle(cut.end) % (2 * np.pi)
+    gap = 2 * np.pi / 256          # boundary_zeros' sample count for order 1
+    lo = np.floor(psi / gap) * gap
+    target = 0.5 * (psi + lo + gap) if side == "after" else 0.5 * (lo + psi)
+    F0 = PathEngine(f0, slit).F(np.exp(1j * target))
+    gamma = (0.5 * np.pi - np.angle(F0)) % np.pi
+    f = rational(0.25 * np.exp(2j * gamma), roots=[(root, 1)])
+    bz = boundary_zeros(reconstruct(f, root, resolution=64))
+    assert min(abs(z - target) for z in bz) < 1e-9
+
+
+@pytest.mark.parametrize("case", ["figure5", "fw2", "reduced_z3"])
+def test_boundary_zeros_vanish_on_routed_values(case):
+    if case == "figure5":
+        f, base = figure5_function()
+        want = 7
+    elif case == "fw2":
+        f, base = admissible_fw(2)
+        want = 5
+    else:
+        f = reduce_to_simple(monomial(0.25, 3), eps_budget=8.0)
+        base = find_base_point(f)
+        want = 5
+    st = reconstruct(f, base, resolution=64)
+    bz = boundary_zeros(st)
+    assert len(bz) == want
+    eng = PathEngine(f, build_slit_disk(f, base))
+    for z in bz:
+        assert abs(eng.F(np.exp(1j * z)).real) <= 1e-9 * st.scale
 
 
 def test_vertex_arc_incidence(cubic_graph):

@@ -194,6 +194,17 @@ def test_boundary_values_match_pointwise(cubic_engine):
         assert vals[k] == pytest.approx(direct, abs=1e-9)
 
 
+def test_boundary_values_memo_is_not_shared(cubic_engine):
+    _, _, eng = cubic_engine
+    th, vals = eng.boundary_values(48)
+    want_th, want = th.copy(), vals.copy()
+    th[:] = 0.0
+    vals[:] = 0.0
+    th2, vals2 = eng.boundary_values(48)
+    assert np.array_equal(th2, want_th)
+    assert np.array_equal(vals2, want)
+
+
 def test_continue_sqrt_chain_matches_scalar_loop(rng):
     # the sign-flip product must pick exactly the roots of the nearest-root
     # loop on chains whose argument turns by < pi/2 per step, zeros included
