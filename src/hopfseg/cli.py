@@ -113,6 +113,8 @@ def run(args) -> int:
                 fld = diffusion.solve(cfg, mu=args.mu)
                 report["mu"] = args.mu
                 report["sweeps"] = fld.sweeps
+                report["cycles"] = fld.cycles
+                report["residual"] = fld.residual
                 report["segregation_defect"] = fld.defect
                 report["interface_distance_cells"] = diffusion.interface_distance(fld, st, g)
                 _export_fields_csv(fld, out / "fields.csv")

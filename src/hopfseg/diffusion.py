@@ -1,10 +1,12 @@
 """Competition-diffusion system on the disk and cross-validation of states.
 
 -Delta u_j = -mu u_j sum_{k != j} u_k with Dirichlet data from a segregated
-state's boundary trace.  Embedded-boundary 5-point Laplacian on a Cartesian
-grid, red-black Gauss-Seidel with the coupling frozen per sweep (monotone
-for this sign structure); as mu grows the argmax partition converges to the
-analytic nodal partition.
+state's boundary trace.  Embedded-boundary 5-point Laplacian on a
+cell-centred Cartesian grid, solved by full approximation scheme (FAS)
+multigrid (Brandt, Math. Comp. 1977) over the grids G, G/2, ..., with
+red-black Gauss-Seidel, the coupling frozen per sweep (monotone for this
+sign structure), as the smoother; as mu grows the argmax partition
+converges to the analytic nodal partition.
 """
 
 from __future__ import annotations
@@ -18,8 +20,13 @@ from .errors import NoConvergence
 from .nodal import NodalGraph, boundary_zeros, trace
 from .states import SegregatedState
 
-MAX_SWEEPS = 100_000
-SWEEP_TOL = 1e-8
+SWEEP_TOL = 1e-8             # bound on the scaled residual (see solve)
+MAX_CYCLES = 100
+SMOOTHING_SWEEPS = 2         # before and after each coarse-grid correction
+MIN_COARSE = 6               # no grid fewer cells across than this
+MAX_COARSE_COUPLING = 1e3    # no grid with mu h^2 max g above this (see _hierarchy)
+COARSE_CHUNK = 5             # coarsest-grid sweeps between residual checks
+COARSE_REDUCTION = 0.1       # residual reduction asked of a coarsest-grid solve
 
 
 @dataclass(frozen=True)
@@ -45,9 +52,10 @@ class DiffusionConfig:
 class DiffusionField:
     u: np.ndarray          # (n_species, G, G)
     inside: np.ndarray
-    residual: float
+    residual: float        # the stop-rule quantity solve() reached
     defect: float
-    sweeps: int
+    sweeps: int            # red-black sweeps on all grid levels
+    cycles: int            # the nested first pass and the F-cycles after it
     resolution: int
 
 
@@ -111,98 +119,211 @@ def _boundary_value_grid(config: DiffusionConfig, G: int):
     return vals, inside, h
 
 
-def solve(config: DiffusionConfig, mu: float | None = None,
-          warm_start: bool = True) -> DiffusionField:
-    """Red-black Gauss-Seidel sweeps with the coupling frozen per sweep.
+class _Level:
+    """One grid of the hierarchy: padded (G+2)^2 cells, Dirichlet values in
+    the cells outside the disk, and the four red-black sub-blocks."""
 
-    Each update solves u (4 + mu h^2 sum_others) = sum of neighbors, which
-    keeps every iterate non-negative; negatives are clamped anyway per the
-    contract.  Stops when the sup change of a full sweep drops below 1e-8.
-    Fine grids warm-start from the half-resolution solution (the smoother's
-    asymptotic rate is what it is; the warm start only removes the long
-    transient).
-    """
-    mu = config.mu if mu is None else mu
-    if mu < 0 or mu > 1e6:
-        raise ValueError("mu must lie in [0, 1e6]")
+    def __init__(self, config: DiffusionConfig, G: int):
+        bvals, inside, h = _boundary_value_grid(config, G)
+        self.G = G
+        self.h2 = h * h
+        self.inside = inside
+        self.core = inside[1:-1, 1:-1]
+        self.u0 = np.where(inside[None], 0.0, bvals)
+
+        def block(r0, c0):
+            rows = slice(r0, G + 1, 2)
+            cols = slice(c0, G + 1, 2)
+            nbs = (
+                (slice(None), slice(r0 - 1, G, 2), cols),
+                (slice(None), slice(r0 + 1, G + 2, 2), cols),
+                (slice(None), rows, slice(c0 - 1, G, 2)),
+                (slice(None), rows, slice(c0 + 1, G + 2, 2)),
+            )
+            return (slice(None), rows, cols), nbs, inside[rows, cols][None]
+
+        # red, red, black, black; a block with no inside cell is skipped
+        self.blocks = [b for b in (block(1, 1), block(2, 2), block(1, 2), block(2, 1))
+                       if b[2].any()]
+
+
+def _hierarchy(config: DiffusionConfig, mu: float):
+    """Grids G, G/2, ..., halving an even grid while the half is at least
+    MIN_COARSE cells across and has mu h^2 max g <= MAX_COARSE_COUPLING.
+
+    By the maximum principle u_j <= max g, so mu h^2 max g sets the size of
+    the coupling against the Laplacian's 4 in a cell.  On grids where it is
+    about 1e4 the frozen-coupling update barely contracts in cells shared by
+    two species, and coarse corrections from there stall the cycle (mu = 1e6
+    at G = 96 with a 6-cell coarsest grid)."""
+    top = float(config.g.max(initial=0.0))
     G = config.resolution
-    n = config.g.shape[0]
+    levels = [_Level(config, G)]
+    while (G % 2 == 0 and G // 2 >= MIN_COARSE
+           and mu * (4.0 / G) ** 2 * top <= MAX_COARSE_COUPLING):
+        G //= 2
+        levels.append(_Level(config, G))
+    return levels
 
-    init = None
-    if warm_start and G >= 64 and G % 2 == 0:
-        from dataclasses import replace
 
-        coarse = solve(replace(config, resolution=G // 2), mu=mu, warm_start=True)
-        init = np.repeat(np.repeat(coarse.u, 2, axis=1), 2, axis=2)
-
-    bvals, inside, h = _boundary_value_grid(config, G)
-    u = np.where(inside[None], 0.0, bvals)
-    if init is not None:
-        core = u[:, 1:-1, 1:-1]
-        u[:, 1:-1, 1:-1] = np.where(inside[None, 1:-1, 1:-1], init, core)
-
-    mh2 = mu * h * h
-
-    # red/black as four strided sub-blocks of the padded core (pure slicing)
-    def block(r0, c0):
-        rows = slice(r0, G + 1, 2)
-        cols = slice(c0, G + 1, 2)
-        nbs = (
-            (slice(None), slice(r0 - 1, G, 2), cols),
-            (slice(None), slice(r0 + 1, G + 2, 2), cols),
-            (slice(None), rows, slice(c0 - 1, G, 2)),
-            (slice(None), rows, slice(c0 + 1, G + 2, 2)),
-        )
-        return (slice(None), rows, cols), nbs, inside[rows, cols]
-
-    blocks = [block(1, 1), block(2, 2), block(1, 2), block(2, 1)]  # red, red, black, black
-
-    sweeps = 0
-    while sweeps < MAX_SWEEPS:
-        sweeps += 1
+def _smooth(u, b, lev, mu, sweeps):
+    """Red-black Gauss-Seidel on (4 + mu h^2 sum_{k!=j} u_k) u_j - nb_j = b_j
+    with the coupling frozen per sweep; b is the h^2-scaled FAS right-hand
+    side (None for zero).  The update of a non-negative iterate with
+    non-negative nb_j + b_j is non-negative; the clamp covers the rest."""
+    mh2 = mu * lev.h2
+    for _ in range(sweeps):
         total = u.sum(axis=0)
-        change = 0.0
-        for sub, nbs, ins in blocks:
-            if not ins.any():
-                continue
+        for sub, nbs, ins in lev.blocks:
             nb = u[nbs[0]] + u[nbs[1]] + u[nbs[2]] + u[nbs[3]]
+            if b is not None:
+                nb += b[sub]
             old = u[sub]
             coupling = total[sub[1], sub[2]][None] - old
             new = nb / (4.0 + mh2 * np.maximum(coupling, 0.0))
             np.maximum(new, 0.0, out=new)
-            delta = np.abs(new - old)
-            delta[:, ~ins] = 0.0
-            m = float(delta.max())
-            if m > change:
-                change = m
-            u[sub] = np.where(ins[None], new, old)
-        if change <= SWEEP_TOL:
+            u[sub] = np.where(ins, new, old)
+
+
+def _residual(u, b, lev, mu):
+    """(r, diag) on the padded grid: r = b - (diag u - nb), h^2-scaled, and
+    diag = 4 + mu h^2 sum_{k!=j} u_k; r is zero outside the disk."""
+    c = u[:, 1:-1, 1:-1]
+    nb = u[:, :-2, 1:-1] + u[:, 2:, 1:-1] + u[:, 1:-1, :-2] + u[:, 1:-1, 2:]
+    diag = 4.0 + (mu * lev.h2) * (c.sum(axis=0)[None] - c)
+    r = np.zeros_like(u)
+    rc = r[:, 1:-1, 1:-1]
+    rc[...] = nb - diag * c
+    if b is not None:
+        rc += b[:, 1:-1, 1:-1]
+    rc[:, ~lev.core] = 0.0
+    return r, diag
+
+
+def _restrict(a):
+    """4-cell average of the padded fine array onto the padded coarse one
+    (zero pad ring): coarse padded cell P covers fine padded 2P-1 and 2P."""
+    core = a[:, 1:-1, 1:-1]
+    avg = 0.25 * (core[:, 0::2, 0::2] + core[:, 1::2, 0::2]
+                  + core[:, 0::2, 1::2] + core[:, 1::2, 1::2])
+    out = np.zeros((a.shape[0], avg.shape[1] + 2, avg.shape[2] + 2))
+    out[:, 1:-1, 1:-1] = avg
+    return out
+
+
+def _prolong(e):
+    """Bilinear cell-centred interpolation of the padded coarse array e onto
+    the fine core: weights 9/16, 3/16, 3/16, 1/16 from the nearest coarse
+    cells, with e's pad ring as the values beyond the edge."""
+    n, Gp, _ = e.shape
+    Gc = Gp - 2
+    rows = np.empty((n, 2 * Gc, Gp))
+    rows[:, 0::2] = 0.75 * e[:, 1:-1] + 0.25 * e[:, :-2]
+    rows[:, 1::2] = 0.75 * e[:, 1:-1] + 0.25 * e[:, 2:]
+    out = np.empty((n, 2 * Gc, 2 * Gc))
+    out[:, :, 0::2] = 0.75 * rows[:, :, 1:-1] + 0.25 * rows[:, :, :-2]
+    out[:, :, 1::2] = 0.75 * rows[:, :, 1:-1] + 0.25 * rows[:, :, 2:]
+    return out
+
+
+def _scaled_residual(u, b, lev, mu):
+    """Largest |r_j| / (4 + mu h^2 sum_{k!=j} u_k) over the inside cells:
+    the change one more Gauss-Seidel update would make there."""
+    r, diag = _residual(u, b, lev, mu)
+    return float((np.abs(r[:, 1:-1, 1:-1]) / diag).max())
+
+
+def _coarsest(u, b, lev, mu):
+    """Sweep the coarsest grid until its scaled residual falls by
+    COARSE_REDUCTION, at most 4 G^2 sweeps (Gauss-Seidel needs O(G^2) sweeps
+    to reduce the smoothest error by a fixed factor); returns the sweeps."""
+    target = COARSE_REDUCTION * _scaled_residual(u, b, lev, mu)
+    sweeps = 0
+    while sweeps < 4 * lev.G * lev.G:
+        _smooth(u, b, lev, mu, COARSE_CHUNK)
+        sweeps += COARSE_CHUNK
+        if _scaled_residual(u, b, lev, mu) <= target:
             break
-    else:
-        raise NoConvergence(f"no convergence after {MAX_SWEEPS} sweeps")
+    return sweeps
+
+
+def _cycle(levels, k, u, b, mu, v_only=False):
+    """One FAS F-cycle (V-cycle if v_only) on level k, updating u in place;
+    returns the sweeps made on all levels."""
+    lev = levels[k]
+    if k == len(levels) - 1:
+        return _coarsest(u, b, lev, mu)
+    _smooth(u, b, lev, mu, SMOOTHING_SWEEPS)
+    r, _ = _residual(u, b, lev, mu)
+    coarse = levels[k + 1]
+    uc = np.where(coarse.inside[None], _restrict(u), coarse.u0)
+    start = uc.copy()
+    # FAS right-hand side A_H(R u) + R(r), h_H^2-scaled (h_H^2 = 4 h^2)
+    rc, _ = _residual(uc, None, coarse, mu)
+    bc = 4.0 * _restrict(r) - rc
+    sweeps = 2 * SMOOTHING_SWEEPS
+    if not v_only:
+        sweeps += _cycle(levels, k + 1, uc, bc, mu)
+    sweeps += _cycle(levels, k + 1, uc, bc, mu, v_only=True)
+    e = np.where(coarse.inside[None], uc - start, 0.0)
+    core = u[:, 1:-1, 1:-1]
+    core[:, lev.core] += _prolong(e)[:, lev.core]
+    np.maximum(core, 0.0, out=core)
+    _smooth(u, b, lev, mu, SMOOTHING_SWEEPS)
+    return sweeps
+
+
+def solve(config: DiffusionConfig, mu: float | None = None) -> DiffusionField:
+    """FAS multigrid F-cycles until the scaled discrete residual is at most
+    SWEEP_TOL.
+
+    The levels are the grids G, G/2, ... down to an odd G or MIN_COARSE
+    cells across, each with its own embedded boundary and Dirichlet data.
+    The smoother is red-black Gauss-Seidel with the coupling frozen per
+    sweep, which keeps every iterate non-negative; coarse-grid corrections
+    are interpolated bilinearly to the inside cells of the finer grid and
+    clamped at 0.  The first iterate is nested: each grid starts from the
+    interpolated solution of the next coarser one.  Stops when
+    max |r_j| / (4 + mu h^2 sum_{k!=j} u_k) over the inside cells is at most
+    SWEEP_TOL, where r_j = h^2 Delta_h u_j - mu h^2 u_j sum_{k!=j} u_k;
+    raises NoConvergence after MAX_CYCLES cycles (the nested first pass
+    counts as one), or as soon as a cycle does not lower that quantity.
+    """
+    mu = config.mu if mu is None else mu
+    if mu < 0 or mu > 1e6:
+        raise ValueError("mu must lie in [0, 1e6]")
+    levels = _hierarchy(config, mu)
+
+    # nested iteration: solve the coarsest grid, then one cycle per finer grid
+    u = levels[-1].u0.copy()
+    sweeps = _coarsest(u, None, levels[-1], mu)
+    for k in range(len(levels) - 2, -1, -1):
+        lev = levels[k]
+        fine = lev.u0.copy()
+        fine[:, 1:-1, 1:-1][:, lev.core] = np.maximum(_prolong(u)[:, lev.core], 0.0)
+        u = fine
+        sweeps += _cycle(levels, k, u, None, mu)
+
+    lev = levels[0]
+    res = _scaled_residual(u, None, lev, mu)
+    cycles = 1
+    while res > SWEEP_TOL:
+        if cycles >= MAX_CYCLES:
+            raise NoConvergence(f"residual {res:.3e} > {SWEEP_TOL:g} after "
+                                f"{cycles} cycles, the cap")
+        sweeps += _cycle(levels, 0, u, None, mu)
+        cycles += 1
+        prev, res = res, _scaled_residual(u, None, lev, mu)
+        if res >= prev:
+            raise NoConvergence(f"cycle {cycles} did not lower the residual "
+                                f"({prev:.3e} -> {res:.3e})")
 
     total = u.sum(axis=0)
     cross = 0.5 * (total * total - np.sum(u * u, axis=0))
-    defect = float(np.sum(cross[inside]) * h * h)
-
-    # discrete residual of the coupled system on interior cells
-    res = 0.0
-    for j in range(n):
-        lap = (
-            np.roll(u[j], 1, axis=0) + np.roll(u[j], -1, axis=0)
-            + np.roll(u[j], 1, axis=1) + np.roll(u[j], -1, axis=1)
-            - 4.0 * u[j]
-        ) / (h * h)
-        rj = lap - mu * u[j] * (total - u[j])
-        core = inside & np.roll(inside, 1, 0) & np.roll(inside, -1, 0) \
-            & np.roll(inside, 1, 1) & np.roll(inside, -1, 1)
-        if core.any():
-            res = max(res, float(np.abs(rj[core]).max()) * h * h)
-
-    core_u = u[:, 1:-1, 1:-1]
+    defect = float(np.sum(cross[lev.inside]) * lev.h2)
     return DiffusionField(
-        u=core_u, inside=inside[1:-1, 1:-1], residual=res,
-        defect=defect, sweeps=sweeps, resolution=G,
+        u=u[:, 1:-1, 1:-1], inside=lev.core, residual=res,
+        defect=defect, sweeps=sweeps, cycles=cycles, resolution=lev.G,
     )
 
 

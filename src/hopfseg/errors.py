@@ -93,7 +93,10 @@ class ClosenessFailed(HopfSegError):
 # --- diffusion solver -------------------------------------------------------
 
 class NoConvergence(HopfSegError):
-    """Gauss-Seidel sweeps did not converge within the sweep budget."""
+    """The diffusion solver's multigrid cycles did not bring the scaled
+    residual to its tolerance: the cycle cap was reached, or a cycle failed
+    to lower the residual.  The message gives the cycles run and the
+    residual reached."""
 
 
 # --- serialization ------------------------------------------------------------

@@ -58,14 +58,17 @@ def admissibility(f: RationalFactored, base, tol: float | None = None,
 
 
 def find_base_point(f: RationalFactored):
-    """First odd zero passing full admissibility, or the origin when f has
-    no odd zeros (then every base yields a state and the fiber is a family)."""
-    odd = [z for z, m in f.interior_roots if m % 2 == 1]
+    """First odd zero from which Re F vanishes at every odd zero, or the
+    origin when f has no odd zeros (then every base yields a state and the
+    fiber is a family).  The even zeros need not be critical for a state."""
+    is_odd = [m % 2 == 1 for _, m in f.interior_roots]
+    odd = [z for (z, _), o in zip(f.interior_roots, is_odd) if o]
     odd.sort(key=lambda z: (abs(z), np.angle(z)))
     if not odd:
         return 0.0 + 0.0j
     for z in odd:
-        if admissibility(f, z).admissible:
+        rep = admissibility(f, z)
+        if all(v <= rep.tolerance for (_, v), o in zip(rep.residuals, is_odd) if o):
             return z
     return None
 

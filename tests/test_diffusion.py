@@ -1,13 +1,18 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.sparse.linalg import splu, spsolve
 
+from hopfseg import diffusion
 from hopfseg.diffusion import (
+    SWEEP_TOL,
     DiffusionConfig,
     boundary_from_state,
     interface_cells,
     interface_distance,
     solve,
 )
+from hopfseg.errors import NoConvergence
 from hopfseg.nodal import trace
 from hopfseg.rational import monomial, rational
 from hopfseg.states import reconstruct
@@ -34,7 +39,7 @@ def test_config_invariants():
 def test_harmonic_constant_data():
     cfg = DiffusionConfig(g=np.ones((1, 64)), angles=2 * np.pi * np.arange(64) / 64,
                           mu=0.0, resolution=64)
-    fld = solve(cfg, warm_start=False)
+    fld = solve(cfg)
     assert np.abs(fld.u[0][fld.inside] - 1.0).max() < 1e-4
 
 
@@ -127,3 +132,133 @@ def test_identical_partitions_zero_distance(half_disk_state):
     d1 = interface_distance(fld, half_disk_state, g)
     d2 = interface_distance(fld, half_disk_state, g)
     assert d1 == d2  # deterministic
+
+
+# -- independent oracles for solve() ------------------------------------------
+
+
+def _z3_config(resolution, samples=512):
+    """Rim data of z^3/4 in closed form: |0.4 cos(5 theta / 2)|, one species
+    on each arc between consecutive zeros theta = pi/5 + 2 pi k / 5."""
+    th = 2 * np.pi * np.arange(samples) / samples
+    arc = np.floor(((th - np.pi / 5) % (2 * np.pi)) / (2 * np.pi / 5)).astype(int)
+    g = np.zeros((5, samples))
+    g[arc, np.arange(samples)] = np.abs(0.4 * np.cos(2.5 * th))
+    return DiffusionConfig(g=g, angles=th, mu=0.0, resolution=resolution)
+
+
+def _halves_config(resolution, samples=256):
+    th = 2 * np.pi * np.arange(samples) / samples
+    g = np.stack([np.maximum(np.cos(th), 0.0), np.maximum(-np.cos(th), 0.0)])
+    return DiffusionConfig(g=g, angles=th, mu=0.0, resolution=resolution)
+
+
+def _dirichlet_grid(cfg):
+    """Padded (G+2)^2 cell centres: the inside mask and, outside the disk,
+    each species' data at the nearest of the uniformly spaced samples."""
+    G = cfg.resolution
+    c = -1.0 + (np.arange(-1, G + 1) + 0.5) * (2.0 / G)
+    X, Y = np.meshgrid(c, c)
+    S = cfg.g.shape[1]
+    k = np.rint((np.arctan2(Y, X) % (2 * np.pi)) / (2 * np.pi) * S).astype(int) % S
+    inside = X * X + Y * Y < 1.0
+    return inside, np.where(inside[None], 0.0, cfg.g[:, k])
+
+
+def _laplacian_system(cfg):
+    """(L, rhs, inside): L = 4 u_i - sum of the inside neighbours over the
+    inside cells, rhs[j] = species j's data in the outside neighbours."""
+    inside, data = _dirichlet_grid(cfg)
+    iy, ix = np.nonzero(inside)
+    n = len(iy)
+    index = np.full(inside.shape, -1)
+    index[iy, ix] = np.arange(n)
+    rows, cols, vals = [np.arange(n)], [np.arange(n)], [np.full(n, 4.0)]
+    rhs = np.zeros((data.shape[0], n))
+    for dy, dx in ((1, 0), (-1, 0), (0, 1), (0, -1)):
+        jy, jx = iy + dy, ix + dx
+        nb_in = inside[jy, jx]
+        rows.append(np.nonzero(nb_in)[0])
+        cols.append(index[jy, jx][nb_in])
+        vals.append(np.full(int(nb_in.sum()), -1.0))
+        rhs += np.where(nb_in, 0.0, data[:, jy, jx])
+    L = sp.csc_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                      shape=(n, n))
+    return L, rhs, inside[1:-1, 1:-1]
+
+
+def _stop_quantity(fld, cfg, mu):
+    """max |r_j| / (4 + mu h^2 sum_{k!=j} u_k) over the inside cells."""
+    inside, data = _dirichlet_grid(cfg)
+    u = data.copy()
+    u[:, 1:-1, 1:-1][:, inside[1:-1, 1:-1]] = fld.u[:, inside[1:-1, 1:-1]]
+    mh2 = mu * (2.0 / cfg.resolution) ** 2
+    c = u[:, 1:-1, 1:-1]
+    nb = u[:, :-2, 1:-1] + u[:, 2:, 1:-1] + u[:, 1:-1, :-2] + u[:, 1:-1, 2:]
+    diag = 4.0 + mh2 * (c.sum(axis=0) - c)
+    q = np.abs(nb - diag * c) / diag
+    return float(q[:, inside[1:-1, 1:-1]].max())
+
+
+def test_mu_zero_matches_sparse_lu():
+    cfg = _z3_config(64)
+    fld = solve(cfg, mu=0.0)
+    L, rhs, inside = _laplacian_system(cfg)
+    assert np.array_equal(fld.inside, inside)
+    lu = splu(L)
+    for j in range(5):
+        assert np.abs(fld.u[j][inside] - lu.solve(rhs[j])).max() < 1e-6
+
+
+def test_coupled_system_matches_sparse_newton():
+    cfg = _z3_config(48)
+    mu = 1e4
+    mh2 = mu * (2.0 / 48) ** 2
+    L, rhs, inside = _laplacian_system(cfg)
+    n = L.shape[0]
+    lu = splu(L)
+    u = np.stack([lu.solve(b) for b in rhs])           # mu = 0 start
+    for step in range(30):
+        others = u.sum(axis=0)[None] - u
+        F = np.stack([L @ u[j] for j in range(5)]) - rhs + mh2 * u * others
+        if np.abs(F).max() < 1e-12:
+            break
+        J = sp.bmat([[L + sp.diags(mh2 * others[j]) if j == k else sp.diags(mh2 * u[j])
+                      for k in range(5)] for j in range(5)], format="csc")
+        u = u - spsolve(J, F.ravel()).reshape(5, n)
+    else:
+        pytest.fail("reference Newton did not converge")
+    fld = solve(cfg, mu=mu)
+    assert np.abs(fld.u[:, inside] - u).max() < 1e-6
+
+
+@pytest.mark.parametrize("make, G, mu", [
+    (_z3_config, 64, 0.0),
+    (_z3_config, 48, 1e4),
+    (_z3_config, 96, 1e6),
+    (_z3_config, 45, 1e3),
+    (_halves_config, 64, 1e2),
+])
+def test_returned_field_meets_stop_rule(make, G, mu):
+    cfg = make(G)
+    fld = solve(cfg, mu=mu)
+    assert fld.u.min() >= 0.0
+    q = _stop_quantity(fld, cfg, mu)
+    assert q <= SWEEP_TOL
+    assert fld.residual == pytest.approx(q, rel=1e-9, abs=1e-18)
+    assert fld.cycles >= 1 and fld.sweeps >= fld.cycles
+
+
+def test_cycle_cap_raises(monkeypatch):
+    monkeypatch.setattr(diffusion, "MAX_CYCLES", 1)
+    with pytest.raises(NoConvergence, match=r"residual .* after 1 cycles"):
+        solve(_z3_config(48), mu=1e4)
+
+
+def test_stalled_cycle_raises(monkeypatch):
+    # without the depth cap, the grids where mu h^2 max g is about 1e4 and
+    # more spoil the coarse corrections at mu = 1e6; the solver says so
+    # instead of cycling on
+    monkeypatch.setattr(diffusion, "MAX_COARSE_COUPLING", np.inf)
+    with pytest.raises(NoConvergence, match=r"cycle \d+ did not lower the residual"):
+        solve(_z3_config(48), mu=1e6)

@@ -167,3 +167,14 @@ def test_cli_index_figure5_negative_base(tmp_path, capsys):
     rep = json.loads((out / "report.json").read_text())
     assert rep["base"] == [-0.4, -0.3]
     assert (rep["M"], rep["N"], rep["T"]) == (7, 6, 2)
+
+
+def test_cli_index_figure5_default_base(tmp_path, capsys):
+    # the non-critical double zero of figure 5 does not bar its odd zero as base
+    p = _write_spec(tmp_path, figure5_function()[0])
+    out = tmp_path / "out"
+    code = main(["index", "-i", str(p), "-o", str(out), "--resolution", "128"])
+    assert code == 0
+    rep = json.loads((out / "report.json").read_text())
+    assert rep["base"] == [-0.4, -0.3]
+    assert (rep["M"], rep["N"], rep["T"]) == (7, 6, 2)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from hopfseg.errors import NotAdmissible, NotOnNodalSet
+from hopfseg.experiments import figure5_function
 from hopfseg.rational import monomial, rational
 from hopfseg.states import (
     admissibility,
@@ -40,8 +41,18 @@ def test_admissibility_examples():
 def test_find_base_point():
     assert find_base_point(monomial(0.25, 3)) == 0
     assert find_base_point(monomial(0.25, 2)) == 0  # no odd zeros: origin
+    # Re F need not vanish at the non-critical double zero w: the simple zero
+    # is a base although full admissibility (every zero critical) fails there
     w = 0.1 * np.exp(0.2j)
-    assert find_base_point(rational(0.25, roots=[(0, 1), (w, 2)])) is None
+    f = rational(0.25, roots=[(0, 1), (w, 2)])
+    assert find_base_point(f) == 0
+    assert not admissibility(f, 0.0).admissible
+
+
+def test_find_base_point_figure5():
+    # |Re F| = 0.069 at the double zero -0.05+0.55j, which is not critical
+    f, base = figure5_function()
+    assert find_base_point(f) == base == -0.4 - 0.3j
 
 
 def test_reconstruct_constant():
