@@ -87,6 +87,7 @@ def run(args) -> int:
             {"z": z, "order": n, "multiplicity": m} for z, n, m in st.criticals
         ]
         report["residuals"] = [[z, v] for z, v in st.residuals]
+        report["grid_fill"] = {"routed": st.routed, "chords": st.chords}
         if args.command == "reconstruct":
             report["dirichlet_energy"] = dirichlet_energy(st)
             report["hopf_l1"] = hopf_l1(f)
@@ -104,7 +105,7 @@ def run(args) -> int:
                 (out / "graph.json").write_text(dump_report(g.to_dict()))
                 report["artifacts"] = ["graph.json"]
             elif args.command == "index":
-                ok = rep.formula_check and rep.euler_check
+                ok = rep.formula_check and rep.euler_check and g.clean
             elif args.command == "render":
                 (out / "state.svg").write_text(render_svg(graph=g))
                 report["artifacts"] = ["state.svg"]

@@ -1,10 +1,15 @@
 """Segregated states U = |Re F| on the disk: admissibility and reconstruction.
 
-The grid fill integrates F cell-to-cell in a breadth-first wave (6-point
-Gauss steps with branch continuity), which is exact up to quadrature error
-wherever the argument of f turns slowly.  Cells near roots, near cuts, or
-otherwise unreached fall back to the routed scalar primitive, so the fast
-path is an accelerator, never a source of truth of its own.
+The grid fill samples F at the cell centres in four passes, each linear in
+the number of cells.  One vectorised pass integrates F along every east and
+south step between cells away from the roots that crosses no cut (6-point
+Gauss, accepted where the argument of f turns by less than 0.45 pi).  A
+breadth-first tree over these certified steps, with one routed seed per
+connected component, carries F and the branch of f^{1/2} to every cell they
+join.  Each cell left over (near a root, or with no certified step) takes a
+short chord from a known neighbour through the root-aware segment
+integrator, and only a cell that no chord reaches takes the routed
+primitive.  SegregatedState.source records which of these gave each value.
 """
 
 from __future__ import annotations
@@ -13,16 +18,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.csgraph import connected_components
+from scipy.sparse.csgraph import breadth_first_tree, connected_components
 
 from .errors import GridTooCoarse, NotAdmissible, NotOnNodalSet
 from .primitive import PathEngine
-from .quadrature import GL6_W, GL6_X, nearest_sqrt
+from .quadrature import GL6_W, GL6_X, SqrtSegmentIntegrator, nearest_sqrt
 from .rational import RationalFactored, order_at
 from .slits import SlitDisk, build_slit_disk
 
 ADMISSIBILITY_REL_TOL = 1e-8
 SPECIES_REL_THRESHOLD = 1e-6
+# how a cell of the grid fill got its value
+FILL_TREE, FILL_CHORD, FILL_ROUTED = 1, 2, 3
 
 
 @dataclass(frozen=True)
@@ -93,6 +100,17 @@ class SegregatedState:
     engine: PathEngine = field(repr=False)
     cross_east: np.ndarray = field(repr=False)   # cut crossings of east steps
     cross_south: np.ndarray = field(repr=False)
+    source: np.ndarray = field(repr=False)       # FILL_* per inside cell, 0 outside
+
+    @property
+    def routed(self) -> int:
+        """Cells of the grid fill that took the routed primitive."""
+        return int(np.count_nonzero(self.source == FILL_ROUTED))
+
+    @property
+    def chords(self) -> int:
+        """Cells of the grid fill that took a short chord from a neighbour."""
+        return int(np.count_nonzero(self.source == FILL_CHORD))
 
     @property
     def h(self) -> float:
@@ -120,14 +138,13 @@ def _segment_crossings(px, py, qx, qy, ax, ay, bx, by):
     return s1 & s2
 
 
-def _fill_grid(f: RationalFactored, eng: PathEngine, G: int):
-    h = 2.0 / G
-    c = -1.0 + (np.arange(G) + 0.5) * h
-    X, Y = np.meshgrid(c, c)          # [iy, ix]
-    Z = X + 1j * Y
-    inside = np.abs(Z) < 1.0
+# the eight neighbours a short chord may start from, axis steps first
+_NEIGHBOURS = ((0, 1), (0, -1), (1, 0), (-1, 0), (1, 1), (1, -1), (-1, 1), (-1, -1))
 
-    cuts = eng.slit.cuts
+
+def _cut_crossings(cuts, X, Y):
+    """Number of cuts crossed by each cell's east and south steps."""
+    G = X.shape[0]
     cross_east = np.zeros((G, G), dtype=np.int8)
     cross_south = np.zeros((G, G), dtype=np.int8)
     for cut in cuts:
@@ -138,96 +155,170 @@ def _fill_grid(f: RationalFactored, eng: PathEngine, G: int):
         cs = _segment_crossings(X[:-1, :], Y[:-1, :], X[1:, :], Y[1:, :],
                                 a.real, a.imag, b.real, b.imag)
         cross_south[:-1, :] += cs.astype(np.int8)
+    return cross_east, cross_south
 
+
+def _edge_pass(f, z, fz, a, b):
+    """Certify the grid steps a -> b and integrate along the certified ones.
+
+    A step is certified when the argument of f turns by less than 0.45 pi
+    between its ends, which makes the nearest-sign choice at its six Gauss
+    nodes a continuation of the branch; the check is symmetric in a and b.
+    Returns the certified (a, b), D = 2 int_a^b f^{1/2} on the branch through
+    the principal root p_a, and sigma with nearest_sqrt(f_b, p_a) = sigma p_b.
+    One array per edge is live at a time: the nodes are looped over.
+    """
+    ok = np.abs(np.angle(fz[b] / fz[a])) < 0.45 * np.pi
+    a, b = a[ok], b[ok]
+    pa, pb = np.sqrt(fz[a]), np.sqrt(fz[b])
+    za = z[a]
+    seg = z[b] - za
+    acc = np.zeros(len(a), dtype=complex)
+    for x, w in zip(GL6_X, GL6_W):
+        acc += w * nearest_sqrt(f.eval(za + seg * (0.5 * (x + 1.0))), pa)
+    sigma = np.where(np.abs(pb - pa) > np.abs(pb + pa), -1.0, 1.0)
+    return a, b, seg * acc, sigma
+
+
+def _tree_fill(eng, z, fz, a, b, D, sigma):
+    """F and the branch sign on every cell joined by a certified edge.
+
+    One routed seed per connected component, its cell nearest z_ref; a
+    virtual root joins the seeds, so one breadth-first tree spans every
+    component.  A tree step parent -> child gives the child the sign
+    s_parent * S and the value F_parent + s_parent * D, where (S, D) is
+    (sigma, D_ab) on a step a -> b, (sigma, -sigma * D_ab) on b -> a and the
+    routed (sign, F) on root -> seed; pointer jumping composes these pairs
+    up to the root.  Returns (cells, F, s, seeds).
+    """
+    n = len(z)
+    graph = sparse.coo_matrix((np.ones(len(a)), (a, b)), shape=(n, n))
+    _, lab = connected_components(graph, directed=False)
+    joined = np.zeros(n, dtype=bool)
+    joined[a] = joined[b] = True
+    cells = np.flatnonzero(joined)
+    by_comp = cells[np.lexsort((np.abs(z[cells] - eng.z_ref), lab[cells]))]
+    first = np.ones(len(by_comp), dtype=bool)
+    first[1:] = lab[by_comp[1:]] != lab[by_comp[:-1]]
+    seeds = by_comp[first]
+    routed = [eng.value_and_sqrt(z[c]) for c in seeds]
+    seed_s = [1.0 if (v * np.conj(np.sqrt(fz[c]))).real > 0 else -1.0
+              for c, (_, v) in zip(seeds, routed)]
+
+    S = np.concatenate([sigma, sigma, seed_s])
+    Ds = np.concatenate([D, -sigma * D, [F for F, _ in routed]])
+    tails = np.concatenate([a, b, np.full(len(seeds), n)])
+    heads = np.concatenate([b, a, seeds])
+    steps = sparse.csr_matrix((np.arange(1.0, len(S) + 1), (tails, heads)), shape=(n + 1, n + 1))
+    tree = breadth_first_tree(steps, n, directed=True).tocoo()
+    step = tree.data.astype(np.int64) - 1
+    par = np.full(n + 1, n)
+    sign = np.ones(n + 1)
+    val = np.zeros(n + 1, dtype=complex)
+    par[tree.col], sign[tree.col], val[tree.col] = tree.row, S[step], Ds[step]
+    while np.any(par != n):
+        val = val[par] + sign[par] * val
+        sign = sign[par] * sign
+        par = par[par]
+    return tree.col, val[tree.col], sign[tree.col], seeds
+
+
+def _chord_fill(f, eng, z, inside, G, F, V, source):
+    """Give every inside cell still without a value one from a known neighbour.
+
+    Cells are visited in breadth-first order from the known region.  A cell
+    takes a short chord from the first known 8-neighbour (axis steps first)
+    whose chord crosses no cut and passes no root closer than half the
+    distance of its nearer end, integrated by the root-aware segment
+    integrator at the engine's tolerance; a chord may end at a root.  Only a
+    cell that no chord reaches is routed.
+    """
+    pending = np.flatnonzero(inside.ravel() & (source == 0))
+    if not len(pending):
+        return
+    iy, ix = np.divmod(pending, G)
+    zb = z[pending]
+    nb = np.full((len(pending), len(_NEIGHBOURS)), -1)
+    for d, (dy, dx) in enumerate(_NEIGHBOURS):
+        jy, jx = iy + dy, ix + dx
+        j = np.clip(jy, 0, G - 1) * G + np.clip(jx, 0, G - 1)
+        ok = (jy >= 0) & (jy < G) & (jx >= 0) & (jx < G) & inside.ravel()[j]
+        za = z[j]
+        for cut in eng.slit.cuts:
+            p, q = cut.anchor, cut.end
+            ok &= ~_segment_crossings(za.real, za.imag, zb.real, zb.imag,
+                                      p.real, p.imag, q.real, q.imag)
+        seg = zb - za
+        L2 = np.maximum(np.abs(seg) ** 2, 1e-300)
+        for r, _ in f.interior_roots:
+            t = np.clip(((r - za) * np.conj(seg)).real / L2, 0.0, 1.0)
+            clear = np.abs(za + t * seg - r)
+            db = np.abs(zb - r)
+            ok &= (db <= 1e-13) | (clear >= 0.5 * np.minimum(np.abs(za - r), db))
+        nb[:, d] = np.where(ok, j, -1)
+
+    integ = SqrtSegmentIntegrator(f, eng.tol)
+    todo = np.arange(len(pending))
+    while len(todo):
+        cand = nb[todo]
+        avail = (cand >= 0) & (source[cand] > 0) & (V[cand] != 0)
+        reached = avail.any(axis=1)
+        if not reached.any():
+            cell = pending[todo[0]]
+            F[cell], V[cell] = eng.value_and_sqrt(z[cell])
+            source[cell] = FILL_ROUTED
+            todo = todo[1:]
+            continue
+        for k, row, use in zip(todo[reached], cand[reached], avail[reached]):
+            j, cell = row[np.argmax(use)], pending[k]
+            val, _, V[cell] = integ.integrate(z[j], z[cell], V[j])
+            F[cell] = F[j] + 2.0 * val
+            source[cell] = FILL_CHORD
+        todo = todo[~reached]
+
+
+def _fill_grid(f, eng, Z, fZ, inside, cross_east, cross_south):
+    """Signed Re F at the cell centres and each cell's source.
+
+    Four passes, each linear in the number of cells: certified east and
+    south edges between cells away from the roots (no cut crossed), a
+    breadth-first tree over them with one routed seed per component, short
+    chords into the cells left over, and the routed primitive for a cell no
+    chord reaches.  source holds FILL_TREE, FILL_CHORD or FILL_ROUTED inside
+    the disk and 0 outside.
+    """
+    G = Z.shape[0]
+    n = G * G
+    h = 2.0 / G
+    z, fz = Z.ravel(), fZ.ravel()
     near = np.zeros((G, G), dtype=bool)
-    for r, n in f.interior_roots:
-        near |= np.abs(Z - r) <= h * max(3, n + 1)
-    far = inside & ~near
+    for r, m in f.interior_roots:
+        near |= np.abs(Z - r) <= h * max(3, m + 1)
+    far = (inside & ~near).ravel()
 
-    F = np.full((G, G), np.nan + 0.0j, dtype=complex)
-    V = np.zeros((G, G), dtype=complex)
-    known = np.zeros((G, G), dtype=bool)
+    flat = np.arange(n).reshape(G, G)
+    east = flat[:, :-1][cross_east[:, :-1] == 0]
+    south = flat[:-1, :][cross_south[:-1, :] == 0]
+    a = np.concatenate([east, south])
+    b = np.concatenate([east + 1, south + G])
+    keep = far[a] & far[b]
+    a, b, D, sigma = _edge_pass(f, z, fz, a[keep], b[keep])
 
-    # seed at the far cell nearest the engine reference point
-    if far.any():
-        iy, ix = np.unravel_index(np.argmin(np.where(far, np.abs(Z - eng.z_ref), np.inf)), (G, G))
-        F[iy, ix], V[iy, ix] = eng.value_and_sqrt(Z[iy, ix])
-        known[iy, ix] = True
+    F = np.full(n, np.nan + 0.0j, dtype=complex)
+    V = np.zeros(n, dtype=complex)
+    source = np.zeros(n, dtype=np.int8)
+    if len(a):
+        cells, Fc, s, seeds = _tree_fill(eng, z, fz, a, b, D, sigma)
+        F[cells], V[cells] = Fc, s * np.sqrt(fz[cells])
+        source[cells] = FILL_TREE
+        source[seeds] = FILL_ROUTED
+    _chord_fill(f, eng, z, inside, G, F, V, source)
 
-    half_w = 0.5 * GL6_W
-    tnodes = 0.5 * (GL6_X + 1.0)
-
-    def expand(par_idx, child_idx):
-        zp = Z.ravel()[par_idx]
-        zc = Z.ravel()[child_idx]
-        vp = V.ravel()[par_idx]
-        seg = zc - zp
-        nodes = zp[:, None] + seg[:, None] * tnodes[None, :]
-        fv = f.eval(nodes)
-        fc = f.eval(zc)
-        ok = np.abs(np.angle(fc / (vp * vp))) < 0.45 * np.pi
-        integral = seg * (nearest_sqrt(fv, vp[:, None]) @ half_w)
-        fnew = F.ravel()[par_idx] + 2.0 * integral
-        return fnew, nearest_sqrt(fc, vp), ok
-
-    flat = np.arange(G * G).reshape(G, G)
-    steps = [
-        (flat[:, :-1], flat[:, 1:], cross_east[:, :-1] == 0),   # east
-        (flat[:, 1:], flat[:, :-1], cross_east[:, :-1] == 0),   # west
-        (flat[:-1, :], flat[1:, :], cross_south[:-1, :] == 0),  # south
-        (flat[1:, :], flat[:-1, :], cross_south[:-1, :] == 0),  # north
-    ]
-    farr = far.ravel()
-
-    def wave():
-        for _ in range(4 * G):
-            progressed = False
-            for par, chi, open_mask in steps:
-                k = known.ravel()
-                cand = open_mask & k[par] & ~k[chi] & farr[chi]
-                if not cand.any():
-                    continue
-                p_idx = par[cand]
-                c_idx = chi[cand]
-                c_idx, uniq = np.unique(c_idx, return_index=True)
-                p_idx = p_idx[uniq]
-                fnew, vc, ok = expand(p_idx, c_idx)
-                good = c_idx[ok]
-                F.ravel()[good] = fnew[ok]
-                V.ravel()[good] = vc[ok]
-                known.ravel()[good] = True
-                progressed = progressed or bool(ok.any())
-            if not progressed:
-                return
-
-    # cuts can sever the far region into several components (clustered
-    # anchors cut the disk into sectors); seed each component once
-    for _ in range(64):
-        wave()
-        left = far & ~known
-        if not left.any():
-            break
-        cand_idx = np.nonzero(left.ravel())[0]
-        zc_left = Z.ravel()[cand_idx]
-        dcut = np.full(zc_left.shape, np.inf)
-        for cut in cuts:
-            seg = np.abs(zc_left - cut.anchor) + np.abs(zc_left - cut.end)
-            dcut = np.minimum(dcut, seg - cut.length)  # ellipse-slack proxy
-        pick = cand_idx[int(np.argmax(dcut))]
-        F.ravel()[pick], V.ravel()[pick] = eng.value_and_sqrt(Z.ravel()[pick])
-        known.ravel()[pick] = True
-
-    # everything the wave could not certify goes through the routed primitive
-    rest = inside & ~known
-    for iy, ix in zip(*np.nonzero(rest)):
-        F[iy, ix], V[iy, ix] = eng.value_and_sqrt(Z[iy, ix])
-        known[iy, ix] = True
-
-    sre = np.where(inside, F.real, np.nan)
-    return Z, inside, sre, cross_east, cross_south
+    sre = np.where(inside, F.reshape(G, G).real, np.nan)
+    return sre, source.reshape(G, G)
 
 
-def _label_species(u, sre, inside, cross_east, cross_south, thr, grad_scale):
+def _label_species(u, sre, inside, Z, cross_east, cross_south, thr, grad_scale):
     G = u.shape[0]
     mask = inside & (u > thr)
     sign = np.sign(sre)
@@ -257,9 +348,7 @@ def _label_species(u, sre, inside, cross_east, cross_south, thr, grad_scale):
     # no species component is compactly contained in the disk, so grid
     # components that never reach the rim are nodal-band debris, not species
     h = 2.0 / G
-    cax = -1.0 + (np.arange(G) + 0.5) * h
-    X, Y = np.meshgrid(cax, cax)
-    rim = mask & (np.hypot(X, Y) > 1.0 - 3.0 * h)
+    rim = mask & (np.abs(Z) > 1.0 - 3.0 * h)
     touching = set(np.unique(lab_masked[rim]).tolist())
     vals, counts_ = np.unique(lab_masked[mask], return_counts=True)
     big_enough = {int(v) for v, k in zip(vals, counts_) if k >= 6}
@@ -291,7 +380,14 @@ def reconstruct(f: RationalFactored, base, resolution: int = 256,
     if bad:
         raise NotAdmissible(f"Re F does not vanish at odd zeros: {bad}")
 
-    Z, inside, sre, cross_east, cross_south = _fill_grid(f, eng, resolution)
+    G = resolution
+    c = -1.0 + (np.arange(G) + 0.5) * (2.0 / G)
+    X, Y = np.meshgrid(c, c)          # [iy, ix]
+    Z = X + 1j * Y
+    inside = np.abs(Z) < 1.0
+    fZ = f.eval(Z)
+    cross_east, cross_south = _cut_crossings(slit.cuts, X, Y)
+    sre, source = _fill_grid(f, eng, Z, fZ, inside, cross_east, cross_south)
     u = np.abs(sre)
 
     crit = tuple(
@@ -300,18 +396,16 @@ def reconstruct(f: RationalFactored, base, resolution: int = 256,
         if v <= tol_adm
     )
     thr = SPECIES_REL_THRESHOLD * max(scale, 1e-300)
-    c = -1.0 + (np.arange(resolution) + 0.5) * (2.0 / resolution)
-    X, Y = np.meshgrid(c, c)
-    grad_scale = (2.0 / resolution) * np.sqrt(np.abs(f.eval(X + 1j * Y)))
+    grad_scale = (2.0 / G) * np.sqrt(np.abs(fZ))
     species, n_species = _label_species(
-        u, sre, inside, cross_east, cross_south, thr, grad_scale
+        u, sre, inside, Z, cross_east, cross_south, thr, grad_scale
     )
 
     return SegregatedState(
         f=f, base=base, slit=slit, resolution=resolution,
         u=u, sre=sre, inside=inside, species=species, n_species=n_species,
         criticals=crit, residuals=tuple(odd_res), scale=scale, engine=eng,
-        cross_east=cross_east, cross_south=cross_south,
+        cross_east=cross_east, cross_south=cross_south, source=source,
     )
 
 

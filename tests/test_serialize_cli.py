@@ -102,6 +102,22 @@ def test_cli_index(tmp_path, capsys):
     assert (rep["M"], rep["N"], rep["T"]) == (5, 5, 1)
     assert rep["index_sum"] == 3
     assert rep["formula_check"] and rep["euler_check"]
+    assert rep["clean_trace"]
+
+
+def test_cli_index_unclean_trace_fails(tmp_path, capsys):
+    # the ninth draw of random_even_function(default_rng(20240817)): the march
+    # from one boundary zero returns to its own vertex, so the trace is unclean
+    # although the formula and Euler checks hold
+    f = rational(0.29130139034048635 - 0.07171819842759289j,
+                 roots=[(0.5308209216083883 - 0.5246203577259316j, 2)])
+    p = _write_spec(tmp_path, f)
+    out = tmp_path / "out"
+    code = main(["index", "-i", str(p), "-o", str(out), "--resolution", "128"])
+    rep = json.loads((out / "report.json").read_text())
+    assert rep["clean_trace"] is False
+    assert rep["formula_check"] and rep["euler_check"]
+    assert code == 1
 
 
 def test_cli_reconstruct_artifacts(tmp_path, capsys):
@@ -113,6 +129,19 @@ def test_cli_reconstruct_artifacts(tmp_path, capsys):
     rep = json.loads((out / "report.json").read_text())
     assert rep["n_species"] == 2
     assert rep["dirichlet_energy"] == pytest.approx(np.pi / 2, rel=0.03)
+    # f = 1/4 has no zeros or cuts: one routed seed, no cell left for a chord
+    assert rep["grid_fill"] == {"routed": 1, "chords": 0}
+
+
+@pytest.mark.parametrize("command", ["reconstruct", "trace", "index", "render", "simulate"])
+def test_cli_grid_commands_report_fill(tmp_path, capsys, command):
+    p = _write_spec(tmp_path, monomial(0.25, 3))
+    out = tmp_path / "out"
+    code = main([command, "-i", str(p), "-o", str(out), "--resolution", "128",
+                 "--samples", "256", "--mu", "100"])
+    assert code == 0
+    fill = json.loads((out / "report.json").read_text())["grid_fill"]
+    assert fill["routed"] == 1 and fill["chords"] > 0
 
 
 def test_cli_desingularize(tmp_path, capsys):

@@ -1,10 +1,17 @@
+import mpmath as mp
 import numpy as np
 import pytest
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 
 from hopfseg.errors import NotAdmissible, NotOnNodalSet
 from hopfseg.experiments import figure5_function
+from hopfseg.primitive import PathEngine
 from hopfseg.rational import monomial, rational
+from hopfseg.slits import build_slit_disk
 from hopfseg.states import (
+    FILL_CHORD,
+    FILL_ROUTED,
     admissibility,
     dirichlet_energy,
     export_grid_csv,
@@ -211,3 +218,139 @@ def test_csv_export(tmp_path, cubic_state):
     assert len(lines) == 1 + int(cubic_state.inside.sum())
     x, y, u, s = lines[1].split(",")
     float(x), float(y), float(u), int(s)
+
+
+# -- the grid fill against routed values and an mpmath primitive ----------------
+
+
+@pytest.fixture(scope="module")
+def fill_states():
+    """Three states whose fills use chords, several cuts and several components."""
+    from hopfseg.desingularize import reduce_to_simple
+    from hopfseg.experiments import tuned_multizero
+
+    f5, b5 = figure5_function()
+    red = reduce_to_simple(tuned_multizero(-0.35, 0.4 + 0.1j, 2, 2), eps_budget=8.0)
+    return {
+        "z3": reconstruct(monomial(0.25, 3), 0.0, resolution=128),
+        "figure5": reconstruct(f5, b5, resolution=96),
+        "reduced": reconstruct(red, find_base_point(red), resolution=96),
+    }
+
+
+def _cell_grid(st):
+    c = st.cell_centers
+    return c[None, :] + 1j * c[:, None]
+
+
+def _far_components(st):
+    """Components of the cells at least max(3, n+1) cells from every root,
+    joined by east and south steps that cross no cut."""
+    G = st.resolution
+    Z = _cell_grid(st)
+    far = st.inside.copy()
+    for r, n in st.f.interior_roots:
+        far &= np.abs(Z - r) > st.h * max(3, n + 1)
+    flat = np.arange(G * G).reshape(G, G)
+    e = far[:, :-1] & far[:, 1:] & (st.cross_east[:, :-1] == 0)
+    s = far[:-1, :] & far[1:, :] & (st.cross_south[:-1, :] == 0)
+    rows = np.concatenate([flat[:, :-1][e], flat[:-1, :][s]])
+    cols = np.concatenate([flat[:, 1:][e], flat[1:, :][s]])
+    graph = coo_matrix((np.ones(len(rows)), (rows, cols)), shape=(G * G, G * G))
+    _, lab = connected_components(graph, directed=False)
+    return len(np.unique(lab[np.concatenate([rows, cols])]))
+
+
+@pytest.mark.parametrize("name", ["z3", "figure5", "reduced"])
+def test_fill_matches_fresh_routed_values(fill_states, name):
+    st = fill_states[name]
+    eng = PathEngine(st.f, build_slit_disk(st.f, st.base))
+    Z = _cell_grid(st)
+    near_cut = np.zeros_like(st.inside)
+    for iy, ix in zip(*np.nonzero(st.inside)):
+        near_cut[iy, ix] = st.slit.distance_to_cuts(Z[iy, ix]) <= 2 * st.h
+    chords = st.source == FILL_CHORD
+    routed = st.source == FILL_ROUTED
+    assert st.chords == chords.sum() > 0
+    assert st.routed == routed.sum() == _far_components(st)
+    if name == "reduced":
+        assert st.routed > 1       # its cuts separate the far region
+    if st.slit.cuts:
+        assert near_cut.any()
+    check = chords | routed | near_cut
+    worst = max(abs(st.u[iy, ix] - abs(eng.F(Z[iy, ix]).real))
+                for iy, ix in zip(*np.nonzero(check)))
+    assert worst <= 1e-12 * st.scale
+
+
+def _mp_abs_re_F(f, base, w):
+    """|Re F(w)| at 30 digits: 2 int f^{1/2} along the straight segment from
+    the base, each factor (z - r)^{m/2} continued along it by itself.
+
+    Seen from a point off the segment, z(t) - r turns by less than pi, so
+    (z - r)^{1/2} = (b - r)^{1/2} * sqrt((z - r) / (b - r)) with the principal
+    root is the continued one; a root at the base b gives (t d)^{m/2}.  As Re F
+    vanishes at the odd zeros, |Re F| does not depend on the path.
+    """
+    with mp.workdps(30):
+        b, d = mp.mpc(base), mp.mpc(w) - mp.mpc(base)
+        c = mp.sqrt(mp.mpc(f.leading))
+        at_base, factors, splits = 0, [], [mp.mpf(0), mp.mpf(1)]
+        signed = [(r, m) for r, m in f.interior_roots + f.unit_num]
+        signed += [(r, -m) for r, m in f.unit_den]
+        for r, m in signed:
+            r = mp.mpc(r)
+            if abs(r - b) < 1e-20:
+                at_base += m
+                c *= mp.sqrt(d) ** m
+                continue
+            t = mp.re((r - b) * mp.conj(d)) / abs(d) ** 2
+            assert not (0 < t < 1 and abs(b + t * d - r) < 1e-9), "segment meets a root"
+            if 0 < t < 1:
+                splits.append(t)
+            c *= mp.sqrt(b - r) ** m
+            factors.append((r, b - r, m))
+
+        def sqrt_f(t):
+            z = b + t * d
+            v = c * mp.sqrt(t) ** at_base
+            for r, br, m in factors:
+                v *= mp.sqrt((z - r) / br) ** m
+            return v
+
+        return float(abs(mp.re(2 * d * mp.quad(sqrt_f, sorted(splits)))))
+
+
+def _oracle_cells(st, rng):
+    """At least 20 cells: next to each root, next to each cut's rim end, on
+    the rim, and the rest drawn at random, as (iy, ix)."""
+    G = st.resolution
+    Z = _cell_grid(st)
+    dist_off = np.where(st.inside, 0.0, np.inf)
+    picks = {}
+
+    def nearest(z, k):
+        for i in np.argsort((np.abs(Z - z) + dist_off).ravel())[:k]:
+            picks[divmod(int(i), G)] = None
+
+    for r, _ in st.f.interior_roots:
+        nearest(r, 3)
+    for cut in st.slit.cuts:
+        nearest(cut.end * (1 - 1.5 * st.h), 1)
+    for th in np.arange(4) * np.pi / 2 + 0.2:
+        nearest(np.exp(1j * th), 1)
+    while len(picks) < 20:
+        iy, ix = (int(i) for i in rng.integers(0, G, size=2))
+        if st.inside[iy, ix]:
+            picks[iy, ix] = None
+    return list(picks)
+
+
+@pytest.mark.parametrize("name", ["z3", "figure5", "reduced"])
+def test_fill_matches_mpmath_primitive(fill_states, name, rng):
+    st = fill_states[name]
+    Z = _cell_grid(st)
+    cells = _oracle_cells(st, rng)
+    worst = max(abs(st.u[iy, ix] - _mp_abs_re_F(st.f, st.base, Z[iy, ix]))
+                for iy, ix in cells)
+    assert worst <= 1e-12 * st.scale
