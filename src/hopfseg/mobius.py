@@ -61,10 +61,6 @@ def compose(outer: MobiusMap, inner: MobiusMap) -> MobiusMap:
     return MobiusMap(alpha=alpha, theta=theta)
 
 
-def preimage(m: MobiusMap, w):
-    return apply(invert(m), w)
-
-
 def pushforward_hopf(f: RationalFactored, m: MobiusMap) -> RationalFactored:
     """Factored form of (f o phi_m) * (phi_m')^2.
 
@@ -146,51 +142,6 @@ def pushforward_hopf(f: RationalFactored, m: MobiusMap) -> RationalFactored:
         if interior
         else new_delta,
     )
-
-
-def dilate(f: RationalFactored, eps: float) -> RationalFactored:
-    """Factored form of (1+eps)^{-2} f(z / (1+eps)); roots scale by 1+eps.
-
-    Interior roots pushed past the unit circle migrate to the unit-numerator
-    bucket (the zero count inside the disk drops).
-    """
-    if eps < 0:
-        raise ValueError("eps must be >= 0")
-    s = 1.0 + eps
-    if eps == 0:
-        return f
-    pow_total = 0
-    interior = []
-    unit_num = []
-    unit_den = []
-    for r, mult in f.interior_roots:
-        pow_total += mult
-        rs = r * s
-        if abs(rs) <= 1.0 - f.delta_bd:
-            interior.append((rs, mult))
-        elif abs(rs) >= 1.0 + 1e-9:
-            unit_num.append((rs, mult))
-        else:
-            raise RootTooCloseToBoundary(f"dilated root lands on the boundary band: {rs}")
-    for r, mult in f.unit_num:
-        pow_total += mult
-        unit_num.append((r * s, mult))
-    for r, mult in f.unit_den:
-        pow_total -= mult
-        unit_den.append((r * s, mult))
-    lead = complex(f.leading) * s ** (-2 - pow_total)
-    margins = [abs(r) - 1.0 for r, _ in unit_num + unit_den]
-    new_delta = min([f.delta_bd] + [0.9 * g for g in margins if g < f.delta_bd])
-    return RationalFactored(
-        leading=lead,
-        interior_roots=tuple(interior),
-        unit_num=tuple(unit_num),
-        unit_den=tuple(unit_den),
-        delta_bd=max(new_delta, 1e-9),
-    )
-
-
-# -- general position -------------------------------------------------------
 
 
 def _clip_ray_to_disk(p, direction):

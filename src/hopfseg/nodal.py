@@ -1,13 +1,21 @@
 """Nodal-set tracing into a planar graph, and the counting identities.
 
-Arcs of {U = 0} are continued by predictor steps along the level set with a
-Newton corrector (the gradient of Re F is conj(F') = 2 conj(f^{1/2}), known
-in closed form along the continuation).  Crossing a cut merely flips the
-local sheet, Re F -> -Re F, so the marcher never needs to know where a cut
-runs; near critical points all values are taken relative to the critical
-point itself, which keeps full precision at any scale of approach.  The
-boundary zeros, where arcs end on the rim, come from the state's PathEngine,
-which owns the boundary march and the cut ends on the rim.
+The vertices of the graph are the criticals on {U = 0} and the boundary
+zeros, where the nodal set meets the rim.  Every arc has two ends: a seed,
+where the arc crosses a small circle around a critical, or a boundary zero.
+`trace` walks the list of ends once and marches an arc only from an end that
+no earlier arc has arrived at, so each arc is marched exactly once; each
+arrival uses up the end it lands on.
+
+Arcs are continued by predictor steps along the level set with a Newton
+corrector (the gradient of Re F is conj(F') = 2 conj(f^{1/2}), known in
+closed form along the continuation).  Crossing a cut merely flips the local
+sheet, Re F -> -Re F, so the marcher never needs to know where a cut runs;
+near critical points all values are taken relative to the critical point
+itself, which keeps full precision at any scale of approach.  The boundary
+zeros come from the state's PathEngine, which owns the boundary march and
+the cut ends on the rim.  A polyline runs from vertex to vertex, and every
+point between lies on the level set strictly inside the disk.
 """
 
 from __future__ import annotations
@@ -15,6 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
+from scipy.sparse.csgraph import connected_components
 
 from .errors import TraceStall
 from .quadrature import SqrtSegmentIntegrator, continue_sqrt_chain, nearest_sqrt
@@ -162,11 +172,16 @@ def _critical_seeds(f, integ, zc: complex, order: int, r_seed: float):
 
 
 class _Marcher:
-    def __init__(self, state: SegregatedState, integ, crit_locs, crit_snap):
-        self.integ = integ
-        self.crit_locs = crit_locs
-        self.crit_snap = crit_snap
-        self.G = state.resolution
+    def __init__(self, state: SegregatedState):
+        # every integration below passes its own tolerance
+        self.integ = SqrtSegmentIntegrator(state.f)
+        self.engine = state.engine
+        self.crit_locs = [z for z, _, _ in state.criticals]
+        self.G = G = state.resolution
+        self.crit_snap = [
+            min(2.0 / G, 0.3 * min([abs(z - w) for w in self.crit_locs if w != z] + [2.0]))
+            for z in self.crit_locs
+        ]
         self.tight = 1e-12 * max(1.0, state.scale)
         self.loose = 1e-9 * max(1.0, state.scale)
 
@@ -193,27 +208,29 @@ class _Marcher:
                 return z, v, Fz, True
         return z, v, Fz, False
 
-    def run(self, z0, v0, F0, direction, src_vid):
-        """Trace one arc until it hits the boundary or snaps to a critical.
+    def run(self, z0, v0, F0, direction, src):
+        """Trace one arc until it reaches the rim or snaps to a critical.
 
-        Returns (the critical's index or ("boundary", angle), the points).
+        src is the index of the critical the arc leaves, or None.  Returns
+        (the arrival critical's index or None on the rim, the arrival angle,
+        the marched points inside the disk).  The arrival angle is that of
+        the last marched point around the critical, or of the exit point on
+        the rim.
         """
         pts = [z0]
         z, v, Fz = z0, v0, F0
         d = direction / abs(direction)
         G = self.G
         travelled = 0.0
-        for step_count in range(40 * G + 200):
+        for _ in range(40 * G + 200):
             dmin, jmin = np.inf, -1
             for j, c in enumerate(self.crit_locs):
                 dd = abs(z - c)
                 if dd < dmin:
                     dmin, jmin = dd, j
             if jmin >= 0 and dmin <= self.crit_snap[jmin]:
-                same_src = src_vid == jmin
-                if not same_src or travelled > 3.0 * self.crit_snap[jmin]:
-                    pts.append(self.crit_locs[jmin])
-                    return jmin, tuple(pts)
+                if src != jmin or travelled > 3.0 * self.crit_snap[jmin]:
+                    return jmin, np.angle(z - self.crit_locs[jmin]), _inside(pts)
             step = 2.0 / G
             if jmin >= 0:
                 step = min(step, max(0.35 * dmin, 1e-11))
@@ -229,159 +246,118 @@ class _Marcher:
             z, v, Fz = zn, vn, Fn
             pts.append(z)
             if abs(z) >= 1.0 - 1.0 / G:
-                # project the continuation onto the boundary circle
-                lo, hi = 0.0, 3.0 / G
-                while abs(z + hi * d) < 1.0 and hi < 0.5:
-                    hi *= 1.5
-                for _ in range(60):
-                    mid = 0.5 * (lo + hi)
-                    if abs(z + mid * d) >= 1.0:
-                        hi = mid
-                    else:
-                        lo = mid
-                zb = z + hi * d
-                zb /= abs(zb)
-                pts.append(zb)
-                return ("boundary", np.angle(zb) % (2 * np.pi)), tuple(pts)
+                # where the line through z along d leaves the unit circle
+                b = (np.conj(z) * d).real
+                t = -b + np.sqrt(max(b * b + 1.0 - abs(z) ** 2, 0.0))
+                return None, np.angle(z + t * d), _inside(pts)
         raise TraceStall("arc exceeded the step budget")
+
+    def start_at_seed(self, i, ang, v):
+        """March from the seed of critical i at angle ang, where f^{1/2} is v."""
+        zc, r_seed = self.crit_locs[i], 2.0 * self.crit_snap[i]
+        z0 = zc + r_seed * np.exp(1j * ang)
+        val, _, _ = self.integ.integrate(z0, zc, v, tol=1e-16 + 1e-13 * r_seed)
+        return self.run(z0, v, -2.0 * val, np.exp(1j * ang), i)
+
+    def start_on_rim(self, zb):
+        """March from the boundary zero zb into the disk along the level set.
+
+        The start is put on the level set by the corrector first, and the
+        march heads along its tangent i*conj(f^{1/2}), oriented inward.
+        """
+        z0 = (1.0 - 1.5 / self.G) * zb
+        F0, v0 = self.engine.value_and_sqrt(z0)
+        z0, v0, F0, _ = self._correct(z0, v0, F0, np.inf)
+        tangent = 1j * np.conj(v0)
+        if (np.conj(zb) * tangent).real > 0:
+            tangent = -tangent
+        return self.run(z0, v0, F0, tangent, None)
+
+
+def _inside(pts):
+    return tuple(p for p in pts if abs(p) < 1.0)
 
 
 # -- public graph construction ---------------------------------------------------
 
 
 def trace(state: SegregatedState) -> NodalGraph:
-    """Planar graph of the nodal set: critical vertices, boundary zeros, arcs."""
+    """Planar graph of the nodal set: critical vertices, boundary zeros, arcs.
+
+    Every arc has two ends: a seed on a critical's snap circle or a boundary
+    zero.  The ends are walked once, and an arc is marched only from an end
+    that no earlier arc has arrived at; its arrival uses up the unused end
+    nearest the arrival angle.  An arrival that finds no unused end, or a
+    critical with the wrong number of seeds, makes the trace unclean.
+    """
     crits = [(z, n) for z, n, _ in state.criticals]
-    crit_locs = [z for z, _ in crits]
     bz = boundary_zeros(state)
     G = state.resolution
+    marcher = _Marcher(state)
 
-    snap = []
-    for i, (z, n) in enumerate(crits):
-        dmin = min(
-            [abs(z - w) for j, (w, _) in enumerate(crits) if j != i] + [2.0],
-        )
-        snap.append(min(2.0 / G, 0.3 * dmin))
-    # every integration below passes its own tolerance
-    integ = SqrtSegmentIntegrator(state.f)
-    marcher = _Marcher(state, integ, crit_locs, snap)
+    vertices = [
+        Vertex(id=i, location=z, kind="interior-critical", multiplicity=n + 2, index=n)
+        for i, (z, n) in enumerate(crits)
+    ] + [
+        Vertex(id=len(crits) + k, location=complex(np.exp(1j * ang)),
+               kind="boundary-zero", multiplicity=2, index=0)
+        for k, ang in enumerate(bz)
+    ]
 
-    vertices = []
-    for i, (z, n) in enumerate(crits):
-        vertices.append(
-            Vertex(id=i, location=z, kind="interior-critical", multiplicity=n + 2, index=n)
-        )
-    bz_base = len(crits)
-    for k, ang in enumerate(bz):
-        vertices.append(
-            Vertex(
-                id=bz_base + k,
-                location=complex(np.exp(1j * ang)),
-                kind="boundary-zero",
-                multiplicity=2,
-                index=0,
-            )
-        )
-
-    def bz_vid(angle):
-        if not bz:
-            return None
-        diffs = [abs((angle - a + np.pi) % (2 * np.pi) - np.pi) for a in bz]
-        k = int(np.argmin(diffs))
-        if diffs[k] > max(0.1, 20.0 / G):
-            return None
-        return bz_base + k
-
-    raw_arcs = []
+    # arc ends as (vertex id, angle, f^{1/2} at a seed or None at a boundary zero)
+    ends = []
     clean = True
-
-    def add_arc(src, start, end, pts):
-        """Keep an arc traced from vertex src; False if it reached no other vertex."""
-        if isinstance(end, tuple):     # ("boundary", angle)
-            end = bz_vid(end[1])
-            if end is None or end == src:
-                # an arc that immediately returns is a tracing failure
-                return False
-        raw_arcs.append((src, end, (start,) + pts))
-        return True
-
     for i, (zc, n) in enumerate(crits):
-        r_seed = 2.0 * snap[i]
-        seeds = _critical_seeds(state.f, integ, zc, n, r_seed)
-        if len(seeds) != n + 2:
-            clean = False
-        for ang, v in seeds:
-            z0 = zc + r_seed * np.exp(1j * ang)
-            val, _, _ = integ.integrate(z0, zc, v, tol=1e-16 + 1e-13 * r_seed)
-            F0 = -2.0 * val
-            clean &= add_arc(i, zc, *marcher.run(z0, v, F0, np.exp(1j * ang), i))
+        seeds = _critical_seeds(state.f, marcher.integ, zc, n, 2.0 * marcher.crit_snap[i])
+        clean &= len(seeds) == n + 2
+        ends += [(i, ang, v) for ang, v in seeds]
+    ends += [(vert.id, ang, None) for vert, ang in zip(vertices[len(crits):], bz)]
+    used = [False] * len(ends)
 
-    for k, ang in enumerate(bz):
-        zb = complex(np.exp(1j * ang))
-        z0 = (1.0 - 1.5 / G) * zb
-        F0, v0 = state.engine.value_and_sqrt(z0)
-        # corrector first: put the start point on the level set
-        clean &= add_arc(bz_base + k, zb, *marcher.run(z0, v0, F0, -zb, bz_base + k))
-
-    # dedupe: every interior arc has been traced from each traceable endpoint
-    def arclength_mid(pts):
-        p = np.asarray(pts)
-        seg = np.abs(np.diff(p))
-        total = seg.sum()
-        if total == 0:
-            return pts[0]
-        acc = np.concatenate([[0.0], np.cumsum(seg)])
-        k = int(np.searchsorted(acc, 0.5 * total))
-        return pts[min(k, len(pts) - 1)]
+    def claim(at, angle):
+        """Use up the unused end nearest angle at a critical (or on the rim if None)."""
+        tol = max(0.1, 20.0 / G) if at is None else np.pi / (crits[at][1] + 2)
+        gap, k = min(
+            ((abs((angle - a + np.pi) % (2 * np.pi) - np.pi), k) for k, (vid, a, v) in enumerate(ends)
+             if not used[k] and (vid == at if at is not None else v is None)),
+            default=(np.inf, None),
+        )
+        if gap > tol:
+            return None
+        used[k] = True
+        return ends[k][0]
 
     arcs = []
-    used = []
-    for a, b, pts in raw_arcs:
-        key = (min(a, b), max(a, b))
-        mid = arclength_mid(pts)
-        dup = False
-        for k2, m2 in used:
-            if k2 == key and abs(m2 - mid) < 8.0 / G:
-                dup = True
-                break
-        if not dup:
-            arcs.append(Arc(a=a, b=b, points=pts))
-            used.append((key, mid))
+    for k, (vid, ang, v) in enumerate(ends):
+        if used[k]:
+            continue
+        used[k] = True
+        if v is None:
+            at, arrival, pts = marcher.start_on_rim(vertices[vid].location)
+        else:
+            at, arrival, pts = marcher.start_at_seed(vid, ang, v)
+        b = claim(at, arrival)
+        if b is None:
+            clean = False
+            continue
+        ends_at = (vertices[vid].location,) + pts + (vertices[b].location,)
+        arcs.append(Arc(a=vid, b=b, points=ends_at))
 
-    graph = NodalGraph(
+    return NodalGraph(
         vertices=tuple(vertices), arcs=tuple(arcs),
         M=len(bz) if bz else (1 if state.n_species else 0),
         N=state.n_species,
-        T=_components(vertices, arcs),
+        T=_components(len(vertices), arcs),
         clean=clean,
     )
-    for v in graph.vertices:
-        want = v.multiplicity if v.kind == "interior-critical" else v.multiplicity - 1
-        if graph.incident(v.id) != want:
-            graph = NodalGraph(
-                vertices=graph.vertices, arcs=graph.arcs,
-                M=graph.M, N=graph.N, T=graph.T, clean=False,
-            )
-            break
-    return graph
 
 
-def _components(vertices, arcs) -> int:
-    if not vertices:
+def _components(n_vertices: int, arcs) -> int:
+    if not n_vertices:
         return 0
-    parent = {v.id: v.id for v in vertices}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for arc in arcs:
-        ra, rb = find(arc.a), find(arc.b)
-        if ra != rb:
-            parent[ra] = rb
-    return len({find(v.id) for v in vertices})
+    ends = ([a.a for a in arcs], [a.b for a in arcs])
+    adj = sparse.coo_matrix((np.ones(len(arcs)), ends), shape=(n_vertices, n_vertices))
+    return int(connected_components(adj, directed=False)[0])
 
 
 def counts(graph: NodalGraph):

@@ -73,13 +73,6 @@ class RationalFactored:
     def total_interior_order(self) -> int:
         return sum(m for _, m in self.interior_roots)
 
-    def roots(self):
-        """Interior roots with multiplicities, as (location, mult) pairs."""
-        return self.interior_roots
-
-    def odd_roots(self):
-        return tuple((z, m) for z, m in self.interior_roots if m % 2 == 1)
-
     def zero_records(self):
         return tuple(
             ZeroRecord(location=z, order=m) for z, m in self.interior_roots

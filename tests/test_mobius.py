@@ -5,7 +5,6 @@ from hopfseg.mobius import (
     MobiusMap,
     apply,
     compose,
-    dilate,
     invert,
     is_general_position,
     make_general_position,
@@ -84,23 +83,6 @@ def test_pushforward_functorial(rng):
     assert np.allclose(g1.eval(zs), g2.eval(zs), rtol=1e-10)
 
 
-def test_dilate_examples():
-    f = monomial(0.25, 3)
-    d = dilate(f, 0.1)
-    assert d.leading == pytest.approx(0.25 * 1.1 ** (-5), rel=1e-13)
-    assert order_at(d, 0.0) == 3
-    assert d.eval(1.0) == pytest.approx(f.eval(1 / 1.1) / 1.1**2, rel=1e-13)
-    assert dilate(f, 0.0) is f
-
-
-def test_dilate_pushes_root_out():
-    f = rational(1.0, roots=[(0.9, 1)], delta_bd=0.05)
-    d = dilate(f, 0.2)
-    assert d.interior_roots == ()
-    assert d.unit_num[0][0] == pytest.approx(1.08)
-    assert winding_count(d, 0.0, 0.99) == 0
-
-
 def test_general_position_checks():
     assert not is_general_position([0.5, 0.5j], 0.0)      # equal distances
     assert is_general_position([0.5], 0.0)                # single point
@@ -122,7 +104,6 @@ def test_make_general_position():
 
 def test_admissibility_is_moebius_invariant():
     from hopfseg.states import admissibility
-    from hopfseg.mobius import preimage
 
     k = 1
     w = 0.1 * np.exp(1j * (np.pi / 5 + 2 * k * np.pi / 5))
@@ -130,6 +111,6 @@ def test_admissibility_is_moebius_invariant():
     assert admissibility(f, 0.0).admissible
     m = MobiusMap(alpha=0.15 - 0.1j, theta=0.4)
     g = pushforward_hopf(f, m)
-    base_g = complex(preimage(m, 0.0))
+    base_g = complex(apply(invert(m), 0.0))
     rep = admissibility(g, base_g, tol=1e-7)
     assert rep.admissible

@@ -4,7 +4,7 @@ import pytest
 from hopfseg.desingularize import reduce_to_simple
 from hopfseg.errors import SearchExhausted
 from hopfseg.experiments import admissible_fw, figure5_function, random_even_function
-from hopfseg.nodal import boundary_zeros, counts, trace, verify_index
+from hopfseg.nodal import _Marcher, boundary_zeros, counts, trace, verify_index
 from hopfseg.primitive import PathEngine
 from hopfseg.rational import monomial, rational
 from hopfseg.slits import build_slit_disk
@@ -152,6 +152,66 @@ def test_graph_export_dict(cubic_graph):
     assert len(d["vertices"]) == len(g.vertices)
     assert all(set(v) == {"id", "x", "y", "kind", "index"} for v in d["vertices"])
     assert all(set(a) == {"from", "to", "points"} for a in d["arcs"])
+
+
+@pytest.fixture(scope="module")
+def index_states():
+    """The twelve states the benchmark's nodal workload runs `index` on, at G=128."""
+    rng = np.random.default_rng(20240817)
+    cases = [(random_even_function(rng), None) for _ in range(9)]
+    cases += [(figure5_function()[0], -0.4 - 0.3j), (admissible_fw(2)[0], None),
+              (monomial(0.25, 3), None)]
+    return [reconstruct(f, find_base_point(f) if base is None else base, resolution=128)
+            for f, base in cases]
+
+
+def test_each_arc_marched_once(index_states, monkeypatch):
+    marches = []
+    run = _Marcher.run
+
+    def counted(self, *args):
+        marches.append(args)
+        return run(self, *args)
+
+    monkeypatch.setattr(_Marcher, "run", counted)
+    for st in index_states:
+        marches.clear()
+        g = trace(st)
+        assert g.clean
+        assert len(marches) == len(g.arcs)
+
+
+def test_polylines_lie_on_the_nodal_set(index_states):
+    # a fresh engine's routed F shares no state with the tracer
+    for st in index_states:
+        eng = PathEngine(st.f, build_slit_disk(st.f, st.base))
+        g = trace(st)
+        for arc in g.arcs:
+            assert arc.points[0] == g.vertices[arc.a].location
+            assert arc.points[-1] == g.vertices[arc.b].location
+            for z in arc.points:
+                assert abs(z) <= 1.0 + 1e-15
+                assert abs(eng.F(z).real) <= 1e-9 * st.scale
+
+
+@pytest.mark.parametrize("G", [128, 256])
+def test_rim_march_leaves_its_boundary_zero(G):
+    # the ninth draw of random_even_function(default_rng(20240817)): at one
+    # boundary zero the level set meets the rim about 59 degrees off radial,
+    # and a radial march from a start off the level set ran back out at its
+    # own vertex
+    f = rational(0.29130139034048635 - 0.07171819842759289j,
+                 roots=[(0.5308209216083883 - 0.5246203577259316j, 2)])
+    st = reconstruct(f, find_base_point(f), resolution=G)
+    bz = boundary_zeros(st)
+    assert len(bz) == 4
+    marcher = _Marcher(st)
+    for k, ang in enumerate(bz):
+        at, arrival, _ = marcher.start_on_rim(np.exp(1j * ang))
+        assert at is None      # no critical lies on this nodal set
+        gaps = [abs((arrival - a + np.pi) % (2 * np.pi) - np.pi) for a in bz]
+        assert int(np.argmin(gaps)) != k
+        assert min(gaps) <= max(0.1, 20.0 / G)
 
 
 class _CoincidentDraws:

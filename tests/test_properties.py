@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hopfseg.mobius import MobiusMap, apply, compose, dilate, invert, pushforward_hopf
+from hopfseg.mobius import MobiusMap, apply, compose, invert, pushforward_hopf
 from hopfseg.primitive import PathEngine
 from hopfseg.rational import multiply, rational, winding_count
 from hopfseg.slits import build_slit_disk, route_path
@@ -90,23 +90,6 @@ def test_compose_is_group_operation(a1, t1, a2, t2, z):
     assert abs(apply(m, z) - apply(m2, apply(m1, z))) < 1e-12
     mi = compose(invert(m1), m1)
     assert abs(apply(mi, z) - z) < 1e-12
-
-
-@given(factored_functions(max_roots=2, max_mult=2), st.floats(0.01, 0.5))
-@settings(max_examples=15, deadline=None)
-def test_dilate_never_raises_zero_count(f, eps):
-    try:
-        d = dilate(f, eps)
-    except Exception:
-        return
-    before = sum(m for z, m in f.interior_roots)
-    after = sum(m for z, m in d.interior_roots)
-    assert after <= before
-    # evaluation identity
-    z = 0.3 - 0.2j
-    assert abs(d.eval(z) - f.eval(z / (1 + eps)) / (1 + eps) ** 2) < 1e-10 * max(
-        1e-290, abs(f.eval(z / (1 + eps)))
-    )
 
 
 @given(st.integers(0, 4))

@@ -1,9 +1,11 @@
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from hopfseg import cli
 from hopfseg.cli import main
 from hopfseg.errors import SchemaError
 from hopfseg.experiments import figure5_function
@@ -105,13 +107,12 @@ def test_cli_index(tmp_path, capsys):
     assert rep["clean_trace"]
 
 
-def test_cli_index_unclean_trace_fails(tmp_path, capsys):
-    # the ninth draw of random_even_function(default_rng(20240817)): the march
-    # from one boundary zero returns to its own vertex, so the trace is unclean
-    # although the formula and Euler checks hold
-    f = rational(0.29130139034048635 - 0.07171819842759289j,
-                 roots=[(0.5308209216083883 - 0.5246203577259316j, 2)])
-    p = _write_spec(tmp_path, f)
+def test_cli_index_unclean_trace_fails(tmp_path, capsys, monkeypatch):
+    # the real graph, marked unclean: the formula and Euler checks still
+    # hold, and the unclean trace alone makes the command fail
+    real = cli.trace_graph
+    monkeypatch.setattr(cli, "trace_graph", lambda st: replace(real(st), clean=False))
+    p = _write_spec(tmp_path, monomial(0.25, 3))
     out = tmp_path / "out"
     code = main(["index", "-i", str(p), "-o", str(out), "--resolution", "128"])
     rep = json.loads((out / "report.json").read_text())
