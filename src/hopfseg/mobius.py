@@ -69,10 +69,6 @@ def pushforward_hopf(f: RationalFactored, m: MobiusMap) -> RationalFactored:
     again rational with the Moebius denominator absorbed into the unit factors.
     """
     a = m.alpha
-    if abs(a) < 1e-12 and a != 0:
-        # numerically a rotation; the pole bookkeeping would underflow
-        m = MobiusMap(alpha=0.0, theta=m.theta)
-        a = 0.0 + 0.0j
     ab = np.conj(a)
     eth = np.exp(1j * m.theta)
     lead = complex(f.leading) * eth**2 * (1.0 - abs(a) ** 2) ** 2
@@ -117,7 +113,10 @@ def pushforward_hopf(f: RationalFactored, m: MobiusMap) -> RationalFactored:
             raise RootTooCloseToBoundary(f"pole {r} pulled into the disk")
         unit_den.append((rho, mult))
 
-    if a != 0 and den_pow != 0:
+    # below |alpha| = 1e-12 the factor (abar z + 1)^p is 1 to within
+    # |p| * 1e-12 on the disk and its bookkeeping (abar^p) would underflow,
+    # so it is dropped; the roots above still move by the full map
+    if abs(a) >= 1e-12 and den_pow != 0:
         # (abar z + 1)^p = abar^p (z - pole)^p with pole = -1/abar
         pole = -1.0 / ab
         lead /= ab**den_pow

@@ -27,7 +27,7 @@ from scipy import sparse
 from scipy.sparse.csgraph import connected_components
 
 from .errors import TraceStall
-from .quadrature import SqrtSegmentIntegrator, continue_sqrt_chain, nearest_sqrt
+from .quadrature import SqrtSegmentIntegrator, continue_sqrt_chain, nearest_sqrt, rtsafe
 from .states import SegregatedState
 
 
@@ -122,7 +122,9 @@ def _critical_seeds(f, integ, zc: complex, order: int, r_seed: float):
 
     All values are Re of 2*int_{zc}^{w} f^{1/2} along the radius, computed by
     the substituted integrator from the circle inward, so precision is
-    relative to the local scale r^{m/2} rather than to the global one.
+    relative to the local scale r^{m/2} rather than to the global one.  Each
+    sign change between the 32*m circle samples is refined by Newton steps
+    kept in its bracket (rtsafe), with the slope Re(2 i (w - zc) f^{1/2}).
     """
     m = order + 2
     nn = 32 * m
@@ -147,24 +149,14 @@ def _critical_seeds(f, integ, zc: complex, order: int, r_seed: float):
         if g[k] == 0.0:
             seeds.append((th[k], vs[k]))
         elif g[k] * g_next < 0:
-            a, b = th[k], th[k] + 2 * np.pi / nn
-            fa = g[k]
-            va = vs[k]
-            for _ in range(50):
-                mid = 0.5 * (a + b)
-                wm = zc + r_seed * np.exp(1j * mid)
-                vm = nearest_sqrt(f.eval(wm), va)
-                fm = local_val(wm, vm).real
-                if fa * fm <= 0:
-                    b = mid
-                else:
-                    a, fa, va = mid, fm, vm
-                if b - a < 1e-12:
-                    break
-            mid = 0.5 * (a + b)
-            wm = zc + r_seed * np.exp(1j * mid)
-            vm = nearest_sqrt(f.eval(wm), va)
-            seeds.append((mid, vm))
+            def local(theta, v_near=vs[k]):
+                """(g, dg/dtheta) at theta; g' = Re(2 i (w - zc) f^{1/2}(w))."""
+                wm = zc + r_seed * np.exp(1j * theta)
+                vm = nearest_sqrt(f.eval(wm), v_near)
+                return local_val(wm, vm).real, (2j * (wm - zc) * vm).real
+
+            t = rtsafe(local, th[k], th[k] + 2 * np.pi / nn, g[k], g_next, 1e-12)
+            seeds.append((t, nearest_sqrt(f.eval(zc + r_seed * np.exp(1j * t)), vs[k])))
     return seeds
 
 
@@ -186,7 +178,7 @@ class _Marcher:
         self.loose = 1e-9 * max(1.0, state.scale)
 
     def _advance(self, z, v, Fz, dz):
-        """Move by dz, returning updated (z, v, F) via a 6-point Gauss chord."""
+        """Move by dz, returning updated (z, v, F) by the adaptive GK15 integrator."""
         val, _, v2 = self.integ.integrate(z, z + dz, v, tol=1e-13 * max(abs(dz), 1e-12))
         return z + dz, v2, Fz + 2.0 * val
 

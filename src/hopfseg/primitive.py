@@ -6,20 +6,24 @@ then F(target) - F(base), which both fixes one global determination per slit
 system and lets paths start at a point where the branch is well defined even
 when the base itself is a zero of f.
 
-The rim is handled here too: one memoised march along boundary chords per
-sample count gives the boundary values of F, the boundary scale, and the
-boundary zeros of Re F, which are refined along chords from the march's own
-samples rather than by fresh routed paths.
+The rim is handled here too: one memoised march per sample count gives the
+boundary values of F, the boundary scale, and the boundary zeros of Re F.
+The march integrates all its chords in one batch and composes them along
+each run of chords between cut ends; each zero is refined by Newton steps
+kept in its sample gap (rtsafe), on values integrated along a chord from the
+march's own samples rather than by fresh routed paths, with the slope
+dRe F/dtheta = Re(2 i w f^{1/2}(w)) from the chord's end root.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .errors import ToleranceNotMet, Unreachable
-from .quadrature import SqrtSegmentIntegrator
+from .quadrature import SqrtSegmentIntegrator, rtsafe
 from .rational import RationalFactored
 from .slits import GOLDEN_ANGLE, SlitDisk, point_segment_distance, route_path
 
@@ -153,8 +157,9 @@ class PathEngine:
         cut end is evaluated one-sided, nudged counterclockwise past it, so
         the gap it ends holds that cut end.  Chords between consecutive
         samples are homotopic to the boundary arcs (all roots sit well
-        inside), so the march needs a fresh routed value only after a gap
-        that holds a cut end.  Memoised per sample count.
+        inside, unit factors well outside, so no sample is a root), so the
+        march needs a fresh routed value only after a gap that holds a cut
+        end.  Memoised per sample count.
         """
         hit = self._marches.get(samples)
         if hit is not None:
@@ -170,15 +175,20 @@ class PathEngine:
         for i, t in enumerate(th):
             if any(abs((t - c + np.pi) % (2 * np.pi) - np.pi) < 1e-9 for c in ends):
                 pts[i] = np.exp(1j * (t + 1e-9))
+        # one batch of chords, composed along each run of gaps free of cut
+        # ends: a chord from the root s*p at its start adds s*D and carries
+        # s*sigma*p to its end; each run starts from a routed value
+        D, sigma = self._integ.chords(pts[:-1], pts[1:], tol=self.tol)
+        p = np.sqrt(self.f.eval(pts))
+        starts = [0] + [i + 1 for i in range(samples - 1) if gap_cuts[i]]
         raws = np.empty(samples, dtype=complex)
         roots = np.empty(samples, dtype=complex)
-        for i in range(samples):
-            if i == 0 or gap_cuts[i - 1] or v == 0:
-                raw, v, _ = self._raw(pts[i])
-            else:
-                val, _, v = self._integ.integrate(pts[i - 1], pts[i], v, tol=self.tol)
-                raw = raw + 2.0 * val
-            raws[i], roots[i] = raw, v
+        for lo, hi in zip(starts, starts[1:] + [samples]):
+            raw, v, _ = self._raw(pts[lo])
+            s0 = 1.0 if abs(v - p[lo]) <= abs(v + p[lo]) else -1.0
+            s = s0 * np.cumprod(np.concatenate(([1.0], sigma[lo:hi - 1])))
+            raws[lo:hi] = np.cumsum(np.concatenate(([raw], s[:-1] * D[lo:hi - 1])))
+            roots[lo:hi] = s * p[lo:hi]
         hit = self._marches[samples] = (th, pts, raws, roots, gap_cuts)
         return hit
 
@@ -195,32 +205,24 @@ class PathEngine:
 
         Each gap of the march is split at the cut ends it holds (the sheet
         flips there without U vanishing).  Each sign change in a piece is
-        bisected on values integrated along the chord from the sample on the
-        same side of the gap's cut ends, continuing that sample's carried
-        root; only a piece between two cut ends takes routed values.
+        refined by rtsafe to 1e-13, on values integrated along the chord from
+        the sample on the same side of the gap's cut ends, continuing that
+        sample's carried root; only a piece between two cut ends takes
+        routed values.
         """
         th, pts, raws, roots, gap_cuts = self._march(samples)
         re = (raws - self._F_base).real
 
         def value(k, theta):
-            """Re F at angle theta, along the chord from sample k (routed if None)."""
+            """(Re F, dRe F/dtheta) at angle theta, along the chord from sample k
+            (routed if None); F' = 2 f^{1/2} at the chord's end."""
             w = np.exp(1j * theta)
             if k is None:
-                return self.F(w).real
-            val, _, _ = self._integ.integrate(pts[k], w, roots[k], tol=self.tol)
-            return (raws[k] + 2.0 * val - self._F_base).real
-
-        def bisect(k, a, b, fa):
-            for _ in range(60):
-                m = 0.5 * (a + b)
-                fm = value(k, m)
-                if fa * fm <= 0:
-                    b = m
-                else:
-                    a, fa = m, fm
-                if b - a < 1e-13:
-                    break
-            return 0.5 * (a + b)
+                F, v = self.value_and_sqrt(w)
+            else:
+                val, _, v = self._integ.integrate(pts[k], w, roots[k], tol=self.tol)
+                F = raws[k] + 2.0 * val - self._F_base
+            return F.real, (2j * w * v).real
 
         zeros = []
         for i, cuts in enumerate(gap_cuts):
@@ -237,10 +239,10 @@ class PathEngine:
                     k = None
                 lo_in = lo + 1e-9 if lo_cut else lo
                 hi_in = hi - 1e-9 if hi_cut else hi
-                flo = value(k, lo_in) if lo_cut else re[i]
-                fhi = value(k, hi_in) if hi_cut else re[j]
+                flo = value(k, lo_in)[0] if lo_cut else re[i]
+                fhi = value(k, hi_in)[0] if hi_cut else re[j]
                 if flo * fhi < 0:
-                    zeros.append(bisect(k, lo_in, hi_in, flo))
+                    zeros.append(rtsafe(partial(value, k), lo_in, hi_in, flo, fhi, 1e-13))
         half_gap = np.pi / samples
         merged = []
         for z in sorted(z % (2 * np.pi) for z in zeros):

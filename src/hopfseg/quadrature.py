@@ -7,7 +7,11 @@ between consecutive nodes, which makes the nearest-sign choice against the
 running reference value provably correct.  Segments ending at a root of any
 order are integrated in a substituted parameter (t = s^2) so the integrand
 is smooth there.  Both kinds of segment, and the plain real integrals of
-adaptive_gk, run through the one adaptive GK15/G7 recursion _gk.
+adaptive_gk, run through the one adaptive GK15/G7 recursion _gk.  Many
+chords at once (the boundary march) take one GK15 panel each in a single
+vectorised pass under the same acceptance rules, and a chord that fails them
+goes through the recursion.  rtsafe refines a sign change of such integrals
+by Newton steps kept inside its bracket.
 """
 
 from __future__ import annotations
@@ -86,22 +90,19 @@ def _winding_safe(f, z_pts, exclude_root=None):
     The argument-ratio test alone can alias a full 2*pi*k turn of f between
     consecutive nodes to a small angle; bounding the step by the root
     distance caps the possible turn of (z - r)^n well under 2*pi, making the
-    ratio test sound.
+    ratio test sound.  Rows of a 2-D z_pts are node sequences checked apart.
     """
     roots = [r for r, _ in f.interior_roots
              if exclude_root is None or abs(r - exclude_root) > 1e-13]
-    if not roots:
-        return True
     z = np.asarray(z_pts)
-    gaps = np.abs(np.diff(z))
-    if not gaps.size:
-        return True
+    if not roots or z.shape[-1] < 2:
+        return np.ones(z.shape[:-1], dtype=bool)
+    gaps = np.abs(np.diff(z, axis=-1))
     d = np.full(z.shape, np.inf)
     for r in roots:
         d = np.minimum(d, np.abs(z - r))
-    if np.min(d) > 2.1 * np.max(gaps):
-        return True
-    return bool(np.all(gaps <= 0.5 * np.minimum(d[:-1], d[1:])))
+    far = np.min(d, axis=-1) > 2.1 * np.max(gaps, axis=-1)
+    return far | np.all(gaps <= 0.5 * np.minimum(d[..., :-1], d[..., 1:]), axis=-1)
 
 
 def _gk(panel, a, b, carry, tol, max_depth, depth=0):
@@ -178,6 +179,80 @@ class SqrtSegmentIntegrator:
             return v[:-1], v[-1]
 
         return _gk(chord, za, zb, v_start, tol, self.max_depth)
+
+    def chords(self, za, zb, tol=None):
+        """Increments D = 2 * int f^{1/2} over the chords za[i] -> zb[i], in one pass.
+
+        Each chord starts on the principal root at za[i]; returns (D, sigma),
+        where sigma[i] = +-1 is the root carried to zb[i] against the principal
+        root there.  A chord is one GK15 panel, accepted by the rules _gk
+        applies to a panel (argument steps, node gaps against the root
+        distance, |I15 - I7| <= tol); a rejected chord runs through the
+        adaptive integrate.  No endpoint may be a root.
+        """
+        tol = self.tol if tol is None else tol
+        za = np.asarray(za, dtype=complex)
+        zb = np.asarray(zb, dtype=complex)
+        half = 0.5 * (zb - za)
+        z = np.column_stack((za, (za + half)[:, None] + half[:, None] * _XGK, zb))
+        fv = self.f.eval(z)
+        p = np.sqrt(fv)
+        # one sign chain per row, as in continue_sqrt_chain from the principal root
+        sign = np.cumprod(np.where((p[:, 1:] * np.conj(p[:, :-1])).real < 0, -1.0, 1.0), axis=1)
+        v = sign[:, :15] * p[:, 1:16]
+        i15 = half * np.sum(_WGK * v, axis=1)
+        i7 = half * np.sum(_WG7 * v[:, _GAUSS_IDX], axis=1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            steps = np.abs(np.angle(fv[:, 1:] / fv[:, :-1]))
+        ok = (np.all(fv != 0, axis=1) & np.all(steps < _MAX_ARG_STEP, axis=1)
+              & _winding_safe(self.f, z)
+              & ((np.abs(i15 - i7) <= tol) | (np.abs(half) < 1e-15)))
+        D = 2.0 * i15
+        sigma = sign[:, -1]
+        for i in np.flatnonzero(~ok):
+            val, _, v_end = self.integrate(za[i], zb[i], p[i, 0], tol=tol)
+            D[i] = 2.0 * val
+            sigma[i] = 1.0 if abs(v_end - p[i, -1]) <= abs(v_end + p[i, -1]) else -1.0
+        return D, sigma
+
+
+def rtsafe(fn, lo, hi, flo, fhi, xtol, max_iter=100):
+    """Zero of fn in the closed bracket [lo, hi], by Newton steps kept inside it.
+
+    fn(x) returns (value, slope); flo and fhi are the values at lo and hi, of
+    opposite signs or zero.  The search starts at the secant point of the
+    bracket.  A Newton step that would leave the bracket, or that is longer
+    than half the step before last, is replaced by a bisection step.  The
+    search stops once a step or the bracket is narrower than xtol.  The
+    bracket is closed, so a Newton step onto one of its ends (a zero on a
+    sample angle) is taken, not bisected.
+    """
+    if flo == 0:
+        return lo
+    if fhi == 0:
+        return hi
+    neg, pos = (lo, hi) if flo < 0 else (hi, lo)
+    x = lo - flo * (hi - lo) / (fhi - flo)
+    dx_old = dx = abs(hi - lo)
+    for _ in range(max_iter):
+        fx, dfx = fn(x)
+        if fx == 0:
+            return x
+        if fx < 0:
+            neg = x
+        else:
+            pos = x
+        a, b = min(neg, pos), max(neg, pos)
+        newton = fx / dfx if dfx != 0 else np.inf
+        if a <= x - newton <= b and abs(2.0 * newton) <= abs(dx_old):
+            dx_old, dx = dx, newton
+            x -= newton
+        else:
+            dx_old, dx = dx, 0.5 * (pos - neg)
+            x = neg + dx
+        if abs(dx) < xtol or b - a < xtol:
+            return x
+    return x
 
 
 def adaptive_gk(fn, a, b, tol=1e-11, max_depth=50):

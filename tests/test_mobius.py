@@ -73,6 +73,16 @@ def test_pushforward_chain_rule(rng):
     assert np.allclose(g.eval(zs), f.eval(phi) * dphi**2, rtol=1e-12)
 
 
+@pytest.mark.parametrize("alpha", [4.7e-103, 1e-20 - 3e-21j, 5e-13j])
+def test_pushforward_tiny_alpha_moves_the_root(alpha):
+    # below |alpha| = 1e-12 the Moebius denominator is dropped, but the root
+    # of z must still move to phi^{-1}(0) = -alpha: g(0) = f(phi(0)) = alpha
+    m = MobiusMap(alpha=alpha, theta=0.4)
+    g = pushforward_hopf(rational(1.0, roots=[(0.0, 1)]), m)
+    want = apply(m, 0.0) * np.exp(0.8j) * (1 - abs(alpha) ** 2) ** 2
+    assert g.eval(0.0) == pytest.approx(want, rel=1e-10, abs=0.0)
+
+
 def test_pushforward_functorial(rng):
     f = rational(0.3, roots=[(0.25, 2)])
     m1 = MobiusMap(alpha=0.1 + 0.05j, theta=0.3)

@@ -1,11 +1,13 @@
+import mpmath as mp
 import numpy as np
 import pytest
 
 from hopfseg.desingularize import reduce_to_simple
 from hopfseg.errors import SearchExhausted
 from hopfseg.experiments import admissible_fw, figure5_function, random_even_function
-from hopfseg.nodal import _Marcher, boundary_zeros, counts, trace, verify_index
+from hopfseg.nodal import _critical_seeds, _Marcher, boundary_zeros, counts, trace, verify_index
 from hopfseg.primitive import PathEngine
+from hopfseg.quadrature import SqrtSegmentIntegrator
 from hopfseg.rational import monomial, rational
 from hopfseg.slits import build_slit_disk
 from hopfseg.states import find_base_point, reconstruct
@@ -46,15 +48,15 @@ def test_boundary_zero_angles(cubic_graph):
     targets = [np.pi / 5 + 2 * k * np.pi / 5 for k in range(5)]
     assert len(bz) == 5
     for z, t in zip(sorted(bz), targets):
-        assert z == pytest.approx(t, abs=1e-9)
+        assert z == pytest.approx(t, abs=1e-12)
 
 
 @pytest.mark.parametrize("side", ["after", "before"])
 def test_boundary_zero_next_to_cut_end(side):
     # a simple zero at the base sends one cut to the rim at angle psi; a
     # phase rotation puts a boundary zero inside psi's sample gap, on the
-    # piece right of psi (bisected from the next sample) or left of it
-    # (bisected from the previous one)
+    # piece right of psi (refined along chords from the next sample) or left
+    # of it (from the previous one)
     root = 0.3 + 0.2j
     f0 = rational(0.25, roots=[(root, 1)])
     slit = build_slit_disk(f0, root)
@@ -212,6 +214,98 @@ def test_rim_march_leaves_its_boundary_zero(G):
         gaps = [abs((arrival - a + np.pi) % (2 * np.pi) - np.pi) for a in bz]
         assert int(np.argmin(gaps)) != k
         assert min(gaps) <= max(0.1, 20.0 / G)
+
+
+def test_rim_refinement_integrations(index_states, monkeypatch):
+    # the nodal workload's thirteen traced states; bisecting each boundary
+    # zero to 1e-13 took 2,018 chord integrations over them
+    states = index_states + [reconstruct(monomial(0.25, 2), 0.0, resolution=128)]
+    calls = []
+    integrate = SqrtSegmentIntegrator.integrate
+
+    def counted(self, *args, **kw):
+        calls.append(args[:2])
+        return integrate(self, *args, **kw)
+
+    for st in states:
+        want = boundary_zeros(st)
+        eng = PathEngine(st.f, build_slit_disk(st.f, st.base))
+        samples = max(256, 64 * (st.f.total_interior_order + 2))
+        eng.boundary_values(samples)           # the march itself is not refinement
+        monkeypatch.setattr(SqrtSegmentIntegrator, "integrate", counted)
+        assert eng.boundary_zeros(samples) == want
+        monkeypatch.undo()
+    assert len(calls) <= 400
+
+
+def test_zero_on_a_sample_angle_is_not_bisected(monkeypatch):
+    # at 320 samples every boundary zero of z^3/4 sits on a sample angle, a
+    # rounding error outside its bracket; bisecting toward it takes ~38 chords
+    f = monomial(0.25, 3)
+    eng = PathEngine(f, build_slit_disk(f, 0.0))
+    eng.boundary_values(320)
+    calls = []
+    integrate = SqrtSegmentIntegrator.integrate
+
+    def counted(self, *args, **kw):
+        calls.append(args[:2])
+        return integrate(self, *args, **kw)
+
+    monkeypatch.setattr(SqrtSegmentIntegrator, "integrate", counted)
+    bz = eng.boundary_zeros(320)
+    targets = [np.pi / 5 + 2 * k * np.pi / 5 for k in range(5)]
+    assert np.max(np.abs(np.array(bz) - targets)) <= 1e-12
+    assert len(calls) <= 2 * len(bz)
+
+
+def _radial_primitive_mp(f, zc, order, w):
+    """2 * int_{zc}^{w} f^{1/2} along the radius, at 30 digits, up to sign.
+
+    f = (z - zc)^order * g with g free of zeros near zc, so along
+    z = zc + t (w - zc) the root is t^{order/2} (w - zc)^{order/2} g^{1/2},
+    with g^{1/2} continued from its value at zc.
+    """
+    with mp.workdps(30):
+        zc_, d = mp.mpc(zc), mp.mpc(w) - mp.mpc(zc)
+
+        def g(z):
+            out = mp.mpc(f.leading)
+            for r, n in f.interior_roots:
+                if r != zc:
+                    out *= (z - mp.mpc(r)) ** n
+            for u, n in f.unit_num:
+                out *= (z - mp.mpc(u)) ** n
+            for u, n in f.unit_den:
+                out /= (z - mp.mpc(u)) ** n
+            return out
+
+        ref = mp.sqrt(g(zc_))
+
+        def integrand(t):
+            s = mp.sqrt(g(zc_ + t * d))
+            if abs(s - ref) > abs(s + ref):
+                s = -s
+            return t ** (mp.mpf(order) / 2) * s
+
+        scale = d ** (mp.mpf(order) / 2) * d
+        return complex(2 * scale * mp.quad(integrand, [0, 1]))
+
+
+@pytest.mark.parametrize("case", ["z3", "figure5"])
+def test_critical_seeds_match_mpmath(case):
+    f, base = (monomial(0.25, 3), 0.0) if case == "z3" else figure5_function()
+    st = reconstruct(f, base, resolution=128)
+    marcher = _Marcher(st)
+    assert st.criticals
+    for i, (zc, order, _) in enumerate(st.criticals):
+        r_seed = 2.0 * marcher.crit_snap[i]
+        seeds = _critical_seeds(f, marcher.integ, zc, order, r_seed)
+        assert len(seeds) == order + 2
+        for ang, v in seeds:
+            w = zc + r_seed * np.exp(1j * ang)
+            assert abs(v * v - f.eval(w)) <= 1e-12 * abs(f.eval(w))
+            local = r_seed ** ((order + 2) / 2)
+            assert abs(_radial_primitive_mp(f, zc, order, w).real) <= 1e-12 * local
 
 
 class _CoincidentDraws:

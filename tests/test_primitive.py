@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
 
+from hopfseg.desingularize import reduce_to_simple
 from hopfseg.errors import Unreachable
+from hopfseg.experiments import admissible_fw, figure5_function, tuned_multizero
 from hopfseg.primitive import PathEngine
 from hopfseg.quadrature import SqrtSegmentIntegrator, continue_sqrt_chain, nearest_sqrt
 from hopfseg.rational import monomial, rational
 from hopfseg.slits import build_slit_disk, route_between, route_path
+from hopfseg.states import find_base_point
 
 
 @pytest.fixture(scope="module")
@@ -220,3 +223,89 @@ def test_continue_sqrt_chain_matches_scalar_loop(rng):
             if s != 0:
                 ref = s
         assert np.array_equal(continue_sqrt_chain(fvals, v_start), np.array(want))
+
+
+def test_chords_match_integrate_and_fall_back(monkeypatch):
+    # a short chord is one accepted panel; chords across the disk pass near
+    # the roots, fail the node-gap rule and go to the adaptive integrate
+    f = rational(0.3 + 0.2j, roots=[(0.2 - 0.1j, 1), (-0.3 + 0.2j, 2)])
+    integ = SqrtSegmentIntegrator(f, 1e-11)
+    za = np.array([0.9, -0.8j, 0.5 + 0.5j, -0.9 + 0.1j])
+    zb = np.array([0.88 + 0.05j, 0.8j, -0.6 - 0.4j, 0.9 - 0.1j])
+    rejected = []
+    integrate = SqrtSegmentIntegrator.integrate
+
+    def counted(self, *args, **kw):
+        rejected.append(args[:2])
+        return integrate(self, *args, **kw)
+
+    monkeypatch.setattr(SqrtSegmentIntegrator, "integrate", counted)
+    D, sigma = integ.chords(za, zb)
+    monkeypatch.undo()
+    assert 0 < len(rejected) < len(za)
+    for a, b, d, s in zip(za, zb, D, sigma):
+        val, _, v_end = integ.integrate(a, b, np.sqrt(f.eval(a)))
+        assert d == pytest.approx(2.0 * val, abs=1e-10)
+        assert v_end == pytest.approx(s * np.sqrt(f.eval(b)), rel=1e-12)
+
+
+# -- the batched boundary march against a chord-by-chord oracle -------------------
+
+
+@pytest.fixture(scope="module")
+def rim_states():
+    red = reduce_to_simple(tuned_multizero(-0.35, 0.4 + 0.1j, 2, 2), eps_budget=8.0)
+    return {
+        "z3": (monomial(0.25, 3), 0.0),
+        "figure5": figure5_function(),
+        "fw2": admissible_fw(2),
+        "reduced": (red, find_base_point(red)),
+    }
+
+
+def _march_oracle(eng, pts, gap_cuts):
+    """F and the carried root at each sample, integrating one chord at a time
+    from the previous sample's root, and routed after a gap with a cut end."""
+    integ = SqrtSegmentIntegrator(eng.f, eng.tol)
+    F = np.empty(len(pts), dtype=complex)
+    roots = np.empty(len(pts), dtype=complex)
+    for i, z in enumerate(pts):
+        if i == 0 or gap_cuts[i - 1]:
+            F[i], roots[i] = eng.value_and_sqrt(z)
+        else:
+            val, _, roots[i] = integ.integrate(pts[i - 1], z, roots[i - 1], tol=eng.tol)
+            F[i] = F[i - 1] + 2.0 * val
+    return F, roots
+
+
+@pytest.mark.parametrize("samples", [32, 256, 512])
+@pytest.mark.parametrize("name", ["z3", "figure5", "fw2", "reduced"])
+def test_batch_march_matches_chord_by_chord(rim_states, name, samples, monkeypatch):
+    f, base = rim_states[name]
+    eng = PathEngine(f, build_slit_disk(f, base))
+    # integrate calls made from inside chords are its rejected chords
+    inside, rejected = [False], []
+    chords, integrate = SqrtSegmentIntegrator.chords, SqrtSegmentIntegrator.integrate
+
+    def counted_chords(self, *args, **kw):
+        inside[0] = True
+        try:
+            return chords(self, *args, **kw)
+        finally:
+            inside[0] = False
+
+    def counted_integrate(self, *args, **kw):
+        if inside[0]:
+            rejected.append(args[:2])
+        return integrate(self, *args, **kw)
+
+    monkeypatch.setattr(SqrtSegmentIntegrator, "chords", counted_chords)
+    monkeypatch.setattr(SqrtSegmentIntegrator, "integrate", counted_integrate)
+    _, vals = eng.boundary_values(samples)
+    monkeypatch.undo()
+    assert rejected == []
+
+    _, pts, _, roots, gap_cuts = eng._march(samples)
+    want, want_roots = _march_oracle(eng, pts, gap_cuts)
+    assert np.max(np.abs(vals - want)) <= 1e-13 * eng.boundary_scale()
+    assert np.all((roots * np.conj(want_roots)).real > 0)
