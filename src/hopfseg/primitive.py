@@ -178,7 +178,7 @@ class PathEngine:
         # one batch of chords, composed along each run of gaps free of cut
         # ends: a chord from the root s*p at its start adds s*D and carries
         # s*sigma*p to its end; each run starts from a routed value
-        D, sigma = self._integ.chords(pts[:-1], pts[1:], tol=self.tol)
+        D, sigma = self._integ.chords(pts[:-1], pts[1:])
         p = np.sqrt(self.f.eval(pts))
         starts = [0] + [i + 1 for i in range(samples - 1) if gap_cuts[i]]
         raws = np.empty(samples, dtype=complex)

@@ -57,6 +57,14 @@ def nearest_sqrt(w, ref):
     return np.where(flip, -s, s)
 
 
+def _fill_zeros(x):
+    """x with each zero replaced by the last nonzero before it on its row."""
+    if np.all(x != 0):
+        return x
+    idx = np.where(x != 0, np.arange(x.shape[-1]), 0)
+    return np.take_along_axis(x, np.maximum.accumulate(idx, axis=-1), axis=-1)
+
+
 def continue_sqrt_chain(fvals, v_start):
     """Assign continued sqrt values along an ordered node sequence.
 
@@ -64,24 +72,22 @@ def continue_sqrt_chain(fvals, v_start):
     (the caller checks), so each principal root either agrees with the
     previous continued value or is its negation: the branch is a running
     product of sign flips.  A zero keeps the previous reference; v_start is
-    the continued value just before the first node.
+    the continued value just before the first node.  Rows of a 2-D fvals are
+    chains continued apart, each from its own entry of v_start.
     """
     p = np.sqrt(fvals)
-    nz = p != 0
-    chain = np.concatenate(([v_start], p[nz]))
-    flips = np.where((chain[1:] * np.conj(chain[:-1])).real < 0, -1.0, 1.0)
-    out = np.zeros_like(p)
-    out[nz] = np.cumprod(flips) * p[nz]
-    return out
+    start = np.broadcast_to(v_start, p.shape[:-1])[..., None]
+    chain = _fill_zeros(np.concatenate((start, p), axis=-1))
+    flips = np.where((chain[..., 1:] * np.conj(chain[..., :-1])).real < 0, -1.0, 1.0)
+    return np.cumprod(flips, axis=-1) * p
 
 
 def _arg_steps_ok(fvals):
-    """True if consecutive arguments differ by < pi/2 (nonzero values only)."""
-    nz = fvals[np.abs(fvals) > 0]
-    if len(nz) < 2:
-        return True
-    ratios = nz[1:] / nz[:-1]
-    return bool(np.all(np.abs(np.angle(ratios)) < _MAX_ARG_STEP))
+    """Consecutive nonzero values turn by < 0.45 pi in argument (per row)."""
+    x = _fill_zeros(fvals)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        steps = np.abs(np.angle(x[..., 1:] / x[..., :-1]))
+    return np.all((x[..., :-1] == 0) | (steps < _MAX_ARG_STEP), axis=-1)
 
 
 def _winding_safe(f, z_pts, exclude_root=None):
@@ -105,6 +111,24 @@ def _winding_safe(f, z_pts, exclude_root=None):
     return far | np.all(gaps <= 0.5 * np.minimum(d[..., :-1], d[..., 1:]), axis=-1)
 
 
+def _chord_ok(f, z, fv):
+    """A chord panel's branch rule: z runs from the chord's start through the
+    Kronrod nodes to its end, fv holds f there (per row)."""
+    return _arg_steps_ok(fv) & _winding_safe(f, z)
+
+
+def _kronrod(half, w):
+    """GK15 integral and |I15 - I7| of node values w over half-width half (per row)."""
+    i15 = half * np.sum(_WGK * w, axis=-1)
+    i7 = half * np.sum(_WG7 * w[..., _GAUSS_IDX], axis=-1)
+    return i15, np.abs(i15 - i7)
+
+
+def _converged(err, half, tol):
+    """A panel is done once it meets tol or is narrower than roundoff resolves."""
+    return (err <= tol) | (np.abs(half) < 1e-15)
+
+
 def _gk(panel, a, b, carry, tol, max_depth, depth=0):
     """Adaptive GK15/G7 over the parameter interval [a, b].
 
@@ -119,10 +143,8 @@ def _gk(panel, a, b, carry, tol, max_depth, depth=0):
     out = panel(a, b, mid + half * _XGK, carry)
     if out is not None:
         w, carry_b = out
-        i15 = half * np.sum(_WGK * w)
-        i7 = half * np.sum(_WG7 * w[_GAUSS_IDX])
-        err = abs(i15 - i7)
-        if err <= tol or abs(half) < 1e-15:
+        i15, err = _kronrod(half, w)
+        if _converged(err, half, tol):
             return i15, err, carry_b
     if depth >= max_depth:
         raise ToleranceNotMet(f"panel [{a}, {b}] stuck above tol {tol}")
@@ -171,61 +193,51 @@ class SqrtSegmentIntegrator:
 
         def chord(a, b, z, v_a):
             z_chain = np.concatenate(([a], z, [b]))
-            fv = f.eval(z_chain[1:])
-            if not (_arg_steps_ok(np.concatenate(([v_a**2], fv)))
-                    and _winding_safe(f, z_chain)):
+            fv = np.concatenate(([v_a**2], f.eval(z_chain[1:])))
+            if not _chord_ok(f, z_chain, fv):
                 return None
-            v = continue_sqrt_chain(fv, v_a)
+            v = continue_sqrt_chain(fv[1:], v_a)
             return v[:-1], v[-1]
 
         return _gk(chord, za, zb, v_start, tol, self.max_depth)
 
-    def chords(self, za, zb, tol=None):
+    def chords(self, za, zb):
         """Increments D = 2 * int f^{1/2} over the chords za[i] -> zb[i], in one pass.
 
         Each chord starts on the principal root at za[i]; returns (D, sigma),
         where sigma[i] = +-1 is the root carried to zb[i] against the principal
-        root there.  A chord is one GK15 panel, accepted by the rules _gk
-        applies to a panel (argument steps, node gaps against the root
-        distance, |I15 - I7| <= tol); a rejected chord runs through the
-        adaptive integrate.  No endpoint may be a root.
+        root there.  A chord is one GK15 panel, accepted by the rules of a
+        chord panel of integrate; a rejected chord runs through the adaptive
+        integrate.  No endpoint may be a root.
         """
-        tol = self.tol if tol is None else tol
         za = np.asarray(za, dtype=complex)
         zb = np.asarray(zb, dtype=complex)
         half = 0.5 * (zb - za)
         z = np.column_stack((za, (za + half)[:, None] + half[:, None] * _XGK, zb))
         fv = self.f.eval(z)
-        p = np.sqrt(fv)
-        # one sign chain per row, as in continue_sqrt_chain from the principal root
-        sign = np.cumprod(np.where((p[:, 1:] * np.conj(p[:, :-1])).real < 0, -1.0, 1.0), axis=1)
-        v = sign[:, :15] * p[:, 1:16]
-        i15 = half * np.sum(_WGK * v, axis=1)
-        i7 = half * np.sum(_WG7 * v[:, _GAUSS_IDX], axis=1)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            steps = np.abs(np.angle(fv[:, 1:] / fv[:, :-1]))
-        ok = (np.all(fv != 0, axis=1) & np.all(steps < _MAX_ARG_STEP, axis=1)
-              & _winding_safe(self.f, z)
-              & ((np.abs(i15 - i7) <= tol) | (np.abs(half) < 1e-15)))
+        p_a, p_b = np.sqrt(fv[:, 0]), np.sqrt(fv[:, -1])
+        v = continue_sqrt_chain(fv[:, 1:], p_a)
+        i15, err = _kronrod(half, v[:, :-1])
+        ok = _chord_ok(self.f, z, fv) & _converged(err, half, self.tol)
         D = 2.0 * i15
-        sigma = sign[:, -1]
+        sigma = np.where(v[:, -1] == p_b, 1.0, -1.0)
         for i in np.flatnonzero(~ok):
-            val, _, v_end = self.integrate(za[i], zb[i], p[i, 0], tol=tol)
+            val, _, v_end = self.integrate(za[i], zb[i], p_a[i])
             D[i] = 2.0 * val
-            sigma[i] = 1.0 if abs(v_end - p[i, -1]) <= abs(v_end + p[i, -1]) else -1.0
+            sigma[i] = 1.0 if abs(v_end - p_b[i]) <= abs(v_end + p_b[i]) else -1.0
         return D, sigma
 
 
-def rtsafe(fn, lo, hi, flo, fhi, xtol, max_iter=100):
+def rtsafe(fn, lo, hi, flo, fhi, xtol):
     """Zero of fn in the closed bracket [lo, hi], by Newton steps kept inside it.
 
     fn(x) returns (value, slope); flo and fhi are the values at lo and hi, of
     opposite signs or zero.  The search starts at the secant point of the
     bracket.  A Newton step that would leave the bracket, or that is longer
     than half the step before last, is replaced by a bisection step.  The
-    search stops once a step or the bracket is narrower than xtol.  The
-    bracket is closed, so a Newton step onto one of its ends (a zero on a
-    sample angle) is taken, not bisected.
+    search stops once a step or the bracket is narrower than xtol, or after
+    100 steps.  The bracket is closed, so a Newton step onto one of its ends
+    (a zero on a sample angle) is taken, not bisected.
     """
     if flo == 0:
         return lo
@@ -234,7 +246,7 @@ def rtsafe(fn, lo, hi, flo, fhi, xtol, max_iter=100):
     neg, pos = (lo, hi) if flo < 0 else (hi, lo)
     x = lo - flo * (hi - lo) / (fhi - flo)
     dx_old = dx = abs(hi - lo)
-    for _ in range(max_iter):
+    for _ in range(100):
         fx, dfx = fn(x)
         if fx == 0:
             return x
