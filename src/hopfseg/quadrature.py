@@ -58,11 +58,14 @@ def nearest_sqrt(w, ref):
 
 
 def _fill_zeros(x):
-    """x with each zero replaced by the last nonzero before it on its row."""
-    if np.all(x != 0):
+    """x with each zero replaced by the last nonzero before it on its row, or
+    by the first nonzero where none comes before."""
+    nz = x != 0
+    if nz.all():
         return x
-    idx = np.where(x != 0, np.arange(x.shape[-1]), 0)
-    return np.take_along_axis(x, np.maximum.accumulate(idx, axis=-1), axis=-1)
+    idx = np.maximum.accumulate(np.where(nz, np.arange(x.shape[-1]), 0), axis=-1)
+    idx = np.maximum(idx, np.argmax(nz, axis=-1)[..., None])
+    return np.take_along_axis(x, idx, axis=-1)
 
 
 def continue_sqrt_chain(fvals, v_start):
@@ -76,8 +79,10 @@ def continue_sqrt_chain(fvals, v_start):
     chains continued apart, each from its own entry of v_start.
     """
     p = np.sqrt(fvals)
-    start = np.broadcast_to(v_start, p.shape[:-1])[..., None]
-    chain = _fill_zeros(np.concatenate((start, p), axis=-1))
+    chain = np.empty(p.shape[:-1] + (p.shape[-1] + 1,), dtype=complex)
+    chain[..., 0] = v_start
+    chain[..., 1:] = p
+    chain = _fill_zeros(chain)
     flips = np.where((chain[..., 1:] * np.conj(chain[..., :-1])).real < 0, -1.0, 1.0)
     return np.cumprod(flips, axis=-1) * p
 
@@ -85,9 +90,7 @@ def continue_sqrt_chain(fvals, v_start):
 def _arg_steps_ok(fvals):
     """Consecutive nonzero values turn by < 0.45 pi in argument (per row)."""
     x = _fill_zeros(fvals)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        steps = np.abs(np.angle(x[..., 1:] / x[..., :-1]))
-    return np.all((x[..., :-1] == 0) | (steps < _MAX_ARG_STEP), axis=-1)
+    return np.all(np.abs(np.angle(x[..., 1:] / x[..., :-1])) < _MAX_ARG_STEP, axis=-1)
 
 
 def _winding_safe(f, z_pts, exclude_root=None):

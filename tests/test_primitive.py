@@ -5,7 +5,9 @@ from hopfseg.desingularize import reduce_to_simple
 from hopfseg.errors import Unreachable
 from hopfseg.experiments import admissible_fw, figure5_function, tuned_multizero
 from hopfseg.primitive import PathEngine
-from hopfseg.quadrature import SqrtSegmentIntegrator, continue_sqrt_chain, nearest_sqrt
+from hopfseg.quadrature import (
+    SqrtSegmentIntegrator, _arg_steps_ok, continue_sqrt_chain, nearest_sqrt,
+)
 from hopfseg.rational import monomial, rational
 from hopfseg.slits import build_slit_disk, route_between, route_path
 from hopfseg.states import find_base_point
@@ -211,11 +213,14 @@ def test_boundary_values_memo_is_not_shared(cubic_engine):
 def test_continue_sqrt_chain_matches_scalar_loop(rng):
     # the sign-flip product must pick exactly the roots of the nearest-root
     # loop on chains whose argument turns by < pi/2 per step, zeros included
-    for _ in range(50):
+    # (a leading zero included); rows of a 2-D input are chains of their own
+    rows, starts, wants = [], [], []
+    for k in range(50):
         arg = np.cumsum(rng.uniform(-0.44 * np.pi, 0.44 * np.pi, 40))
         fvals = rng.uniform(0.1, 2.0, 40) * np.exp(1j * arg)
         fvals[rng.integers(0, 40, 3)] = 0.0
         v_start = np.sqrt(fvals[0]) * np.exp(1j * rng.uniform(-0.2, 0.2)) * rng.choice([-1, 1])
+        fvals[0] = 0.0 if k % 5 == 0 else fvals[0]
         want, ref = [], v_start
         for w in fvals:
             s = nearest_sqrt(w, ref)
@@ -223,6 +228,25 @@ def test_continue_sqrt_chain_matches_scalar_loop(rng):
             if s != 0:
                 ref = s
         assert np.array_equal(continue_sqrt_chain(fvals, v_start), np.array(want))
+        rows.append(fvals)
+        starts.append(v_start)
+        wants.append(want)
+    assert np.array_equal(continue_sqrt_chain(np.array(rows), np.array(starts)), np.array(wants))
+
+
+def test_arg_steps_ok_skips_zeros_per_row(rng):
+    # the argument-step rule compares consecutive nonzero values, row by row
+    rows, want = [], []
+    for k in range(60):
+        arg = np.cumsum(rng.uniform(-0.5 * np.pi, 0.5 * np.pi, 17))
+        fvals = rng.uniform(0.1, 2.0, 17) * np.exp(1j * arg)
+        fvals[rng.integers(0, 17, 1 + k % 3)] = 0.0
+        nz = fvals[fvals != 0]
+        want.append(bool(np.all(np.abs(np.angle(nz[1:] / nz[:-1])) < 0.45 * np.pi)))
+        assert _arg_steps_ok(fvals) == want[-1]
+        rows.append(fvals)
+    assert 0 < sum(want) < len(want)
+    assert np.array_equal(_arg_steps_ok(np.array(rows)), np.array(want))
 
 
 def test_chords_match_integrate_and_fall_back(monkeypatch):
