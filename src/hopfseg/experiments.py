@@ -16,6 +16,7 @@ import numpy as np
 from .desingularize import reduce_to_simple, split_zero
 from .errors import HopfSegError, SearchExhausted
 from .primitive import PathEngine
+from .quadrature import rtsafe
 from .rational import RationalFactored, monomial, rational
 from .slits import build_slit_disk
 from .states import ADMISSIBILITY_REL_TOL
@@ -49,16 +50,13 @@ def rigidity_scan(radius: float = 0.1, step: float = 1e-3,
                   tol: float | None = None) -> RigidityScan:
     """Scan the family over phi in [0, 2 pi), locating the admissible angles.
 
-    Sign changes of the signed residual are refined by Brent's method
-    (scipy.optimize.brentq, xtol 1e-12), six or seven residuals at a true
-    zero; a refined angle counts as admissible only if the residual there
+    Sign changes of the signed residual are refined by secant steps kept in
+    the scan's bracket (quadrature.rtsafe with no slope, xtol 1e-12); a
+    refined angle counts as admissible only if the residual there
     actually drops below tolerance (the sheet convention can flip between
     nearby scan points when the cut direction jumps, which produces sign
     changes without zeros -- those are rejected by the magnitude test).
     """
-    # scipy.optimize adds 9 MB of resident memory; only the scan needs it
-    from scipy.optimize import brentq
-
     if tol is None:
         # boundary scale of F is ~ 2/5 + O(radius); one engine probe fixes it
         f0 = rational(0.25, roots=[(0.0, 1), (radius, 2)])
@@ -78,8 +76,8 @@ def rigidity_scan(radius: float = 0.1, step: float = 1e-3,
             continue
         if fa * fb >= 0:
             continue
-        # the scan's own values at the ends: brentq asks for them first, and
-        # at the wrap-around a fresh residual at b may sit on the other sheet
+        # the scan's own values at the ends: at the wrap-around a fresh
+        # residual at b may sit on the other sheet
         known = {a: fa, b: fb}
 
         def residual(phi):
@@ -87,7 +85,7 @@ def rigidity_scan(radius: float = 0.1, step: float = 1e-3,
                 known[phi] = rigidity_residual(radius, phi)
             return known[phi]
 
-        m = brentq(residual, a, b, xtol=1e-12)
+        m = rtsafe(lambda phi: (residual(phi), None), a, b, fa, fb, 1e-12)
         if abs(residual(m)) <= tol:
             zeros.append(m % (2 * np.pi))
     return RigidityScan(

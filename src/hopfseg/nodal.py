@@ -9,7 +9,11 @@ arrival uses up the end it lands on.
 
 Arcs are continued by predictor steps along the level set with a Newton
 corrector (the gradient of Re F is conj(F') = 2 conj(f^{1/2}), known in
-closed form along the continuation).  Crossing a cut merely flips the local
+closed form along the continuation).  The step follows the geometry: the
+curvature of a level curve is at most |f'/f|/2, which sizes each step so
+that its chord stays within 0.1/G of the arc.  The seeds on a critical's
+circle come from one ring march: a batch of chords composed round the
+circle from one radial value.  Crossing a cut merely flips the local
 sheet, Re F -> -Re F, so the marcher never needs to know where a cut runs;
 near critical points all values are taken relative to the critical point
 itself, which keeps full precision at any scale of approach.  The boundary
@@ -117,45 +121,57 @@ def boundary_zeros(state: SegregatedState):
 # -- seeds around a critical point -------------------------------------------
 
 
-def _critical_seeds(f, integ, zc: complex, order: int, r_seed: float):
-    """Crossing points of {Re F = 0} on a small circle around the critical.
+def _radial(integ, zc: complex, point: complex, v: complex) -> complex:
+    """F(point) - F(zc) along the radius inward, where f^{1/2} is v at point."""
+    val, _, _ = integ.integrate(point, zc, v, tol=1e-16 + 1e-12 * abs(point - zc))
+    return -2.0 * val
 
-    All values are Re of 2*int_{zc}^{w} f^{1/2} along the radius, computed by
-    the substituted integrator from the circle inward, so precision is
-    relative to the local scale r^{m/2} rather than to the global one.  Each
-    sign change between the 32*m circle samples is refined by Newton steps
-    kept in its bracket (rtsafe), with the slope Re(2 i (w - zc) f^{1/2}).
+
+def _ring(f, integ, zc: complex, order: int, r_seed: float):
+    """(angles, points, carried f^{1/2}, F - F(zc)) at the 32*m samples of a
+    circle of radius r about the critical, and at sample 0 after one turn.
+
+    One radial integral gives the value at sample 0; one batch of chords
+    round the circle at the local tolerance 1e-16 + 1e-12 r gives the rest.
+    A chord from the principal root p adds its increment times the carried
+    root's sign vs/p.  One turn multiplies root and value by (-1)^order.
     """
-    m = order + 2
-    nn = 32 * m
-    th = 2 * np.pi * np.arange(nn) / nn
+    nn = 32 * (order + 2)
+    th = 2 * np.pi * np.arange(nn + 1) / nn
     w = zc + r_seed * np.exp(1j * th)
     fv = f.eval(w)
     vs = continue_sqrt_chain(fv, np.sqrt(fv[0]))
+    D, _ = SqrtSegmentIntegrator(f, tol=1e-16 + 1e-12 * r_seed).chords(w[:-1], w[1:])
+    steps = (vs[:-1] / np.sqrt(fv[:-1])).real * D
+    return th, w, vs, np.cumsum(np.concatenate(([_radial(integ, zc, w[0], vs[0])], steps)))
 
-    def local_val(point, v_start):
-        val, _, _ = integ.integrate(point, zc, v_start, tol=1e-16 + 1e-12 * abs(point - zc))
-        return -2.0 * val  # F(point) - F(zc) along the radius
 
-    g = np.array([local_val(w[k], vs[k]).real for k in range(nn)])
+def _critical_seeds(f, integ, zc: complex, order: int, r_seed: float):
+    """Crossing points of {Re F = 0} on a small circle around the critical.
 
-    # closing the loop multiplies the continued sqrt by (-1)^order, so the
-    # wrap-around comparison flips sign for odd-order criticals
-    wrap_sign = -1.0 if order % 2 else 1.0
+    The values Re(F - F(zc)) at the circle samples come from the ring march
+    (_ring), whose radial integrals keep precision relative to the local
+    scale r^{m/2}.  Each sign change between consecutive samples (the last
+    against (-1)^order times sample 0) is refined by Newton steps kept in its
+    bracket (rtsafe) on radial values, with the slope Re(2 i (w - zc) f^{1/2}).
+    """
+    th, w, vs, vals = _ring(f, integ, zc, order, r_seed)
+    g = vals.real
+    # sample 0 after one turn takes its own value, so that a seed on it
+    # (there g[0] is exactly 0) is not found again at 2 pi
+    g[-1] = (-1) ** order * g[0]
     seeds = []
-    for k in range(nn):
-        k2 = (k + 1) % nn
-        g_next = g[k2] if k2 != 0 else wrap_sign * g[0]
+    for k in range(len(th) - 1):
         if g[k] == 0.0:
             seeds.append((th[k], vs[k]))
-        elif g[k] * g_next < 0:
+        elif g[k] * g[k + 1] < 0:
             def local(theta, v_near=vs[k]):
                 """(g, dg/dtheta) at theta; g' = Re(2 i (w - zc) f^{1/2}(w))."""
                 wm = zc + r_seed * np.exp(1j * theta)
                 vm = nearest_sqrt(f.eval(wm), v_near)
-                return local_val(wm, vm).real, (2j * (wm - zc) * vm).real
+                return _radial(integ, zc, wm, vm).real, (2j * (wm - zc) * vm).real
 
-            t = rtsafe(local, th[k], th[k] + 2 * np.pi / nn, g[k], g_next, 1e-12)
+            t = rtsafe(local, th[k], th[k + 1], g[k], g[k + 1], 1e-12)
             seeds.append((t, nearest_sqrt(f.eval(zc + r_seed * np.exp(1j * t)), vs[k])))
     return seeds
 
@@ -203,7 +219,11 @@ class _Marcher:
     def run(self, z0, v0, F0, direction, src):
         """Trace one arc until it reaches the rim or snaps to a critical.
 
-        src is the index of the critical the arc leaves, or None.  Returns
+        The step is a quarter of the distance to the nearest root, at most
+        4 sqrt(s / |f'/f|) with s = 0.1/G, so that the chord sagitta
+        kappa h^2 / 8 stays below s (kappa <= |f'/f| / 2), and at most half
+        the distance to the rim; then it is clipped to [2/G, 0.1], and to
+        0.35 times the distance to the nearest critical.  src is the index of the critical the arc leaves, or None.  Returns
         (the arrival critical's index or None on the rim, the arrival angle,
         the marched points inside the disk).  The arrival angle is that of
         the last marched point around the critical, or of the exit point on
@@ -212,7 +232,7 @@ class _Marcher:
         pts = [z0]
         z, v, Fz = z0, v0, F0
         d = direction / abs(direction)
-        G = self.G
+        G, f = self.G, self.integ.f
         travelled = 0.0
         for _ in range(40 * G + 200):
             dmin, jmin = np.inf, -1
@@ -223,7 +243,11 @@ class _Marcher:
             if jmin >= 0 and dmin <= self.crit_snap[jmin]:
                 if src != jmin or travelled > 3.0 * self.crit_snap[jmin]:
                     return jmin, np.angle(z - self.crit_locs[jmin]), _inside(pts)
-            step = 2.0 / G
+            kappa2 = abs(f.log_derivative(z))  # at least twice the curvature
+            step = min(0.25 * f.min_root_distance(z),
+                       4.0 * np.sqrt(0.1 / (G * kappa2)) if kappa2 else np.inf,
+                       0.5 * (1.0 - abs(z)))
+            step = min(max(step, 2.0 / G), 0.1)
             if jmin >= 0:
                 step = min(step, max(0.35 * dmin, 1e-11))
             zn, vn, Fn, ok = self._correct(*self._advance(z, v, Fz, step * d), 0.6 * step)

@@ -11,7 +11,8 @@ adaptive_gk, run through the one adaptive GK15/G7 recursion _gk.  Many
 chords at once (the boundary march) take one GK15 panel each in a single
 vectorised pass under the same acceptance rules, and a chord that fails them
 goes through the recursion.  rtsafe refines a sign change of such integrals
-by Newton steps kept inside its bracket.
+by Newton steps kept inside its bracket, or by secant steps where no slope
+is known.
 """
 
 from __future__ import annotations
@@ -235,12 +236,14 @@ def rtsafe(fn, lo, hi, flo, fhi, xtol):
     """Zero of fn in the closed bracket [lo, hi], by Newton steps kept inside it.
 
     fn(x) returns (value, slope); flo and fhi are the values at lo and hi, of
-    opposite signs or zero.  The search starts at the secant point of the
-    bracket.  A Newton step that would leave the bracket, or that is longer
-    than half the step before last, is replaced by a bisection step.  The
-    search stops once a step or the bracket is narrower than xtol, or after
-    100 steps.  The bracket is closed, so a Newton step onto one of its ends
-    (a zero on a sample angle) is taken, not bisected.
+    opposite signs or zero.  Where fn gives the slope None, the slope of the
+    secant through the last two points evaluated (lo first) stands in for
+    it.  The search starts at the secant point of the bracket.  A Newton step
+    that would leave the bracket, or that is longer than half the step
+    before last, is replaced by a bisection step.  The search stops once a
+    step or the bracket is narrower than xtol, or after 100 steps.  The
+    bracket is closed, so a Newton step onto one of its ends (a zero on a
+    sample angle) is taken, not bisected.
     """
     if flo == 0:
         return lo
@@ -249,10 +252,14 @@ def rtsafe(fn, lo, hi, flo, fhi, xtol):
     neg, pos = (lo, hi) if flo < 0 else (hi, lo)
     x = lo - flo * (hi - lo) / (fhi - flo)
     dx_old = dx = abs(hi - lo)
+    x_last, f_last = lo, flo
     for _ in range(100):
         fx, dfx = fn(x)
         if fx == 0:
             return x
+        if dfx is None:
+            dfx = (fx - f_last) / (x - x_last) if x != x_last else 0.0
+        x_last, f_last = x, fx
         if fx < 0:
             neg = x
         else:

@@ -5,7 +5,9 @@ import pytest
 from hopfseg.desingularize import reduce_to_simple
 from hopfseg.errors import SearchExhausted
 from hopfseg.experiments import admissible_fw, figure5_function, random_even_function
-from hopfseg.nodal import _critical_seeds, _Marcher, boundary_zeros, counts, trace, verify_index
+from hopfseg.nodal import (
+    _critical_seeds, _Marcher, _ring, boundary_zeros, counts, trace, verify_index,
+)
 from hopfseg.primitive import PathEngine
 from hopfseg.quadrature import SqrtSegmentIntegrator
 from hopfseg.rational import monomial, rational
@@ -196,6 +198,26 @@ def test_polylines_lie_on_the_nodal_set(index_states):
                 assert abs(eng.F(z).real) <= 1e-9 * st.scale
 
 
+def test_polyline_chords_stay_near_the_nodal_set(index_states):
+    # the step grows with the arc's curvature bound |f'/f|/2, capped so that
+    # the chord between consecutive points bows at most 0.1/G off the arc;
+    # the distance of a chord's midpoint to the nodal set is |Re F|/|F'|
+    f, base = figure5_function()
+    kept = 0
+    for st in index_states + [reconstruct(f, base, resolution=512)]:
+        eng = PathEngine(st.f, build_slit_disk(st.f, st.base))
+        g = trace(st)
+        if st.resolution == 128:
+            kept += sum(len(arc.points) for arc in g.arcs)
+        for arc in g.arcs:
+            inner = arc.points[1:-1]
+            for p, q in zip(inner[:-1], inner[1:]):
+                F, v = eng.value_and_sqrt(0.5 * (p + q))
+                assert abs(F.real) / abs(2.0 * v) <= 0.1 / st.resolution
+    # a fixed step of 2/G kept 2,533 points on these states
+    assert kept <= 1500
+
+
 @pytest.mark.parametrize("G", [128, 256])
 def test_rim_march_leaves_its_boundary_zero(G):
     # the ninth draw of random_even_function(default_rng(20240817)): at one
@@ -306,6 +328,26 @@ def test_critical_seeds_match_mpmath(case):
             assert abs(v * v - f.eval(w)) <= 1e-12 * abs(f.eval(w))
             local = r_seed ** ((order + 2) / 2)
             assert abs(_radial_primitive_mp(f, zc, order, w).real) <= 1e-12 * local
+
+
+@pytest.mark.parametrize("case", ["z3", "figure5", "fw2"])
+def test_ring_march_matches_radial_values(case):
+    f, base = {"z3": (monomial(0.25, 3), 0.0), "figure5": figure5_function(),
+               "fw2": admissible_fw(2)}[case]
+    st = reconstruct(f, base, resolution=128)
+    marcher = _Marcher(st)
+    assert st.criticals
+    for i, (zc, order, _) in enumerate(st.criticals):
+        r_seed = 2.0 * marcher.crit_snap[i]
+        th, w, vs, vals = _ring(f, marcher.integ, zc, order, r_seed)
+        bound = 1e-12 * r_seed ** ((order + 2) / 2)
+        # one radial integral into the critical per sample, as the seeds
+        # were found before the ring march
+        for k in range(len(th) - 1):
+            val, _, _ = marcher.integ.integrate(w[k], zc, vs[k],
+                                                tol=1e-16 + 1e-12 * abs(w[k] - zc))
+            assert abs(vals[k] + 2.0 * val) <= bound
+        assert abs(vals[-1] - (-1) ** order * vals[0]) <= bound
 
 
 class _CoincidentDraws:

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
+from hopfseg import experiments
 from hopfseg.desingularize import reduce_to_simple
 from hopfseg.errors import Unreachable
 from hopfseg.experiments import admissible_fw, figure5_function, tuned_multizero
 from hopfseg.primitive import PathEngine
 from hopfseg.quadrature import (
-    SqrtSegmentIntegrator, _arg_steps_ok, continue_sqrt_chain, nearest_sqrt,
+    SqrtSegmentIntegrator, _arg_steps_ok, continue_sqrt_chain, nearest_sqrt, rtsafe,
 )
 from hopfseg.rational import monomial, rational
 from hopfseg.slits import build_slit_disk, route_between, route_path
@@ -42,6 +43,41 @@ def test_primitive_rigidity_value():
     slit = build_slit_disk(f, 0.0)
     pv = PathEngine(f, slit, tol=1e-11).primitive(w)
     assert abs(pv.value) == pytest.approx((4 / 15) * 0.1**2.5, rel=1e-8)
+
+
+def test_rtsafe_without_slope():
+    # secant steps on a smooth function; bisection across a jump
+    calls = []
+
+    def smooth(x):
+        calls.append(x)
+        return np.cos(x) - x, None
+
+    x = rtsafe(smooth, 0.0, 1.0, 1.0, np.cos(1.0) - 1.0, 1e-12)
+    assert abs(x - 0.7390851332151607) <= 1e-12
+    assert len(calls) <= 10
+    x = rtsafe(lambda x: (1.0 if x > 0.3 else -1.0, None), 0.0, 1.0, -1.0, 1.0, 1e-12)
+    assert abs(x - 0.3) <= 1e-12
+
+
+def test_rigidity_scan_refines_by_secant_steps(monkeypatch):
+    # at most ten residuals inside the bracket of each admissible angle
+    calls = []
+    residual = experiments.rigidity_residual
+
+    def counted(radius, phi, tol=1e-11):
+        calls.append(phi)
+        return residual(radius, phi, tol)
+
+    monkeypatch.setattr(experiments, "rigidity_residual", counted)
+    step = 2e-2
+    scan = experiments.rigidity_scan(radius=0.1, step=step)
+    targets = np.pi / 5 + 2 * np.pi * np.arange(5) / 5
+    assert len(scan.zeros) == 5
+    assert np.max(np.abs(np.array(scan.zeros) - targets)) <= 1e-9
+    refined = np.array(calls[len(scan.phis):])
+    for t in targets:
+        assert np.count_nonzero(np.abs(refined - t) < step) <= 10
 
 
 def test_interior_branch_value(cubic_engine):
