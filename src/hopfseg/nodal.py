@@ -156,10 +156,9 @@ def _critical_seeds(f, integ, zc: complex, order: int, r_seed: float):
     bracket (rtsafe) on radial values, with the slope Re(2 i (w - zc) f^{1/2}).
     """
     th, w, vs, vals = _ring(f, integ, zc, order, r_seed)
-    g = vals.real
     # sample 0 after one turn takes its own value, so that a seed on it
     # (there g[0] is exactly 0) is not found again at 2 pi
-    g[-1] = (-1) ** order * g[0]
+    g = np.append(vals.real[:-1], (-1) ** order * vals[0].real)
     seeds = []
     for k in range(len(th) - 1):
         if g[k] == 0.0:
