@@ -9,7 +9,6 @@ from .desingularize import reduce_to_simple, split_zero
 from .nodal import counts, trace, verify_index
 from .rational import (
     RationalFactored,
-    ZeroRecord,
     monomial,
     multiply,
     order_at,
@@ -28,7 +27,6 @@ from .states import (
 
 __all__ = [
     "RationalFactored",
-    "ZeroRecord",
     "rational",
     "monomial",
     "multiply",

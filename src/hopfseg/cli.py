@@ -19,7 +19,7 @@ from . import diffusion
 from .errors import HopfSegError
 from .nodal import trace as trace_graph
 from .nodal import verify_index
-from .serialize import dump_report, emit_function, parse_function, render_svg
+from .serialize import csv_rows, dump_report, emit_function, parse_function, render_svg
 from .states import admissibility, export_grid_csv, find_base_point, hopf_l1, reconstruct
 from .states import dirichlet_energy
 
@@ -156,14 +156,8 @@ def _export_fields_csv(fld, path):
     c = -1.0 + (np.arange(G) + 0.5) * h
     n = fld.u.shape[0]
     header = "x,y," + ",".join(f"u{j + 1}" for j in range(n))
-    lines = [header]
-    for iy in range(G):
-        for ix in range(G):
-            if not fld.inside[iy, ix]:
-                continue
-            vals = ",".join(f"{fld.u[j, iy, ix]:.17g}" for j in range(n))
-            lines.append(f"{c[ix]:.17g},{c[iy]:.17g},{vals}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    rows = csv_rows(header, ",".join(["{:.17g}"] * (n + 2)), fld.inside, c, fld.u)
+    Path(path).write_text("\n".join(rows) + "\n")
 
 
 def main(argv=None) -> int:

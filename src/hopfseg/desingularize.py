@@ -29,7 +29,7 @@ from .errors import (
     SplitOrderMismatch,
 )
 from .mobius import apply, invert, is_general_position, make_general_position, pushforward_hopf
-from .quadrature import adaptive_gk
+from .quadrature import gk15
 from .rational import RationalFactored, order_at
 from .states import admissibility, reconstruct
 
@@ -119,25 +119,25 @@ class PerturbationContext:
         return base * self.H(zeta)
 
 
-def _ray_integral(ctx: PerturbationContext, endpoint: complex, omega0: complex,
-                  monomial_pow: int, tol: float = 1e-12):
-    """2 * int_0^{endpoint} zeta^{k} core(zeta) dzeta along the radial path.
+def _ray_integral(ctx: PerturbationContext, endpoints, omega0: complex, powers,
+                  tol: float = 1e-12):
+    """2 * int_0^{w} zeta^{k} core(zeta) dzeta along the radial path to each
+    entry w of the complex array endpoints, with k the entry of the integer
+    array powers, all in one pass of the kernel.
 
     Substitutions t = s^2 at both ends keep the integrand smooth at the
     fractional endpoints.
     """
+    n = len(endpoints)
 
-    def E(t):
-        zeta = t * endpoint
-        v = ctx.sqrt_core(zeta, omega0)
-        if monomial_pow:
-            v = v * zeta**monomial_pow
-        return v
+    def E(i, s):
+        j = i % n
+        t = np.where((i < n)[:, None], s * s, 1.0 - s * s)
+        zeta = t * endpoints[j][:, None]
+        return ctx.sqrt_core(zeta, omega0) * zeta ** powers[j][:, None] * 2.0 * s
 
-    smax = math.sqrt(0.5)
-    left = adaptive_gk(lambda s: E(s * s) * 2.0 * s, 0.0, smax, tol=tol)
-    right = adaptive_gk(lambda s: E(1.0 - s * s) * 2.0 * s, 0.0, smax, tol=tol)
-    return 2.0 * endpoint * (left + right)
+    halves = gk15(E, np.zeros(2 * n), np.full(2 * n, math.sqrt(0.5)), tol=tol)
+    return 2.0 * endpoints * (halves[:n] + halves[n:])
 
 
 def make_context(f: RationalFactored, z0, gamma_arg: float | None = None) -> PerturbationContext:
@@ -202,12 +202,11 @@ def assemble_system(ctx: PerturbationContext, omega0, R: int | None = None,
     """
     R = ctx.R if R is None else R
     M = ctx.M
-    A = np.zeros((M, M), dtype=complex)
-    B = np.zeros(M, dtype=complex)
-    for j, wj in enumerate(ctx.omegas):
-        B[j] = _ray_integral(ctx, wj, omega0, 0, tol=tol)
-        for ell in range(1, M + 1):
-            A[j, ell - 1] = _ray_integral(ctx, wj, omega0, ell * R, tol=tol)
+    # row j holds the ray integrals to w_j with the powers 0, R, ..., M R
+    ends = np.repeat(np.asarray(ctx.omegas, dtype=complex), M + 1)
+    rows = _ray_integral(ctx, ends, omega0, np.tile(R * np.arange(M + 1), M), tol=tol)
+    rows = rows.reshape(M, M + 1)
+    A, B = rows[:, 1:], rows[:, 0]
     if omega0 == 0 and theta_ref is not None and M:
         s = _limit_signs(ctx, theta_ref)
         A = s[:, None] * A
@@ -300,7 +299,8 @@ def _K_scaled(ctx: PerturbationContext, omega0: complex, W, tol: float = 1e-12) 
     m0 = ctx.m0
     lift0 = _lift(np.angle(omega0), ctx.gamma_arg)
 
-    def E(t):
+    def E(i, s):
+        t = np.where((i == 0)[:, None], s * s, 1.0 - s * s)
         zeta = t * omega0
         v = np.power(t, 0.5 * m0) * np.sqrt(1.0 - t) * ctx.H(zeta)
         if len(W):
@@ -308,12 +308,9 @@ def _K_scaled(ctx: PerturbationContext, omega0: complex, W, tol: float = 1e-12) 
             for ell, w in enumerate(W, start=1):
                 q = q + w * zeta ** (ell * ctx.R)
             v = v * q
-        return v
+        return v * 2.0 * s
 
-    smax = math.sqrt(0.5)
-    left = adaptive_gk(lambda s: E(s * s) * 2.0 * s, 0.0, smax, tol=tol)
-    right = adaptive_gk(lambda s: E(1.0 - s * s) * 2.0 * s, 0.0, smax, tol=tol)
-    I = left + right
+    I = np.sum(gk15(E, np.zeros(2), np.full(2, math.sqrt(0.5)), tol=tol))
     return float(np.real(1j * np.exp(0.5j * (m0 + 3) * lift0) * I))
 
 

@@ -43,6 +43,10 @@ class NotAdmissible(HopfSegError):
     """Re F does not vanish on the odd zeros; no continuous state exists."""
 
 
+class SheetLost(HopfSegError):
+    """A sign change of a sheet-continued residual refined to no zero."""
+
+
 class NotOnNodalSet(HopfSegError):
     """Queried point does not lie on the nodal set."""
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .desingularize import reduce_to_simple, split_zero
-from .errors import HopfSegError, SearchExhausted
+from .errors import HopfSegError, SearchExhausted, SheetLost
 from .primitive import PathEngine
 from .quadrature import rtsafe
 from .rational import RationalFactored, monomial, rational
@@ -27,12 +27,17 @@ MAX_DRAW_ATTEMPTS = 200
 # -- the rigidity scan (one-parameter family z (z - w)^2 / 4) -----------------
 
 
-def rigidity_residual(radius: float, phi: float, tol: float = 1e-11) -> float:
-    """Signed Re F(w) for f = z (z - w)^2 / 4, w = radius e^{i phi}, base 0."""
+def rigidity_value(radius: float, phi: float, tol: float = 1e-11) -> complex:
+    """F(w) for f = z (z - w)^2 / 4, w = radius e^{i phi}, base 0 (sign per the cuts)."""
     w = radius * np.exp(1j * phi)
     f = rational(0.25, roots=[(0.0, 1), (w, 2)])
     eng = PathEngine(f, build_slit_disk(f, 0.0), tol=tol)
-    return eng.F(w).real
+    return eng.F(w)
+
+
+def rigidity_residual(radius: float, phi: float, tol: float = 1e-11) -> float:
+    """Signed Re F(w) for f = z (z - w)^2 / 4, w = radius e^{i phi}, base 0."""
+    return rigidity_value(radius, phi, tol).real
 
 
 @dataclass(frozen=True)
@@ -40,7 +45,7 @@ class RigidityScan:
     radius: float
     step: float
     phis: np.ndarray
-    residuals: np.ndarray      # signed Re F(w)
+    residuals: np.ndarray      # signed Re F(w), on one sheet across the scan
     admissible: np.ndarray     # |residual| <= tol at the grid angles
     zeros: tuple               # refined angles where admissibility holds
     tol: float
@@ -50,12 +55,11 @@ def rigidity_scan(radius: float = 0.1, step: float = 1e-3,
                   tol: float | None = None) -> RigidityScan:
     """Scan the family over phi in [0, 2 pi), locating the admissible angles.
 
-    Sign changes of the signed residual are refined by secant steps kept in
-    the scan's bracket (quadrature.rtsafe with no slope, xtol 1e-12); a
-    refined angle counts as admissible only if the residual there
-    actually drops below tolerance (the sheet convention can flip between
-    nearby scan points when the cut direction jumps, which produces sign
-    changes without zeros -- those are rejected by the magnitude test).
+    F(w) turns by 5 step / 2 from one scan angle to the next, so taking at
+    each the sign nearer the value before keeps one sheet (for step < pi/5),
+    and every sign change of Re F is a zero, refined by secant steps in its
+    bracket (quadrature.rtsafe, xtol 1e-12) on values continued from the
+    bracket's start; a refined residual above tol raises SheetLost.
     """
     if tol is None:
         # boundary scale of F is ~ 2/5 + O(radius); one engine probe fixes it
@@ -63,34 +67,31 @@ def rigidity_scan(radius: float = 0.1, step: float = 1e-3,
         eng0 = PathEngine(f0, build_slit_disk(f0, 0.0))
         tol = ADMISSIBILITY_REL_TOL * eng0.boundary_scale()
     phis = np.arange(0.0, 2 * np.pi, step)
-    res = np.array([rigidity_residual(radius, p) for p in phis])
-    adm = np.abs(res) <= tol
-
+    vals = np.array([rigidity_value(radius, p) for p in phis])
+    # the scan closes on its first angle, one turn on
+    ends, vals = np.append(phis, 2 * np.pi), np.append(vals, vals[0])
+    vals[1:] *= np.cumprod(np.where((vals[1:] * np.conj(vals[:-1])).real < 0, -1.0, 1.0))
     zeros = []
-    n = len(phis)
-    for i in range(n):
-        a, fa = phis[i], res[i]
-        b, fb = phis[i] + step, res[(i + 1) % n]
-        if fa == 0.0:
+    for a, Fa, b, Fb in zip(ends[:-1], vals[:-1], ends[1:], vals[1:]):
+        if Fa.real == 0.0:
             zeros.append(a)
+        if Fa.real * Fb.real >= 0:
             continue
-        if fa * fb >= 0:
-            continue
-        # the scan's own values at the ends: at the wrap-around a fresh
-        # residual at b may sit on the other sheet
-        known = {a: fa, b: fb}
+        known = {a: Fa.real, b: Fb.real}
 
-        def residual(phi):
+        def residual(phi, Fa=Fa):
             if phi not in known:
-                known[phi] = rigidity_residual(radius, phi)
+                F = rigidity_value(radius, phi)
+                known[phi] = F.real if (F * np.conj(Fa)).real >= 0 else -F.real
             return known[phi]
 
-        m = rtsafe(lambda phi: (residual(phi), None), a, b, fa, fb, 1e-12)
-        if abs(residual(m)) <= tol:
-            zeros.append(m % (2 * np.pi))
+        m = rtsafe(lambda phi: (residual(phi), None), a, b, Fa.real, Fb.real, 1e-12)
+        if abs(residual(m)) > tol:
+            raise SheetLost(f"Re F changes sign on [{a}, {b}] but is {residual(m)} at {m}")
+        zeros.append(m % (2 * np.pi))
     return RigidityScan(
-        radius=radius, step=step, phis=phis, residuals=res,
-        admissible=adm, zeros=tuple(sorted(zeros)), tol=tol,
+        radius=radius, step=step, phis=phis, residuals=vals.real[:-1],
+        admissible=np.abs(vals.real[:-1]) <= tol, zeros=tuple(sorted(zeros)), tol=tol,
     )
 
 

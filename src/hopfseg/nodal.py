@@ -31,7 +31,7 @@ from scipy import sparse
 from scipy.sparse.csgraph import connected_components
 
 from .errors import TraceStall
-from .quadrature import SqrtSegmentIntegrator, continue_sqrt_chain, nearest_sqrt, rtsafe
+from .quadrature import SqrtSegmentIntegrator, nearest_sqrt, rtsafe
 from .states import SegregatedState
 
 
@@ -131,19 +131,17 @@ def _ring(f, integ, zc: complex, order: int, r_seed: float):
     """(angles, points, carried f^{1/2}, F - F(zc)) at the 32*m samples of a
     circle of radius r about the critical, and at sample 0 after one turn.
 
-    One radial integral gives the value at sample 0; one batch of chords
-    round the circle at the local tolerance 1e-16 + 1e-12 r gives the rest.
-    A chord from the principal root p adds its increment times the carried
-    root's sign vs/p.  One turn multiplies root and value by (-1)^order.
+    One radial integral gives the value at sample 0, and one chained batch of
+    chords round the circle (tolerance 1e-16 + 1e-12 r) the rest, from the
+    principal root there.  One turn multiplies root and value by (-1)^order.
     """
     nn = 32 * (order + 2)
     th = 2 * np.pi * np.arange(nn + 1) / nn
     w = zc + r_seed * np.exp(1j * th)
-    fv = f.eval(w)
-    vs = continue_sqrt_chain(fv, np.sqrt(fv[0]))
-    D, _ = SqrtSegmentIntegrator(f, tol=1e-16 + 1e-12 * r_seed).chords(w[:-1], w[1:])
-    steps = (vs[:-1] / np.sqrt(fv[:-1])).real * D
-    return th, w, vs, np.cumsum(np.concatenate(([_radial(integ, zc, w[0], vs[0])], steps)))
+    v0 = np.sqrt(f.eval(w[0]))
+    vals, _, vs = SqrtSegmentIntegrator(f, tol=1e-16 + 1e-12 * r_seed).segments(
+        w[:-1], w[1:], v0, chained=True)
+    return th, w, np.append(v0, vs), np.cumsum(np.append(_radial(integ, zc, w[0], v0), 2.0 * vals))
 
 
 def _critical_seeds(f, integ, zc: complex, order: int, r_seed: float):

@@ -107,15 +107,9 @@ class PathEngine:
                         target = target + 1e-9j * c.direction
                         break
         wps = route_path(self.slit, self.f, self.z_ref, target)
-        total = 0.0 + 0.0j
-        err = 0.0
-        v = self.v_ref
-        n_seg = max(1, len(wps) - 1)
-        for a, b in zip(wps[:-1], wps[1:]):
-            val, e, v = self._integ.integrate(a, b, v, tol=self.tol / n_seg)
-            total += val
-            err += e
-        res = (2.0 * total, v, 2.0 * err)
+        vals, errs, v = self._integ.segments(wps[:-1], wps[1:], self.v_ref,
+                                             tol=self.tol / max(1, len(wps) - 1), chained=True)
+        res = (2.0 * complex(vals.sum()), v[-1] if len(v) else self.v_ref, 2.0 * float(errs.sum()))
         if len(self._cache) < 4096:
             self._cache[key] = res
         return res

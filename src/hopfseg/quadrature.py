@@ -1,18 +1,16 @@
-"""Adaptive Gauss-Kronrod quadrature with square-root branch tracking.
+"""Breadth-first adaptive Gauss-Kronrod quadrature with square-root branch tracking.
 
-The integrand everywhere in this package is f^{1/2} along straight segments,
-with f rational in factored form.  The branch is fixed by continuity: a
-subinterval is accepted only if the argument of f turns by less than pi/2
-between consecutive nodes, which makes the nearest-sign choice against the
-running reference value provably correct.  Segments ending at a root of any
-order are integrated in a substituted parameter (t = s^2) so the integrand
-is smooth there.  Both kinds of segment, and the plain real integrals of
-adaptive_gk, run through the one adaptive GK15/G7 recursion _gk.  Many
-chords at once (the boundary march) take one GK15 panel each in a single
-vectorised pass under the same acceptance rules, and a chord that fails them
-goes through the recursion.  rtsafe refines a sign change of such integrals
-by Newton steps kept inside its bracket, or by secant steps where no slope
-is known.
+One kernel, _breadth_first, integrates many intervals at once with
+QUADPACK's GK15/G7 pair: each round evaluates every open panel in one call,
+accepts a panel at depth k once it meets tol 2^-k, and halves the rest.  The
+integrand is mostly f^{1/2} along straight segments (f rational in factored
+form), its branch fixed by continuity: a panel is accepted only if the
+argument of f turns by less than 0.45 pi from its start through its nodes to
+its end, which makes the nearest-sign choice provably correct.  Each panel
+starts on the principal root at its own start, and the signs are composed
+along each segment afterwards.  A segment ending at a root of any order runs
+in a parameter in which the integrand is smooth there.  gk15 runs the kernel
+on plain integrands; rtsafe refines a sign change of such integrals.
 """
 
 from __future__ import annotations
@@ -20,7 +18,6 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ToleranceNotMet
-from .rational import order_at
 
 # QUADPACK 15-point Kronrod rule on [-1, 1]; Gauss nodes are every other one.
 _XGK = np.array([
@@ -42,9 +39,15 @@ _WG7 = np.array([
     0.4179591836734694, 0.3818300505051189, 0.2797053914892767,
     0.1294849661688697,
 ])
-_GAUSS_IDX = np.arange(1, 15, 2)
+# the weights of I15 and of I15 - I7 over the 15 nodes, as the rows of one matrix
+_W15D = np.array([_WGK, _WGK])
+_W15D[1, 1::2] -= _WG7
 
 _MAX_ARG_STEP = 0.45 * np.pi
+# a segment end this close to a stored root is that root
+_ROOT_SNAP = 1e-13
+# a panel's chain in half-widths from its start: the start, the Kronrod nodes, the end
+_U17 = np.concatenate(([0.0], _XGK + 1.0, [2.0]))
 
 GL6_X, GL6_W = np.polynomial.legendre.leggauss(6)
 
@@ -69,63 +72,49 @@ def _fill_zeros(x):
     return np.take_along_axis(x, idx, axis=-1)
 
 
-def continue_sqrt_chain(fvals, v_start):
-    """Assign continued sqrt values along an ordered node sequence.
-
-    Requires the argument of f to rotate < pi/2 between consecutive nodes
-    (the caller checks), so each principal root either agrees with the
-    previous continued value or is its negation: the branch is a running
-    product of sign flips.  A zero keeps the previous reference; v_start is
-    the continued value just before the first node.  Rows of a 2-D fvals are
-    chains continued apart, each from its own entry of v_start.
+def _principal_chain(fvals):
+    """Continued square roots along rows of f values from the principal root
+    at the first nonzero one, and whether each row turns by < 0.45 pi from one
+    nonzero value to the next (a zero takes the value before it).  Principal
+    roots of consecutive values lie on opposite sides exactly where their
+    principal arguments differ by more than pi, so the branch is a running
+    product of sign flips there; that continues it where each turn is < pi/2.
     """
-    p = np.sqrt(fvals)
-    chain = np.empty(p.shape[:-1] + (p.shape[-1] + 1,), dtype=complex)
-    chain[..., 0] = v_start
-    chain[..., 1:] = p
-    chain = _fill_zeros(chain)
-    flips = np.where((chain[..., 1:] * np.conj(chain[..., :-1])).real < 0, -1.0, 1.0)
-    return np.cumprod(flips, axis=-1) * p
-
-
-def _arg_steps_ok(fvals):
-    """Consecutive nonzero values turn by < 0.45 pi in argument (per row)."""
     x = _fill_zeros(fvals)
-    return np.all(np.abs(np.angle(x[..., 1:] / x[..., :-1])) < _MAX_ARG_STEP, axis=-1)
+    a = np.arctan2(x.imag, x.real)
+    # the turn is pi - |excess| whether or not the roots flip
+    excess = np.abs(a[..., 1:] - a[..., :-1]) - np.pi
+    v = np.sqrt(fvals)
+    np.negative(v[..., 1:], out=v[..., 1:], where=np.logical_xor.accumulate(excess > 0, axis=-1))
+    return v, (np.abs(excess) > np.pi - _MAX_ARG_STEP).all(axis=-1)
 
 
-def _winding_safe(f, z_pts, exclude_root=None):
+def _winding_safe(z, roots, skip=None):
     """Node gaps must stay below half the distance to the nearest root.
 
     The argument-ratio test alone can alias a full 2*pi*k turn of f between
     consecutive nodes to a small angle; bounding the step by the root
     distance caps the possible turn of (z - r)^n well under 2*pi, making the
-    ratio test sound.  Rows of a 2-D z_pts are node sequences checked apart.
+    ratio test sound.  Rows of z are node sequences checked apart; a row
+    ignores the roots its row of skip marks (the root its segment ends at).
     """
-    roots = [r for r, _ in f.interior_roots
-             if exclude_root is None or abs(r - exclude_root) > 1e-13]
-    z = np.asarray(z_pts)
-    if not roots or z.shape[-1] < 2:
-        return np.ones(z.shape[:-1], dtype=bool)
-    gaps = np.abs(np.diff(z, axis=-1))
-    d = np.full(z.shape, np.inf)
-    for r in roots:
-        d = np.minimum(d, np.abs(z - r))
-    far = np.min(d, axis=-1) > 2.1 * np.max(gaps, axis=-1)
-    return far | np.all(gaps <= 0.5 * np.minimum(d[..., :-1], d[..., 1:]), axis=-1)
-
-
-def _chord_ok(f, z, fv):
-    """A chord panel's branch rule: z runs from the chord's start through the
-    Kronrod nodes to its end, fv holds f there (per row)."""
-    return _arg_steps_ok(fv) & _winding_safe(f, z)
+    if not len(roots):
+        return np.ones(len(z), dtype=bool)
+    gaps = np.abs(z[:, 1:] - z[:, :-1])
+    d = np.abs(z[..., None] - roots)
+    if skip is not None:
+        d = np.where(skip[:, None, :], np.inf, d)
+    d = d.min(axis=-1)
+    far = d.min(axis=-1) > 2.1 * gaps.max(axis=-1)
+    if far.all():
+        return far
+    return far | (gaps <= 0.5 * np.minimum(d[:, :-1], d[:, 1:])).all(axis=-1)
 
 
 def _kronrod(half, w):
     """GK15 integral and |I15 - I7| of node values w over half-width half (per row)."""
-    i15 = half * np.sum(_WGK * w, axis=-1)
-    i7 = half * np.sum(_WG7 * w[..., _GAUSS_IDX], axis=-1)
-    return i15, np.abs(i15 - i7)
+    i15, diff = (w[:, None, :] * _W15D).sum(axis=-1).T
+    return half * i15, np.abs(half * diff)
 
 
 def _converged(err, half, tol):
@@ -133,28 +122,56 @@ def _converged(err, half, tol):
     return (err <= tol) | (np.abs(half) < 1e-15)
 
 
-def _gk(panel, a, b, carry, tol, max_depth, depth=0):
-    """Adaptive GK15/G7 over the parameter interval [a, b].
+def _breadth_first(panel, lo, hi, tol, max_depth):
+    """Adaptive GK15/G7 over the intervals [lo[i], hi[i]], all at once.
 
-    panel(a, b, nodes, carry) sees the 15 Kronrod nodes of [a, b] and the
-    value carried into a; it returns (integrand at the nodes, value carried
-    to b), or None when the panel must be split whatever its error.  A panel
-    is accepted once its Kronrod-Gauss difference meets tol or it is narrower
-    than roundoff resolves.  Returns (integral, error estimate, carry at b).
+    panel(seg, lo, half) sees the open panels [lo, lo + 2 half] of the
+    intervals seg and returns (integrand at their Kronrod nodes, whether each
+    may be accepted or None, the factor from half-width to the width the
+    roundoff floor reads, data or None).  A panel at depth k is accepted once
+    it may be and meets tol 2^-k; the rest are halved.  Returns the accepted
+    panels' (seg, lo, integral, error, data), in order if all in one round.
     """
-    half = 0.5 * (b - a)
-    mid = a + half
-    out = panel(a, b, mid + half * _XGK, carry)
-    if out is not None:
-        w, carry_b = out
+    seg = np.arange(len(lo))
+    parts = []
+    for depth in range(max_depth + 1):
+        half = 0.5 * (hi - lo)
+        w, ok, scale, data = panel(seg, lo, half)
         i15, err = _kronrod(half, w)
-        if _converged(err, half, tol):
-            return i15, err, carry_b
-    if depth >= max_depth:
-        raise ToleranceNotMet(f"panel [{a}, {b}] stuck above tol {tol}")
-    lval, lerr, carry_m = _gk(panel, a, mid, carry, 0.5 * tol, max_depth, depth + 1)
-    rval, rerr, carry_b = _gk(panel, mid, b, carry_m, 0.5 * tol, max_depth, depth + 1)
-    return lval + rval, lerr + rerr, carry_b
+        done = _converged(err, half * scale, tol * 0.5 ** depth)
+        if ok is not None:
+            done &= ok
+        if done.all():
+            parts.append((seg, lo, i15, err, data))
+            if len(parts) == 1:
+                return parts[0]
+            return tuple(None if x[0] is None else np.concatenate(x) for x in zip(*parts))
+        parts.append((seg[done], lo[done], i15[done], err[done],
+                      None if data is None else data[done]))
+        rest = ~done
+        seg, lo, hi = np.repeat(seg[rest], 2), lo[rest], hi[rest]
+        mid = lo + half[rest]
+        lo, hi = np.column_stack((lo, mid)).ravel(), np.column_stack((mid, hi)).ravel()
+    raise ToleranceNotMet(f"panels stuck above tol at depth {max_depth}")
+
+
+def _per_interval(seg, x, n):
+    """Sums of the complex x over the panels of each of n intervals."""
+    return np.bincount(seg, x.real, n) + 1j * np.bincount(seg, x.imag, n)
+
+
+def gk15(fn, a, b, tol):
+    """Integrals of a smooth integrand over the intervals [a[i], b[i]], in one pass.
+
+    fn(i, x) returns the integrand of the intervals i (one entry per row) at
+    the points x (one row of 15 nodes per entry of i); a and b are float
+    arrays, and tol applies to each interval.
+    """
+    def panel(seg, lo, half):
+        return fn(seg, (lo + half)[:, None] + half[:, None] * _XGK), None, 1.0, None
+
+    seg, _, i15, _, _ = _breadth_first(panel, a, b, tol, 50)
+    return _per_interval(seg, i15, len(a))
 
 
 class SqrtSegmentIntegrator:
@@ -164,72 +181,86 @@ class SqrtSegmentIntegrator:
         self.f = f
         self.tol = tol
         self.max_depth = max_depth
+        self.roots = np.array([r for r, _ in f.interior_roots], dtype=complex)
+
+    def segments(self, za, zb, v_start=None, tol=None, chained=False):
+        """Integrals of f^{1/2} dz along the segments za[i] -> zb[i], in one pass.
+
+        v_start[i] continues the branch at za[i] (None: the principal root);
+        chained, each segment continues the one before from v_start at za[0].
+        Returns (values, error estimates, continued f^{1/2} at each zb).  No
+        za may be a root.  A segment runs in z = za + (zb - za) t, t from 0 to
+        1; one whose zb is within 1e-13 of a stored root ends at that root
+        and runs in z = zb + (za - zb) t^2, t from 1 down to exactly 0 (panel
+        ends are dyadic), where the local factor (z - zb)^{n/2} is t^n times a
+        smooth function for every order n, carrying 0 to zb.
+        """
+        f, roots = self.f, self.roots
+        za = np.asarray(za, dtype=complex).reshape(-1)
+        zb = np.asarray(zb, dtype=complex).reshape(-1)
+        n = len(za)
+        near = np.abs(zb[:, None] - roots) < _ROOT_SNAP
+        quad = near.any(axis=1) if near.any() else None
+        if quad is None:
+            P, Q, t0 = za, zb - za, np.zeros(n)
+            scale = np.abs(Q)
+        else:
+            zb = np.where(quad, roots[near.argmax(axis=1)], zb)
+            P, Q = np.where(quad, zb, za), np.where(quad, za - zb, zb - za)
+            t0, scale = quad.astype(float), np.where(quad, 1.0, np.abs(Q))
+
+        def panel(seg, lo, half):
+            t = lo[:, None] + half[:, None] * _U17
+            q = Q[seg][:, None]
+            if quad is None:
+                z = P[seg][:, None] + q * t
+                v, ok = _principal_chain(f.eval(z))
+                ok &= _winding_safe(z, roots)
+                return v[:, 1:-1] * q, ok, scale[seg], v
+            sq = quad[seg][:, None]
+            z = P[seg][:, None] + q * np.where(sq, t * t, t)
+            v, ok = _principal_chain(f.eval(z))
+            ok &= _winding_safe(z, roots, near[seg])
+            return v[:, 1:-1] * q * np.where(sq, 2.0 * t[:, 1:-1], 1.0), ok, scale[seg], v
+
+        tol = self.tol if tol is None else tol
+        seg, lo, i15, err, v = _breadth_first(panel, t0, 1.0 - t0, tol, self.max_depth)
+        if len(seg) == n and (n < 2 or not chained):
+            # one panel per segment, continued from the root given at za
+            sign = 1.0 if v_start is None else np.copysign(1.0, (v_start * v[:, 0].conj()).real)
+            return sign * i15, err, sign * v[:, -1]
+        # the panels in order along each segment (t runs down on a root's)
+        order = np.lexsort((lo if quad is None else np.where(quad[seg], -lo, lo), seg))
+        seg, i15, err, v = seg[order], i15[order], err[order], v[order]
+        # each panel's start root against the one carried into it: the end
+        # root of the panel before, or v_start where a segment starts (only
+        # the first, chained); a running product composes them, restarted at
+        # each segment start (a product of signs divides as it multiplies)
+        new = np.r_[True, (seg[1:] != seg[:-1]) & (not chained)]
+        start = v[:, 0] if v_start is None else np.broadcast_to(v_start, n)[seg]
+        prev = np.where(new, start, np.roll(v[:, -1], 1))
+        s = np.cumprod(np.copysign(1.0, (prev * v[:, 0].conj()).real))
+        s = s * np.r_[1.0, s][np.flatnonzero(new)][np.cumsum(new) - 1]
+        last = np.r_[seg[1:] != seg[:-1], True]
+        return _per_interval(seg, s * i15, n), np.bincount(seg, err, n), (s * v[:, -1])[last]
 
     def integrate(self, za, zb, v_start, tol=None):
         """Integral of f^{1/2} from za to zb; v_start continues the branch at za.
 
-        Returns (value, err_estimate, v_end).  za must not be a root (v_start
-        nonzero); zb may be a root of any order, in which case the integration
-        runs in the substituted parameter from the za side.
+        Returns (value, err_estimate, v_end): segments on a batch of one.
         """
-        tol = self.tol if tol is None else tol
-        if za == zb:
-            return 0.0 + 0.0j, 0.0, v_start
-        f = self.f
-        if order_at(f, zb, tol=1e-13) > 0:
-            # z = zb + (za - zb) s^2 turns the local factor (z - zb)^{n/2}
-            # into s^n times a smooth function, so the s-integrand is
-            # analytic at s = 0 for every order n.  s runs from 1 (za) down
-            # to 0 (the root); the branch is carried by the last node.
-            d = za - zb
-
-            def into_root(sa, sb, s, v_a):
-                z = zb + d * s * s
-                fv = f.eval(z)
-                if not (_winding_safe(f, z, exclude_root=zb)
-                        and _arg_steps_ok(np.concatenate(([v_a**2], fv)))):
-                    return None
-                v = continue_sqrt_chain(fv, v_a)
-                return v * (2.0 * d * s), v[-1]
-
-            val, err, _ = _gk(into_root, 1.0, 0.0, v_start, tol, self.max_depth)
-            return val, err, 0.0 + 0.0j
-
-        def chord(a, b, z, v_a):
-            z_chain = np.concatenate(([a], z, [b]))
-            fv = np.concatenate(([v_a**2], f.eval(z_chain[1:])))
-            if not _chord_ok(f, z_chain, fv):
-                return None
-            v = continue_sqrt_chain(fv[1:], v_a)
-            return v[:-1], v[-1]
-
-        return _gk(chord, za, zb, v_start, tol, self.max_depth)
+        val, err, v_end = self.segments(za, zb, v_start, tol)
+        return val[0], err[0], v_end[0]
 
     def chords(self, za, zb):
         """Increments D = 2 * int f^{1/2} over the chords za[i] -> zb[i], in one pass.
 
         Each chord starts on the principal root at za[i]; returns (D, sigma),
-        where sigma[i] = +-1 is the root carried to zb[i] against the principal
-        root there.  A chord is one GK15 panel, accepted by the rules of a
-        chord panel of integrate; a rejected chord runs through the adaptive
-        integrate.  No endpoint may be a root.
+        where sigma[i] = +-1 is the root carried to zb[i] (an array, like za)
+        against the principal root there.  No endpoint may be a root.
         """
-        za = np.asarray(za, dtype=complex)
-        zb = np.asarray(zb, dtype=complex)
-        half = 0.5 * (zb - za)
-        z = np.column_stack((za, (za + half)[:, None] + half[:, None] * _XGK, zb))
-        fv = self.f.eval(z)
-        p_a, p_b = np.sqrt(fv[:, 0]), np.sqrt(fv[:, -1])
-        v = continue_sqrt_chain(fv[:, 1:], p_a)
-        i15, err = _kronrod(half, v[:, :-1])
-        ok = _chord_ok(self.f, z, fv) & _converged(err, half, self.tol)
-        D = 2.0 * i15
-        sigma = np.where(v[:, -1] == p_b, 1.0, -1.0)
-        for i in np.flatnonzero(~ok):
-            val, _, v_end = self.integrate(za[i], zb[i], p_a[i])
-            D[i] = 2.0 * val
-            sigma[i] = 1.0 if abs(v_end - p_b[i]) <= abs(v_end + p_b[i]) else -1.0
-        return D, sigma
+        val, _, v_end = self.segments(za, zb)
+        return 2.0 * val, np.copysign(1.0, (v_end * np.sqrt(self.f.eval(zb)).conj()).real)
 
 
 def rtsafe(fn, lo, hi, flo, fhi, xtol):
@@ -275,9 +306,3 @@ def rtsafe(fn, lo, hi, flo, fhi, xtol):
         if abs(dx) < xtol or b - a < xtol:
             return x
     return x
-
-
-def adaptive_gk(fn, a, b, tol=1e-11, max_depth=50):
-    """Plain adaptive Gauss-Kronrod for a smooth (vectorized) scalar integrand."""
-    val, _, _ = _gk(lambda lo, hi, x, _: (fn(x), None), a, b, None, tol, max_depth)
-    return val

@@ -13,7 +13,7 @@ quantities, which the multiplicity bookkeeping downstream relies on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -72,11 +72,6 @@ class RationalFactored:
     @property
     def total_interior_order(self) -> int:
         return sum(m for _, m in self.interior_roots)
-
-    def zero_records(self):
-        return tuple(
-            ZeroRecord(location=z, order=m) for z, m in self.interior_roots
-        )
 
     def min_root_distance(self, z) -> float:
         if not self.interior_roots:
@@ -151,20 +146,6 @@ class RationalFactored:
         """Interior zero count (with multiplicity) against the winding oracle."""
         radius = 1.0 - 0.5 * self.delta_bd
         return winding_count(self, 0.0, radius) == self.total_interior_order
-
-
-@dataclass(frozen=True)
-class ZeroRecord:
-    """A zero of f with its order and parity."""
-
-    location: complex
-    order: int
-    parity: str = field(init=False)
-
-    def __post_init__(self):
-        if self.order < 1:
-            raise ValueError("zero order must be positive")
-        object.__setattr__(self, "parity", "odd" if self.order % 2 else "even")
 
 
 # -- module-level operation surface  -------------------------------------

@@ -1,4 +1,4 @@
-"""JSON function specs, reports, and SVG rendering.
+"""JSON function specs, reports, CSV rows and SVG rendering.
 
 The function spec is the package's only wire format:
 
@@ -107,6 +107,18 @@ def _jsonable(x):
 
 
 # -- SVG -------------------------------------------------------------------
+
+
+def csv_rows(header: str, fmt: str, inside, centers, grids) -> list:
+    """The header, then fmt.format(x, y, *values) for each inside cell,
+    row-major, with the values from the grids; one grid row at a time, to
+    bound the memory."""
+    rows = [header]
+    for iy, row in enumerate(inside):
+        ix = np.flatnonzero(row)
+        rows += map(fmt.format, centers[ix].tolist(), [float(centers[iy])] * len(ix),
+                    *(g[iy, ix].tolist() for g in grids))
+    return rows
 
 
 def _svg_path(points):

@@ -24,6 +24,7 @@ from .errors import GridTooCoarse, NotAdmissible, NotOnNodalSet
 from .primitive import PathEngine
 from .quadrature import GL6_W, GL6_X, SqrtSegmentIntegrator, nearest_sqrt
 from .rational import RationalFactored, order_at
+from .serialize import csv_rows
 from .slits import SlitDisk, build_slit_disk
 
 ADMISSIBILITY_REL_TOL = 1e-8
@@ -269,11 +270,12 @@ def _chord_fill(f, eng, z, inside, G, F, V, source):
             source[cell] = FILL_ROUTED
             todo = todo[1:]
             continue
-        for k, row, use in zip(todo[reached], cand[reached], avail[reached]):
-            j, cell = row[np.argmax(use)], pending[k]
-            val, _, V[cell] = integ.integrate(z[j], z[cell], V[j])
-            F[cell] = F[j] + 2.0 * val
-            source[cell] = FILL_CHORD
+        # one breadth-first layer: every cell reached takes its chord in one batch
+        j = cand[reached, np.argmax(avail[reached], axis=1)]
+        cells = pending[todo[reached]]
+        vals, _, V[cells] = integ.segments(z[j], z[cells], V[j])
+        F[cells] = F[j] + 2.0 * vals
+        source[cells] = FILL_CHORD
         todo = todo[~reached]
 
 
@@ -514,16 +516,9 @@ def hopf_l1(f: RationalFactored, n_r: int = 128, n_th: int = 512) -> float:
 
 def export_grid_csv(state: SegregatedState, path):
     """CSV x,y,u,species, row-major over inside cells, 17 significant digits."""
-    c = state.cell_centers
-    lines = ["x,y,u,species"]
-    for iy in range(state.resolution):
-        for ix in range(state.resolution):
-            if not state.inside[iy, ix]:
-                continue
-            lines.append(
-                f"{c[ix]:.17g},{c[iy]:.17g},{state.u[iy, ix]:.17g},{state.species[iy, ix]}"
-            )
-    text = "\n".join(lines) + "\n"
+    rows = csv_rows("x,y,u,species", "{:.17g},{:.17g},{:.17g},{}", state.inside,
+                    state.cell_centers, (state.u, state.species))
+    text = "\n".join(rows) + "\n"
     with open(path, "w") as fh:
         fh.write(text)
     return text

@@ -5,6 +5,7 @@ Run with `pytest tests/test_acceptance.py -v -s`.
 
 import time
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -173,16 +174,13 @@ def test_criterion_7_gamma_moments():
     ok = abs(beta_moment(2) - 4 / 15) <= 1e-10
     ok &= abs(beta_moment(1) - np.pi / 8) <= 1e-10
     ok &= abs(gamma_moment(2, 2) - 1 / 12) <= 1e-10
-    # quadrature oracle for the same moments (t = 1 - s^2 at the sqrt end)
-    from hopfseg.quadrature import adaptive_gk
-
-    c2 = adaptive_gk(lambda s: (1 - s * s) * s * 2 * s, 0.0, 1.0, tol=1e-13)
-    # t = sin^2(th) turns c1 into a trigonometric polynomial
-    c1 = adaptive_gk(lambda th: 2 * np.sin(th) ** 2 * np.cos(th) ** 2,
-                     0.0, 0.5 * np.pi, tol=1e-13)
+    # quadrature oracle for the same moments (mpmath's tanh-sinh rule, which
+    # copes with the square-root end)
+    c2 = float(mp.quad(lambda t: t * mp.sqrt(1 - t), [0, 1]))
+    c1 = float(mp.quad(lambda t: mp.sqrt(t) * mp.sqrt(1 - t), [0, 1]))
     ok &= abs(c2 - 4 / 15) <= 1e-10
     ok &= abs(c1 - np.pi / 8) <= 1e-10
-    m22 = adaptive_gk(lambda t: t**2 * (1 - t), 0.0, 1.0, tol=1e-13)
+    m22 = float(mp.quad(lambda t: t**2 * (1 - t), [0, 1]))
     ok &= abs(m22 - 1 / 12) <= 1e-10
     _line(7, ok, f"c2={beta_moment(2):.12f}, c1={beta_moment(1):.12f}, "
                  f"M(2,2)={gamma_moment(2, 2):.12f}, quadrature oracles agree to 1e-10")

@@ -1,9 +1,12 @@
+import mpmath as mp
 import numpy as np
 import pytest
 
 from hopfseg.desingularize import (
     K_value,
     PerturbationContext,
+    _lift,
+    _ray_integral,
     assemble_system,
     beta_moment,
     choose_R,
@@ -18,7 +21,6 @@ from hopfseg.desingularize import (
 )
 from hopfseg.errors import SingularSolve, SplitOrderMismatch
 from hopfseg.experiments import tuned_multizero
-from hopfseg.quadrature import adaptive_gk
 from hopfseg.rational import monomial, order_at, rational
 from hopfseg.states import admissibility, find_base_point, reconstruct
 from hopfseg.nodal import trace, verify_index
@@ -28,20 +30,18 @@ def test_beta_moments_against_quadrature():
     assert beta_moment(2) == pytest.approx(4 / 15, abs=1e-12)
     assert beta_moment(1) == pytest.approx(np.pi / 8, abs=1e-12)
     for m0 in (1, 2, 3, 5):
-        num = adaptive_gk(
-            lambda s: (1 - s * s) ** (0.5 * m0) * np.abs(s) * 2 * s, 0.0, 1.0, tol=1e-13
-        )
-        # substitute t = 1 - s^2 for the sqrt endpoint: int t^{m0/2} sqrt(1-t) dt
+        # int_0^1 t^{m0/2} sqrt(1-t) dt by mpmath's tanh-sinh rule
+        num = float(mp.quad(lambda t: t ** (0.5 * m0) * mp.sqrt(1 - t), [0, 1]))
         assert num == pytest.approx(beta_moment(m0), abs=1e-10)
 
 
 def test_gamma_moment_oracle():
     assert gamma_moment(2, 2) == pytest.approx(1 / 12, abs=1e-12)
-    val = adaptive_gk(lambda t: t**2 * (1 - t), 0.0, 1.0, tol=1e-13)
+    val = float(mp.quad(lambda t: t**2 * (1 - t), [0, 1]))
     assert val == pytest.approx(gamma_moment(2, 2), abs=1e-12)
     # generic exponents against plain quadrature
     for k, q in ((3, 1), (4, 3), (2, 5)):
-        val = adaptive_gk(lambda t, k=k, q=q: t**k * (1 - t) ** (0.5 * q) * 0 + np.power(t, k) * np.power(1 - t, 0.5 * q), 0.0, 1.0, tol=1e-12)
+        val = float(mp.quad(lambda t, k=k, q=q: t**k * (1 - t) ** (0.5 * q), [0, 1]))
         assert val == pytest.approx(gamma_moment(k, q), abs=1e-9)
 
 
@@ -111,16 +111,57 @@ def test_system_entry_beta_oracle():
     A, B = assemble_system(ctx, 0.0, R=2)
     # with h = 1 and q = 2 the radial entry has closed Beta form:
     # B = 2 w^{(m0+3)/2 + q/2 + ...}: check against direct quadrature instead
-    def integrand(t):
-        zeta = t * w1
-        return ctx.sqrt_core(zeta, 0.0)
-
-    direct = 2.0 * w1 * adaptive_gk(lambda s: integrand(s * s) * 2 * s, 0, np.sqrt(0.5), tol=1e-13)
-    direct += 2.0 * w1 * adaptive_gk(lambda s: integrand(1 - s * s) * 2 * s, 0, np.sqrt(0.5), tol=1e-13)
+    direct = _ray_integral_mp(ctx, w1, 0.0, 0)
     assert B[0] == pytest.approx(direct, rel=1e-9)
     # moment magnitude sanity: |a_{j l}| ratio structure via Gamma formula
     m11 = gamma_moment(2 + 0.5 * 3 + 0.5, 2)
     assert m11 > 0
+
+
+def _ray_integral_mp(ctx, w, omega0, k):
+    """2 * int_0^w zeta^k core(zeta) dzeta along the ray, at 30 digits.
+
+    core's branches written out: the chart power of zeta (its argument is
+    arg w lifted above the chart cut), each (zeta - c)^{q/2} continued from
+    zeta = 0 along the ray, and h the principal root of the leading
+    coefficient (f has no unit factors).
+    """
+    with mp.workdps(30):
+        w_ = mp.mpc(w)
+
+        def star(z, c, q):
+            c_, lift = mp.mpc(c), _lift(np.angle(c), ctx.gamma_arg)
+            return mp.exp(0.5 * q * (mp.log(abs(c_)) + 1j * (lift + mp.pi))
+                          + 0.5 * q * mp.log((z - c_) / (-c_)))
+
+        def integrand(t):
+            z = t * w_
+            p = 0.5 * (ctx.m0 + 1) if omega0 == 0 else 0.5 * ctx.m0
+            out = mp.exp(p * (mp.log(t * abs(w_)) + 1j * _lift(np.angle(w), ctx.gamma_arg)))
+            if omega0 != 0:
+                out *= star(z, omega0, 1)
+            out *= mp.sqrt(mp.mpc(ctx.f.leading))
+            for c, q in zip(ctx.omegas, ctx.qs):
+                out *= star(z, c, q)
+            return z**k * out
+
+        # the integrand turns fast where the ray passes omega0
+        pts = [0, 2 * abs(omega0) / abs(w), 1] if omega0 else [0, 1]
+        return complex(2 * w_ * mp.quad(integrand, pts))
+
+
+@pytest.mark.parametrize("omega0", [0.0, 0.01 * np.exp(1.0j)], ids=["zero", "off_zero"])
+def test_ray_integrals_match_mpmath(omega0):
+    # M = 2 other zeros, one of them odd: the batched ray integrals of one
+    # call against 30-digit quadrature of the written-out integrand
+    f = rational(0.25 * np.exp(0.3j), roots=[(0.0, 3), (0.45 + 0.2j, 1), (-0.3 + 0.5j, 2)])
+    ctx = make_context(f, 0.0)
+    assert ctx.M == 2
+    ends = np.array([ctx.omegas[0], ctx.omegas[0], ctx.omegas[1], ctx.omegas[1]])
+    powers = np.array([0, 2, 0, 4])
+    got = _ray_integral(ctx, ends, omega0, powers)
+    for g, w, k in zip(got, ends, powers):
+        assert abs(g - _ray_integral_mp(ctx, w, omega0, k)) <= 1e-11
 
 
 def test_identity_permutation_dominates_as_R_grows():

@@ -3,11 +3,11 @@ import pytest
 
 from hopfseg import experiments
 from hopfseg.desingularize import reduce_to_simple
-from hopfseg.errors import Unreachable
+from hopfseg.errors import ToleranceNotMet, Unreachable
 from hopfseg.experiments import admissible_fw, figure5_function, tuned_multizero
 from hopfseg.primitive import PathEngine
 from hopfseg.quadrature import (
-    SqrtSegmentIntegrator, _arg_steps_ok, continue_sqrt_chain, nearest_sqrt, rtsafe,
+    SqrtSegmentIntegrator, _principal_chain, nearest_sqrt, rtsafe,
 )
 from hopfseg.rational import monomial, rational
 from hopfseg.slits import build_slit_disk, route_between, route_path
@@ -61,15 +61,16 @@ def test_rtsafe_without_slope():
 
 
 def test_rigidity_scan_refines_by_secant_steps(monkeypatch):
-    # at most ten residuals inside the bracket of each admissible angle
+    # at most ten values inside the bracket of each admissible angle, and
+    # none anywhere else: on one sheet every sign change is a zero
     calls = []
-    residual = experiments.rigidity_residual
+    value = experiments.rigidity_value
 
     def counted(radius, phi, tol=1e-11):
         calls.append(phi)
-        return residual(radius, phi, tol)
+        return value(radius, phi, tol)
 
-    monkeypatch.setattr(experiments, "rigidity_residual", counted)
+    monkeypatch.setattr(experiments, "rigidity_value", counted)
     step = 2e-2
     scan = experiments.rigidity_scan(radius=0.1, step=step)
     targets = np.pi / 5 + 2 * np.pi * np.arange(5) / 5
@@ -78,6 +79,22 @@ def test_rigidity_scan_refines_by_secant_steps(monkeypatch):
     refined = np.array(calls[len(scan.phis):])
     for t in targets:
         assert np.count_nonzero(np.abs(refined - t) < step) <= 10
+    assert np.all(np.min(np.abs(refined[:, None] - targets), axis=1) < step)
+
+
+def test_rigidity_oracle_at_every_scanned_angle():
+    # f_phi(e^{i phi} z) = e^{3 i phi} f_0(z) makes F(w) = -(4/15) w^{5/2}, so
+    # Re F(w) = -+(4/15) r^{5/2} cos(5 phi / 2), with one sign across the scan
+    r = 0.1
+    scan = experiments.rigidity_scan(radius=r, step=2e-2)
+    target = (4 / 15) * r**2.5
+    want = target * np.cos(2.5 * scan.phis)
+    assert np.max(np.abs(np.abs(scan.residuals) - np.abs(want))) <= 1e-9 * target
+    sign = np.sign(scan.residuals[0])
+    assert np.max(np.abs(scan.residuals - sign * want)) <= 1e-9 * target
+    for phi in scan.phis[::45]:
+        assert abs(abs(experiments.rigidity_residual(r, phi)) - abs(target * np.cos(2.5 * phi))) \
+            <= 1e-9 * target
 
 
 def test_interior_branch_value(cubic_engine):
@@ -246,28 +263,27 @@ def test_boundary_values_memo_is_not_shared(cubic_engine):
     assert np.array_equal(vals2, want)
 
 
-def test_continue_sqrt_chain_matches_scalar_loop(rng):
+def test_principal_chain_matches_scalar_loop(rng):
     # the sign-flip product must pick exactly the roots of the nearest-root
-    # loop on chains whose argument turns by < pi/2 per step, zeros included
-    # (a leading zero included); rows of a 2-D input are chains of their own
-    rows, starts, wants = [], [], []
+    # loop started on the principal root, on chains whose argument turns by
+    # < pi/2 per step, zeros included (a leading zero included); rows of a
+    # 2-D input are chains of their own
+    rows, wants = [], []
     for k in range(50):
         arg = np.cumsum(rng.uniform(-0.44 * np.pi, 0.44 * np.pi, 40))
         fvals = rng.uniform(0.1, 2.0, 40) * np.exp(1j * arg)
         fvals[rng.integers(0, 40, 3)] = 0.0
-        v_start = np.sqrt(fvals[0]) * np.exp(1j * rng.uniform(-0.2, 0.2)) * rng.choice([-1, 1])
         fvals[0] = 0.0 if k % 5 == 0 else fvals[0]
-        want, ref = [], v_start
+        want, ref = [], None
         for w in fvals:
-            s = nearest_sqrt(w, ref)
+            s = np.sqrt(w) if ref is None else nearest_sqrt(w, ref)
             want.append(s)
             if s != 0:
                 ref = s
-        assert np.array_equal(continue_sqrt_chain(fvals, v_start), np.array(want))
+        assert np.array_equal(_principal_chain(fvals)[0], np.array(want))
         rows.append(fvals)
-        starts.append(v_start)
         wants.append(want)
-    assert np.array_equal(continue_sqrt_chain(np.array(rows), np.array(starts)), np.array(wants))
+    assert np.array_equal(_principal_chain(np.array(rows))[0], np.array(wants))
 
 
 def test_arg_steps_ok_skips_zeros_per_row(rng):
@@ -279,34 +295,68 @@ def test_arg_steps_ok_skips_zeros_per_row(rng):
         fvals[rng.integers(0, 17, 1 + k % 3)] = 0.0
         nz = fvals[fvals != 0]
         want.append(bool(np.all(np.abs(np.angle(nz[1:] / nz[:-1])) < 0.45 * np.pi)))
-        assert _arg_steps_ok(fvals) == want[-1]
+        assert _principal_chain(fvals)[1] == want[-1]
         rows.append(fvals)
     assert 0 < sum(want) < len(want)
-    assert np.array_equal(_arg_steps_ok(np.array(rows)), np.array(want))
+    assert np.array_equal(_principal_chain(np.array(rows))[1], np.array(want))
 
 
-def test_chords_match_integrate_and_fall_back(monkeypatch):
+def test_chords_match_integrate(monkeypatch):
     # a short chord is one accepted panel; chords across the disk pass near
-    # the roots, fail the node-gap rule and go to the adaptive integrate
+    # the roots, fail the node-gap rule and are split within the one batch
     f = rational(0.3 + 0.2j, roots=[(0.2 - 0.1j, 1), (-0.3 + 0.2j, 2)])
     integ = SqrtSegmentIntegrator(f, 1e-11)
     za = np.array([0.9, -0.8j, 0.5 + 0.5j, -0.9 + 0.1j])
     zb = np.array([0.88 + 0.05j, 0.8j, -0.6 - 0.4j, 0.9 - 0.1j])
-    rejected = []
+    one_panel = SqrtSegmentIntegrator(f, 1e-11, max_depth=0)
+    one_panel.chords(za[:1], zb[:1])
+    with pytest.raises(ToleranceNotMet):
+        one_panel.chords(za, zb)
+    calls = []
     integrate = SqrtSegmentIntegrator.integrate
 
     def counted(self, *args, **kw):
-        rejected.append(args[:2])
+        calls.append(args[:2])
         return integrate(self, *args, **kw)
 
     monkeypatch.setattr(SqrtSegmentIntegrator, "integrate", counted)
     D, sigma = integ.chords(za, zb)
     monkeypatch.undo()
-    assert 0 < len(rejected) < len(za)
+    assert calls == []
     for a, b, d, s in zip(za, zb, D, sigma):
         val, _, v_end = integ.integrate(a, b, np.sqrt(f.eval(a)))
         assert d == pytest.approx(2.0 * val, abs=1e-10)
         assert v_end == pytest.approx(s * np.sqrt(f.eval(b)), rel=1e-12)
+
+
+def test_segments_match_integrate_one_by_one(rng):
+    # one batch of segments, every third ending at a root, against integrate
+    # on each; and a chained route into a root against integrate carrying
+    # the branch from segment to segment
+    f = rational(0.3 + 0.2j, roots=[(0.2 - 0.1j, 1), (-0.3 + 0.2j, 2)])
+    roots = [r for r, _ in f.interior_roots]
+    integ = SqrtSegmentIntegrator(f, 1e-11)
+    za = 0.7 * np.exp(2j * np.pi * np.arange(12) / 12)
+    zb = 0.9 * (rng.random(12) + 1j * rng.random(12)) - 0.45 - 0.45j
+    zb[::3] = roots[0]
+    zb[1::3][:2] = roots[1]
+    v0 = np.sqrt(f.eval(za)) * rng.choice([-1.0, 1.0], 12)
+    vals, errs, v_end = integ.segments(za, zb, v0)
+    for i in range(12):
+        val, err, ve = integ.integrate(za[i], zb[i], v0[i])
+        assert abs(vals[i] - val) <= 1e-14 * max(1.0, abs(val))
+        assert abs(v_end[i] - ve) <= 1e-14 * max(1.0, abs(ve))
+        assert errs[i] == pytest.approx(err, abs=1e-15)
+    assert np.all(v_end[::3] == 0)
+
+    assert all(len(x) == 0 for x in integ.segments([], [], 1.0, chained=True))
+    wps = np.array([0.6 + 0.5j, 0.1 + 0.6j, -0.5 + 0.5j, -0.7 - 0.2j, -0.2 - 0.6j, roots[0]])
+    vals, _, v_end = integ.segments(wps[:-1], wps[1:], 1j * np.sqrt(f.eval(wps[0])), chained=True)
+    v = 1j * np.sqrt(f.eval(wps[0]))
+    for a, b, got, got_v in zip(wps[:-1], wps[1:], vals, v_end):
+        val, _, v = integ.integrate(a, b, v)
+        assert abs(got - val) <= 1e-14 * max(1.0, abs(val))
+        assert abs(got_v - v) <= 1e-14 * max(1.0, abs(v))
 
 
 # -- the batched boundary march against a chord-by-chord oracle -------------------

@@ -4,7 +4,6 @@ import pytest
 from hopfseg.errors import PoleHit, RootHit, RootOnContour
 from hopfseg.rational import (
     RationalFactored,
-    ZeroRecord,
     monomial,
     multiply,
     order_at,
@@ -91,13 +90,6 @@ def test_root_merging_and_validation():
         rational(1.0, roots=[(0.99, 1)])       # inside the boundary band
     with pytest.raises(ValueError):
         rational(1.0, unit_num=[(1.01, 1)])    # unit factor too close
-
-
-def test_zero_record_parity():
-    assert ZeroRecord(location=0.1, order=3).parity == "odd"
-    assert ZeroRecord(location=0.1, order=2).parity == "even"
-    with pytest.raises(ValueError):
-        ZeroRecord(location=0.0, order=0)
 
 
 def test_multiply_closure(rng):
