@@ -2,10 +2,12 @@
 """Split the order-3 zero of f = z^3/4 and iterate down to simple zeros.
 
 Writes the intermediate and final function specs plus SVG renderings of the
-traced nodal graphs into the output directory.
+traced nodal graphs into the output directory.  Exits 1 if the counting
+identities fail on any of the three traced graphs.
 """
 
 import argparse
+import sys
 from pathlib import Path
 
 from hopfseg.desingularize import excess_index, reduce_to_simple, split_zero
@@ -37,6 +39,7 @@ def main():
     print(f"final: alpha = {excess_index(final)}, zeros = "
           f"{[(str(round(z.real, 6) + 1j * round(z.imag, 6)), m) for z, m in final.interior_roots]}")
 
+    failed = False
     for name, fn in (("start", f), ("after_one_split", res.f_new), ("final", final)):
         base = find_base_point(fn)
         st = reconstruct(fn, base, resolution=args.resolution)
@@ -45,7 +48,9 @@ def main():
         (out / f"{name}.svg").write_text(render_svg(graph=g))
         print(f"{name}: M={g.M} N={g.N} T={g.T} index_sum={rep.index_sum} "
               f"formulas={'ok' if rep.formula_check else 'FAIL'}")
+        failed |= not rep.formula_check
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

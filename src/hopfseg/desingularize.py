@@ -16,7 +16,7 @@ and need no continuation bookkeeping.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,12 +25,15 @@ from .errors import (
     ClosenessFailed,
     DeterminantFloor,
     NotAdmissible,
+    RootTooCloseToBoundary,
     SingularSolve,
     SplitOrderMismatch,
 )
 from .mobius import apply, invert, is_general_position, make_general_position, pushforward_hopf
+from .primitive import PathEngine
 from .quadrature import gk15
 from .rational import RationalFactored, order_at
+from .slits import build_slit_disk
 from .states import admissibility, reconstruct
 
 R_CANDIDATES = (2, 4, 8, 16, 32, 64)
@@ -90,7 +93,6 @@ class PerturbationContext:
     gamma_arg: float
     R: int = 0
     B0: np.ndarray | None = None
-    _A0: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def M(self) -> int:
@@ -219,7 +221,6 @@ def choose_R(ctx: PerturbationContext) -> int:
     if ctx.M == 0:
         ctx.R = 2
         ctx.B0 = np.zeros(0, dtype=complex)
-        ctx._A0 = np.zeros((0, 0), dtype=complex)
         return 2
     best = None
     for R in R_CANDIDATES + (1,):
@@ -231,10 +232,9 @@ def choose_R(ctx: PerturbationContext) -> int:
         if det >= DET_FLOOR:
             ctx.R = R
             ctx.B0 = B0
-            ctx._A0 = A0
             return R
         if best is None or det > best[0]:
-            best = (det, R, A0, B0)
+            best = (det, R, B0)
     # the normalized determinant is only a conditioning proxy; nearly
     # coincident satellite zeros (deep splitting chains) push it below the
     # floor while the system stays consistent.  Fall back to the best scale
@@ -242,8 +242,7 @@ def choose_R(ctx: PerturbationContext) -> int:
     # the result act as the certificate.
     if best is not None and best[0] >= 1e-12:
         ctx.R = best[1]
-        ctx._A0 = best[2]
-        ctx.B0 = best[3]
+        ctx.B0 = best[2]
         return ctx.R
     raise DeterminantFloor("no exponent scale R <= 64 gave a usable determinant")
 
@@ -268,6 +267,14 @@ def solve_weights(A: np.ndarray, B: np.ndarray, B0: np.ndarray) -> np.ndarray:
     return W
 
 
+def _weights(ctx: PerturbationContext, omega0: complex, theta: float, tol: float = 1e-12):
+    """The weights W at omega0 = eps e^{i theta}, none when f has no other zero."""
+    if not ctx.M:
+        return np.zeros(0, dtype=complex)
+    A, B = assemble_system(ctx, omega0, tol=tol)
+    return solve_weights(A, B, _limit_signs(ctx, theta) * ctx.B0)
+
+
 def K_value(ctx: PerturbationContext, eps: float, theta: float, tol: float = 1e-12) -> float:
     """Scaled real part of the primitive at the candidate simple zero.
 
@@ -282,12 +289,7 @@ def K_value(ctx: PerturbationContext, eps: float, theta: float, tol: float = 1e-
         th = _lift(theta, ctx.gamma_arg)
         return float(-abs(H0) * beta_moment(m0) * math.sin(0.5 * (3 + m0) * th - phi))
     omega0 = eps * np.exp(1j * theta)
-    if ctx.M:
-        A, B = assemble_system(ctx, omega0, tol=tol)
-        W = solve_weights(A, B, _limit_signs(ctx, theta) * ctx.B0)
-    else:
-        W = np.zeros(0, dtype=complex)
-    return _K_scaled(ctx, omega0, W, tol=tol)
+    return _K_scaled(ctx, omega0, _weights(ctx, omega0, theta, tol), tol=tol)
 
 
 def _K_scaled(ctx: PerturbationContext, omega0: complex, W, tol: float = 1e-12) -> float:
@@ -365,7 +367,7 @@ def _assemble_f_new(ctx: PerturbationContext, omega0: complex, W: np.ndarray):
     min_outside = min((abs(r) for r, _ in unit_num), default=np.inf)
     delta = min(f.delta_bd, 0.9 * (min_outside - 1.0)) if unit_num else f.delta_bd
     if delta <= 1e-9:
-        raise ClosenessFailed("q-polynomial roots too close to the disk")
+        raise RootTooCloseToBoundary("q-polynomial roots too close to the disk")
     return RationalFactored(
         leading=lead,
         interior_roots=tuple(roots),
@@ -375,8 +377,8 @@ def _assemble_f_new(ctx: PerturbationContext, omega0: complex, W: np.ndarray):
     )
 
 
-def _state_distances(st1, f_new):
-    st2 = reconstruct(f_new, st1.base, resolution=st1.resolution)
+def _state_distances(st1, st2):
+    """Sup and H1 distances between two states on the same grid."""
     d = st1.u - st2.u
     inside = st1.inside & st2.inside
     sup = float(np.nanmax(np.abs(d[inside])))
@@ -396,29 +398,26 @@ def split_zero(f: RationalFactored, z0, eps_target: float = 0.05, branch: int = 
     Preconditions: ord(f, z0) >= 2, the full admissibility of f at z0, and
     general position of the remaining zeros seen from z0 (arrange via the
     Moebius helpers first if needed).  Backtracks eps by halving when Newton
-    leaves its branch basin or the new state strays beyond eps_target.
+    leaves its branch basin or the new state strays beyond eps_target, and
+    by quartering when a q-polynomial root comes too close to the disk.
+    Each function gets one PathEngine, which serves both its admissibility
+    check and its resolution-96 state; R is chosen once, on the final chart.
     """
     z0 = complex(z0)
-    rep = admissibility(f, z0)
+    eng = PathEngine(f, build_slit_disk(f, z0))
+    rep = admissibility(f, z0, engine=eng)
     if not rep.admissible:
         raise NotAdmissible(f"input not admissible at {z0}: {rep.residuals}")
     pts = [z for z, _ in f.interior_roots]
     if not is_general_position(pts, z0):
         raise ValueError("zeros not in general position with respect to z0")
 
+    # the default chart only fixes the branch's seed angle
     ctx0 = make_context(f, z0)
-    choose_R(ctx0)
-    if ctx0.M:
-        scale_b = float(np.max(np.abs(ctx0.B0))) if len(ctx0.B0) else 1.0
-        bad = float(np.max(np.abs(ctx0.B0.real)))
-        if bad > max(1e-8, 1e-7 * scale_b):
-            raise NotAdmissible(f"system vector at 0 not purely imaginary: {bad}")
-
-    th0_all = limit_angles(ctx0)
     m = ctx0.m0 + 3
     if not 0 <= branch < m:
         raise ValueError(f"branch must lie in [0, {m})")
-    th_seed0 = th0_all[branch]
+    th_seed0 = limit_angles(ctx0)[branch]
 
     # final chart: keep the cut far from the working angle and the zero rays
     gamma = (th_seed0 + np.pi / m) % (2 * np.pi)
@@ -430,6 +429,11 @@ def split_zero(f: RationalFactored, z0, eps_target: float = 0.05, branch: int = 
         gamma = (gamma + 0.013) % (2 * np.pi)
     ctx = make_context(f, z0, gamma_arg=gamma)
     choose_R(ctx)
+    if ctx.M:
+        scale_b = float(np.max(np.abs(ctx.B0)))
+        bad = float(np.max(np.abs(ctx.B0.real)))
+        if bad > max(1e-8, 1e-7 * scale_b):
+            raise NotAdmissible(f"system vector at 0 not purely imaginary: {bad}")
     cand = limit_angles(ctx)
     th_seed = min(cand, key=lambda a: abs((a - th_seed0 + np.pi) % (2 * np.pi) - np.pi))
 
@@ -462,11 +466,7 @@ def split_zero(f: RationalFactored, z0, eps_target: float = 0.05, branch: int = 
                 raise BranchLost(f"Newton stalled at |K| = {abs(K)}")
 
             omega0 = eps * np.exp(1j * theta)
-            if ctx.M:
-                A, B = assemble_system(ctx, omega0)
-                W = solve_weights(A, B, _limit_signs(ctx, theta) * ctx.B0)
-            else:
-                W = np.zeros(0, dtype=complex)
+            W = _weights(ctx, omega0, theta)
             f_new = _assemble_f_new(ctx, omega0, W)
 
             want = (ctx.m0, 1) + tuple(ctx.qs)
@@ -474,12 +474,14 @@ def split_zero(f: RationalFactored, z0, eps_target: float = 0.05, branch: int = 
             if got != want:
                 raise SplitOrderMismatch(f"zero orders {got} after splitting at eps = {eps:.3g}, "
                                          f"expected {want}")
-            rep_new = admissibility(f_new, z0)
+            eng_new = PathEngine(f_new, build_slit_disk(f_new, z0))
+            rep_new = admissibility(f_new, z0, engine=eng_new)
             if not rep_new.admissible:
                 raise ClosenessFailed(f"perturbed function failed admissibility: {rep_new.residuals}")
             if old_state is None:
-                old_state = reconstruct(f, z0, resolution=96)
-            sup, h1 = _state_distances(old_state, f_new)
+                old_state = reconstruct(f, z0, resolution=96, engine=eng)
+            sup, h1 = _state_distances(
+                old_state, reconstruct(f_new, z0, resolution=96, engine=eng_new))
             if sup + h1 > eps_target:
                 raise ClosenessFailed(f"state moved by {sup + h1} > {eps_target}")
             return DesingularizationResult(
@@ -487,20 +489,20 @@ def split_zero(f: RationalFactored, z0, eps_target: float = 0.05, branch: int = 
                 epsilon=eps, theta=theta, branch=branch,
                 sup_dist=sup, h1_dist=h1, admissibility=rep_new,
             )
+        except RootTooCloseToBoundary as exc:
+            # representability failure: the weights scale like
+            # eps / |w_1|^{lR+1}, so shrink hard, and prefer the
+            # smallest exponent scale the determinant floor allows
+            last_exc = exc
+            if not tried_small_R and ctx.M and ctx.R > 1:
+                tried_small_R = True
+                if normalized_det(ctx, 1) >= DET_FLOOR:
+                    ctx.R = 1
+                    continue
+            eps *= 0.25
         except (BranchLost, ClosenessFailed) as exc:
             last_exc = exc
-            if "q-polynomial" in str(exc):
-                # representability failure: the weights scale like
-                # eps / |w_1|^{lR+1}, so shrink hard, and prefer the
-                # smallest exponent scale the determinant floor allows
-                if not tried_small_R and ctx.M and ctx.R > 1:
-                    tried_small_R = True
-                    if normalized_det(ctx, 1) >= DET_FLOOR:
-                        ctx.R = 1
-                        continue
-                eps *= 0.25
-            else:
-                eps *= 0.5
+            eps *= 0.5
     raise ClosenessFailed(f"backtracking exhausted: {last_exc}")
 
 

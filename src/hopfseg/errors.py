@@ -64,7 +64,7 @@ class TraceStall(HopfSegError):
 # --- Moebius maps ---------------------------------------------------------
 
 class RootTooCloseToBoundary(HopfSegError):
-    """A pushed-forward root landed too close to the unit circle."""
+    """A pushed-forward or q-polynomial root landed too close to the unit circle."""
 
 
 class SearchExhausted(HopfSegError):

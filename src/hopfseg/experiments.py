@@ -153,7 +153,7 @@ def random_even_function(rng) -> RationalFactored:
             scale = eng.boundary_scale()
             if any(abs(eng.F(z).real) < 1e-2 * scale for z, _ in roots):
                 continue
-            st = reconstruct(f, 0.0, resolution=96)
+            st = reconstruct(f, 0.0, resolution=96, engine=eng)
             bz = boundary_zeros(st)
             gaps = np.diff(sorted(bz) + [sorted(bz)[0] + 2 * np.pi]) if bz else []
             # shallow boundary caps (close zero pairs) are invisible at

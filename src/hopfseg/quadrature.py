@@ -61,26 +61,19 @@ def nearest_sqrt(w, ref):
     return np.where(flip, -s, s)
 
 
-def _fill_zeros(x):
-    """x with each zero replaced by the last nonzero before it on its row, or
-    by the first nonzero where none comes before."""
-    nz = x != 0
-    if nz.all():
-        return x
-    idx = np.maximum.accumulate(np.where(nz, np.arange(x.shape[-1]), 0), axis=-1)
-    idx = np.maximum(idx, np.argmax(nz, axis=-1)[..., None])
-    return np.take_along_axis(x, idx, axis=-1)
-
-
 def _principal_chain(fvals):
     """Continued square roots along rows of f values from the principal root
-    at the first nonzero one, and whether each row turns by < 0.45 pi from one
-    nonzero value to the next (a zero takes the value before it).  Principal
-    roots of consecutive values lie on opposite sides exactly where their
-    principal arguments differ by more than pi, so the branch is a running
-    product of sign flips there; that continues it where each turn is < pi/2.
+    at the first one, and whether each row turns by < 0.45 pi from one value
+    to the next.  Principal roots of consecutive values lie on opposite sides
+    exactly where their principal arguments differ by more than pi, so the
+    branch is a running product of sign flips there; that continues it where
+    each turn is < pi/2.  Only the last value of a row may be zero (the root
+    a segment ends at); it takes the value before it.
     """
-    x = _fill_zeros(fvals)
+    x = fvals
+    if not x[..., -1].all():
+        x = x.copy()
+        x[..., -1] = np.where(x[..., -1] == 0, x[..., -2], x[..., -1])
     a = np.arctan2(x.imag, x.real)
     # the turn is pi - |excess| whether or not the roots flip
     excess = np.abs(a[..., 1:] - a[..., :-1]) - np.pi

@@ -363,18 +363,21 @@ def _label_species(u, sre, inside, Z, cross_east, cross_south, thr, grad_scale):
 
 
 def reconstruct(f: RationalFactored, base, resolution: int = 256,
-                tol: float | None = None) -> SegregatedState:
+                engine: PathEngine | None = None) -> SegregatedState:
     """Sampled state U = |Re F| with species labels and critical points.
 
     Requires Re F to vanish at the odd zeros (otherwise |Re F| has no
     continuous extension across the cuts and the state does not exist).
     Critical points come from the exact root list filtered by the residual
-    test, never from the grid.
+    test, never from the grid.  engine, if given, is a PathEngine already
+    built for (f, base); the state then uses it, with its memoised rim march
+    and cached routes, instead of building its own.
     """
     base = complex(base)
-    slit = build_slit_disk(f, base)
-    eng = PathEngine(f, slit)
-    rep = admissibility(f, base, tol, engine=eng)
+    if engine is not None and (engine.f is not f or engine.slit.base != base):
+        raise ValueError("engine was built for another (f, base)")
+    eng = engine or PathEngine(f, build_slit_disk(f, base))
+    rep = admissibility(f, base, engine=eng)
     scale, tol_adm = rep.scale, rep.tolerance
     orders = [m for _, m in f.interior_roots]
     odd_res = [zv for zv, m in zip(rep.residuals, orders) if m % 2 == 1]
@@ -388,7 +391,7 @@ def reconstruct(f: RationalFactored, base, resolution: int = 256,
     Z = X + 1j * Y
     inside = np.abs(Z) < 1.0
     fZ = f.eval(Z)
-    cross_east, cross_south = _cut_crossings(slit.cuts, X, Y)
+    cross_east, cross_south = _cut_crossings(eng.slit.cuts, X, Y)
     sre, source = _fill_grid(f, eng, Z, fZ, inside, cross_east, cross_south)
     u = np.abs(sre)
 
@@ -404,7 +407,7 @@ def reconstruct(f: RationalFactored, base, resolution: int = 256,
     )
 
     return SegregatedState(
-        f=f, base=base, slit=slit, resolution=resolution,
+        f=f, base=base, slit=eng.slit, resolution=resolution,
         u=u, sre=sre, inside=inside, species=species, n_species=n_species,
         criticals=crit, residuals=tuple(odd_res), scale=scale, engine=eng,
         cross_east=cross_east, cross_south=cross_south, source=source,

@@ -19,7 +19,7 @@ from hopfseg.desingularize import (
     solve_weights,
     split_zero,
 )
-from hopfseg.errors import SingularSolve, SplitOrderMismatch
+from hopfseg.errors import NotAdmissible, SingularSolve, SplitOrderMismatch
 from hopfseg.experiments import tuned_multizero
 from hopfseg.rational import monomial, order_at, rational
 from hopfseg.states import admissibility, find_base_point, reconstruct
@@ -278,3 +278,15 @@ def test_split_rejects_merged_new_zero():
     # a typed error that the eps backtracking does not swallow
     with pytest.raises(SplitOrderMismatch):
         split_zero(monomial(0.25, 3), 0.0, eps_target=1e9, branch=0, eps0=1e-13)
+
+
+def test_split_requires_full_admissibility():
+    # Re F vanishes at the odd base zero, so the state exists, but not at the
+    # even zero 0.5 (residual 0.0101), so that zero is no critical point and
+    # the split must refuse the input
+    f = rational(0.25, roots=[(0, 3), (0.5, 2)])
+    with pytest.raises(NotAdmissible, match="input not admissible"):
+        split_zero(f, 0.0)
+    st = reconstruct(f, 0.0, resolution=64)
+    assert st.criticals == ((0j, 3, 5),)
+    assert admissibility(f, 0.0).residuals[1][1] == pytest.approx(0.0101, abs=1e-4)

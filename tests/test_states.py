@@ -98,6 +98,23 @@ def test_reconstruct_not_admissible():
         reconstruct(f, 0.5j, resolution=96)
 
 
+@pytest.mark.parametrize("name", ["z3", "figure5"])
+def test_reconstruct_with_given_engine(name):
+    # a state built on a caller's engine, after the caller's own admissibility
+    # check has filled its cache and rim march, equals a fresh one
+    f, base = (monomial(0.25, 3), 0.0) if name == "z3" else figure5_function()
+    eng = PathEngine(f, build_slit_disk(f, base))
+    admissibility(f, base, engine=eng)
+    st = reconstruct(f, base, 96, engine=eng)
+    fresh = reconstruct(f, base, 96)
+    assert st.engine is eng
+    for key in ("u", "sre", "species", "source"):
+        assert np.array_equal(getattr(st, key), getattr(fresh, key), equal_nan=True)
+    assert (st.criticals, st.residuals, st.scale) == (fresh.criticals, fresh.residuals, fresh.scale)
+    with pytest.raises(ValueError, match="another"):
+        reconstruct(f, base + 0.1, 96, engine=eng)
+
+
 def test_species_touch_boundary(cubic_state):
     st = cubic_state
     G = st.resolution
