@@ -511,17 +511,16 @@ def excess_index(f: RationalFactored) -> int:
     return sum(n - 1 for _, n in f.interior_roots)
 
 
-def reduce_to_simple(f: RationalFactored, eps_budget: float = 0.2,
-                     bold: bool = True) -> RationalFactored:
+def reduce_to_simple(f: RationalFactored, eps_budget: float = 0.2) -> RationalFactored:
     """Split highest-order zeros until all are simple, one excess unit per step.
 
     Each step may first move the configuration into general position by a
     disk automorphism (the state distance then carries that map's condition
-    factor).  With bold=True the initial eps per step is a quarter of the
-    nearest-zero distance (backtracking shrinks it as needed), which keeps
-    the produced zeros as separated as the budget allows; the conservative
-    default (eps = 0.01 |w_1|, bold=False) makes later splits exponentially
-    harder to represent because the q-weights scale like eps / |w_1|^{R+1}.
+    factor).  The initial eps per step is a quarter of the nearest-zero
+    distance (backtracking shrinks it as needed), which keeps the produced
+    zeros as separated as the budget allows; a conservative eps = 0.01 |w_1|
+    makes later splits exponentially harder to represent because the
+    q-weights scale like eps / |w_1|^{R+1}.
     """
     alpha0 = excess_index(f)
     if alpha0 == 0:
@@ -530,10 +529,7 @@ def reduce_to_simple(f: RationalFactored, eps_budget: float = 0.2,
 
     def step_eps(g, z0):
         others = [abs(z - z0) for z, _ in g.interior_roots if abs(z - z0) > 1e-13]
-        w1 = min(others) if others else None
-        if not bold:
-            return 0.01 * w1 if w1 else 0.01
-        return 0.25 * w1 if w1 else 0.25
+        return 0.25 * min(others) if others else 0.25
 
     cur = f
     while True:

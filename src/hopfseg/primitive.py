@@ -25,7 +25,7 @@ import numpy as np
 from .errors import ToleranceNotMet, Unreachable
 from .quadrature import SqrtSegmentIntegrator, rtsafe
 from .rational import RationalFactored
-from .slits import GOLDEN_ANGLE, SlitDisk, point_segment_distance, route_path
+from .slits import GOLDEN_ANGLE, SlitDisk, crosses, route_path
 
 _REF_CANDIDATES = (
     0.3722 + 0.1107j,
@@ -90,22 +90,16 @@ class PathEngine:
     def _raw(self, target):
         """(2 * int_{z_ref}^{target} f^{1/2}, sheet value at target, err).
 
-        Targets landing exactly on a cut interior are evaluated one-sided
-        (counterclockwise nudge); |Re F| is continuous there whenever the
-        admissibility condition holds, so consumers of U never notice.
+        A target on a cut takes the value of its counterclockwise side, from
+        which slits.crosses lets the route arrive; |Re F| is continuous there
+        whenever the admissibility condition holds, so consumers of U never
+        notice.
         """
         target = complex(target)
         key = self._key(target)
         hit = self._cache.get(key)
         if hit is not None:
             return hit
-        if self.slit.on_cut_interior(target):
-            for c in self.slit.cuts:
-                if abs(target - c.anchor) > 1e-12 and \
-                        abs(target - c.anchor) <= c.length + 1e-12:
-                    if point_segment_distance(target, c.anchor, c.end) <= 1e-12:
-                        target = target + 1e-9j * c.direction
-                        break
         wps = route_path(self.slit, self.f, self.z_ref, target)
         vals, errs, v = self._integ.segments(wps[:-1], wps[1:], self.v_ref,
                                              tol=self.tol / max(1, len(wps) - 1), chained=True)
@@ -147,13 +141,13 @@ class PathEngine:
     def _march(self, samples: int):
         """(angles, points, raw values, carried roots, cut ends per gap).
 
-        Gap i runs from th[i] to the next sample.  A sample within 1e-9 of a
-        cut end is evaluated one-sided, nudged counterclockwise past it, so
-        the gap it ends holds that cut end.  Chords between consecutive
-        samples are homotopic to the boundary arcs (all roots sit well
-        inside, unit factors well outside, so no sample is a root), so the
-        march needs a fresh routed value only after a gap that holds a cut
-        end.  Memoised per sample count.
+        Gap i runs from th[i] to the next sample, and holds a cut end exactly
+        when its chord crosses that cut (slits.crosses: a sample on a cut end
+        lies on its counterclockwise side, so the gap it ends holds the end).
+        Chords between consecutive samples are homotopic to the boundary arcs
+        (all roots sit well inside, unit factors well outside, so no sample
+        is a root), so the march needs a fresh routed value only after a gap
+        that holds a cut end.  Memoised per sample count.
         """
         hit = self._marches.get(samples)
         if hit is not None:
@@ -161,14 +155,15 @@ class PathEngine:
         if samples < 16:
             raise ValueError("need at least 16 boundary samples")
         th = 2.0 * np.pi * np.arange(samples) / samples
-        ends = {np.angle(c.end) % (2 * np.pi) for c in self.slit.cuts}
-        ends = sorted(ends | {c + 2 * np.pi for c in ends})
-        right = np.append(th[1:], 2 * np.pi)
-        gap_cuts = [[c for c in ends if a + 1e-9 <= c < b + 1e-9] for a, b in zip(th, right)]
         pts = np.exp(1j * th)
-        for i, t in enumerate(th):
-            if any(abs((t - c + np.pi) % (2 * np.pi) - np.pi) < 1e-9 for c in ends):
-                pts[i] = np.exp(1j * (t + 1e-9))
+        nxt = np.roll(pts, -1)
+        gap_cuts = [[] for _ in range(samples)]
+        for c in self.slit.cuts:
+            end = np.angle(c.end) % (2 * np.pi)
+            for i in np.flatnonzero(crosses(pts, nxt, c.anchor, c.end)):
+                gap_cuts[i].append(end + 2 * np.pi if end < th[i] else end)
+        for cuts in gap_cuts:
+            cuts.sort()
         # one batch of chords, composed along each run of gaps free of cut
         # ends: a chord from the root s*p at its start adds s*D and carries
         # s*sigma*p to its end; each run starts from a routed value

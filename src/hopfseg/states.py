@@ -25,7 +25,7 @@ from .primitive import PathEngine
 from .quadrature import GL6_W, GL6_X, SqrtSegmentIntegrator, nearest_sqrt
 from .rational import RationalFactored, order_at
 from .serialize import csv_rows
-from .slits import SlitDisk, build_slit_disk
+from .slits import SlitDisk, build_slit_disk, crosses
 
 ADMISSIBILITY_REL_TOL = 1e-8
 SPECIES_REL_THRESHOLD = 1e-6
@@ -127,35 +127,22 @@ class SegregatedState:
         return abs(self.engine.F(z).real)
 
 
-def _segment_crossings(px, py, qx, qy, ax, ay, bx, by):
-    """Vectorized strict segment-crossing predicate (step p->q vs cut a->b)."""
-    d1 = (bx - ax) * (py - ay) - (by - ay) * (px - ax)
-    d2 = (bx - ax) * (qy - ay) - (by - ay) * (qx - ax)
-    d3 = (qx - px) * (ay - py) - (qy - py) * (ax - px)
-    d4 = (qx - px) * (by - py) - (qy - py) * (bx - px)
-    eps = 1e-15
-    s1 = ((d1 > eps) & (d2 < -eps)) | ((d1 < -eps) & (d2 > eps)) | (np.abs(d1) <= eps) | (np.abs(d2) <= eps)
-    s2 = ((d3 > eps) & (d4 < -eps)) | ((d3 < -eps) & (d4 > eps)) | (np.abs(d3) <= eps) | (np.abs(d4) <= eps)
-    return s1 & s2
-
-
 # the eight neighbours a short chord may start from, axis steps first
 _NEIGHBOURS = ((0, 1), (0, -1), (1, 0), (-1, 0), (1, 1), (1, -1), (-1, 1), (-1, -1))
 
 
-def _cut_crossings(cuts, X, Y):
-    """Number of cuts crossed by each cell's east and south steps."""
-    G = X.shape[0]
+def _cut_crossings(cuts, Z):
+    """Number of cuts crossed by each cell's east and south steps.
+
+    A cell centre on a cut lies on its counterclockwise side (slits.crosses),
+    so only its steps to the other side cross.
+    """
+    G = Z.shape[0]
     cross_east = np.zeros((G, G), dtype=np.int8)
     cross_south = np.zeros((G, G), dtype=np.int8)
     for cut in cuts:
-        a, b = cut.anchor, cut.end
-        ce = _segment_crossings(X[:, :-1], Y[:, :-1], X[:, 1:], Y[:, 1:],
-                                a.real, a.imag, b.real, b.imag)
-        cross_east[:, :-1] += ce.astype(np.int8)
-        cs = _segment_crossings(X[:-1, :], Y[:-1, :], X[1:, :], Y[1:, :],
-                                a.real, a.imag, b.real, b.imag)
-        cross_south[:-1, :] += cs.astype(np.int8)
+        cross_east[:, :-1] += crosses(Z[:, :-1], Z[:, 1:], cut.anchor, cut.end)
+        cross_south[:-1, :] += crosses(Z[:-1, :], Z[1:, :], cut.anchor, cut.end)
     return cross_east, cross_south
 
 
@@ -229,8 +216,9 @@ def _chord_fill(f, eng, z, inside, G, F, V, source):
 
     Cells are visited in breadth-first order from the known region.  A cell
     takes a short chord from the first known 8-neighbour (axis steps first)
-    whose chord crosses no cut and passes no root closer than half the
-    distance of its nearer end, integrated by the root-aware segment
+    whose chord crosses no cut (slits.crosses, so a cell centre on a cut is
+    reached from its counterclockwise side) and passes no root closer than
+    half the distance of its nearer end, integrated by the root-aware segment
     integrator at the engine's tolerance; a chord may end at a root.  Only a
     cell that no chord reaches is routed.
     """
@@ -246,9 +234,7 @@ def _chord_fill(f, eng, z, inside, G, F, V, source):
         ok = (jy >= 0) & (jy < G) & (jx >= 0) & (jx < G) & inside.ravel()[j]
         za = z[j]
         for cut in eng.slit.cuts:
-            p, q = cut.anchor, cut.end
-            ok &= ~_segment_crossings(za.real, za.imag, zb.real, zb.imag,
-                                      p.real, p.imag, q.real, q.imag)
+            ok &= ~crosses(za, zb, cut.anchor, cut.end)
         seg = zb - za
         L2 = np.maximum(np.abs(seg) ** 2, 1e-300)
         for r, _ in f.interior_roots:
@@ -391,7 +377,7 @@ def reconstruct(f: RationalFactored, base, resolution: int = 256,
     Z = X + 1j * Y
     inside = np.abs(Z) < 1.0
     fZ = f.eval(Z)
-    cross_east, cross_south = _cut_crossings(eng.slit.cuts, X, Y)
+    cross_east, cross_south = _cut_crossings(eng.slit.cuts, Z)
     sre, source = _fill_grid(f, eng, Z, fZ, inside, cross_east, cross_south)
     u = np.abs(sre)
 

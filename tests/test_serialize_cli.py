@@ -8,7 +8,7 @@ import pytest
 from hopfseg import cli
 from hopfseg.cli import main
 from hopfseg.errors import SchemaError
-from hopfseg.experiments import figure5_function
+from hopfseg.experiments import admissible_fw, figure5_function
 from hopfseg.rational import monomial, rational
 from hopfseg.serialize import emit_function, parse_function, render_svg
 
@@ -105,6 +105,19 @@ def test_cli_index(tmp_path, capsys):
     assert rep["index_sum"] == 3
     assert rep["formula_check"] and rep["euler_check"]
     assert rep["clean_trace"]
+
+
+@pytest.mark.parametrize("G", ["97", "129"])
+@pytest.mark.parametrize("name", ["z3", "fw2"])
+def test_cli_index_odd_resolution_cell_row_on_cut(tmp_path, capsys, name, G):
+    f = monomial(0.25, 3) if name == "z3" else admissible_fw(2)[0]
+    p = _write_spec(tmp_path, f)
+    out = tmp_path / "out"
+    code = main(["index", "-i", str(p), "-o", str(out), "--resolution", G])
+    rep = json.loads((out / "report.json").read_text())
+    assert (rep["M"], rep["N"], rep["T"], rep["n_species"]) == (5, 5, 1, 5)
+    assert rep["grid_fill"]["routed"] == 1
+    assert code == 0
 
 
 def test_cli_index_unclean_trace_fails(tmp_path, capsys, monkeypatch):

@@ -1,10 +1,16 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
-from hopfseg.errors import Unreachable
+from hopfseg.primitive import PathEngine
 from hopfseg.rational import monomial, rational
 from hopfseg.slits import (
+    Cut,
+    _ray_circle_exit,
+    _visible,
     build_slit_disk,
+    crosses,
     point_segment_distance,
     route_between,
     route_path,
@@ -71,13 +77,107 @@ def test_route_detours_around_cut():
         assert point_segment_distance(mid, cut.anchor, cut.end) >= 1e-8
 
 
-def test_target_inside_cut_unreachable():
+def _side(z, cut):
+    """Signed distance of z from the cut's line, positive counterclockwise."""
+    return ((z - cut.anchor) * np.conj(cut.direction)).imag
+
+
+def test_route_to_target_on_cut_arrives_counterclockwise():
     f = rational(1.0, roots=[(0.0, 1)])
     slit = build_slit_disk(f, 0.0)
     cut = slit.cuts[0]
-    inside_cut = cut.anchor + 0.5 * (cut.end - cut.anchor)
-    with pytest.raises(Unreachable):
-        route_between(slit, f, -0.5, inside_cut)
+    target = cut.anchor + 0.5 * (cut.end - cut.anchor)
+    # -0.5 lies on the cut's line behind the anchor: the straight edge to the
+    # target runs through the anchor, which the router refuses
+    wps = route_between(slit, f, -0.5, target)
+    assert wps[-1] == target and _side(wps[-2], cut) > 0
+    for a, b in zip(wps[:-1], wps[1:]):
+        assert _visible(a, b, slit.cuts)
+        assert point_segment_distance(cut.anchor, a, b) > 0 or cut.anchor in (a, b)
+    eng = PathEngine(f, slit)
+    ccw = eng.F(target + 1e-10j * cut.direction)
+    assert abs(eng.F(target) - ccw) <= 1e-8
+    assert abs(eng.F(target - 1e-10j * cut.direction) - ccw) > 0.1
+
+
+def test_crosses_row_of_cell_centres_on_cut():
+    # z^3/4 from base 0 at G = 97: the middle row of cell centres lies on the cut [0, 1]
+    G = 97
+    c = -1.0 + (np.arange(G) + 0.5) * (2.0 / G)
+    Z = c[None, :] + 1j * c[:, None]
+    cut = build_slit_disk(monomial(0.25, 3), 0.0).cuts[0]
+    mid = G // 2
+    assert abs(c[mid]) < 1e-15
+    past = c > 0
+    for row in (Z[mid], Z[mid] + 1e-16j, Z[mid] - 1e-16j):
+        assert not crosses(row[:-1], row[1:], cut.anchor, cut.end).any()
+        assert not crosses(row, Z[mid + 1], cut.anchor, cut.end).any()
+        assert np.array_equal(crosses(row, Z[mid - 1], cut.anchor, cut.end), past)
+        assert np.array_equal(crosses(Z[mid - 1], row, cut.anchor, cut.end), past)
+
+
+def test_crosses_rim_sample_by_cut_end_is_counterclockwise():
+    f = rational(1.0, roots=[(0.3 + 0.1j, 1)])
+    cut = build_slit_disk(f, -0.2).cuts[0]
+    gap = 2 * np.pi / 64
+    before, after = cut.end * np.exp(-1j * gap), cut.end * np.exp(1j * gap)
+    tangent = 1j * cut.end
+    for off in (0.0, -1e-16, 1e-16):
+        sample = cut.end + off * tangent
+        assert crosses(before, sample, cut.anchor, cut.end)
+        assert not crosses(sample, after, cut.anchor, cut.end)
+    # a sample clearly clockwise of the end leaves the end to the next gap
+    sample = cut.end * np.exp(-1e-9j)
+    assert not crosses(before, sample, cut.anchor, cut.end)
+    assert crosses(sample, after, cut.anchor, cut.end)
+
+
+def test_crosses_step_through_anchor():
+    cut = Cut(anchor=0.1 + 0.2j, direction=1j, end=_ray_circle_exit(0.1 + 0.2j, 1j))
+    a, n = cut.anchor, 1j * cut.direction
+    # across the anchor, from the anchor, into the anchor: no step past it
+    assert not crosses(a - 0.1 * n, a + 0.1 * n, a, cut.end)
+    assert not crosses(a, a - 0.1 * n, a, cut.end)
+    assert not crosses(a - 0.1 * n, a, a, cut.end)
+    # just past the anchor, the same step crosses
+    step = 1e-3 * cut.direction
+    assert crosses(a + step - 0.1 * n, a + step + 0.1 * n, a, cut.end)
+    # the router refuses both edges through the anchor, across it and along the cut
+    assert not _visible(a - 0.1 * n, a + 0.1 * n, (cut,))
+    assert not _visible(a - 0.1 * cut.direction, a + 0.1 * cut.direction, (cut,))
+    assert _visible(a, a - 0.1 * n, (cut,))
+
+
+def _exact_crosses(p, q, a, e):
+    """The crossing rule in exact rational arithmetic, without the band."""
+    px, py, qx, qy, ax, ay, ex, ey = (Fraction(float(v)) for v in
+                                      (p.real, p.imag, q.real, q.imag, a.real, a.imag, e.real, e.imag))
+    sx, sy = ex - ax, ey - ay
+    dp = sx * (py - ay) - sy * (px - ax)
+    dq = sx * (qy - ay) - sy * (qx - ax)
+    if (dp > 0) == (dq > 0):
+        return False
+    t = dp / (dp - dq)
+    return sx * (px + t * (qx - px) - ax) + sy * (py + t * (qy - py) - ay) > 0
+
+
+def test_crosses_matches_exact_side_test_off_the_band():
+    rng = np.random.default_rng(7)
+    agree = crossed = 0
+    for _ in range(40):
+        a = 0.8 * np.sqrt(rng.random()) * np.exp(2j * np.pi * rng.random())
+        d = np.exp(2j * np.pi * rng.random())
+        cut = Cut(anchor=a, direction=d, end=_ray_circle_exit(a, d))
+        p, q = (np.sqrt(rng.random(200)) * np.exp(2j * np.pi * rng.random(200)) for _ in range(2))
+        keep = (np.abs(_side(p, cut)) > 1e-9) & (np.abs(_side(q, cut)) > 1e-9)
+        p, q = p[keep], q[keep]
+        got = crosses(p, q, cut.anchor, cut.end)
+        want = np.array([_exact_crosses(u, v, cut.anchor, cut.end) for u, v in zip(p, q)])
+        assert np.array_equal(got, want)
+        assert np.array_equal(crosses(q, p, cut.anchor, cut.end), got)
+        agree += len(p)
+        crossed += int(got.sum())
+    assert agree > 7000 and crossed > 500
 
 
 def test_waypoint_spacing_bound():

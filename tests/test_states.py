@@ -5,7 +5,7 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
 from hopfseg.errors import NotAdmissible, NotOnNodalSet
-from hopfseg.experiments import figure5_function
+from hopfseg.experiments import admissible_fw, figure5_function
 from hopfseg.primitive import PathEngine
 from hopfseg.rational import monomial, rational
 from hopfseg.slits import build_slit_disk
@@ -371,3 +371,17 @@ def test_fill_matches_mpmath_primitive(fill_states, name, rng):
     worst = max(abs(st.u[iy, ix] - _mp_abs_re_F(st.f, st.base, Z[iy, ix]))
                 for iy, ix in cells)
     assert worst <= 1e-12 * st.scale
+
+
+@pytest.mark.parametrize("G", [97, 129])
+@pytest.mark.parametrize("name", ["z3", "fw2"])
+def test_row_of_cell_centres_on_cut(name, G):
+    # at odd G the middle row of cell centres lies on the cut [0, 1]; those
+    # cells belong to its counterclockwise side like every other point on it
+    f = monomial(0.25, 3) if name == "z3" else admissible_fw(2)[0]
+    st = reconstruct(f, 0.0, resolution=G)
+    assert abs(st.cell_centers[G // 2]) < 1e-15
+    assert st.n_species == 5
+    assert st.routed == 1
+    if G >= 128:
+        assert dirichlet_energy(st) == pytest.approx(hopf_l1(f), rel=0.02)
