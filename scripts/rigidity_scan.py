@@ -32,6 +32,8 @@ def main():
     for z, t in zip(scan.zeros, targets):
         print(f"  {z:.9f}   {t:.9f}   delta={abs(z - t):.2e}")
     print(f"grid points flagged admissible: {int(scan.admissible.sum())}")
+    print(f"values integrated: {len(scan.phis) + len(scan.refined)} "
+          f"({len(scan.phis)} grid, {len(scan.refined)} refinement)")
     ok = len(scan.zeros) == 5 and all(
         abs(z - t) <= ANGLE_TOL for z, t in zip(scan.zeros, targets))
     if not ok:

@@ -38,6 +38,8 @@ from .states import admissibility, reconstruct
 
 R_CANDIDATES = (2, 4, 8, 16, 32, 64)
 DET_FLOOR = 1e-8
+# the resolution of the states whose distance bounds a split
+STATE_RESOLUTION = 96
 
 
 def beta_moment(m0: int) -> float:
@@ -392,7 +394,8 @@ def _state_distances(st1, st2):
 
 
 def split_zero(f: RationalFactored, z0, eps_target: float = 0.05, branch: int = 0,
-               eps0: float | None = None, newton_tol: float = 1e-9) -> DesingularizationResult:
+               eps0: float | None = None, newton_tol: float = 1e-9,
+               state=None) -> DesingularizationResult:
     """One application of the zero-splitting construction, with verification.
 
     Preconditions: ord(f, z0) >= 2, the full admissibility of f at z0, and
@@ -402,8 +405,18 @@ def split_zero(f: RationalFactored, z0, eps_target: float = 0.05, branch: int = 
     by quartering when a q-polynomial root comes too close to the disk.
     Each function gets one PathEngine, which serves both its admissibility
     check and its resolution-96 state; R is chosen once, on the final chart.
+    state, if given, is a resolution-96 state of f already built, at any
+    base: once f is admissible at z0, U = |Re F| does not depend on the base.
     """
+    return _split(f, z0, eps_target, branch, eps0, newton_tol, state)[0]
+
+
+def _split(f, z0, eps_target, branch, eps0, newton_tol, state):
+    """split_zero, and the resolution-96 state of f_new it built; a result
+    does not hold it, or every caller that keeps results would keep grids."""
     z0 = complex(z0)
+    if state is not None and (state.f is not f or state.resolution != STATE_RESOLUTION):
+        raise ValueError(f"state was not built for this f at resolution {STATE_RESOLUTION}")
     eng = PathEngine(f, build_slit_disk(f, z0))
     rep = admissibility(f, z0, engine=eng)
     if not rep.admissible:
@@ -444,7 +457,7 @@ def split_zero(f: RationalFactored, z0, eps_target: float = 0.05, branch: int = 
 
     basin = np.pi / m
     last_exc = None
-    old_state = None          # built on first need, shared by every attempt
+    old_state = state         # built on first need, shared by every attempt
     tried_small_R = False
     for _ in range(36):
         try:
@@ -479,16 +492,16 @@ def split_zero(f: RationalFactored, z0, eps_target: float = 0.05, branch: int = 
             if not rep_new.admissible:
                 raise ClosenessFailed(f"perturbed function failed admissibility: {rep_new.residuals}")
             if old_state is None:
-                old_state = reconstruct(f, z0, resolution=96, engine=eng)
-            sup, h1 = _state_distances(
-                old_state, reconstruct(f_new, z0, resolution=96, engine=eng_new))
+                old_state = reconstruct(f, z0, resolution=STATE_RESOLUTION, engine=eng)
+            new_state = reconstruct(f_new, z0, resolution=STATE_RESOLUTION, engine=eng_new)
+            sup, h1 = _state_distances(old_state, new_state)
             if sup + h1 > eps_target:
                 raise ClosenessFailed(f"state moved by {sup + h1} > {eps_target}")
             return DesingularizationResult(
                 f_new=f_new, z0=z0, omega0=omega0, W=tuple(W), R=ctx.R,
                 epsilon=eps, theta=theta, branch=branch,
                 sup_dist=sup, h1_dist=h1, admissibility=rep_new,
-            )
+            ), new_state
         except RootTooCloseToBoundary as exc:
             # representability failure: the weights scale like
             # eps / |w_1|^{lR+1}, so shrink hard, and prefer the
@@ -520,7 +533,8 @@ def reduce_to_simple(f: RationalFactored, eps_budget: float = 0.2) -> RationalFa
     distance (backtracking shrinks it as needed), which keeps the produced
     zeros as separated as the budget allows; a conservative eps = 0.01 |w_1|
     makes later splits exponentially harder to represent because the
-    q-weights scale like eps / |w_1|^{R+1}.
+    q-weights scale like eps / |w_1|^{R+1}.  A step with no automorphism
+    reuses the state that the step before built for the same function.
     """
     alpha0 = excess_index(f)
     if alpha0 == 0:
@@ -531,7 +545,7 @@ def reduce_to_simple(f: RationalFactored, eps_budget: float = 0.2) -> RationalFa
         others = [abs(z - z0) for z, _ in g.interior_roots if abs(z - z0) > 1e-13]
         return 0.25 * min(others) if others else 0.25
 
-    cur = f
+    cur, state = f, None
     while True:
         alpha = excess_index(cur)
         if alpha == 0:
@@ -551,11 +565,12 @@ def reduce_to_simple(f: RationalFactored, eps_budget: float = 0.2) -> RationalFa
         z0, n0 = cands[0]
         pts = [z for z, _ in cur.interior_roots]
         if is_general_position(pts, z0):
-            res = split_zero(cur, z0, eps_target=per_step, eps0=step_eps(cur, z0))
+            res, state = _split(cur, z0, eps_target=per_step, branch=0,
+                                eps0=step_eps(cur, z0), newton_tol=1e-9, state=state)
             cur = res.f_new
             continue
         mob = make_general_position(pts, z0)
         g = pushforward_hopf(cur, invert(mob))
         gz0 = complex(apply(mob, z0))
         res = split_zero(g, gz0, eps_target=per_step, eps0=step_eps(g, gz0))
-        cur = pushforward_hopf(res.f_new, mob)
+        cur, state = pushforward_hopf(res.f_new, mob), None

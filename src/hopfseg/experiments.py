@@ -1,6 +1,11 @@
 """Reusable experiment drivers: the rigidity scan, phase-tuned configurations,
 and generators for the index-formula suite.
 
+The rigidity scan integrates f^{1/2} along the straight segment from 0 to w
+(split at w / 2, so that both pieces end at a root), for every angle of its
+grid in one batch of the square-root kernel; its refinement integrates one
+angle per call of the same kernel.
+
 The phase-tuning trick: rotating the leading coefficient by e^{2 i gamma}
 rotates F by e^{i gamma}, so a single residual condition Re F(r) = 0 at one
 chosen zero is solved exactly by gamma = pi/2 - Arg F(r) (mod pi).  That is
@@ -16,8 +21,8 @@ import numpy as np
 from .desingularize import reduce_to_simple, split_zero
 from .errors import HopfSegError, SearchExhausted, SheetLost
 from .primitive import PathEngine
-from .quadrature import rtsafe
-from .rational import RationalFactored, monomial, rational
+from .quadrature import rtsafe, sqrt_segments
+from .rational import DELTA_BD_DEFAULT, RationalFactored, monomial, rational
 from .slits import build_slit_disk
 from .states import ADMISSIBILITY_REL_TOL
 
@@ -27,16 +32,33 @@ MAX_DRAW_ATTEMPTS = 200
 # -- the rigidity scan (one-parameter family z (z - w)^2 / 4) -----------------
 
 
+def rigidity_values(radius: float, phis, tol: float = 1e-11) -> np.ndarray:
+    """F(w) - F(0) for f = z (z - w)^2 / 4 at w = radius e^{i phi}, for every
+    angle in phis, each up to sign, in one pass of the square-root kernel.
+
+    F(w) - F(0) = 2 (int_m^w - int_m^0) f^{1/2} with m = w / 2: two straight
+    segments from the same root at m, each ending at a root.  The segment
+    from 0 to w is a path of the slit disk, since it leaves the only branch
+    point (the anchor of the cut) and the cut clears w, so the value equals
+    the PathEngine's up to the sign of the root at m.
+    """
+    w = radius * np.exp(1j * np.asarray(phis, dtype=float).reshape(-1))
+    n = len(w)
+    ws = np.concatenate((w, w))
+    vals, _, _ = sqrt_segments(
+        lambda i, z: 0.25 * z * (z - ws[i, None]) ** 2,
+        np.column_stack((np.zeros(2 * n), ws)),
+        np.concatenate((0.5 * w, 0.5 * w)), np.concatenate((w, np.zeros(n))), tol=tol)
+    return 2.0 * (vals[:n] - vals[n:])
+
+
 def rigidity_value(radius: float, phi: float, tol: float = 1e-11) -> complex:
-    """F(w) for f = z (z - w)^2 / 4, w = radius e^{i phi}, base 0 (sign per the cuts)."""
-    w = radius * np.exp(1j * phi)
-    f = rational(0.25, roots=[(0.0, 1), (w, 2)])
-    eng = PathEngine(f, build_slit_disk(f, 0.0), tol=tol)
-    return eng.F(w)
+    """F(w) - F(0) for f = z (z - w)^2 / 4, w = radius e^{i phi}, up to sign."""
+    return complex(rigidity_values(radius, [phi], tol)[0])
 
 
 def rigidity_residual(radius: float, phi: float, tol: float = 1e-11) -> float:
-    """Signed Re F(w) for f = z (z - w)^2 / 4, w = radius e^{i phi}, base 0."""
+    """Re F(w) - Re F(0) for f = z (z - w)^2 / 4, w = radius e^{i phi}, up to sign."""
     return rigidity_value(radius, phi, tol).real
 
 
@@ -49,29 +71,37 @@ class RigidityScan:
     admissible: np.ndarray     # |residual| <= tol at the grid angles
     zeros: tuple               # refined angles where admissibility holds
     tol: float
+    refined: tuple             # the angles the refinement evaluated, in order
 
 
 def rigidity_scan(radius: float = 0.1, step: float = 1e-3,
                   tol: float | None = None) -> RigidityScan:
     """Scan the family over phi in [0, 2 pi), locating the admissible angles.
 
-    F(w) turns by 5 step / 2 from one scan angle to the next, so taking at
-    each the sign nearer the value before keeps one sheet (for step < pi/5),
-    and every sign change of Re F is a zero, refined by secant steps in its
+    The grid values come from one call of rigidity_values.  F(w) turns by
+    5 step / 2 from one scan angle to the next, so taking at each the sign
+    nearer the value before keeps one sheet (hence 0 < step < pi/5), and
+    every sign change of Re F is a zero, refined by secant steps in its
     bracket (quadrature.rtsafe, xtol 1e-12) on values continued from the
-    bracket's start; a refined residual above tol raises SheetLost.
+    bracket's start; a refined residual above tol raises SheetLost.  The
+    radius must leave w inside the disk's margin, 0 < radius <= 1 - delta_bd.
     """
+    if not 0.0 < step < np.pi / 5:
+        raise ValueError(f"step {step} outside (0, pi/5): the sheet rule needs a turn "
+                         f"5 step / 2 < pi/2 between scan angles")
+    if not 0.0 < radius <= 1.0 - DELTA_BD_DEFAULT:
+        raise ValueError(f"radius {radius} outside (0, {1.0 - DELTA_BD_DEFAULT}]")
     if tol is None:
         # boundary scale of F is ~ 2/5 + O(radius); one engine probe fixes it
         f0 = rational(0.25, roots=[(0.0, 1), (radius, 2)])
         eng0 = PathEngine(f0, build_slit_disk(f0, 0.0))
         tol = ADMISSIBILITY_REL_TOL * eng0.boundary_scale()
     phis = np.arange(0.0, 2 * np.pi, step)
-    vals = np.array([rigidity_value(radius, p) for p in phis])
+    vals = rigidity_values(radius, phis)
     # the scan closes on its first angle, one turn on
     ends, vals = np.append(phis, 2 * np.pi), np.append(vals, vals[0])
     vals[1:] *= np.cumprod(np.where((vals[1:] * np.conj(vals[:-1])).real < 0, -1.0, 1.0))
-    zeros = []
+    zeros, refined = [], []
     for a, Fa, b, Fb in zip(ends[:-1], vals[:-1], ends[1:], vals[1:]):
         if Fa.real == 0.0:
             zeros.append(a)
@@ -81,6 +111,7 @@ def rigidity_scan(radius: float = 0.1, step: float = 1e-3,
 
         def residual(phi, Fa=Fa):
             if phi not in known:
+                refined.append(phi)
                 F = rigidity_value(radius, phi)
                 known[phi] = F.real if (F * np.conj(Fa)).real >= 0 else -F.real
             return known[phi]
@@ -92,6 +123,7 @@ def rigidity_scan(radius: float = 0.1, step: float = 1e-3,
     return RigidityScan(
         radius=radius, step=step, phis=phis, residuals=vals.real[:-1],
         admissible=np.abs(vals.real[:-1]) <= tol, zeros=tuple(sorted(zeros)), tol=tol,
+        refined=tuple(refined),
     )
 
 

@@ -9,8 +9,10 @@ argument of f turns by less than 0.45 pi from its start through its nodes to
 its end, which makes the nearest-sign choice provably correct.  Each panel
 starts on the principal root at its own start, and the signs are composed
 along each segment afterwards.  A segment ending at a root of any order runs
-in a parameter in which the integrand is smooth there.  gk15 runs the kernel
-on plain integrands; rtsafe refines a sign change of such integrals.
+in a parameter in which the integrand is smooth there.  sqrt_segments runs
+the kernel on f^{1/2}, each segment with its own f, and SqrtSegmentIntegrator
+binds it to one f; gk15 runs it on plain integrands; rtsafe refines a sign
+change of such integrals.
 """
 
 from __future__ import annotations
@@ -88,13 +90,14 @@ def _winding_safe(z, roots, skip=None):
     The argument-ratio test alone can alias a full 2*pi*k turn of f between
     consecutive nodes to a small angle; bounding the step by the root
     distance caps the possible turn of (z - r)^n well under 2*pi, making the
-    ratio test sound.  Rows of z are node sequences checked apart; a row
+    ratio test sound.  Rows of z are node sequences checked apart against
+    their rows of roots (inf pads a row; 1-d roots serve every row); a row
     ignores the roots its row of skip marks (the root its segment ends at).
     """
-    if not len(roots):
+    if not roots.shape[-1]:
         return np.ones(len(z), dtype=bool)
     gaps = np.abs(z[:, 1:] - z[:, :-1])
-    d = np.abs(z[..., None] - roots)
+    d = np.abs(z[..., None] - roots[..., None, :])
     if skip is not None:
         d = np.where(skip[:, None, :], np.inf, d)
     d = d.min(axis=-1)
@@ -167,8 +170,74 @@ def gk15(fn, a, b, tol):
     return _per_interval(seg, i15, len(a))
 
 
+def sqrt_segments(fn, roots, za, zb, v_start=None, tol=1e-10, max_depth=52, chained=False):
+    """Integrals of f^{1/2} dz along the segments za[i] -> zb[i], in one pass.
+
+    Each segment has its own f: fn(i, z) returns f of the segments i (one
+    entry per row) at the points z (one row per entry of i), and roots[i]
+    holds the roots of segment i's f, padded with inf (a 1-d roots serves
+    every segment).
+    v_start[i] continues the branch at za[i] (None: the principal root);
+    chained, each segment continues the one before from v_start at za[0].
+    Returns (values, error estimates, continued f^{1/2} at each zb).  No za
+    may be a root.  A segment runs in z = za + (zb - za) t, t from 0 to 1; one
+    whose zb is within 1e-13 of one of its roots ends at that root and runs
+    in z = zb + (za - zb) t^2, t from 1 down to exactly 0 (panel ends are
+    dyadic), where the local factor (z - zb)^{n/2} is t^n times a smooth
+    function for every order n, carrying 0 to zb.
+    """
+    za = np.asarray(za, dtype=complex).reshape(-1)
+    zb = np.asarray(zb, dtype=complex).reshape(-1)
+    n = len(za)
+    near = np.abs(zb[:, None] - roots) < _ROOT_SNAP
+    quad = near.any(axis=1) if near.any() else None
+    if quad is None:
+        P, Q, t0 = za, zb - za, np.zeros(n)
+        scale = np.abs(Q)
+    else:
+        idx = near.argmax(axis=1)
+        zb = np.where(quad, roots[idx] if roots.ndim == 1 else roots[np.arange(n), idx], zb)
+        P, Q = np.where(quad, zb, za), np.where(quad, za - zb, zb - za)
+        t0, scale = quad.astype(float), np.where(quad, 1.0, np.abs(Q))
+
+    def panel(seg, lo, half):
+        t = lo[:, None] + half[:, None] * _U17
+        q = Q[seg][:, None]
+        r = roots if roots.ndim == 1 else roots[seg]
+        if quad is None:
+            z = P[seg][:, None] + q * t
+            v, ok = _principal_chain(fn(seg, z))
+            ok &= _winding_safe(z, r)
+            return v[:, 1:-1] * q, ok, scale[seg], v
+        sq = quad[seg][:, None]
+        z = P[seg][:, None] + q * np.where(sq, t * t, t)
+        v, ok = _principal_chain(fn(seg, z))
+        ok &= _winding_safe(z, r, near[seg])
+        return v[:, 1:-1] * q * np.where(sq, 2.0 * t[:, 1:-1], 1.0), ok, scale[seg], v
+
+    seg, lo, i15, err, v = _breadth_first(panel, t0, 1.0 - t0, tol, max_depth)
+    if len(seg) == n and (n < 2 or not chained):
+        # one panel per segment, continued from the root given at za
+        sign = 1.0 if v_start is None else np.copysign(1.0, (v_start * v[:, 0].conj()).real)
+        return sign * i15, err, sign * v[:, -1]
+    # the panels in order along each segment (t runs down on a root's)
+    order = np.lexsort((lo if quad is None else np.where(quad[seg], -lo, lo), seg))
+    seg, i15, err, v = seg[order], i15[order], err[order], v[order]
+    # each panel's start root against the one carried into it: the end
+    # root of the panel before, or v_start where a segment starts (only
+    # the first, chained); a running product composes them, restarted at
+    # each segment start (a product of signs divides as it multiplies)
+    new = np.r_[True, (seg[1:] != seg[:-1]) & (not chained)]
+    start = v[:, 0] if v_start is None else np.broadcast_to(v_start, n)[seg]
+    prev = np.where(new, start, np.roll(v[:, -1], 1))
+    s = np.cumprod(np.copysign(1.0, (prev * v[:, 0].conj()).real))
+    s = s * np.r_[1.0, s][np.flatnonzero(new)][np.cumsum(new) - 1]
+    last = np.r_[seg[1:] != seg[:-1], True]
+    return _per_interval(seg, s * i15, n), np.bincount(seg, err, n), (s * v[:, -1])[last]
+
+
 class SqrtSegmentIntegrator:
-    """Integrates f^{1/2} dz along straight segments with branch continuity."""
+    """Integrates f^{1/2} dz along straight segments: sqrt_segments bound to one f."""
 
     def __init__(self, f, tol=1e-10, max_depth=52):
         self.f = f
@@ -177,65 +246,9 @@ class SqrtSegmentIntegrator:
         self.roots = np.array([r for r, _ in f.interior_roots], dtype=complex)
 
     def segments(self, za, zb, v_start=None, tol=None, chained=False):
-        """Integrals of f^{1/2} dz along the segments za[i] -> zb[i], in one pass.
-
-        v_start[i] continues the branch at za[i] (None: the principal root);
-        chained, each segment continues the one before from v_start at za[0].
-        Returns (values, error estimates, continued f^{1/2} at each zb).  No
-        za may be a root.  A segment runs in z = za + (zb - za) t, t from 0 to
-        1; one whose zb is within 1e-13 of a stored root ends at that root
-        and runs in z = zb + (za - zb) t^2, t from 1 down to exactly 0 (panel
-        ends are dyadic), where the local factor (z - zb)^{n/2} is t^n times a
-        smooth function for every order n, carrying 0 to zb.
-        """
-        f, roots = self.f, self.roots
-        za = np.asarray(za, dtype=complex).reshape(-1)
-        zb = np.asarray(zb, dtype=complex).reshape(-1)
-        n = len(za)
-        near = np.abs(zb[:, None] - roots) < _ROOT_SNAP
-        quad = near.any(axis=1) if near.any() else None
-        if quad is None:
-            P, Q, t0 = za, zb - za, np.zeros(n)
-            scale = np.abs(Q)
-        else:
-            zb = np.where(quad, roots[near.argmax(axis=1)], zb)
-            P, Q = np.where(quad, zb, za), np.where(quad, za - zb, zb - za)
-            t0, scale = quad.astype(float), np.where(quad, 1.0, np.abs(Q))
-
-        def panel(seg, lo, half):
-            t = lo[:, None] + half[:, None] * _U17
-            q = Q[seg][:, None]
-            if quad is None:
-                z = P[seg][:, None] + q * t
-                v, ok = _principal_chain(f.eval(z))
-                ok &= _winding_safe(z, roots)
-                return v[:, 1:-1] * q, ok, scale[seg], v
-            sq = quad[seg][:, None]
-            z = P[seg][:, None] + q * np.where(sq, t * t, t)
-            v, ok = _principal_chain(f.eval(z))
-            ok &= _winding_safe(z, roots, near[seg])
-            return v[:, 1:-1] * q * np.where(sq, 2.0 * t[:, 1:-1], 1.0), ok, scale[seg], v
-
-        tol = self.tol if tol is None else tol
-        seg, lo, i15, err, v = _breadth_first(panel, t0, 1.0 - t0, tol, self.max_depth)
-        if len(seg) == n and (n < 2 or not chained):
-            # one panel per segment, continued from the root given at za
-            sign = 1.0 if v_start is None else np.copysign(1.0, (v_start * v[:, 0].conj()).real)
-            return sign * i15, err, sign * v[:, -1]
-        # the panels in order along each segment (t runs down on a root's)
-        order = np.lexsort((lo if quad is None else np.where(quad[seg], -lo, lo), seg))
-        seg, i15, err, v = seg[order], i15[order], err[order], v[order]
-        # each panel's start root against the one carried into it: the end
-        # root of the panel before, or v_start where a segment starts (only
-        # the first, chained); a running product composes them, restarted at
-        # each segment start (a product of signs divides as it multiplies)
-        new = np.r_[True, (seg[1:] != seg[:-1]) & (not chained)]
-        start = v[:, 0] if v_start is None else np.broadcast_to(v_start, n)[seg]
-        prev = np.where(new, start, np.roll(v[:, -1], 1))
-        s = np.cumprod(np.copysign(1.0, (prev * v[:, 0].conj()).real))
-        s = s * np.r_[1.0, s][np.flatnonzero(new)][np.cumsum(new) - 1]
-        last = np.r_[seg[1:] != seg[:-1], True]
-        return _per_interval(seg, s * i15, n), np.bincount(seg, err, n), (s * v[:, -1])[last]
+        """sqrt_segments of this f (see there); tol defaults to the integrator's."""
+        return sqrt_segments(lambda _, z: self.f.eval(z), self.roots, za, zb, v_start,
+                             self.tol if tol is None else tol, self.max_depth, chained)
 
     def integrate(self, za, zb, v_start, tol=None):
         """Integral of f^{1/2} from za to zb; v_start continues the branch at za.

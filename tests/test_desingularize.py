@@ -290,3 +290,22 @@ def test_split_requires_full_admissibility():
     st = reconstruct(f, 0.0, resolution=64)
     assert st.criticals == ((0j, 3, 5),)
     assert admissibility(f, 0.0).residuals[1][1] == pytest.approx(0.0101, abs=1e-4)
+
+
+def test_split_reuses_a_given_state():
+    # a resolution-96 state of f built at another base stands in for the
+    # one split_zero would build at z0: U = |Re F| does not depend on the
+    # base once every zero is admissible
+    f = tuned_multizero(-0.35, 0.4 + 0.1j, 2, 2)
+    fresh = split_zero(f, -0.35, eps_target=4.0, eps0=0.1)
+    st = reconstruct(f, 0.4 + 0.1j, resolution=96)
+    res = split_zero(f, -0.35, eps_target=4.0, eps0=0.1, state=st)
+    assert res.f_new == fresh.f_new
+    assert (res.theta, res.epsilon, res.R) == (fresh.theta, fresh.epsilon, fresh.R)
+    assert abs(res.sup_dist - fresh.sup_dist) <= 1e-9
+    assert abs(res.h1_dist - fresh.h1_dist) <= 1e-9
+    with pytest.raises(ValueError):
+        split_zero(f, -0.35, eps_target=4.0, eps0=0.1, state=reconstruct(f, 0.0, resolution=64))
+    with pytest.raises(ValueError):
+        split_zero(f, -0.35, eps_target=4.0, eps0=0.1,
+                   state=reconstruct(fresh.f_new, -0.35, resolution=96))

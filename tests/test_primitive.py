@@ -7,7 +7,7 @@ from hopfseg.errors import ToleranceNotMet, Unreachable
 from hopfseg.experiments import admissible_fw, figure5_function, tuned_multizero
 from hopfseg.primitive import PathEngine
 from hopfseg.quadrature import (
-    SqrtSegmentIntegrator, _principal_chain, nearest_sqrt, rtsafe,
+    SqrtSegmentIntegrator, _principal_chain, nearest_sqrt, rtsafe, sqrt_segments,
 )
 from hopfseg.rational import monomial, rational
 from hopfseg.slits import build_slit_disk, route_between, route_path
@@ -60,26 +60,56 @@ def test_rtsafe_without_slope():
     assert abs(x - 0.3) <= 1e-12
 
 
-def test_rigidity_scan_refines_by_secant_steps(monkeypatch):
+def test_rigidity_scan_refines_by_secant_steps():
     # at most ten values inside the bracket of each admissible angle, and
     # none anywhere else: on one sheet every sign change is a zero
-    calls = []
-    value = experiments.rigidity_value
-
-    def counted(radius, phi, tol=1e-11):
-        calls.append(phi)
-        return value(radius, phi, tol)
-
-    monkeypatch.setattr(experiments, "rigidity_value", counted)
     step = 2e-2
     scan = experiments.rigidity_scan(radius=0.1, step=step)
     targets = np.pi / 5 + 2 * np.pi * np.arange(5) / 5
     assert len(scan.zeros) == 5
     assert np.max(np.abs(np.array(scan.zeros) - targets)) <= 1e-9
-    refined = np.array(calls[len(scan.phis):])
+    refined = np.array(scan.refined)
     for t in targets:
         assert np.count_nonzero(np.abs(refined - t) < step) <= 10
     assert np.all(np.min(np.abs(refined[:, None] - targets), axis=1) < step)
+    assert experiments.rigidity_scan(radius=0.1, step=step).refined == scan.refined
+
+
+@pytest.mark.parametrize("radius, step", [
+    (0.1, 1.3), (0.1, 0.65), (0.1, np.pi / 5), (0.1, 0.0), (0.1, -2e-2),
+    (0.0, 2e-2), (-0.1, 2e-2), (0.96, 2e-2),
+])
+def test_rigidity_scan_rejects_bad_arguments(radius, step):
+    # the sheet rule needs a turn 5 step / 2 < pi/2, and w must lie in the
+    # disk's margin; radius 0 is z^3/4, where every angle would pass
+    with pytest.raises(ValueError):
+        experiments.rigidity_scan(radius=radius, step=step)
+
+
+@pytest.mark.parametrize("radius, step", [(0.1, 0.62), (0.95, 2e-2)])
+def test_rigidity_scan_at_its_argument_limits(radius, step):
+    scan = experiments.rigidity_scan(radius=radius, step=step)
+    targets = np.pi / 5 + 2 * np.pi * np.arange(5) / 5
+    assert np.max(np.abs(np.array(scan.zeros) - targets)) <= 1e-9
+
+
+def test_rigidity_values_match_fresh_engines():
+    # the straight segments from w / 2 against a fresh engine's route from
+    # its reference point, up to the sign of the root at w / 2; for phi in
+    # (pi, 2 pi) the route to w detours around the cut
+    r = 0.1
+    phis = np.array([0.0, 0.9, 2.5, 3.8, 5.5])
+    vals = experiments.rigidity_values(r, phis)
+    detours = 0
+    for phi, v in zip(phis, vals):
+        w = r * np.exp(1j * phi)
+        f = rational(0.25, roots=[(0.0, 1), (w, 2)])
+        eng = PathEngine(f, build_slit_disk(f, 0.0))
+        detours += len(route_path(eng.slit, f, eng.z_ref, w)) > 2
+        F = eng.F(w)
+        assert min(abs(v - F), abs(v + F)) <= 1e-12 * abs(F)
+        assert abs(experiments.rigidity_value(r, phi) - v) <= 1e-14 * abs(v)
+    assert detours >= 2
 
 
 def test_rigidity_oracle_at_every_scanned_angle():
@@ -358,6 +388,44 @@ def test_segments_match_integrate_one_by_one(rng):
         val, _, v = integ.integrate(a, b, v)
         assert abs(got - val) <= 1e-14 * max(1.0, abs(val))
         assert abs(got_v - v) <= 1e-14 * max(1.0, abs(v))
+
+
+def test_sqrt_segments_keeps_functions_apart(rng):
+    # four functions in one call, with 0 to 3 roots padded with inf and some
+    # segments ending at a root, against each function's own integrator
+    fs = [rational(0.3 + 0.2j, roots=[(0.2 - 0.1j, 1), (-0.3 + 0.2j, 2)]),
+          monomial(0.25, 3),
+          rational(-0.2j, roots=[(0.4 + 0.1j, 1), (-0.1 - 0.5j, 2), (-0.45 + 0.3j, 3)]),
+          rational(0.25)]
+    za, zb, fid, roots = [], [], [], []
+    for k, f in enumerate(fs):
+        rk = [r for r, _ in f.interior_roots]
+        a = 0.7 * np.exp(2j * np.pi * (np.arange(6) + k / 4) / 6)
+        b = 0.9 * (rng.random(6) + 1j * rng.random(6)) - 0.45 - 0.45j
+        b[:2 * len(rk):2] = rk
+        za.append(a)
+        zb.append(b)
+        fid += [k] * 6
+        roots += [rk + [np.inf] * (3 - len(rk))] * 6
+    za, zb, fid = np.concatenate(za), np.concatenate(zb), np.array(fid)
+    roots = np.array(roots, dtype=complex)
+    v0 = np.array([np.sqrt(fs[k].eval(z)) for k, z in zip(fid, za)])
+    v0 *= rng.choice([-1.0, 1.0], len(za))
+
+    def fn(i, z):
+        out = np.empty(z.shape, dtype=complex)
+        for k, f in enumerate(fs):
+            rows = fid[i] == k
+            out[rows] = f.eval(z[rows])
+        return out
+
+    vals, errs, v_end = sqrt_segments(fn, roots, za, zb, v0, tol=1e-11)
+    for k, f in enumerate(fs):
+        rows = fid == k
+        want = SqrtSegmentIntegrator(f, 1e-11).segments(za[rows], zb[rows], v0[rows])
+        for got, exp in zip((vals[rows], errs[rows], v_end[rows]), want):
+            assert np.all(np.abs(got - exp) <= 1e-14 * np.maximum(1.0, np.abs(exp)))
+    assert np.count_nonzero(v_end == 0) == 6
 
 
 # -- the batched boundary march against a chord-by-chord oracle -------------------
