@@ -394,8 +394,7 @@ def _state_distances(st1, st2):
 
 
 def split_zero(f: RationalFactored, z0, eps_target: float = 0.05, branch: int = 0,
-               eps0: float | None = None, newton_tol: float = 1e-9,
-               state=None) -> DesingularizationResult:
+               eps0: float | None = None, newton_tol: float = 1e-9) -> DesingularizationResult:
     """One application of the zero-splitting construction, with verification.
 
     Preconditions: ord(f, z0) >= 2, the full admissibility of f at z0, and
@@ -405,18 +404,22 @@ def split_zero(f: RationalFactored, z0, eps_target: float = 0.05, branch: int = 
     by quartering when a q-polynomial root comes too close to the disk.
     Each function gets one PathEngine, which serves both its admissibility
     check and its resolution-96 state; R is chosen once, on the final chart.
-    state, if given, is a resolution-96 state of f already built, at any
-    base: once f is admissible at z0, U = |Re F| does not depend on the base.
     """
-    return _split(f, z0, eps_target, branch, eps0, newton_tol, state)[0]
+    return _split(f, z0, eps_target, branch, eps0, newton_tol)[0]
 
 
-def _split(f, z0, eps_target, branch, eps0, newton_tol, state):
+def _split(f, z0, eps_target=0.05, branch=0, eps0=None, newton_tol=1e-9, state=None):
     """split_zero, and the resolution-96 state of f_new it built; a result
-    does not hold it, or every caller that keeps results would keep grids."""
+    does not hold it, or every caller that keeps results would keep grids.
+    state, if given, is a resolution-96 state of f already built at an
+    interior zero of f: once f is admissible at z0, Re F vanishes at every
+    zero, so U = |Re F| is the same from any of them."""
     z0 = complex(z0)
-    if state is not None and (state.f is not f or state.resolution != STATE_RESOLUTION):
-        raise ValueError(f"state was not built for this f at resolution {STATE_RESOLUTION}")
+    if state is not None and (
+            state.f is not f or state.resolution != STATE_RESOLUTION
+            or not any(abs(z - state.base) <= 1e-14 for z, _ in f.interior_roots)):
+        raise ValueError(f"state was not built for this f at resolution {STATE_RESOLUTION}"
+                         " and an interior zero")
     eng = PathEngine(f, build_slit_disk(f, z0))
     rep = admissibility(f, z0, engine=eng)
     if not rep.admissible:
@@ -565,8 +568,8 @@ def reduce_to_simple(f: RationalFactored, eps_budget: float = 0.2) -> RationalFa
         z0, n0 = cands[0]
         pts = [z for z, _ in cur.interior_roots]
         if is_general_position(pts, z0):
-            res, state = _split(cur, z0, eps_target=per_step, branch=0,
-                                eps0=step_eps(cur, z0), newton_tol=1e-9, state=state)
+            res, state = _split(cur, z0, eps_target=per_step, eps0=step_eps(cur, z0),
+                                state=state)
             cur = res.f_new
             continue
         mob = make_general_position(pts, z0)

@@ -7,6 +7,7 @@ from hopfseg.desingularize import (
     PerturbationContext,
     _lift,
     _ray_integral,
+    _split,
     assemble_system,
     beta_moment,
     choose_R,
@@ -293,19 +294,22 @@ def test_split_requires_full_admissibility():
 
 
 def test_split_reuses_a_given_state():
-    # a resolution-96 state of f built at another base stands in for the
-    # one split_zero would build at z0: U = |Re F| does not depend on the
-    # base once every zero is admissible
+    # a resolution-96 state of f built at another zero stands in for the
+    # one _split would build at z0: Re F vanishes at every zero once all
+    # are admissible, so U = |Re F| is the same from any of them
     f = tuned_multizero(-0.35, 0.4 + 0.1j, 2, 2)
     fresh = split_zero(f, -0.35, eps_target=4.0, eps0=0.1)
     st = reconstruct(f, 0.4 + 0.1j, resolution=96)
-    res = split_zero(f, -0.35, eps_target=4.0, eps0=0.1, state=st)
+    res, st_new = _split(f, -0.35, eps_target=4.0, eps0=0.1, state=st)
     assert res.f_new == fresh.f_new
+    assert st_new.f is res.f_new and st_new.resolution == 96
     assert (res.theta, res.epsilon, res.R) == (fresh.theta, fresh.epsilon, fresh.R)
     assert abs(res.sup_dist - fresh.sup_dist) <= 1e-9
     assert abs(res.h1_dist - fresh.h1_dist) <= 1e-9
-    with pytest.raises(ValueError):
-        split_zero(f, -0.35, eps_target=4.0, eps0=0.1, state=reconstruct(f, 0.0, resolution=64))
-    with pytest.raises(ValueError):
-        split_zero(f, -0.35, eps_target=4.0, eps0=0.1,
-                   state=reconstruct(fresh.f_new, -0.35, resolution=96))
+    # f has only even zeros, so a state at a point that is not a zero
+    # exists, but its U = |Re F - Re F(0)| is shifted
+    for bad in (reconstruct(f, 0.0, resolution=96),
+                reconstruct(f, -0.35, resolution=64),
+                reconstruct(fresh.f_new, -0.35, resolution=96)):
+        with pytest.raises(ValueError):
+            _split(f, -0.35, eps_target=4.0, eps0=0.1, state=bad)
