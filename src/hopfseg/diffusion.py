@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import NoConvergence
 from .nodal import NodalGraph, boundary_zeros, trace
@@ -384,8 +383,18 @@ def interface_distance(field: DiffusionField, state: SegregatedState,
         return 0.0
     if len(a) == 0 or len(b) == 0:
         return np.inf
-    ta = cKDTree(a)
-    tb = cKDTree(b)
-    d_ab = ta.query(b)[0].max()
-    d_ba = tb.query(a)[0].max()
-    return float(max(d_ab, d_ba) / h)
+    return _hausdorff(a, b) / h
+
+
+def _hausdorff(a, b) -> float:
+    """Symmetric Hausdorff distance between two non-empty point sets (rows
+    of x, y), exact, from the squared distances of 512 points of b at a time
+    to all of a."""
+    to_b = np.full(len(a), np.inf)    # squared distance from each point of a to b
+    worst = 0.0
+    for s in range(0, len(b), 512):
+        d2 = (b[s:s + 512, None, 0] - a[None, :, 0]) ** 2
+        d2 += (b[s:s + 512, None, 1] - a[None, :, 1]) ** 2
+        worst = max(worst, float(d2.min(axis=1).max()))
+        np.minimum(to_b, d2.min(axis=0), out=to_b)
+    return float(np.sqrt(max(worst, float(to_b.max()))))

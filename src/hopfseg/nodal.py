@@ -27,12 +27,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse.csgraph import connected_components
 
 from .errors import TraceStall
 from .quadrature import SqrtSegmentIntegrator, nearest_sqrt, rtsafe
-from .states import SegregatedState
+from .states import SegregatedState, spanning_forest
 
 
 @dataclass(frozen=True)
@@ -368,9 +366,9 @@ def trace(state: SegregatedState) -> NodalGraph:
 def _components(n_vertices: int, arcs) -> int:
     if not n_vertices:
         return 0
-    ends = ([a.a for a in arcs], [a.b for a in arcs])
-    adj = sparse.coo_matrix((np.ones(len(arcs)), ends), shape=(n_vertices, n_vertices))
-    return int(connected_components(adj, directed=False)[0])
+    ends = np.array([(a.a, a.b) for a in arcs], dtype=np.int64).reshape(-1, 2)
+    comp, _ = spanning_forest(n_vertices, ends[:, 0], ends[:, 1])
+    return int(comp.max()) + 1
 
 
 def counts(graph: NodalGraph):

@@ -2,18 +2,20 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu, spsolve
+from scipy.spatial import cKDTree
 
 from hopfseg import diffusion
 from hopfseg.diffusion import (
     SWEEP_TOL,
     DiffusionConfig,
+    DiffusionField,
     boundary_from_state,
     interface_cells,
     interface_distance,
     solve,
 )
 from hopfseg.errors import NoConvergence
-from hopfseg.nodal import trace
+from hopfseg.nodal import Arc, NodalGraph, trace
 from hopfseg.rational import monomial, rational
 from hopfseg.states import reconstruct
 
@@ -133,6 +135,33 @@ def test_identical_partitions_zero_distance(half_disk_state):
     d2 = interface_distance(fld, half_disk_state, g)
     assert d1 == d2  # deterministic
 
+
+
+@pytest.mark.parametrize("sizes", [(1, 1), (3, 700), (1300, 5), (600, 1100)])
+def test_hausdorff_matches_kdtree(sizes, rng):
+    # blocks of 512 points: the larger sets span two or three of them
+    a = rng.uniform(-1, 1, size=(sizes[0], 2))
+    b = rng.uniform(-1, 1, size=(sizes[1], 2)) * rng.uniform(0.1, 3.0)
+    ref = max(cKDTree(a).query(b)[0].max(), cKDTree(b).query(a)[0].max())
+    assert diffusion._hausdorff(a, b) == ref
+    assert diffusion._hausdorff(b, a) == ref
+
+
+def test_interface_distance_empty_sets(half_disk_state):
+    G = 16
+    inside = np.ones((G, G), dtype=bool)
+    one = DiffusionField(u=np.ones((1, G, G)), inside=inside, residual=0.0,
+                         defect=0.0, sweeps=0, cycles=0, resolution=G)
+    u = np.ones((2, G, G))
+    u[1, :, G // 2:] = 2.0
+    two = DiffusionField(u=u, inside=inside, residual=0.0, defect=0.0,
+                         sweeps=0, cycles=0, resolution=G)
+    empty = NodalGraph(vertices=(), arcs=(), M=0, N=0, T=0)
+    line = NodalGraph(vertices=(), arcs=(Arc(a=0, b=1, points=(-1j, 1j)),), M=2, N=2, T=1)
+    assert interface_distance(one, half_disk_state, empty) == 0.0
+    assert interface_distance(one, half_disk_state, line) == np.inf
+    assert interface_distance(two, half_disk_state, empty) == np.inf
+    assert np.isfinite(interface_distance(two, half_disk_state, line))
 
 # -- independent oracles for solve() ------------------------------------------
 

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -221,3 +224,14 @@ def test_cli_index_figure5_default_base(tmp_path, capsys):
     rep = json.loads((out / "report.json").read_text())
     assert rep["base"] == [-0.4, -0.3]
     assert (rep["M"], rep["N"], rep["T"]) == (7, 6, 2)
+
+
+def test_runtime_imports_stay_scipy_free():
+    # the runtime needs only numpy; scipy is a test and benchmark dependency
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = ("import sys, hopfseg.cli, hopfseg.experiments; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120, check=True)
+    assert out.stdout.strip() == "[]"

@@ -4,6 +4,7 @@ import pytest
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
+from hopfseg import states
 from hopfseg.errors import NotAdmissible, NotOnNodalSet
 from hopfseg.experiments import admissible_fw, figure5_function
 from hopfseg.primitive import PathEngine
@@ -12,10 +13,12 @@ from hopfseg.slits import build_slit_disk
 from hopfseg.states import (
     FILL_CHORD,
     FILL_ROUTED,
+    FILL_TREE,
     admissibility,
     dirichlet_energy,
     export_grid_csv,
     find_base_point,
+    grid_forest,
     hopf_l1,
     local_exponent,
     multiplicity_at,
@@ -123,6 +126,10 @@ def test_species_touch_boundary(cubic_state):
     rim = np.hypot(X, Y) > 1 - 3 * st.h
     for lab in range(1, st.n_species + 1):
         assert ((st.species == lab) & rim).any()
+    # species are numbered in the row-major order of their first cells
+    labels = st.species.ravel()
+    _, first = np.unique(labels, return_index=True)
+    assert np.array_equal(labels[np.sort(first)], np.arange(st.n_species + 1))
 
 
 def test_multiplicity_examples(cubic_state):
@@ -385,3 +392,139 @@ def test_row_of_cell_centres_on_cut(name, G):
     assert st.routed == 1
     if G >= 128:
         assert dirichlet_energy(st) == pytest.approx(hopf_l1(f), rel=0.02)
+
+
+# -- the row-run forest against scipy's connected components ------------------------
+
+
+def _scipy_components(node, east, south):
+    """Component of each node cell, numbered in order of first cells."""
+    G = node.shape[0]
+    flat = np.arange(G * G).reshape(G, G)
+    rows = np.concatenate([flat[east], flat[south]])
+    cols = np.concatenate([flat[east] + 1, flat[south] + G])
+    graph = coo_matrix((np.ones(len(rows)), (rows, cols)), shape=(G * G, G * G))
+    lab = connected_components(graph, directed=False)[1][np.flatnonzero(node)]
+    _, first, inverse = np.unique(lab, return_index=True, return_inverse=True)
+    return np.argsort(np.argsort(first))[inverse]
+
+
+def _grid_case(G, case, rng):
+    if case == "checkerboard":
+        node = (np.add.outer(np.arange(G), np.arange(G)) % 2) == 0
+    else:
+        node = rng.random((G, G)) < 0.8
+    east = np.zeros((G, G), dtype=bool)
+    south = np.zeros((G, G), dtype=bool)
+    east[:, :-1] = node[:, :-1] & node[:, 1:]
+    south[:-1, :] = node[:-1, :] & node[1:, :]
+    if case == "random":
+        east &= rng.random((G, G)) < 0.6
+        south &= rng.random((G, G)) < 0.3
+    elif case == "none":
+        east[:] = south[:] = False
+    return node, east, south
+
+
+@pytest.mark.parametrize("case", ["random", "none", "all", "checkerboard"])
+@pytest.mark.parametrize("G", [1, 2, 7, 96, 97])
+def test_grid_forest_matches_scipy_components(G, case, rng):
+    node, east, south = _grid_case(G, case, rng)
+    key = rng.integers(0, 5, size=(G, G)).astype(float)    # many ties
+    for k in (None, key):
+        cells, comp, parent = grid_forest(node, east, south, key=k)
+        assert np.array_equal(cells, np.flatnonzero(node))
+        roots = np.flatnonzero(parent < 0)
+        # one root per component, at its first cell of least key
+        assert np.array_equal(np.sort(comp[roots]), np.arange(len(roots)))
+        for c, r in zip(comp[roots], roots):
+            members = np.flatnonzero(comp == c)
+            if k is None:
+                assert r == members[0]
+            else:
+                kc = k.ravel()[cells[members]]
+                assert r == members[np.flatnonzero(kc == kc.min())[0]]
+        if k is None:
+            assert np.array_equal(comp, _scipy_components(node, east, south))
+        else:
+            same = _scipy_components(node, east, south)
+            assert len(np.unique(np.stack([comp, same]), axis=1)[0]) == len(roots)
+        # every parent step is a given step, and the parents lead to the roots
+        kid = np.flatnonzero(parent >= 0)
+        lo = np.minimum(cells[kid], cells[parent[kid]])
+        d = np.abs(cells[kid] - cells[parent[kid]])
+        assert np.all((d == 1) & east.ravel()[lo] | (d == G) & south.ravel()[lo])
+        up = np.where(parent < 0, np.arange(len(cells)), parent)
+        for _ in range(int(np.log2(len(cells) + 1)) + 1):
+            up = up[up]
+        root_of = np.empty(len(roots), dtype=np.int64)
+        root_of[comp[roots]] = roots
+        assert np.array_equal(up, root_of[comp])
+
+
+# -- invariants of the grid fill --------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def fill_functions():
+    from hopfseg.desingularize import reduce_to_simple
+    from hopfseg.experiments import tuned_multizero
+
+    f5, b5 = figure5_function()
+    red = reduce_to_simple(tuned_multizero(-0.35, 0.4 + 0.1j, 2, 2), eps_budget=8.0)
+    return {"z3": (monomial(0.25, 3), 0.0), "figure5": (f5, b5),
+            "reduced": (red, find_base_point(red))}
+
+
+def _certified_steps(st):
+    """East and south steps between cells at least max(3, n+1) cells from
+    every root that cross no cut, where the argument of f turns by less than
+    0.45 pi."""
+    Z = _cell_grid(st)
+    fZ = st.f.eval(Z)
+    far = st.inside.copy()
+    for r, n in st.f.interior_roots:
+        far &= np.abs(Z - r) > st.h * max(3, n + 1)
+    east = np.zeros_like(far)
+    south = np.zeros_like(far)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        east[:, :-1] = (far[:, :-1] & far[:, 1:] & (st.cross_east[:, :-1] == 0)
+                        & (np.abs(np.angle(fZ[:, 1:] / fZ[:, :-1])) < 0.45 * np.pi))
+        south[:-1, :] = (far[:-1, :] & far[1:, :] & (st.cross_south[:-1, :] == 0)
+                         & (np.abs(np.angle(fZ[1:, :] / fZ[:-1, :])) < 0.45 * np.pi))
+    return east, south
+
+
+@pytest.mark.parametrize("G", [96, 97, 128])
+@pytest.mark.parametrize("name", ["z3", "figure5", "reduced"])
+def test_fill_forest_invariants(fill_functions, name, G, monkeypatch):
+    integrated = []
+
+    def counted(f, z, fz, a, b):
+        integrated.append(len(a))
+        return step_integrals(f, z, fz, a, b)
+
+    step_integrals = states._step_integrals
+    monkeypatch.setattr(states, "_step_integrals", counted)
+    f, base = fill_functions[name]
+    st = reconstruct(f, base, resolution=G)
+    east, south = _certified_steps(st)
+    joined = np.zeros_like(east)
+    joined[:, :-1] |= east[:, :-1]
+    joined[:, 1:] |= east[:, :-1]
+    joined[:-1, :] |= south[:-1, :]
+    joined[1:, :] |= south[:-1, :]
+    assert joined.any()
+    assert np.all(np.isfinite(st.sre[joined]))
+    assert np.all((st.source[joined] == FILL_TREE) | (st.source[joined] == FILL_ROUTED))
+
+    comp = _scipy_components(joined, east, south)
+    cells = np.flatnonzero(joined)
+    seeds = cells[st.source.ravel()[cells] == FILL_ROUTED]
+    assert np.array_equal(np.sort(comp[np.searchsorted(cells, seeds)]),
+                          np.arange(comp.max() + 1))
+    dist = np.abs(_cell_grid(st).ravel() - st.engine.z_ref)
+    for c in range(comp.max() + 1):
+        members = cells[comp == c]
+        assert np.intersect1d(members, seeds)[0] == members[np.argmin(dist[members])]
+    assert integrated == [len(cells) - len(seeds)]
