@@ -56,10 +56,7 @@ def _pick_base(f, args):
     if args.base is not None:
         re, im = (float(x) for x in args.base.split(","))
         return complex(re, im)
-    base = find_base_point(f)
-    if base is None:
-        raise HopfSegError("no admissible base point found (try --base)")
-    return base
+    return find_base_point(f)
 
 
 def run(args) -> int:

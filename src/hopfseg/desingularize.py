@@ -38,6 +38,8 @@ from .states import admissibility, reconstruct
 
 R_CANDIDATES = (2, 4, 8, 16, 32, 64)
 DET_FLOOR = 1e-8
+INTEGRAL_TOL = 1e-12         # the tolerance of every system and K integral
+NEWTON_TOL = 1e-9            # |K| at which the search for the new zero's angle stops
 # the resolution of the states whose distance bounds a split
 STATE_RESOLUTION = 96
 
@@ -123,8 +125,7 @@ class PerturbationContext:
         return base * self.H(zeta)
 
 
-def _ray_integral(ctx: PerturbationContext, endpoints, omega0: complex, powers,
-                  tol: float = 1e-12):
+def _ray_integral(ctx: PerturbationContext, endpoints, omega0: complex, powers):
     """2 * int_0^{w} zeta^{k} core(zeta) dzeta along the radial path to each
     entry w of the complex array endpoints, with k the entry of the integer
     array powers, all in one pass of the kernel.
@@ -140,7 +141,7 @@ def _ray_integral(ctx: PerturbationContext, endpoints, omega0: complex, powers,
         zeta = t * endpoints[j][:, None]
         return ctx.sqrt_core(zeta, omega0) * zeta ** powers[j][:, None] * 2.0 * s
 
-    halves = gk15(E, np.zeros(2 * n), np.full(2 * n, math.sqrt(0.5)), tol=tol)
+    halves = gk15(E, np.zeros(2 * n), np.full(2 * n, math.sqrt(0.5)), INTEGRAL_TOL)
     return 2.0 * endpoints * (halves[:n] + halves[n:])
 
 
@@ -196,26 +197,19 @@ def _limit_signs(ctx: PerturbationContext, theta: float) -> np.ndarray:
     ])
 
 
-def assemble_system(ctx: PerturbationContext, omega0, R: int | None = None,
-                    tol: float = 1e-12, theta_ref: float | None = None):
+def assemble_system(ctx: PerturbationContext, omega0, R: int | None = None):
     """System matrix and vector: entries are radial-path integrals to each w_j.
 
-    For omega0 = 0 pass theta_ref (the working angle) so the entries are the
-    limit of the omega0-system along that direction; without it the plain
-    chart branch is returned (enough for determinant conditioning).
+    At omega0 = 0 the entries are on the plain chart branch; _limit_signs
+    gives the limit of the omega0-system along a direction.
     """
     R = ctx.R if R is None else R
     M = ctx.M
     # row j holds the ray integrals to w_j with the powers 0, R, ..., M R
     ends = np.repeat(np.asarray(ctx.omegas, dtype=complex), M + 1)
-    rows = _ray_integral(ctx, ends, omega0, np.tile(R * np.arange(M + 1), M), tol=tol)
+    rows = _ray_integral(ctx, ends, omega0, np.tile(R * np.arange(M + 1), M))
     rows = rows.reshape(M, M + 1)
-    A, B = rows[:, 1:], rows[:, 0]
-    if omega0 == 0 and theta_ref is not None and M:
-        s = _limit_signs(ctx, theta_ref)
-        A = s[:, None] * A
-        B = s * B
-    return A, B
+    return rows[:, 1:], rows[:, 0]
 
 
 def choose_R(ctx: PerturbationContext) -> int:
@@ -269,15 +263,15 @@ def solve_weights(A: np.ndarray, B: np.ndarray, B0: np.ndarray) -> np.ndarray:
     return W
 
 
-def _weights(ctx: PerturbationContext, omega0: complex, theta: float, tol: float = 1e-12):
+def _weights(ctx: PerturbationContext, omega0: complex, theta: float):
     """The weights W at omega0 = eps e^{i theta}, none when f has no other zero."""
     if not ctx.M:
         return np.zeros(0, dtype=complex)
-    A, B = assemble_system(ctx, omega0, tol=tol)
+    A, B = assemble_system(ctx, omega0)
     return solve_weights(A, B, _limit_signs(ctx, theta) * ctx.B0)
 
 
-def K_value(ctx: PerturbationContext, eps: float, theta: float, tol: float = 1e-12) -> float:
+def K_value(ctx: PerturbationContext, eps: float, theta: float) -> float:
     """Scaled real part of the primitive at the candidate simple zero.
 
     K(eps, theta) = eps^{-(m0+3)/2} * Re F(w0) / 2 with w0 = eps e^{i theta};
@@ -291,10 +285,10 @@ def K_value(ctx: PerturbationContext, eps: float, theta: float, tol: float = 1e-
         th = _lift(theta, ctx.gamma_arg)
         return float(-abs(H0) * beta_moment(m0) * math.sin(0.5 * (3 + m0) * th - phi))
     omega0 = eps * np.exp(1j * theta)
-    return _K_scaled(ctx, omega0, _weights(ctx, omega0, theta, tol), tol=tol)
+    return _K_scaled(ctx, omega0, _weights(ctx, omega0, theta))
 
 
-def _K_scaled(ctx: PerturbationContext, omega0: complex, W, tol: float = 1e-12) -> float:
+def _K_scaled(ctx: PerturbationContext, omega0: complex, W) -> float:
     """Re(i e^{i(m0+3) lift(theta)/2} * int t^{m0/2} sqrt(1-t) H(t w0) q(t w0) dt).
 
     The eps powers are factored out analytically, so the value never
@@ -314,7 +308,7 @@ def _K_scaled(ctx: PerturbationContext, omega0: complex, W, tol: float = 1e-12) 
             v = v * q
         return v * 2.0 * s
 
-    I = np.sum(gk15(E, np.zeros(2), np.full(2, math.sqrt(0.5)), tol=tol))
+    I = np.sum(gk15(E, np.zeros(2), np.full(2, math.sqrt(0.5)), INTEGRAL_TOL))
     return float(np.real(1j * np.exp(0.5j * (m0 + 3) * lift0) * I))
 
 
@@ -394,7 +388,7 @@ def _state_distances(st1, st2):
 
 
 def split_zero(f: RationalFactored, z0, eps_target: float = 0.05, branch: int = 0,
-               eps0: float | None = None, newton_tol: float = 1e-9) -> DesingularizationResult:
+               eps0: float | None = None) -> DesingularizationResult:
     """One application of the zero-splitting construction, with verification.
 
     Preconditions: ord(f, z0) >= 2, the full admissibility of f at z0, and
@@ -405,10 +399,10 @@ def split_zero(f: RationalFactored, z0, eps_target: float = 0.05, branch: int = 
     Each function gets one PathEngine, which serves both its admissibility
     check and its resolution-96 state; R is chosen once, on the final chart.
     """
-    return _split(f, z0, eps_target, branch, eps0, newton_tol)[0]
+    return _split(f, z0, eps_target, branch, eps0)[0]
 
 
-def _split(f, z0, eps_target=0.05, branch=0, eps0=None, newton_tol=1e-9, state=None):
+def _split(f, z0, eps_target=0.05, branch=0, eps0=None, state=None):
     """split_zero, and the resolution-96 state of f_new it built; a result
     does not hold it, or every caller that keeps results would keep grids.
     state, if given, is a resolution-96 state of f already built at an
@@ -467,7 +461,7 @@ def _split(f, z0, eps_target=0.05, branch=0, eps0=None, newton_tol=1e-9, state=N
             theta = th_seed
             K = K_value(ctx, eps, theta)
             for _ in range(30):
-                if abs(K) <= newton_tol:
+                if abs(K) <= NEWTON_TOL:
                     break
                 dK = (K_value(ctx, eps, theta + 1e-6) - K_value(ctx, eps, theta - 1e-6)) / 2e-6
                 if dK == 0:
@@ -478,7 +472,7 @@ def _split(f, z0, eps_target=0.05, branch=0, eps0=None, newton_tol=1e-9, state=N
                 if abs((theta - th_seed + np.pi) % (2 * np.pi) - np.pi) > basin:
                     raise BranchLost("Newton left the branch basin")
                 K = K_value(ctx, eps, theta)
-            if abs(K) > newton_tol:
+            if abs(K) > NEWTON_TOL:
                 raise BranchLost(f"Newton stalled at |K| = {abs(K)}")
 
             omega0 = eps * np.exp(1j * theta)

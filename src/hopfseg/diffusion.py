@@ -30,9 +30,11 @@ COARSE_REDUCTION = 0.1       # residual reduction asked of a coarsest-grid solve
 
 @dataclass(frozen=True)
 class DiffusionConfig:
+    """Dirichlet data and grid of one diffusion problem; the competition
+    rate mu is an argument of solve, not part of the data."""
+
     g: np.ndarray          # (n_species, samples) non-negative, disjoint supports
     angles: np.ndarray
-    mu: float
     resolution: int
 
     def __post_init__(self):
@@ -41,8 +43,6 @@ class DiffusionConfig:
         overlap = (self.g > 0).sum(axis=0)
         if np.any(overlap > 1):
             raise ValueError("boundary supports must be disjoint")
-        if self.mu < 0 or self.mu > 1e6:
-            raise ValueError("mu must lie in [0, 1e6]")
         if self.resolution > 512:
             raise ValueError("resolution capped at 512")
 
@@ -73,7 +73,7 @@ def boundary_from_state(state: SegregatedState, samples: int = 1024) -> Diffusio
     if not bz:
         # positive trace everywhere; single species on the whole rim
         g[0] = u_bd
-        return DiffusionConfig(g=g, angles=th, mu=0.0, resolution=state.resolution)
+        return DiffusionConfig(g=g, angles=th, resolution=state.resolution)
 
     G = state.resolution
 
@@ -101,7 +101,7 @@ def boundary_from_state(state: SegregatedState, samples: int = 1024) -> Diffusio
                 if lab > 0:
                     g[lab - 1, k] = u_bd[k]
                 break
-    return DiffusionConfig(g=g, angles=th, mu=0.0, resolution=state.resolution)
+    return DiffusionConfig(g=g, angles=th, resolution=state.resolution)
 
 
 def _boundary_value_grid(config: DiffusionConfig, G: int):
@@ -272,9 +272,10 @@ def _cycle(levels, k, u, b, mu, v_only=False):
     return sweeps
 
 
-def solve(config: DiffusionConfig, mu: float | None = None) -> DiffusionField:
-    """FAS multigrid F-cycles until the scaled discrete residual is at most
-    SWEEP_TOL.
+def solve(config: DiffusionConfig, mu: float) -> DiffusionField:
+    """The competition-diffusion system with rate mu in [0, 1e6] (ValueError
+    outside), by FAS multigrid F-cycles until the scaled discrete residual is
+    at most SWEEP_TOL.
 
     The levels are the grids G, G/2, ... down to an odd G or MIN_COARSE
     cells across, each with its own embedded boundary and Dirichlet data.
@@ -288,8 +289,7 @@ def solve(config: DiffusionConfig, mu: float | None = None) -> DiffusionField:
     raises NoConvergence after MAX_CYCLES cycles (the nested first pass
     counts as one), or as soon as a cycle does not lower that quantity.
     """
-    mu = config.mu if mu is None else mu
-    if mu < 0 or mu > 1e6:
+    if not 0.0 <= mu <= 1e6:
         raise ValueError("mu must lie in [0, 1e6]")
     levels = _hierarchy(config, mu)
 

@@ -21,18 +21,20 @@ import numpy as np
 from .desingularize import reduce_to_simple, split_zero
 from .errors import HopfSegError, SearchExhausted, SheetLost
 from .primitive import PathEngine
-from .quadrature import rtsafe, sqrt_segments
+from .quadrature import branch_sign, rtsafe, sqrt_segments
 from .rational import DELTA_BD_DEFAULT, RationalFactored, monomial, rational
 from .slits import build_slit_disk
 from .states import ADMISSIBILITY_REL_TOL
 
 MAX_DRAW_ATTEMPTS = 200
+RIGIDITY_TOL = 1e-11         # the tolerance of the rigidity integrals
+TUNED_LEADING = 0.25         # a tuned configuration's leading coefficient, before rotation
 
 
 # -- the rigidity scan (one-parameter family z (z - w)^2 / 4) -----------------
 
 
-def rigidity_values(radius: float, phis, tol: float = 1e-11) -> np.ndarray:
+def rigidity_values(radius: float, phis) -> np.ndarray:
     """F(w) - F(0) for f = z (z - w)^2 / 4 at w = radius e^{i phi}, for every
     angle in phis, each up to sign, in one pass of the square-root kernel.
 
@@ -48,18 +50,13 @@ def rigidity_values(radius: float, phis, tol: float = 1e-11) -> np.ndarray:
     vals, _, _ = sqrt_segments(
         lambda i, z: 0.25 * z * (z - ws[i, None]) ** 2,
         np.column_stack((np.zeros(2 * n), ws)),
-        np.concatenate((0.5 * w, 0.5 * w)), np.concatenate((w, np.zeros(n))), tol=tol)
+        np.concatenate((0.5 * w, 0.5 * w)), np.concatenate((w, np.zeros(n))), tol=RIGIDITY_TOL)
     return 2.0 * (vals[:n] - vals[n:])
 
 
-def rigidity_value(radius: float, phi: float, tol: float = 1e-11) -> complex:
+def rigidity_value(radius: float, phi: float) -> complex:
     """F(w) - F(0) for f = z (z - w)^2 / 4, w = radius e^{i phi}, up to sign."""
-    return complex(rigidity_values(radius, [phi], tol)[0])
-
-
-def rigidity_residual(radius: float, phi: float, tol: float = 1e-11) -> float:
-    """Re F(w) - Re F(0) for f = z (z - w)^2 / 4, w = radius e^{i phi}, up to sign."""
-    return rigidity_value(radius, phi, tol).real
+    return complex(rigidity_values(radius, [phi])[0])
 
 
 @dataclass(frozen=True)
@@ -74,8 +71,7 @@ class RigidityScan:
     refined: tuple             # the angles the refinement evaluated, in order
 
 
-def rigidity_scan(radius: float = 0.1, step: float = 1e-3,
-                  tol: float | None = None) -> RigidityScan:
+def rigidity_scan(radius: float = 0.1, step: float = 1e-3) -> RigidityScan:
     """Scan the family over phi in [0, 2 pi), locating the admissible angles.
 
     The grid values come from one call of rigidity_values.  F(w) turns by
@@ -83,24 +79,24 @@ def rigidity_scan(radius: float = 0.1, step: float = 1e-3,
     nearer the value before keeps one sheet (hence 0 < step < pi/5), and
     every sign change of Re F is a zero, refined by secant steps in its
     bracket (quadrature.rtsafe, xtol 1e-12) on values continued from the
-    bracket's start; a refined residual above tol raises SheetLost.  The
-    radius must leave w inside the disk's margin, 0 < radius <= 1 - delta_bd.
+    bracket's start; a refined residual above tol, ADMISSIBILITY_REL_TOL
+    times the boundary scale of F, raises SheetLost.  The radius must leave
+    w inside the disk's margin, 0 < radius <= 1 - delta_bd.
     """
     if not 0.0 < step < np.pi / 5:
         raise ValueError(f"step {step} outside (0, pi/5): the sheet rule needs a turn "
                          f"5 step / 2 < pi/2 between scan angles")
     if not 0.0 < radius <= 1.0 - DELTA_BD_DEFAULT:
         raise ValueError(f"radius {radius} outside (0, {1.0 - DELTA_BD_DEFAULT}]")
-    if tol is None:
-        # boundary scale of F is ~ 2/5 + O(radius); one engine probe fixes it
-        f0 = rational(0.25, roots=[(0.0, 1), (radius, 2)])
-        eng0 = PathEngine(f0, build_slit_disk(f0, 0.0))
-        tol = ADMISSIBILITY_REL_TOL * eng0.boundary_scale()
+    # boundary scale of F is ~ 2/5 + O(radius); one engine probe fixes it
+    f0 = rational(0.25, roots=[(0.0, 1), (radius, 2)])
+    eng0 = PathEngine(f0, build_slit_disk(f0, 0.0))
+    tol = ADMISSIBILITY_REL_TOL * eng0.boundary_scale()
     phis = np.arange(0.0, 2 * np.pi, step)
     vals = rigidity_values(radius, phis)
     # the scan closes on its first angle, one turn on
     ends, vals = np.append(phis, 2 * np.pi), np.append(vals, vals[0])
-    vals[1:] *= np.cumprod(np.where((vals[1:] * np.conj(vals[:-1])).real < 0, -1.0, 1.0))
+    vals[1:] *= np.cumprod(branch_sign(vals[1:], vals[:-1]))
     zeros, refined = [], []
     for a, Fa, b, Fb in zip(ends[:-1], vals[:-1], ends[1:], vals[1:]):
         if Fa.real == 0.0:
@@ -113,7 +109,7 @@ def rigidity_scan(radius: float = 0.1, step: float = 1e-3,
             if phi not in known:
                 refined.append(phi)
                 F = rigidity_value(radius, phi)
-                known[phi] = F.real if (F * np.conj(Fa)).real >= 0 else -F.real
+                known[phi] = branch_sign(F, Fa) * F.real
             return known[phi]
 
         m = rtsafe(lambda phi: (residual(phi), None), a, b, Fa.real, Fb.real, 1e-12)
@@ -130,13 +126,13 @@ def rigidity_scan(radius: float = 0.1, step: float = 1e-3,
 # -- phase-tuned configurations --------------------------------------------------
 
 
-def tune_phase(roots, base, tune_root, c0: complex = 0.25) -> RationalFactored:
+def tune_phase(roots, base, tune_root) -> RationalFactored:
     """Rotate the leading coefficient so Re F vanishes at one chosen zero."""
-    f0 = rational(c0, roots=roots)
+    f0 = rational(TUNED_LEADING, roots=roots)
     eng = PathEngine(f0, build_slit_disk(f0, complex(base)))
     F0 = eng.F(complex(tune_root))
     gamma = (0.5 * np.pi - np.angle(F0)) % np.pi
-    return rational(c0 * np.exp(2j * gamma), roots=roots)
+    return rational(TUNED_LEADING * np.exp(2j * gamma), roots=roots)
 
 
 def figure5_function() -> tuple[RationalFactored, complex]:
@@ -219,10 +215,10 @@ def admissible_fw(k: int = 0) -> tuple[RationalFactored, complex]:
     return rational(0.25, roots=[(0.0, 1), (w, 2)]), 0.0 + 0.0j
 
 
-def tuned_multizero(a, b, na: int, nb: int, c0: complex = 0.25) -> RationalFactored:
+def tuned_multizero(a, b, na: int, nb: int) -> RationalFactored:
     """(z-a)^{na} (z-b)^{nb} with the phase tuned so both zeros are critical.
 
     Base at a handles its own residual (F(a) = 0 by definition); the single
     remaining condition at b is solved by the phase rotation.
     """
-    return tune_phase([(complex(a), na), (complex(b), nb)], a, b, c0=c0)
+    return tune_phase([(complex(a), na), (complex(b), nb)], a, b)

@@ -153,7 +153,7 @@ def _clip_ray_to_disk(p, direction):
     return p, p + max(t, 0.0) * direction
 
 
-def is_general_position(points, p0, gap: float = GENERAL_POSITION_GAP) -> bool:
+def is_general_position(points, p0) -> bool:
     """Distinct distances from p0 and pairwise-disjoint outward half-lines.
 
     The half-line through p_j must also clear every other point of the
@@ -165,7 +165,7 @@ def is_general_position(points, p0, gap: float = GENERAL_POSITION_GAP) -> bool:
     p0 = complex(p0)
     dists = sorted(abs(p - p0) for p in pts)
     for d1, d2 in zip(dists[:-1], dists[1:]):
-        if d2 - d1 < min(gap, 0.1 * d1):
+        if d2 - d1 < min(GENERAL_POSITION_GAP, 0.1 * d1):
             return False
     rays = []
     for p in pts:
@@ -174,19 +174,19 @@ def is_general_position(points, p0, gap: float = GENERAL_POSITION_GAP) -> bool:
     for i in range(len(rays)):
         di = abs(pts[i] - p0)
         for j in range(i + 1, len(rays)):
-            req = min(gap, 0.2 * min(di, abs(pts[j] - p0)))
+            req = min(GENERAL_POSITION_GAP, 0.2 * min(di, abs(pts[j] - p0)))
             if segment_segment_distance(*rays[i], *rays[j]) < req:
                 return False
         for k, q in enumerate(pts):
             if k == i:
                 continue
-            req = min(gap, 0.2 * min(di, abs(q - p0), abs(q - pts[i])))
+            req = min(GENERAL_POSITION_GAP, 0.2 * min(di, abs(q - p0), abs(q - pts[i])))
             if point_segment_distance(q, *rays[i]) < req:
                 return False
     return True
 
 
-def make_general_position(points, p0, gap: float = GENERAL_POSITION_GAP) -> MobiusMap:
+def make_general_position(points, p0) -> MobiusMap:
     """A disk automorphism putting the configuration in general position.
 
     Recentering phi_{-p0} sends p0 to the origin; then small alpha off the
@@ -199,7 +199,7 @@ def make_general_position(points, p0, gap: float = GENERAL_POSITION_GAP) -> Mobi
     recenter = MobiusMap(alpha=-p0)
     q = [apply(recenter, p) for p in pts]
     candidate = recenter
-    if is_general_position(q, 0.0, gap):
+    if is_general_position(q, 0.0):
         return candidate
 
     forbidden = []
@@ -226,6 +226,6 @@ def make_general_position(points, p0, gap: float = GENERAL_POSITION_GAP) -> Mobi
         imgs = [apply(m, p) for p in pts]
         if max(abs(z) for z in imgs) > 1.0 - 1e-6:
             continue
-        if is_general_position(imgs, apply(m, p0), gap):
+        if is_general_position(imgs, apply(m, p0)):
             return m
     raise SearchExhausted("no Moebius map reached general position in 10^4 candidates")

@@ -217,8 +217,10 @@ class _Marcher:
         The step is a quarter of the distance to the nearest root, at most
         4 sqrt(s / |f'/f|) with s = 0.1/G, so that the chord sagitta
         kappa h^2 / 8 stays below s (kappa <= |f'/f| / 2), and at most half
-        the distance to the rim; then it is clipped to [2/G, 0.1], and to
-        0.35 times the distance to the nearest critical.  src is the index of the critical the arc leaves, or None.  Returns
+        the distance to the rim.  Then it is clipped to [2/G, 0.1], and to
+        0.35 times the distance to the nearest critical.
+
+        src is the index of the critical the arc leaves, or None.  Returns
         (the arrival critical's index or None on the rim, the arrival angle,
         the marched points inside the disk).  The arrival angle is that of
         the last marched point around the critical, or of the exit point on

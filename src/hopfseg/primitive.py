@@ -23,7 +23,7 @@ from functools import partial
 import numpy as np
 
 from .errors import ToleranceNotMet, Unreachable
-from .quadrature import SqrtSegmentIntegrator, rtsafe
+from .quadrature import SqrtSegmentIntegrator, branch_sign, rtsafe
 from .rational import RationalFactored
 from .slits import GOLDEN_ANGLE, SlitDisk, crosses, route_path
 
@@ -119,21 +119,14 @@ class PathEngine:
         raw, v, _ = self._raw(target)
         return raw - self._F_base, v
 
-    def primitive(self, target, tol=None) -> PrimitiveValue:
+    def primitive(self, target) -> PrimitiveValue:
         if self.slit.on_cut_interior(target):
             raise Unreachable(f"target {target} lies strictly inside a cut")
-        if tol is not None and tol < self.tol:
-            raise ToleranceNotMet("engine built with a looser tolerance than requested")
         raw, v, err = self._raw(target)
-        if v == 0:
-            sheet = 0
-        else:
-            principal = np.sqrt(self.f.eval(target))
-            sheet = 1 if abs(v - principal) <= abs(v + principal) else -1
+        sheet = 0 if v == 0 else int(branch_sign(v, np.sqrt(self.f.eval(target))))
         total_err = err + self._base_err
-        want = self.tol if tol is None else tol
-        if total_err > 10 * want:
-            raise ToleranceNotMet(f"estimated error {total_err} above tolerance {want}")
+        if total_err > 10 * self.tol:
+            raise ToleranceNotMet(f"estimated error {total_err} above tolerance {self.tol}")
         return PrimitiveValue(value=raw - self._F_base, sheet_end=sheet, est_error=total_err)
 
     # -- the rim -------------------------------------------------------------
@@ -174,8 +167,7 @@ class PathEngine:
         roots = np.empty(samples, dtype=complex)
         for lo, hi in zip(starts, starts[1:] + [samples]):
             raw, v, _ = self._raw(pts[lo])
-            s0 = 1.0 if abs(v - p[lo]) <= abs(v + p[lo]) else -1.0
-            s = s0 * np.cumprod(np.concatenate(([1.0], sigma[lo:hi - 1])))
+            s = branch_sign(v, p[lo]) * np.cumprod(np.concatenate(([1.0], sigma[lo:hi - 1])))
             raws[lo:hi] = np.cumsum(np.concatenate(([raw], s[:-1] * D[lo:hi - 1])))
             roots[lo:hi] = s * p[lo:hi]
         hit = self._marches[samples] = (th, pts, raws, roots, gap_cuts)
@@ -209,7 +201,7 @@ class PathEngine:
             if k is None:
                 F, v = self.value_and_sqrt(w)
             else:
-                val, _, v = self._integ.integrate(pts[k], w, roots[k], tol=self.tol)
+                val, _, v = self._integ.integrate(pts[k], w, roots[k])
                 F = raws[k] + 2.0 * val - self._F_base
             return F.real, (2j * w * v).real
 

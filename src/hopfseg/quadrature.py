@@ -54,11 +54,19 @@ _U17 = np.concatenate(([0.0], _XGK + 1.0, [2.0]))
 GL6_X, GL6_W = np.polynomial.legendre.leggauss(6)
 
 
+def branch_sign(v, ref):
+    """+1 where v, -1 where -v, lies nearer ref (the sign of Re(v conj(ref)),
+    +1 on a tie): the one rule for which of +-v continues a branch through
+    ref.  Elementwise for arrays, a float for scalars."""
+    # adding 0.0 turns a product of -0.0 into +0.0, so a tie gives +1
+    return np.copysign(1.0, (v * np.conj(ref)).real + 0.0)
+
+
 def nearest_sqrt(w, ref):
     """Square root of w closest to ref (elementwise for arrays)."""
     s = np.sqrt(w)
-    flip = np.abs(s - ref) > np.abs(s + ref)
-    if np.isscalar(flip) or flip.shape == ():
+    flip = branch_sign(s, ref) < 0
+    if np.ndim(flip) == 0:
         return -s if flip else s
     return np.where(flip, -s, s)
 
@@ -218,7 +226,7 @@ def sqrt_segments(fn, roots, za, zb, v_start=None, tol=1e-10, max_depth=52, chai
     seg, lo, i15, err, v = _breadth_first(panel, t0, 1.0 - t0, tol, max_depth)
     if len(seg) == n and (n < 2 or not chained):
         # one panel per segment, continued from the root given at za
-        sign = 1.0 if v_start is None else np.copysign(1.0, (v_start * v[:, 0].conj()).real)
+        sign = 1.0 if v_start is None else branch_sign(v_start, v[:, 0])
         return sign * i15, err, sign * v[:, -1]
     # the panels in order along each segment (t runs down on a root's)
     order = np.lexsort((lo if quad is None else np.where(quad[seg], -lo, lo), seg))
@@ -230,7 +238,7 @@ def sqrt_segments(fn, roots, za, zb, v_start=None, tol=1e-10, max_depth=52, chai
     new = np.r_[True, (seg[1:] != seg[:-1]) & (not chained)]
     start = v[:, 0] if v_start is None else np.broadcast_to(v_start, n)[seg]
     prev = np.where(new, start, np.roll(v[:, -1], 1))
-    s = np.cumprod(np.copysign(1.0, (prev * v[:, 0].conj()).real))
+    s = np.cumprod(branch_sign(prev, v[:, 0]))
     s = s * np.r_[1.0, s][np.flatnonzero(new)][np.cumsum(new) - 1]
     last = np.r_[seg[1:] != seg[:-1], True]
     return _per_interval(seg, s * i15, n), np.bincount(seg, err, n), (s * v[:, -1])[last]
@@ -266,7 +274,7 @@ class SqrtSegmentIntegrator:
         against the principal root there.  No endpoint may be a root.
         """
         val, _, v_end = self.segments(za, zb)
-        return 2.0 * val, np.copysign(1.0, (v_end * np.sqrt(self.f.eval(zb)).conj()).real)
+        return 2.0 * val, branch_sign(v_end, np.sqrt(self.f.eval(zb)))
 
 
 def rtsafe(fn, lo, hi, flo, fhi, xtol):

@@ -22,6 +22,7 @@ from .errors import NonIntegerWinding, PoleHit, RootHit, RootOnContour
 DELTA_BD_DEFAULT = 0.05
 ROOT_MERGE_TOL = 1e-12
 ORDER_MATCH_TOL = 1e-10
+CONTOUR_GUARD = 1e-6         # the least distance of a root from a winding contour
 
 
 def _merge_roots(pairs, tol=ROOT_MERGE_TOL):
@@ -190,16 +191,16 @@ def multiply(f: RationalFactored, g: RationalFactored) -> RationalFactored:
     return h
 
 
-def order_at(f: RationalFactored, z, tol=ORDER_MATCH_TOL) -> int:
+def order_at(f: RationalFactored, z) -> int:
     """Multiplicity of z as a stored interior root (0 if not a root)."""
     z = complex(z)
     for r, m in f.interior_roots:
-        if abs(r - z) < tol:
+        if abs(r - z) < ORDER_MATCH_TOL:
             return m
     return 0
 
 
-def winding_count(f: RationalFactored, center, radius, guard=1e-6) -> int:
+def winding_count(f: RationalFactored, center, radius) -> int:
     """(1/2 pi i) * contour integral of f'/f over the circle, rounded to int.
 
     Trapezoid quadrature of the periodic analytic integrand converges
@@ -210,8 +211,8 @@ def winding_count(f: RationalFactored, center, radius, guard=1e-6) -> int:
     clearance = []
     for r, _ in f.interior_roots + f.unit_num + f.unit_den:
         clearance.append(abs(abs(r - center) - radius))
-    if clearance and min(clearance) < guard:
-        raise RootOnContour(f"root within {guard} of the contour")
+    if clearance and min(clearance) < CONTOUR_GUARD:
+        raise RootOnContour(f"root within {CONTOUR_GUARD} of the contour")
 
     prev = None
     for n in (64, 128, 256, 512, 1024, 2048, 4096):

@@ -31,6 +31,7 @@ from .rational import RationalFactored
 GOLDEN_ANGLE = np.pi * (3.0 - np.sqrt(5.0))
 CUT_CLEARANCE = 1e-6
 ON_CUT_TOL = 1e-12
+SEGMENT_TOUCH_TOL = 1e-14    # closed segments this close, relative to the longer, meet
 MAX_WAYPOINT_STEP = 0.5
 
 
@@ -78,21 +79,21 @@ def segment_segment_distance(p1, p2, q1, q2) -> float:
     )
 
 
-def segments_cross(p1, p2, q1, q2, eps=1e-14) -> bool:
+def segments_cross(p1, p2, q1, q2) -> bool:
     """True if the closed segments intersect at all."""
     d1 = _cross(q2 - q1, p1 - q1)
     d2 = _cross(q2 - q1, p2 - q1)
     d3 = _cross(p2 - p1, q1 - p1)
     d4 = _cross(p2 - p1, q2 - p1)
     scale = max(abs(p2 - p1), abs(q2 - q1), 1e-30)
-    e = eps * scale * scale
+    e = SEGMENT_TOUCH_TOL * scale * scale
     if ((d1 > e and d2 < -e) or (d1 < -e and d2 > e)) and (
         (d3 > e and d4 < -e) or (d3 < -e and d4 > e)
     ):
         return True
 
     def on_seg(p, a, b):
-        return point_segment_distance(p, a, b) <= eps * scale
+        return point_segment_distance(p, a, b) <= SEGMENT_TOUCH_TOL * scale
 
     return on_seg(p1, q1, q2) or on_seg(p2, q1, q2) or on_seg(q1, p1, p2) or on_seg(q2, p1, p2)
 
@@ -118,14 +119,14 @@ class SlitDisk:
             return np.inf
         return min(point_segment_distance(complex(z), c.anchor, c.end) for c in self.cuts)
 
-    def on_cut_interior(self, z, tol=1e-12) -> bool:
+    def on_cut_interior(self, z) -> bool:
         z = complex(z)
         if abs(z) >= 1.0 - 1e-12:
             return False
         for c in self.cuts:
-            if abs(z - c.anchor) <= tol:
+            if abs(z - c.anchor) <= 1e-12:
                 return False
-            if point_segment_distance(z, c.anchor, c.end) <= tol:
+            if point_segment_distance(z, c.anchor, c.end) <= 1e-12:
                 return True
         return False
 
@@ -311,10 +312,10 @@ def _bump_root_grazes(waypoints, f: RationalFactored, slit: SlitDisk) -> tuple:
     return tuple(out)
 
 
-def _split_long(waypoints, max_step=MAX_WAYPOINT_STEP) -> tuple:
+def _split_long(waypoints) -> tuple:
     out = [waypoints[0]]
     for a, b in zip(waypoints[:-1], waypoints[1:]):
-        k = max(1, int(np.ceil(abs(b - a) / max_step)))
+        k = max(1, int(np.ceil(abs(b - a) / MAX_WAYPOINT_STEP)))
         for i in range(1, k + 1):
             out.append(a + (b - a) * (i / k))
     return tuple(out)

@@ -23,13 +23,15 @@ import numpy as np
 
 from .errors import GridTooCoarse, NotAdmissible, NotOnNodalSet
 from .primitive import PathEngine
-from .quadrature import GL6_W, GL6_X, SqrtSegmentIntegrator, nearest_sqrt
+from .quadrature import GL6_W, GL6_X, SqrtSegmentIntegrator, branch_sign, nearest_sqrt
 from .rational import RationalFactored, order_at
 from .serialize import csv_rows
 from .slits import SlitDisk, build_slit_disk, crosses
 
 ADMISSIBILITY_REL_TOL = 1e-8
 SPECIES_REL_THRESHOLD = 1e-6
+EXPONENT_ANGLES = 96             # angles per circle in local_exponent
+L1_RADII, L1_ANGLES = 128, 512   # Gauss-Legendre radii and trapezoid angles in hopf_l1
 # how a cell of the grid fill got its value
 FILL_TREE, FILL_CHORD, FILL_ROUTED = 1, 2, 3
 
@@ -66,20 +68,17 @@ def admissibility(f: RationalFactored, base, tol: float | None = None,
                                tolerance=tol, scale=scale)
 
 
-def find_base_point(f: RationalFactored):
-    """First odd zero from which Re F vanishes at every odd zero, or the
-    origin when f has no odd zeros (then every base yields a state and the
-    fiber is a family).  The even zeros need not be critical for a state."""
-    is_odd = [m % 2 == 1 for _, m in f.interior_roots]
-    odd = [z for (z, _), o in zip(f.interior_roots, is_odd) if o]
-    odd.sort(key=lambda z: (abs(z), np.angle(z)))
-    if not odd:
-        return 0.0 + 0.0j
-    for z in odd:
-        rep = admissibility(f, z)
-        if all(v <= rep.tolerance for (_, v), o in zip(rep.residuals, is_odd) if o):
-            return z
-    return None
+def find_base_point(f: RationalFactored) -> complex:
+    """The first odd zero of f in (|z|, arg z) order, or the origin when f
+    has none (then every base yields a state and the fiber is a family).
+
+    Continuing F around an odd zero z_j maps F to 2 F(z_j) - F, so Re F
+    vanishes at every odd zero from one of them iff it does from any: the
+    choice needs no engine.  Whether it does is for admissibility, or for
+    reconstruct, which raises NotAdmissible, to decide.
+    """
+    odd = [z for z, m in f.interior_roots if m % 2 == 1]
+    return min(odd, key=lambda z: (abs(z), np.angle(z)), default=0.0 + 0.0j)
 
 
 # -- the reconstructed state ---------------------------------------------------
@@ -87,9 +86,6 @@ def find_base_point(f: RationalFactored):
 
 @dataclass
 class SegregatedState:
-    f: RationalFactored
-    base: complex
-    slit: SlitDisk
     resolution: int
     u: np.ndarray                 # |Re F| at cell centers, NaN outside
     sre: np.ndarray               # signed Re F in the slit determination
@@ -103,6 +99,18 @@ class SegregatedState:
     cross_east: np.ndarray = field(repr=False)   # cut crossings of east steps
     cross_south: np.ndarray = field(repr=False)
     source: np.ndarray = field(repr=False)       # FILL_* per inside cell, 0 outside
+
+    @property
+    def f(self) -> RationalFactored:
+        return self.engine.f
+
+    @property
+    def base(self) -> complex:
+        return self.engine.slit.base
+
+    @property
+    def slit(self) -> SlitDisk:
+        return self.engine.slit
 
     @property
     def routed(self) -> int:
@@ -149,8 +157,8 @@ def _cut_crossings(cuts, Z):
 
 def _step_integrals(f, z, fz, a, b):
     """D = 2 int_a^b f^{1/2} along the grid steps a -> b (6-point Gauss), on
-    the branch through the principal root p_a, and sigma with
-    nearest_sqrt(f_b, p_a) = sigma p_b.  One array per step is live at a
+    the branch through the principal root p_a, and sigma = branch_sign(p_b,
+    p_a), the sign of p_b on that branch.  One array per step is live at a
     time: the nodes are looped over.
     """
     pa, pb = np.sqrt(fz[a]), np.sqrt(fz[b])
@@ -159,8 +167,7 @@ def _step_integrals(f, z, fz, a, b):
     acc = np.zeros(len(a), dtype=complex)
     for x, w in zip(GL6_X, GL6_W):
         acc += w * nearest_sqrt(f.eval(za + seg * (0.5 * (x + 1.0))), pa)
-    sigma = np.where(np.abs(pb - pa) > np.abs(pb + pa), -1.0, 1.0)
-    return seg * acc, sigma
+    return seg * acc, branch_sign(pb, pa)
 
 
 def spanning_forest(n, a, b, roots=None):
@@ -358,7 +365,7 @@ def _fill_grid(f, eng, Z, fZ, inside, cross_east, cross_south):
     val[kid] = np.where(up < down, D, -sigma * D)
     for k in np.flatnonzero(seed):
         val[k], v = eng.value_and_sqrt(z[cells[k]])
-        sign[k] = 1.0 if (v * np.conj(np.sqrt(fz[cells[k]]))).real > 0 else -1.0
+        sign[k] = branch_sign(v, np.sqrt(fz[cells[k]]))
     while np.any(par != m):
         val = val[par] + sign[par] * val
         sign = sign[par] * sign
@@ -374,17 +381,15 @@ def _fill_grid(f, eng, Z, fZ, inside, cross_east, cross_south):
 
 def _label_species(u, sre, inside, Z, cross_east, cross_south, thr, grad_scale):
     G = u.shape[0]
-    mask = inside & (u > thr)
+    # a cell within about one cell of the nodal set of the local branch is
+    # left out: |grad Re F| = 2 |f|^{1/2}, so u < h |f|^{1/2} means the zero
+    # line may run through the cell, and its sign cannot tell which side it
+    # belongs to
+    mask = inside & (u > thr) & (u >= grad_scale)
     sign = np.sign(sre)
-    # cells within about one cell of the nodal set of the local branch:
-    # |grad Re F| = 2 |f|^{1/2}, so u < h |f|^{1/2} means the zero line runs
-    # through the cell and the stored sign is not trustworthy for merging
-    ambiguous = u < grad_scale
 
     def links(p, c, parity):
-        odd = parity[p] % 2 == 1
-        same = sign[p] == sign[c]
-        return mask[p] & mask[c] & (same != odd) & ~(odd & (ambiguous[p] | ambiguous[c]))
+        return mask[p] & mask[c] & ((sign[p] == sign[c]) != (parity[p] % 2 == 1))
 
     east = np.zeros((G, G), dtype=bool)
     south = np.zeros((G, G), dtype=bool)
@@ -450,7 +455,7 @@ def reconstruct(f: RationalFactored, base, resolution: int = 256,
     )
 
     return SegregatedState(
-        f=f, base=base, slit=eng.slit, resolution=resolution,
+        resolution=resolution,
         u=u, sre=sre, inside=inside, species=species, n_species=n_species,
         criticals=crit, residuals=tuple(odd_res), scale=scale, engine=eng,
         cross_east=cross_east, cross_south=cross_south, source=source,
@@ -465,7 +470,7 @@ def multiplicity_at(state: SegregatedState, z) -> int:
     return 2 + order_at(state.f, z)
 
 
-def local_exponent(state: SegregatedState, z, radii, n_angles: int = 96) -> float:
+def local_exponent(state: SegregatedState, z, radii) -> float:
     """Least-squares slope of log max_theta U(z + r e^{i theta}) vs log r.
 
     The angular maximum of the leading r^{m/2} |cos(m/2 (theta+theta_0))|
@@ -473,12 +478,12 @@ def local_exponent(state: SegregatedState, z, radii, n_angles: int = 96) -> floa
     """
     z = complex(z)
     m = 2 + order_at(state.f, z)
-    if n_angles < 8 * max(1, m // 2):
+    if EXPONENT_ANGLES < 8 * max(1, m // 2):
         raise GridTooCoarse("angular sampling cannot resolve the profile maximum")
     logr = []
     logu = []
     for r in radii:
-        th = 2.0 * np.pi * np.arange(n_angles) / n_angles
+        th = 2.0 * np.pi * np.arange(EXPONENT_ANGLES) / EXPONENT_ANGLES
         vals = [abs(state.engine.F(z + r * np.exp(1j * t)).real) for t in th]
         logr.append(np.log(r))
         logu.append(np.log(max(vals)))
@@ -548,15 +553,15 @@ def dirichlet_energy(state: SegregatedState) -> float:
     return float(np.sum(dens * w) * h * h)
 
 
-def hopf_l1(f: RationalFactored, n_r: int = 128, n_th: int = 512) -> float:
+def hopf_l1(f: RationalFactored) -> float:
     """2 * int_D |f|, by polar Gauss-Legendre x trapezoid quadrature."""
-    x, wgt = np.polynomial.legendre.leggauss(n_r)
+    x, wgt = np.polynomial.legendre.leggauss(L1_RADII)
     r = 0.5 * (x + 1.0)
     wr = 0.5 * wgt
-    th = 2.0 * np.pi * np.arange(n_th) / n_th
+    th = 2.0 * np.pi * np.arange(L1_ANGLES) / L1_ANGLES
     Zp = r[:, None] * np.exp(1j * th[None, :])
     vals = np.abs(f.eval(Zp)) * r[:, None]
-    return float(2.0 * (2.0 * np.pi / n_th) * np.sum(vals @ np.ones(n_th) * wr))
+    return float(2.0 * (2.0 * np.pi / L1_ANGLES) * np.sum(vals @ np.ones(L1_ANGLES) * wr))
 
 
 def export_grid_csv(state: SegregatedState, path):

@@ -29,19 +29,29 @@ def test_config_invariants():
     g = np.zeros((2, 32))
     g[0, :16] = 1.0
     g[1, 16:] = 0.5
-    DiffusionConfig(g=g, angles=np.arange(32.0), mu=10.0, resolution=64)
+    DiffusionConfig(g=g, angles=np.arange(32.0), resolution=64)
     bad = g.copy()
     bad[1, 0] = 0.1  # overlapping supports
     with pytest.raises(ValueError):
-        DiffusionConfig(g=bad, angles=np.arange(32.0), mu=10.0, resolution=64)
+        DiffusionConfig(g=bad, angles=np.arange(32.0), resolution=64)
     with pytest.raises(ValueError):
-        DiffusionConfig(g=-g, angles=np.arange(32.0), mu=10.0, resolution=64)
+        DiffusionConfig(g=-g, angles=np.arange(32.0), resolution=64)
+
+
+@pytest.mark.parametrize("mu", [np.nextafter(0.0, -1.0), np.nextafter(1e6, np.inf),
+                                -np.inf, np.inf, np.nan])
+def test_solve_rejects_mu_outside_range(mu):
+    cfg = DiffusionConfig(g=np.ones((1, 64)), angles=2 * np.pi * np.arange(64) / 64,
+                          resolution=16)
+    assert not hasattr(cfg, "mu")
+    with pytest.raises(ValueError, match="mu must lie"):
+        solve(cfg, mu)
 
 
 def test_harmonic_constant_data():
     cfg = DiffusionConfig(g=np.ones((1, 64)), angles=2 * np.pi * np.arange(64) / 64,
-                          mu=0.0, resolution=64)
-    fld = solve(cfg)
+                          resolution=64)
+    fld = solve(cfg, mu=0.0)
     assert np.abs(fld.u[0][fld.inside] - 1.0).max() < 1e-4
 
 
@@ -173,13 +183,13 @@ def _z3_config(resolution, samples=512):
     arc = np.floor(((th - np.pi / 5) % (2 * np.pi)) / (2 * np.pi / 5)).astype(int)
     g = np.zeros((5, samples))
     g[arc, np.arange(samples)] = np.abs(0.4 * np.cos(2.5 * th))
-    return DiffusionConfig(g=g, angles=th, mu=0.0, resolution=resolution)
+    return DiffusionConfig(g=g, angles=th, resolution=resolution)
 
 
 def _halves_config(resolution, samples=256):
     th = 2 * np.pi * np.arange(samples) / samples
     g = np.stack([np.maximum(np.cos(th), 0.0), np.maximum(-np.cos(th), 0.0)])
-    return DiffusionConfig(g=g, angles=th, mu=0.0, resolution=resolution)
+    return DiffusionConfig(g=g, angles=th, resolution=resolution)
 
 
 def _dirichlet_grid(cfg):

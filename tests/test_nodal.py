@@ -4,7 +4,9 @@ import pytest
 
 from hopfseg.desingularize import reduce_to_simple
 from hopfseg.errors import SearchExhausted
-from hopfseg.experiments import admissible_fw, figure5_function, random_even_function
+from hopfseg.experiments import (
+    admissible_fw, figure5_function, random_even_function, tuned_multizero,
+)
 from hopfseg.nodal import (
     _critical_seeds, _Marcher, _ring, boundary_zeros, counts, trace, verify_index,
 )
@@ -167,6 +169,28 @@ def index_states():
               (monomial(0.25, 3), None)]
     return [reconstruct(f, find_base_point(f) if base is None else base, resolution=128)
             for f, base in cases]
+
+
+@pytest.mark.parametrize("case, G, counts", [
+    ("figure5", 97, (7, 6, 2)),
+    ((-0.35, 0.4 + 0.1j, 3, 2), 128, (7, 7, 1)),
+    ((-0.3 - 0.1j, 0.42 + 0.05j, 3, 3), 128, (8, 8, 1)),
+])
+def test_species_count_matches_euler(case, G, counts):
+    # a cell within about one cell of a nodal arc could link two species
+    # across it away from every cut, and N read one short of E - V + 1
+    if case == "figure5":
+        f, base = figure5_function()
+    else:
+        f = reduce_to_simple(tuned_multizero(*case), eps_budget=8.0)
+        base = find_base_point(f)
+    st = reconstruct(f, base, resolution=G)
+    g = trace(st)
+    assert g.clean
+    assert (g.M, g.N, g.T) == counts
+    assert st.n_species == g.N == len(g.arcs) + g.M - len(g.vertices) + 1
+    rep = verify_index(g)
+    assert rep.formula_check and rep.euler_check
 
 
 def test_each_arc_marched_once(index_states, monkeypatch):

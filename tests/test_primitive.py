@@ -7,7 +7,7 @@ from hopfseg.errors import ToleranceNotMet, Unreachable
 from hopfseg.experiments import admissible_fw, figure5_function, tuned_multizero
 from hopfseg.primitive import PathEngine
 from hopfseg.quadrature import (
-    SqrtSegmentIntegrator, _principal_chain, nearest_sqrt, rtsafe, sqrt_segments,
+    SqrtSegmentIntegrator, _principal_chain, branch_sign, nearest_sqrt, rtsafe, sqrt_segments,
 )
 from hopfseg.rational import monomial, rational
 from hopfseg.slits import build_slit_disk, route_between, route_path
@@ -123,7 +123,7 @@ def test_rigidity_oracle_at_every_scanned_angle():
     sign = np.sign(scan.residuals[0])
     assert np.max(np.abs(scan.residuals - sign * want)) <= 1e-9 * target
     for phi in scan.phis[::45]:
-        assert abs(abs(experiments.rigidity_residual(r, phi)) - abs(target * np.cos(2.5 * phi))) \
+        assert abs(abs(experiments.rigidity_value(r, phi).real) - abs(target * np.cos(2.5 * phi))) \
             <= 1e-9 * target
 
 
@@ -291,6 +291,19 @@ def test_boundary_values_memo_is_not_shared(cubic_engine):
     th2, vals2 = eng.boundary_values(48)
     assert np.array_equal(th2, want_th)
     assert np.array_equal(vals2, want)
+
+
+def test_branch_sign_picks_the_nearer_root(rng):
+    # +1 where v is nearer ref than -v, -1 where -v is, +1 on a tie, with
+    # the sign of a zero making no difference; floats for scalars
+    v = rng.normal(size=200) + 1j * rng.normal(size=200)
+    ref = rng.normal(size=200) + 1j * rng.normal(size=200)
+    want = np.where(np.abs(v - ref) <= np.abs(v + ref), 1.0, -1.0)
+    assert np.array_equal(branch_sign(v, ref), want)
+    for a, b in ((1.0, 1j), (1j, 1.0), (-1.0, 1j), (0j, 1.0), (complex(-0.0, 0.0), 1.0)):
+        assert branch_sign(a, b) == 1.0 and isinstance(branch_sign(a, b), float)
+    assert branch_sign(-1.0 + 0.1j, 1.0) == -1.0
+    assert np.array_equal(nearest_sqrt(v, ref), branch_sign(np.sqrt(v), ref) * np.sqrt(v))
 
 
 def test_principal_chain_matches_scalar_loop(rng):

@@ -98,6 +98,20 @@ def test_cli_check_nonadmissible(tmp_path, capsys):
     assert code == 1
 
 
+def test_cli_check_default_base_reports_residuals(tmp_path, capsys):
+    # without --base the first odd zero is the base, and the check reports
+    # the residual at the other one instead of an error
+    p = _write_spec(tmp_path, rational(0.25, roots=[(-0.2 + 0.4j, 1), (0.3, 1)]))
+    code = main(["check", "-i", str(p), "-o", str(tmp_path / "out")])
+    assert code == 1
+    rep = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert rep["admissible"] is False
+    assert rep["base"] == [0.3, 0.0]
+    res = {tuple(z): v for z, v in rep["residuals"]}
+    assert res[(0.3, 0.0)] == 0.0
+    assert res[(-0.2, 0.4)] > rep["tolerance"]
+
+
 def test_cli_index(tmp_path, capsys):
     p = _write_spec(tmp_path, monomial(0.25, 3))
     out = tmp_path / "out"

@@ -6,7 +6,7 @@ from scipy.sparse.csgraph import connected_components
 
 from hopfseg import states
 from hopfseg.errors import NotAdmissible, NotOnNodalSet
-from hopfseg.experiments import admissible_fw, figure5_function
+from hopfseg.experiments import admissible_fw, figure5_function, splitting_outputs
 from hopfseg.primitive import PathEngine
 from hopfseg.rational import monomial, rational
 from hopfseg.slits import build_slit_disk
@@ -57,6 +57,29 @@ def test_find_base_point():
     f = rational(0.25, roots=[(0, 1), (w, 2)])
     assert find_base_point(f) == 0
     assert not admissibility(f, 0.0).admissible
+
+
+def test_find_base_point_takes_the_first_odd_zero(monkeypatch):
+    # Re F differs at the two simple zeros: the rule still names the first
+    # one, without an engine, and reconstruct is what refuses it
+    f = rational(0.25, roots=[(-0.2 + 0.4j, 1), (0.3, 1)])
+    monkeypatch.setattr(states, "PathEngine", None)
+    assert find_base_point(f) == 0.3
+    monkeypatch.undo()
+    assert not admissibility(f, 0.3).admissible
+    with pytest.raises(NotAdmissible):
+        reconstruct(f, 0.3, resolution=64)
+
+
+def test_admissible_from_every_odd_zero():
+    # continuing F around an odd zero z_j maps F to 2 F(z_j) - F, so Re F
+    # vanishing at every zero from one odd zero means it does from any, which
+    # is what lets find_base_point take the first without testing it
+    for f, _ in splitting_outputs():
+        odd = [z for z, m in f.interior_roots if m % 2 == 1]
+        assert odd
+        for z in odd:
+            assert admissibility(f, z).admissible
 
 
 def test_find_base_point_figure5():
