@@ -161,8 +161,11 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return run(args)
-    except HopfSegError as exc:
-        print(dump_report({"error": type(exc).__name__, "message": str(exc)}), end="")
+    except (HopfSegError, ValueError) as exc:    # a typed failure or an input out of range
+        text = dump_report({"error": type(exc).__name__, "message": str(exc)})
+        Path(args.out).mkdir(parents=True, exist_ok=True)
+        (Path(args.out) / "report.json").write_text(text)
+        print(text, end="")
         return 1
 
 

@@ -33,8 +33,8 @@ class DiffusionConfig:
     """Dirichlet data and grid of one diffusion problem; the competition
     rate mu is an argument of solve, not part of the data."""
 
-    g: np.ndarray          # (n_species, samples) non-negative, disjoint supports
-    angles: np.ndarray
+    g: np.ndarray          # (n_species, samples) non-negative, disjoint supports;
+                           # sample k lies at the angle 2 pi k / samples
     resolution: int
 
     def __post_init__(self):
@@ -73,7 +73,7 @@ def boundary_from_state(state: SegregatedState, samples: int = 1024) -> Diffusio
     if not bz:
         # positive trace everywhere; single species on the whole rim
         g[0] = u_bd
-        return DiffusionConfig(g=g, angles=th, resolution=state.resolution)
+        return DiffusionConfig(g=g, resolution=state.resolution)
 
     G = state.resolution
 
@@ -101,7 +101,7 @@ def boundary_from_state(state: SegregatedState, samples: int = 1024) -> Diffusio
                 if lab > 0:
                     g[lab - 1, k] = u_bd[k]
                 break
-    return DiffusionConfig(g=g, angles=th, resolution=state.resolution)
+    return DiffusionConfig(g=g, resolution=state.resolution)
 
 
 def _boundary_value_grid(config: DiffusionConfig, G: int):

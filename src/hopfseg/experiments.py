@@ -20,11 +20,12 @@ import numpy as np
 
 from .desingularize import reduce_to_simple, split_zero
 from .errors import HopfSegError, SearchExhausted, SheetLost
+from .nodal import boundary_zeros, trace, verify_index
 from .primitive import PathEngine
 from .quadrature import branch_sign, rtsafe, sqrt_segments
 from .rational import DELTA_BD_DEFAULT, RationalFactored, monomial, rational
 from .slits import build_slit_disk
-from .states import ADMISSIBILITY_REL_TOL
+from .states import ADMISSIBILITY_REL_TOL, find_base_point, reconstruct
 
 MAX_DRAW_ATTEMPTS = 200
 RIGIDITY_TOL = 1e-11         # the tolerance of the rigidity integrals
@@ -160,9 +161,6 @@ def random_even_function(rng) -> RationalFactored:
     part of the filter.  Raises SearchExhausted after MAX_DRAW_ATTEMPTS
     rejected draws.
     """
-    from .nodal import boundary_zeros
-    from .states import reconstruct
-
     for _ in range(MAX_DRAW_ATTEMPTS):
         k = int(rng.integers(1, 4))
         roots = []
@@ -222,3 +220,35 @@ def tuned_multizero(a, b, na: int, nb: int) -> RationalFactored:
     remaining condition at b is solved by the phase rotation.
     """
     return tune_phase([(complex(a), na), (complex(b), nb)], a, b)
+
+
+def random_multizero(rng) -> RationalFactored:
+    """tuned_multizero(a, b, na, nb) with a and b uniform in [-0.5, 0.5]^2,
+    drawn until they lie more than 0.3 apart, and na, nb uniform in {2, 3}."""
+    while True:
+        a = complex(*rng.uniform(-0.5, 0.5, 2))
+        b = complex(*rng.uniform(-0.5, 0.5, 2))
+        if abs(a - b) > 0.3:
+            break
+    na, nb = rng.integers(2, 4, 2)
+    return tuned_multizero(a, b, int(na), int(nb))
+
+
+def reduction_sweep(seed: int, count: int, resolution: int = 128):
+    """Yields (f, outcome, routed) for the first count draws f of
+    random_multizero(default_rng(seed)).  outcome is (M, N, T, clean trace,
+    identities and Euler's relation hold) for reduce_to_simple(f, 8.0) at the
+    resolution, from find_base_point, or the name of the typed error raised
+    on the way; routed counts the state's routed fill cells (None on error).
+    """
+    rng = np.random.default_rng(seed)
+    for f in [random_multizero(rng) for _ in range(count)]:
+        try:
+            g = reduce_to_simple(f, eps_budget=8.0)
+            st = reconstruct(g, find_base_point(g), resolution=resolution)
+            gr = trace(st)
+        except HopfSegError as exc:
+            yield f, type(exc).__name__, None
+            continue
+        rep = verify_index(gr)
+        yield f, (gr.M, gr.N, gr.T, gr.clean, rep.formula_check and rep.euler_check), st.routed

@@ -52,15 +52,12 @@ def _root_list(node, ptr):
     return tuple(out)
 
 
-def parse_function(text_or_obj) -> RationalFactored:
-    """Parse and validate a JSON function spec (string or decoded object)."""
-    if isinstance(text_or_obj, str):
-        try:
-            obj = json.loads(text_or_obj)
-        except json.JSONDecodeError as exc:
-            raise SchemaError("/", f"invalid JSON: {exc}") from exc
-    else:
-        obj = text_or_obj
+def parse_function(text: str) -> RationalFactored:
+    """Parse and validate a JSON function spec."""
+    try:
+        obj = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise SchemaError("/", f"invalid JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise SchemaError("/", "top level must be an object")
     if "leading" not in obj:

@@ -104,10 +104,6 @@ class Cut:
     direction: complex  # unit vector
     end: complex        # point on |z| = 1
 
-    @property
-    def length(self) -> float:
-        return abs(self.end - self.anchor)
-
 
 @dataclass(frozen=True)
 class SlitDisk:

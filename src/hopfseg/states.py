@@ -1,17 +1,17 @@
 """Segregated states U = |Re F| on the disk: admissibility and reconstruction.
 
-The grid fill samples F at the cell centres in four passes, each linear in
-the number of cells.  An east or south step between cells away from the
-roots that crosses no cut is certified where the argument of f turns by less
-than 0.45 pi along it.  Cells joined by certified east steps form row runs,
-and a breadth-first search over the runs, linked by one south step per pair
-of adjacent runs, gives each connected component a spanning forest rooted at
-one routed seed.  Only the forest's steps are integrated (6-point Gauss), and
-pointer jumping carries F and the branch of f^{1/2} from the seeds to every
-cell they join.  Each cell left over (near a root, or with no certified
-step) takes a short chord from a known neighbour through the root-aware
-segment integrator, and only a cell that no chord reaches takes the routed
-primitive.  SegregatedState.source records which of these gave each value.
+The grid fill samples F at the cell centres in passes linear in the number
+of cells.  An east or south step between inside cells is usable when it
+crosses no cut and keeps clear of the roots.  Cells joined by usable east
+steps form row runs, and a breadth-first search over the runs, linked by one
+south step per pair of adjacent runs, gives each connected component of the
+cells not at a root a spanning forest rooted at one routed seed.  Only the
+forest's steps are integrated: 6-point Gauss where the step is certified
+(away from the roots, and f turns by little along it), the root-aware
+segment integrator otherwise.  Pointer jumping carries F and the branch of
+f^{1/2} from the seeds to every cell they join.  A cell at a root takes one
+integrator step from a neighbour, or the routed primitive if it has no
+usable one.  SegregatedState.source records which of these gave each value.
 The species labels come from the same row-run search.
 """
 
@@ -119,7 +119,8 @@ class SegregatedState:
 
     @property
     def chords(self) -> int:
-        """Cells of the grid fill that took a short chord from a neighbour."""
+        """Cells of the grid fill whose value came from a step of the
+        root-aware segment integrator."""
         return int(np.count_nonzero(self.source == FILL_CHORD))
 
     @property
@@ -134,10 +135,6 @@ class SegregatedState:
     def value_at(self, z) -> float:
         """U(z) evaluated exactly (routed primitive, not grid lookup)."""
         return abs(self.engine.F(z).real)
-
-
-# the eight neighbours a short chord may start from, axis steps first
-_NEIGHBOURS = ((0, 1), (0, -1), (1, 0), (-1, 0), (1, 1), (1, -1), (-1, 1), (-1, -1))
 
 
 def _cut_crossings(cuts, Z):
@@ -256,99 +253,53 @@ def grid_forest(node, east, south, key=None):
     return cells, comp[run], parent
 
 
-def _chord_fill(f, eng, z, inside, G, F, V, source):
-    """Give every inside cell still without a value one from a known neighbour.
-
-    Cells are visited in breadth-first order from the known region.  A cell
-    takes a short chord from the first known 8-neighbour (axis steps first)
-    whose chord crosses no cut (slits.crosses, so a cell centre on a cut is
-    reached from its counterclockwise side) and passes no root closer than
-    half the distance of its nearer end, integrated by the root-aware segment
-    integrator at the engine's tolerance; a chord may end at a root.  Only a
-    cell that no chord reaches is routed.
-    """
-    pending = np.flatnonzero(inside.ravel() & (source == 0))
-    if not len(pending):
-        return
-    iy, ix = np.divmod(pending, G)
-    zb = z[pending]
-    nb = np.full((len(pending), len(_NEIGHBOURS)), -1)
-    for d, (dy, dx) in enumerate(_NEIGHBOURS):
-        jy, jx = iy + dy, ix + dx
-        j = np.clip(jy, 0, G - 1) * G + np.clip(jx, 0, G - 1)
-        ok = (jy >= 0) & (jy < G) & (jx >= 0) & (jx < G) & inside.ravel()[j]
-        za = z[j]
-        for cut in eng.slit.cuts:
-            ok &= ~crosses(za, zb, cut.anchor, cut.end)
-        seg = zb - za
-        L2 = np.maximum(np.abs(seg) ** 2, 1e-300)
-        for r, _ in f.interior_roots:
-            t = np.clip(((r - za) * np.conj(seg)).real / L2, 0.0, 1.0)
-            clear = np.abs(za + t * seg - r)
-            db = np.abs(zb - r)
-            ok &= (db <= 1e-13) | (clear >= 0.5 * np.minimum(np.abs(za - r), db))
-        nb[:, d] = np.where(ok, j, -1)
-
-    integ = SqrtSegmentIntegrator(f, eng.tol)
-    todo = np.arange(len(pending))
-    while len(todo):
-        cand = nb[todo]
-        avail = (cand >= 0) & (source[cand] > 0) & (V[cand] != 0)
-        reached = avail.any(axis=1)
-        if not reached.any():
-            cell = pending[todo[0]]
-            F[cell], V[cell] = eng.value_and_sqrt(z[cell])
-            source[cell] = FILL_ROUTED
-            todo = todo[1:]
-            continue
-        # one breadth-first layer: every cell reached takes its chord in one batch
-        j = cand[reached, np.argmax(avail[reached], axis=1)]
-        cells = pending[todo[reached]]
-        vals, _, V[cells] = integ.segments(z[j], z[cells], V[j])
-        F[cells] = F[j] + 2.0 * vals
-        source[cells] = FILL_CHORD
-        todo = todo[~reached]
-
-
 def _fill_grid(f, eng, Z, fZ, inside, cross_east, cross_south):
     """Signed Re F at the cell centres and each cell's source.
 
-    Four passes, each linear in the number of cells.  An east or south step
-    between cells away from the roots that crosses no cut is certified when
-    the argument of f turns by less than 0.45 pi along it, which makes the
-    nearest-sign choice at its six Gauss nodes a continuation of the branch
-    (the test is symmetric in the two ends).  grid_forest spans the cells
-    these steps join with row runs linked by south steps, rooted at one
-    routed seed per component, its cell nearest z_ref; only the forest's
-    steps are integrated, and pointer jumping composes them up to the seeds.
-    Short chords reach the cells left over, and a cell no chord reaches takes
-    the routed primitive.  source holds FILL_TREE, FILL_CHORD or FILL_ROUTED
-    inside the disk and 0 outside.
+    An east or south step between inside cells is usable when it crosses no
+    cut and ends at a root or passes every root no closer than half the
+    distance of its nearer end (always so between cells at least max(3, m+1)
+    cells from every root of order m, so only the other steps are tested).
+    grid_forest spans the cells not at a root (the nodes) over their usable
+    steps, rooted at one routed seed per component, its cell nearest z_ref,
+    and only the forest's steps are integrated.  A step between far cells
+    along which the argument of f turns by less than 0.45 pi is certified:
+    the nearest-sign choice at its six Gauss nodes continues the branch (the
+    test is symmetric in the two ends).  Every other step goes through the
+    root-aware segment integrator at the engine's tolerance.  Pointer
+    jumping composes the steps up to the seeds.  A cell at a root then takes
+    one integrator step from its first node neighbour with a usable step to
+    it, or the routed primitive.  source holds FILL_TREE (a Gauss step),
+    FILL_CHORD (an integrator step) or FILL_ROUTED inside the disk, 0 outside.
     """
     G = Z.shape[0]
     n = G * G
-    h = 2.0 / G
     z, fz = Z.ravel(), fZ.ravel()
-    far = inside.copy()
+    far, node = inside.copy(), inside.copy()
     for r, m in f.interior_roots:
-        far &= np.abs(Z - r) > h * max(3, m + 1)
+        d = np.abs(Z - r)
+        far &= d > 2.0 / G * max(3, m + 1)
+        node &= d > 1e-13
     east = np.zeros((G, G), dtype=bool)
     south = np.zeros((G, G), dtype=bool)
-    east[:, :-1] = far[:, :-1] & far[:, 1:] & (cross_east[:, :-1] == 0)
-    south[:-1, :] = far[:-1, :] & far[1:, :] & (cross_south[:-1, :] == 0)
-    for step, d in ((east, 1), (south, G)):
+    east[:, :-1] = inside[:, :-1] & inside[:, 1:] & (cross_east[:, :-1] == 0)
+    south[:-1, :] = inside[:-1, :] & inside[1:, :] & (cross_south[:-1, :] == 0)
+    far, e, s = far.ravel(), east.ravel(), south.ravel()
+    for step, d in ((e, 1), (s, G)):
         i = np.flatnonzero(step)
-        step.ravel()[i] = np.abs(np.angle(fz[i + d] / fz[i])) < 0.45 * np.pi
-    node = np.zeros((G, G), dtype=bool)
-    node[:, :-1] |= east[:, :-1]
-    node[:, 1:] |= east[:, :-1]
-    node[:-1, :] |= south[:-1, :]
-    node[1:, :] |= south[:-1, :]
+        i = i[~(far[i] & far[i + d])]
+        za, seg = z[i], z[i + d] - z[i]
+        for r, _ in f.interior_roots:
+            t = np.clip(((r - za) * np.conj(seg)).real / np.abs(seg) ** 2, 0.0, 1.0)
+            ends = np.minimum(np.abs(za - r), np.abs(za + seg - r))
+            step[i] &= (ends <= 1e-13) | (np.abs(za + t * seg - r) >= 0.5 * ends)
 
     F = np.full(n, np.nan + 0.0j, dtype=complex)
     V = np.zeros(n, dtype=complex)
     source = np.zeros(n, dtype=np.int8)
-    cells, _, parent = grid_forest(node, east, south, key=np.abs(Z - eng.z_ref))
+    cells, _, parent = grid_forest(node, east & node & np.roll(node, -1, 1),
+                                   south & node & np.roll(node, -1, 0),
+                                   key=np.abs(Z - eng.z_ref))
     # a forest step parent -> child gives the child the sign s_parent * S and
     # the value F_parent + s_parent * D: (S, D) is (sigma, D_ab) on a step
     # a -> b, (sigma, -sigma * D_ab) on b -> a and the routed (sign, F) on
@@ -357,7 +308,12 @@ def _fill_grid(f, eng, Z, fZ, inside, cross_east, cross_south):
     seed = parent < 0
     kid = np.flatnonzero(~seed)
     up, down = cells[parent[kid]], cells[kid]
-    D, sigma = _step_integrals(f, z, fz, np.minimum(up, down), np.maximum(up, down))
+    a, b = np.minimum(up, down), np.maximum(up, down)
+    gauss = far[a] & far[b] & (np.abs(np.angle(fz[b] / fz[a])) < 0.45 * np.pi)
+    D, sigma = np.zeros(len(kid), dtype=complex), np.ones(len(kid))
+    D[gauss], sigma[gauss] = _step_integrals(f, z, fz, a[gauss], b[gauss])
+    integ = SqrtSegmentIntegrator(f, eng.tol)
+    D[~gauss], sigma[~gauss] = integ.chords(z[a[~gauss]], z[b[~gauss]])
     par = np.full(m + 1, m)
     sign = np.ones(m + 1)
     val = np.zeros(m + 1, dtype=complex)
@@ -371,9 +327,23 @@ def _fill_grid(f, eng, Z, fZ, inside, cross_east, cross_south):
         sign = sign[par] * sign
         par = par[par]
     F[cells], V[cells] = val[:m], sign[:m] * np.sqrt(fz[cells])
-    source[cells] = FILL_TREE
+    source[cells[kid]] = np.where(gauss, FILL_TREE, FILL_CHORD)
     source[cells[seed]] = FILL_ROUTED
-    _chord_fill(f, eng, z, inside, G, F, V, source)
+
+    # a cell at a root takes its first usable node neighbour in the order
+    # east, west, south, north (later writes win); a wrapped index lands on
+    # the last row or column, which has no step
+    at = np.flatnonzero(inside & ~node)
+    j = np.full(len(at), -1)
+    for d, ok in ((-G, s[at - G]), (G, s[at]), (-1, e[at - 1]), (1, e[at])):
+        nb = np.clip(at + d, 0, n - 1)
+        j = np.where(ok & node.ravel()[nb], nb, j)
+    tip, j = at[j >= 0], j[j >= 0]
+    F[tip] = F[j] + 2.0 * integ.segments(z[j], z[tip], V[j])[0]
+    source[tip] = FILL_CHORD
+    for cell in np.setdiff1d(at, tip):
+        F[cell] = eng.value_and_sqrt(z[cell])[0]
+        source[cell] = FILL_ROUTED
 
     sre = np.where(inside, F.reshape(G, G).real, np.nan)
     return sre, source.reshape(G, G)

@@ -2,6 +2,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from hopfseg import desingularize
 from hopfseg.desingularize import (
     K_value,
     PerturbationContext,
@@ -22,6 +23,7 @@ from hopfseg.desingularize import (
 )
 from hopfseg.errors import NotAdmissible, SingularSolve, SplitOrderMismatch
 from hopfseg.experiments import tuned_multizero
+from hopfseg.mobius import make_general_position
 from hopfseg.rational import monomial, order_at, rational
 from hopfseg.states import admissibility, find_base_point, reconstruct
 from hopfseg.nodal import trace, verify_index
@@ -272,6 +274,27 @@ def test_reduce_cubic_three_3pts():
     assert rep.formula_check and rep.euler_check
     mults = [v.multiplicity for v in gr.vertices if v.kind == "interior-critical"]
     assert sorted(mults) == [3, 3, 3]
+
+
+def test_reduce_through_a_disk_automorphism(monkeypatch):
+    # 0 lies on the line through the simple zeros +-0.3, so the double zero
+    # there is not in general position: the step moves the configuration by
+    # a disk automorphism, splits, and maps the result back
+    moves = []
+
+    def counted(pts, z0):
+        moves.append(z0)
+        return make_general_position(pts, z0)
+
+    monkeypatch.setattr(desingularize, "make_general_position", counted)
+    f = rational(0.25, roots=[(0.0, 2), (0.3, 1), (-0.3, 1)])
+    g = reduce_to_simple(f, eps_budget=8.0)
+    assert moves == [0j]
+    assert [m for _, m in g.interior_roots] == [1, 1, 1, 1]
+    gr = trace(reconstruct(g, find_base_point(g), resolution=128))
+    assert gr.clean and (gr.M, gr.N, gr.T) == (6, 6, 1)
+    rep = verify_index(gr)
+    assert rep.formula_check and rep.euler_check
 
 
 def test_split_rejects_merged_new_zero():

@@ -29,28 +29,26 @@ def test_config_invariants():
     g = np.zeros((2, 32))
     g[0, :16] = 1.0
     g[1, 16:] = 0.5
-    DiffusionConfig(g=g, angles=np.arange(32.0), resolution=64)
+    DiffusionConfig(g=g, resolution=64)
     bad = g.copy()
     bad[1, 0] = 0.1  # overlapping supports
     with pytest.raises(ValueError):
-        DiffusionConfig(g=bad, angles=np.arange(32.0), resolution=64)
+        DiffusionConfig(g=bad, resolution=64)
     with pytest.raises(ValueError):
-        DiffusionConfig(g=-g, angles=np.arange(32.0), resolution=64)
+        DiffusionConfig(g=-g, resolution=64)
 
 
 @pytest.mark.parametrize("mu", [np.nextafter(0.0, -1.0), np.nextafter(1e6, np.inf),
                                 -np.inf, np.inf, np.nan])
 def test_solve_rejects_mu_outside_range(mu):
-    cfg = DiffusionConfig(g=np.ones((1, 64)), angles=2 * np.pi * np.arange(64) / 64,
-                          resolution=16)
+    cfg = DiffusionConfig(g=np.ones((1, 64)), resolution=16)
     assert not hasattr(cfg, "mu")
     with pytest.raises(ValueError, match="mu must lie"):
         solve(cfg, mu)
 
 
 def test_harmonic_constant_data():
-    cfg = DiffusionConfig(g=np.ones((1, 64)), angles=2 * np.pi * np.arange(64) / 64,
-                          resolution=64)
+    cfg = DiffusionConfig(g=np.ones((1, 64)), resolution=64)
     fld = solve(cfg, mu=0.0)
     assert np.abs(fld.u[0][fld.inside] - 1.0).max() < 1e-4
 
@@ -69,7 +67,7 @@ def test_mu_zero_decouples(half_disk_state):
 
 def test_boundary_from_state_halves(half_disk_state):
     cfg = boundary_from_state(half_disk_state, samples=512)
-    th = cfg.angles
+    th = 2 * np.pi * np.arange(512) / 512
     # one species owns the cos > 0 arc, the other the cos < 0 arc
     right = [j for j in range(2) if cfg.g[j][0] > 0]
     assert len(right) == 1
@@ -84,7 +82,8 @@ def test_boundary_from_state_cubic_bumps():
     st = reconstruct(monomial(0.25, 3), 0.0, resolution=128)
     cfg = boundary_from_state(st, samples=640)
     assert cfg.g.shape[0] == 5
-    assert np.allclose(cfg.g.sum(axis=0), np.abs(0.4 * np.cos(2.5 * cfg.angles)), atol=1e-6)
+    th = 2 * np.pi * np.arange(640) / 640
+    assert np.allclose(cfg.g.sum(axis=0), np.abs(0.4 * np.cos(2.5 * th)), atol=1e-6)
     # support arcs have equal angular length 2 pi / 5
     for j in range(5):
         frac = (cfg.g[j] > 0).mean()
@@ -183,13 +182,13 @@ def _z3_config(resolution, samples=512):
     arc = np.floor(((th - np.pi / 5) % (2 * np.pi)) / (2 * np.pi / 5)).astype(int)
     g = np.zeros((5, samples))
     g[arc, np.arange(samples)] = np.abs(0.4 * np.cos(2.5 * th))
-    return DiffusionConfig(g=g, angles=th, resolution=resolution)
+    return DiffusionConfig(g=g, resolution=resolution)
 
 
 def _halves_config(resolution, samples=256):
     th = 2 * np.pi * np.arange(samples) / samples
     g = np.stack([np.maximum(np.cos(th), 0.0), np.maximum(-np.cos(th), 0.0)])
-    return DiffusionConfig(g=g, angles=th, resolution=resolution)
+    return DiffusionConfig(g=g, resolution=resolution)
 
 
 def _dirichlet_grid(cfg):

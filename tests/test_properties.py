@@ -69,6 +69,9 @@ def test_sheet_consistency_everywhere(f, target):
 @given(factored_functions(max_roots=2, max_mult=2), small_alpha,
        st.floats(0, 2 * np.pi), cx)
 @example(f=rational(1.0, roots=[(0.25j, 1)]), alpha=1e-13 + 0j, theta=0.0, z=1e-6 + 0.25j)
+# z = 0.25 is within an ulp of g's root, phi^{-1}(0.25) rounded to a double
+@example(f=rational(1.0, roots=[(0.25, 1)]), alpha=2.220446049250313e-16 + 0j, theta=0.0,
+         z=0.25 + 0j)
 @settings(max_examples=15, deadline=None)
 def test_pushforward_chain_rule_random(f, alpha, theta, z):
     m = MobiusMap(alpha=alpha, theta=theta)
@@ -76,9 +79,11 @@ def test_pushforward_chain_rule_random(f, alpha, theta, z):
         g = pushforward_hopf(f, m)
     except Exception:
         return
-    # f(phi(z)) phi'(z)^2 at 30 digits from the same double inputs, so that
-    # only g's own rounding is measured
-    with mp.workdps(30):
+    eps = np.finfo(float).eps
+    # f(phi(z)) phi'(z)^2 from the same double inputs at 2,200 bits, which
+    # hold z + alpha exactly however small z is, so that phi(z) - r does not
+    # cancel to noise and only g's own rounding is measured
+    with mp.workprec(2200):
         a, zz = mp.mpc(alpha), mp.mpc(z)
         rot = mp.expj(theta)
         den = mp.conj(a) * zz + 1
@@ -87,9 +92,20 @@ def test_pushforward_chain_rule_random(f, alpha, theta, z):
         fphi = mp.mpc(f.leading)
         for r, k in f.interior_roots:
             fphi *= (phi - mp.mpc(r)) ** k
+            # g's roots are the phi^{-1}(r) rounded to doubles; the numerator
+            # r e^{-i theta} - alpha may cancel, so the error scales with the
+            # inputs (down to subnormal ones)
+            w = mp.mpc(r) / rot
+            exact = (w - a) / (1 - mp.conj(a) * w)
+            miss = min(abs(mp.mpc(rho) - exact) for rho, _ in g.interior_roots)
+            assert miss <= 4 * eps * max(abs(r) + abs(alpha), 1e-300)
         rhs = complex(fphi * dphi**2)
     lhs = g.eval(z)
-    assert abs(lhs - rhs) <= 1e-10 * max(abs(rhs), 1e-280)
+    # so g(z) carries that rounding amplified by the condition number
+    # sum_k m_k / |z - rho_k|, which is unbounded as z nears a root
+    spread = 4 * eps * (abs(alpha) + max(abs(r) for r, _ in f.interior_roots))
+    cond = sum(k / max(abs(z - rho), 1e-300) for rho, k in g.interior_roots)
+    assert abs(lhs - rhs) <= (1e-10 + spread * cond) * max(abs(rhs), 1e-280)
 
 
 @given(small_alpha, st.floats(0, 2 * np.pi), small_alpha, st.floats(0, 2 * np.pi), cx)

@@ -41,6 +41,23 @@ def test_parse_bad_mult_pointer():
     assert err.value.pointer == "/roots/0/mult"
 
 
+@pytest.mark.parametrize("text, pointer, message", [
+    ('{"leading":[1,0,0]}', "/leading", "pair of numbers"),
+    ('{"leading":[1e999,0]}', "/leading", "finite"),
+    ('{"leading":[1,0],"roots":{}}', "/roots", "list"),
+    ('{"leading":[1,0],"roots":[{"mult":1}]}', "/roots/0", "'z'"),
+    ('{"leading":', "/", "invalid JSON"),
+    ('[0.25, 0]', "/", "object"),
+    ('{"leading":[0,0]}', "/leading", "nonzero"),
+    ('{"leading":[1,0],"roots":[{"z":[0.99,0]}]}', "/roots", "0.95"),
+], ids=["pair", "finite", "roots-list", "root-z", "json", "top-level", "zero-leading",
+        "root-outside"])
+def test_parse_rejects_malformed_specs(text, pointer, message):
+    with pytest.raises(SchemaError) as err:
+        parse_function(text)
+    assert err.value.pointer == pointer and message in str(err.value)
+
+
 def test_roundtrip_bit_identical():
     f = rational(0.25 + 1e-17j if False else 0.25, roots=[(0.1 + 0.2j, 2), (-0.3, 1)],
                  unit_num=[(1.5 - 0.7j, 1)], unit_den=[(-2.0, 2)])
@@ -206,6 +223,28 @@ def test_cli_schema_error_exit(tmp_path, capsys):
     assert code == 1
     msg = json.loads(capsys.readouterr().out)
     assert msg["error"] == "SchemaError"
+
+
+# 0.25 z^2 (z - 0.3)(z + 0.3) is admissible, but not in general position about 0
+_SYMMETRIC = rational(0.25, roots=[(0.0, 2), (0.3, 1), (-0.3, 1)])
+
+
+@pytest.mark.parametrize("f, argv, message", [
+    (monomial(0.25, 3), ["desingularize", "--branch", "9"], "branch must lie in [0, 5)"),
+    (_SYMMETRIC, ["desingularize"], "not in general position"),
+    (monomial(0.25, 3), ["simulate", "--mu", "1e7", "--resolution", "64"], "mu must lie"),
+    (monomial(0.25, 3), ["reconstruct", "--resolution", "96"], "resolution >= 128"),
+    (monomial(0.25, 3), ["check", "--base", "2,0"], "closed disk"),
+    (monomial(0.25, 3), ["check", "--base", "abc"], "could not convert"),
+], ids=["branch", "general-position", "mu", "energy-resolution", "base-outside", "base-text"])
+def test_cli_input_errors_end_in_the_error_report(tmp_path, capsys, f, argv, message):
+    out = tmp_path / "out"
+    code = main([argv[0], "-i", str(_write_spec(tmp_path, f)), "-o", str(out), *argv[1:]])
+    assert code == 1
+    text = capsys.readouterr().out
+    report = json.loads(text)
+    assert report["error"] == "ValueError" and message in report["message"]
+    assert (out / "report.json").read_text() == text
 
 
 def test_cli_desingularize_merged_zero_reports_error(tmp_path, capsys):

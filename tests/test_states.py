@@ -272,16 +272,21 @@ def test_csv_export(tmp_path, cubic_state):
 
 @pytest.fixture(scope="module")
 def fill_states():
-    """Three states whose fills use chords, several cuts and several components."""
+    """States whose fills take integrator steps near roots and cross several
+    cuts; at odd G a cell centre of z3 lies on its root, and "clustered",
+    with two simple zeros 3.7e-4 apart, has several components."""
     from hopfseg.desingularize import reduce_to_simple
     from hopfseg.experiments import tuned_multizero
 
     f5, b5 = figure5_function()
     red = reduce_to_simple(tuned_multizero(-0.35, 0.4 + 0.1j, 2, 2), eps_budget=8.0)
+    clu = reduce_to_simple(tuned_multizero(-0.35, 0.4 + 0.1j, 3, 2), eps_budget=8.0)
     return {
         "z3": reconstruct(monomial(0.25, 3), 0.0, resolution=128),
+        "z3-odd": reconstruct(monomial(0.25, 3), 0.0, resolution=97),
         "figure5": reconstruct(f5, b5, resolution=96),
         "reduced": reconstruct(red, find_base_point(red), resolution=96),
+        "clustered": reconstruct(clu, find_base_point(clu), resolution=96),
     }
 
 
@@ -290,25 +295,32 @@ def _cell_grid(st):
     return c[None, :] + 1j * c[:, None]
 
 
-def _far_components(st):
-    """Components of the cells at least max(3, n+1) cells from every root,
-    joined by east and south steps that cross no cut."""
-    G = st.resolution
+def _step_graph(st):
+    """The fill's step graph from its definition: the inside cells not within
+    1e-13 of a root, joined by the east and south steps that cross no cut
+    and pass every root no closer than half the distance of their nearer end."""
     Z = _cell_grid(st)
-    far = st.inside.copy()
-    for r, n in st.f.interior_roots:
-        far &= np.abs(Z - r) > st.h * max(3, n + 1)
-    flat = np.arange(G * G).reshape(G, G)
-    e = far[:, :-1] & far[:, 1:] & (st.cross_east[:, :-1] == 0)
-    s = far[:-1, :] & far[1:, :] & (st.cross_south[:-1, :] == 0)
-    rows = np.concatenate([flat[:, :-1][e], flat[:-1, :][s]])
-    cols = np.concatenate([flat[:, 1:][e], flat[1:, :][s]])
-    graph = coo_matrix((np.ones(len(rows)), (rows, cols)), shape=(G * G, G * G))
-    _, lab = connected_components(graph, directed=False)
-    return len(np.unique(lab[np.concatenate([rows, cols])]))
+    node = st.inside.copy()
+    for r, _ in st.f.interior_roots:
+        node &= np.abs(Z - r) > 1e-13
+
+    def clear(a, b):
+        ok = np.ones(a.shape, dtype=bool)
+        for r, _ in st.f.interior_roots:
+            t = np.clip(((r - a) * np.conj(b - a)).real / np.abs(b - a) ** 2, 0.0, 1.0)
+            ok &= np.abs(a + t * (b - a) - r) >= 0.5 * np.minimum(np.abs(a - r), np.abs(b - r))
+        return ok
+
+    east = np.zeros_like(node)
+    south = np.zeros_like(node)
+    east[:, :-1] = (node[:, :-1] & node[:, 1:] & (st.cross_east[:, :-1] == 0)
+                    & clear(Z[:, :-1], Z[:, 1:]))
+    south[:-1, :] = (node[:-1, :] & node[1:, :] & (st.cross_south[:-1, :] == 0)
+                     & clear(Z[:-1, :], Z[1:, :]))
+    return node, east, south
 
 
-@pytest.mark.parametrize("name", ["z3", "figure5", "reduced"])
+@pytest.mark.parametrize("name", ["z3", "z3-odd", "figure5", "reduced", "clustered"])
 def test_fill_matches_fresh_routed_values(fill_states, name):
     st = fill_states[name]
     eng = PathEngine(st.f, build_slit_disk(st.f, st.base))
@@ -319,9 +331,13 @@ def test_fill_matches_fresh_routed_values(fill_states, name):
     chords = st.source == FILL_CHORD
     routed = st.source == FILL_ROUTED
     assert st.chords == chords.sum() > 0
-    assert st.routed == routed.sum() == _far_components(st)
-    if name == "reduced":
-        assert st.routed > 1       # its cuts separate the far region
+    # one routed seed per component of the step graph; a cell at a root
+    # takes a step from a neighbour
+    node, east, south = _step_graph(st)
+    assert st.routed == routed.sum() == _scipy_components(node, east, south).max() + 1
+    assert np.all(chords[st.inside & ~node]) and (st.inside & ~node).any() == (name == "z3-odd")
+    if name == "clustered":
+        assert st.routed > 1       # steps past its two close zeros are refused
     if st.slit.cuts:
         assert near_cut.any()
     check = chords | routed | near_cut
@@ -393,7 +409,7 @@ def _oracle_cells(st, rng):
     return list(picks)
 
 
-@pytest.mark.parametrize("name", ["z3", "figure5", "reduced"])
+@pytest.mark.parametrize("name", ["z3", "z3-odd", "figure5", "reduced", "clustered"])
 def test_fill_matches_mpmath_primitive(fill_states, name, rng):
     st = fill_states[name]
     Z = _cell_grid(st)
@@ -495,8 +511,9 @@ def fill_functions():
 
     f5, b5 = figure5_function()
     red = reduce_to_simple(tuned_multizero(-0.35, 0.4 + 0.1j, 2, 2), eps_budget=8.0)
+    clu = reduce_to_simple(tuned_multizero(-0.35, 0.4 + 0.1j, 3, 2), eps_budget=8.0)
     return {"z3": (monomial(0.25, 3), 0.0), "figure5": (f5, b5),
-            "reduced": (red, find_base_point(red))}
+            "reduced": (red, find_base_point(red)), "clustered": (clu, find_base_point(clu))}
 
 
 def _certified_steps(st):
@@ -519,35 +536,66 @@ def _certified_steps(st):
 
 
 @pytest.mark.parametrize("G", [96, 97, 128])
-@pytest.mark.parametrize("name", ["z3", "figure5", "reduced"])
+@pytest.mark.parametrize("name", ["z3", "figure5", "reduced", "clustered"])
 def test_fill_forest_invariants(fill_functions, name, G, monkeypatch):
-    integrated = []
+    gauss, kernel = [], []
 
     def counted(f, z, fz, a, b):
-        integrated.append(len(a))
+        gauss.append(np.stack([a, b]))
         return step_integrals(f, z, fz, a, b)
+
+    class Counted(states.SqrtSegmentIntegrator):
+        def chords(self, za, zb):
+            kernel.append(np.stack([za, zb]))
+            return super().chords(za, zb)
 
     step_integrals = states._step_integrals
     monkeypatch.setattr(states, "_step_integrals", counted)
+    monkeypatch.setattr(states, "SqrtSegmentIntegrator", Counted)
     f, base = fill_functions[name]
     st = reconstruct(f, base, resolution=G)
-    east, south = _certified_steps(st)
-    joined = np.zeros_like(east)
-    joined[:, :-1] |= east[:, :-1]
-    joined[:, 1:] |= east[:, :-1]
-    joined[:-1, :] |= south[:-1, :]
-    joined[1:, :] |= south[:-1, :]
-    assert joined.any()
-    assert np.all(np.isfinite(st.sre[joined]))
-    assert np.all((st.source[joined] == FILL_TREE) | (st.source[joined] == FILL_ROUTED))
-
-    comp = _scipy_components(joined, east, south)
-    cells = np.flatnonzero(joined)
+    assert np.all(np.isfinite(st.sre[st.inside]))
+    node, east, south = _step_graph(st)
+    cells = np.flatnonzero(node)
+    comp = _scipy_components(node, east, south)
     seeds = cells[st.source.ravel()[cells] == FILL_ROUTED]
+    # one routed seed per component, at its cell nearest z_ref
     assert np.array_equal(np.sort(comp[np.searchsorted(cells, seeds)]),
                           np.arange(comp.max() + 1))
     dist = np.abs(_cell_grid(st).ravel() - st.engine.z_ref)
     for c in range(comp.max() + 1):
         members = cells[comp == c]
         assert np.intersect1d(members, seeds)[0] == members[np.argmin(dist[members])]
-    assert integrated == [len(cells) - len(seeds)]
+
+    # one batch of Gauss steps and one of integrator steps, all steps of the
+    # graph, that span it: every other node is reached by exactly one of them
+    assert len(gauss) == len(kernel) == 1
+    G_steps = gauss[0]
+    K_steps = (np.rint((kernel[0].imag + 1.0) / st.h - 0.5) * G
+               + np.rint((kernel[0].real + 1.0) / st.h - 0.5)).astype(np.int64)
+    a, b = np.concatenate([G_steps, K_steps], axis=1)
+    assert np.all((b - a == 1) & east.ravel()[a] | (b - a == G) & south.ravel()[a])
+    assert len(a) == len(cells) - len(seeds)
+    assert np.array_equal(_scipy_components(node, *_edges(G, a, b)), comp)
+    # a Gauss step is certified, an integrator step is not
+    cert_e, cert_s = _certified_steps(st)
+    a, b = G_steps
+    assert np.all(np.where(b - a == 1, cert_e.ravel()[a], cert_s.ravel()[a]))
+    a, b = K_steps
+    assert not np.any(np.where(b - a == 1, cert_e.ravel()[a], cert_s.ravel()[a]))
+    src = st.source.ravel()
+    assert np.count_nonzero(src[cells] == FILL_TREE) == G_steps.shape[1]
+    assert np.count_nonzero(src[cells] == FILL_CHORD) == K_steps.shape[1]
+    # a cell at a root takes a step from a neighbour (z^3/4 at odd G) or is routed
+    at_root = st.inside & ~node
+    assert np.all(np.isin(st.source[at_root], (FILL_CHORD, FILL_ROUTED)))
+    assert at_root.any() == (name == "z3" and G % 2 == 1)
+
+
+def _edges(G, a, b):
+    """East and south step masks holding the steps a[k] -> b[k]."""
+    east = np.zeros(G * G, dtype=bool)
+    south = np.zeros(G * G, dtype=bool)
+    east[a[b - a == 1]] = True
+    south[a[b - a == G]] = True
+    return east.reshape(G, G), south.reshape(G, G)
