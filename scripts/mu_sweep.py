@@ -21,11 +21,13 @@ def main():
     graph = trace(st)
     cfg = boundary_from_state(st, samples=512)
     print(f"{args.species}-species data at resolution {args.resolution}")
-    print(f"{'mu':>10} {'cycles':>7} {'residual':>10} {'defect':>12} {'interface (cells)':>18}")
+    print(f"{'mu':>10} {'cycles':>7} {'sweeps':>7} {'residual':>10} {'defect':>12} "
+          f"{'interface (cells)':>18}")
     for mu in args.mus:
         fld = solve(cfg, mu=mu)
         d = interface_distance(fld, st, graph)
-        print(f"{mu:10.0f} {fld.cycles:7d} {fld.residual:10.2e} {fld.defect:12.4e} {d:18.2f}")
+        print(f"{mu:10.0f} {fld.cycles:7d} {fld.sweeps:7d} {fld.residual:10.2e} "
+              f"{fld.defect:12.4e} {d:18.2f}")
 
 
 if __name__ == "__main__":

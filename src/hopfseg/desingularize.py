@@ -408,6 +408,10 @@ def _split(f, z0, eps_target=0.05, branch=0, eps0=None, state=None):
     state, if given, is a resolution-96 state of f already built at an
     interior zero of f: once f is admissible at z0, Re F vanishes at every
     zero, so U = |Re F| is the same from any of them."""
+    if not eps_target > 0.0:
+        raise ValueError("eps_target must be positive")
+    if eps0 is not None and not 0.0 < eps0 < math.inf:
+        raise ValueError("eps0 must be finite and positive")
     z0 = complex(z0)
     if state is not None and (
             state.f is not f or state.resolution != STATE_RESOLUTION
@@ -533,6 +537,8 @@ def reduce_to_simple(f: RationalFactored, eps_budget: float = 0.2) -> RationalFa
     q-weights scale like eps / |w_1|^{R+1}.  A step with no automorphism
     reuses the state that the step before built for the same function.
     """
+    if not eps_budget > 0.0:
+        raise ValueError("eps_budget must be positive")
     alpha0 = excess_index(f)
     if alpha0 == 0:
         return f

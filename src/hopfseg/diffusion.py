@@ -3,7 +3,7 @@
 -Delta u_j = -mu u_j sum_{k != j} u_k with Dirichlet data from a segregated
 state's boundary trace.  Embedded-boundary 5-point Laplacian on a
 cell-centred Cartesian grid, solved by full approximation scheme (FAS)
-multigrid (Brandt, Math. Comp. 1977) over the grids G, G/2, ..., with
+multigrid (Brandt, Math. Comp. 1977) over the grids G, (G+1)//2, ..., with
 red-black Gauss-Seidel, the coupling frozen per sweep (monotone for this
 sign structure), as the smoother; as mu grows the argmax partition
 converges to the analytic nodal partition.
@@ -43,8 +43,8 @@ class DiffusionConfig:
         overlap = (self.g > 0).sum(axis=0)
         if np.any(overlap > 1):
             raise ValueError("boundary supports must be disjoint")
-        if self.resolution > 512:
-            raise ValueError("resolution capped at 512")
+        if not 1 <= self.resolution <= 512:
+            raise ValueError("resolution must lie in [1, 512]")
 
 
 @dataclass
@@ -147,8 +147,9 @@ class _Level:
 
 
 def _hierarchy(config: DiffusionConfig, mu: float):
-    """Grids G, G/2, ..., halving an even grid while the half is at least
-    MIN_COARSE cells across and has mu h^2 max g <= MAX_COARSE_COUPLING.
+    """Grids G, (G+1)//2, ..., coarsening while the next grid is at least
+    MIN_COARSE cells across and has mu h^2 max g <= MAX_COARSE_COUPLING; each
+    level but the coarsest carries its transfers to the next (_transfers).
 
     By the maximum principle u_j <= max g, so mu h^2 max g sets the size of
     the coupling against the Laplacian's 4 in a cell.  On grids where it is
@@ -157,12 +158,40 @@ def _hierarchy(config: DiffusionConfig, mu: float):
     at G = 96 with a 6-cell coarsest grid)."""
     top = float(config.g.max(initial=0.0))
     G = config.resolution
+    Gc = (G + 1) // 2
     levels = [_Level(config, G)]
-    while (G % 2 == 0 and G // 2 >= MIN_COARSE
-           and mu * (4.0 / G) ** 2 * top <= MAX_COARSE_COUPLING):
-        G //= 2
+    while Gc >= MIN_COARSE and mu * (2.0 / Gc) ** 2 * top <= MAX_COARSE_COUPLING:
+        levels[-1].down, levels[-1].up = _transfers(G, Gc)
+        G, Gc = Gc, (Gc + 1) // 2
         levels.append(_Level(config, G))
     return levels
+
+
+def _transfers(G: int, Gc: int):
+    """(down, up): 1-D transfers between G fine and Gc coarse cells across
+    [-1, 1], from the cell geometry in units of 2 / (G Gc).  down (Gc x G)
+    averages the fine cells by their overlap with each coarse cell; up
+    (G x (Gc + 2)) interpolates linearly between the padded coarse centres,
+    the pad cells half a coarse cell outside the square.  At G = 2 Gc these
+    are the nested cell-centred weights 1/2, 1/2 and 1/4, 3/4, exactly."""
+    i = np.arange(G)
+    j = np.arange(Gc)[:, None]
+    # fine cell i spans [i Gc, (i+1) Gc], coarse cell j spans [j G, (j+1) G]
+    overlap = np.minimum((i + 1) * Gc, (j + 1) * G) - np.maximum(i * Gc, j * G)
+    # fine centre i lies t2 / (2G) coarse cells from the first pad centre
+    t2 = (2 * i + 1) * Gc + G
+    left, w = t2 // (2 * G), (t2 % (2 * G)) / (2 * G)
+    up = np.zeros((G, Gc + 2))
+    up[i, left] = 1.0 - w
+    up[i, left + 1] = w
+    return np.maximum(overlap, 0) / G, up
+
+
+def _restrict(a, down):
+    """Overlap average of the padded fine array a, with a zero pad ring."""
+    out = np.zeros((a.shape[0], down.shape[0] + 2, down.shape[0] + 2))
+    out[:, 1:-1, 1:-1] = down @ a[:, 1:-1, 1:-1] @ down.T
+    return out
 
 
 def _smooth(u, b, lev, mu, sweeps):
@@ -199,32 +228,6 @@ def _residual(u, b, lev, mu):
     return r, diag
 
 
-def _restrict(a):
-    """4-cell average of the padded fine array onto the padded coarse one
-    (zero pad ring): coarse padded cell P covers fine padded 2P-1 and 2P."""
-    core = a[:, 1:-1, 1:-1]
-    avg = 0.25 * (core[:, 0::2, 0::2] + core[:, 1::2, 0::2]
-                  + core[:, 0::2, 1::2] + core[:, 1::2, 1::2])
-    out = np.zeros((a.shape[0], avg.shape[1] + 2, avg.shape[2] + 2))
-    out[:, 1:-1, 1:-1] = avg
-    return out
-
-
-def _prolong(e):
-    """Bilinear cell-centred interpolation of the padded coarse array e onto
-    the fine core: weights 9/16, 3/16, 3/16, 1/16 from the nearest coarse
-    cells, with e's pad ring as the values beyond the edge."""
-    n, Gp, _ = e.shape
-    Gc = Gp - 2
-    rows = np.empty((n, 2 * Gc, Gp))
-    rows[:, 0::2] = 0.75 * e[:, 1:-1] + 0.25 * e[:, :-2]
-    rows[:, 1::2] = 0.75 * e[:, 1:-1] + 0.25 * e[:, 2:]
-    out = np.empty((n, 2 * Gc, 2 * Gc))
-    out[:, :, 0::2] = 0.75 * rows[:, :, 1:-1] + 0.25 * rows[:, :, :-2]
-    out[:, :, 1::2] = 0.75 * rows[:, :, 1:-1] + 0.25 * rows[:, :, 2:]
-    return out
-
-
 def _scaled_residual(u, b, lev, mu):
     """Largest |r_j| / (4 + mu h^2 sum_{k!=j} u_k) over the inside cells:
     the change one more Gauss-Seidel update would make there."""
@@ -255,18 +258,18 @@ def _cycle(levels, k, u, b, mu, v_only=False):
     _smooth(u, b, lev, mu, SMOOTHING_SWEEPS)
     r, _ = _residual(u, b, lev, mu)
     coarse = levels[k + 1]
-    uc = np.where(coarse.inside[None], _restrict(u), coarse.u0)
+    uc = np.where(coarse.inside[None], _restrict(u, lev.down), coarse.u0)
     start = uc.copy()
-    # FAS right-hand side A_H(R u) + R(r), h_H^2-scaled (h_H^2 = 4 h^2)
+    # FAS right-hand side A_H(R u) + R(r), h_H^2-scaled (h_H / h = G / G_H)
     rc, _ = _residual(uc, None, coarse, mu)
-    bc = 4.0 * _restrict(r) - rc
+    bc = (lev.G / coarse.G) ** 2 * _restrict(r, lev.down) - rc
     sweeps = 2 * SMOOTHING_SWEEPS
     if not v_only:
         sweeps += _cycle(levels, k + 1, uc, bc, mu)
     sweeps += _cycle(levels, k + 1, uc, bc, mu, v_only=True)
     e = np.where(coarse.inside[None], uc - start, 0.0)
     core = u[:, 1:-1, 1:-1]
-    core[:, lev.core] += _prolong(e)[:, lev.core]
+    core[:, lev.core] += (lev.up @ e @ lev.up.T)[:, lev.core]
     np.maximum(core, 0.0, out=core)
     _smooth(u, b, lev, mu, SMOOTHING_SWEEPS)
     return sweeps
@@ -277,13 +280,13 @@ def solve(config: DiffusionConfig, mu: float) -> DiffusionField:
     outside), by FAS multigrid F-cycles until the scaled discrete residual is
     at most SWEEP_TOL.
 
-    The levels are the grids G, G/2, ... down to an odd G or MIN_COARSE
-    cells across, each with its own embedded boundary and Dirichlet data.
-    The smoother is red-black Gauss-Seidel with the coupling frozen per
-    sweep, which keeps every iterate non-negative; coarse-grid corrections
-    are interpolated bilinearly to the inside cells of the finer grid and
-    clamped at 0.  The first iterate is nested: each grid starts from the
-    interpolated solution of the next coarser one.  Stops when
+    The levels are the grids G, (G+1)//2, ... of _hierarchy, each with its
+    own embedded boundary, Dirichlet data and transfers (_transfers).  The
+    smoother is red-black Gauss-Seidel with the coupling frozen per sweep,
+    which keeps every iterate non-negative; coarse-grid corrections are
+    interpolated to the inside cells of the finer grid and clamped at 0.
+    The first iterate is nested: each grid starts from the interpolated
+    solution of the next coarser one.  Stops when
     max |r_j| / (4 + mu h^2 sum_{k!=j} u_k) over the inside cells is at most
     SWEEP_TOL, where r_j = h^2 Delta_h u_j - mu h^2 u_j sum_{k!=j} u_k;
     raises NoConvergence after MAX_CYCLES cycles (the nested first pass
@@ -299,7 +302,7 @@ def solve(config: DiffusionConfig, mu: float) -> DiffusionField:
     for k in range(len(levels) - 2, -1, -1):
         lev = levels[k]
         fine = lev.u0.copy()
-        fine[:, 1:-1, 1:-1][:, lev.core] = np.maximum(_prolong(u)[:, lev.core], 0.0)
+        fine[:, 1:-1, 1:-1][:, lev.core] = np.maximum((lev.up @ u @ lev.up.T)[:, lev.core], 0.0)
         u = fine
         sweeps += _cycle(levels, k, u, None, mu)
 
@@ -336,18 +339,13 @@ def interface_cells(field: DiffusionField):
     pts = []
     c = -1.0 + (np.arange(G) + 0.5) * h
     for ax in (0, 1):
-        a = np.take(arg, np.arange(G - 1), axis=ax)
-        b = np.take(arg, np.arange(1, G), axis=ax)
-        la = np.take(live, np.arange(G - 1), axis=ax)
-        lb = np.take(live, np.arange(1, G), axis=ax)
-        diff = (a != b) & la & lb
-        ii, jj = np.nonzero(diff)
+        lo = (slice(None),) * ax + (slice(None, -1),)
+        hi = (slice(None),) * ax + (slice(1, None),)
+        ii, jj = np.nonzero((arg[lo] != arg[hi]) & live[lo] & live[hi])
         if ax == 0:
             pts.append(np.stack([c[jj], 0.5 * (c[ii] + c[ii + 1])], axis=1))
         else:
             pts.append(np.stack([0.5 * (c[jj] + c[jj + 1]), c[ii]], axis=1))
-    if not pts:
-        return np.zeros((0, 2))
     return np.concatenate(pts, axis=0)
 
 

@@ -166,7 +166,7 @@ def build_slit_disk(f: RationalFactored, base, preferred_dirs=None) -> SlitDisk:
     until all cuts clear each other, the other roots, and the base.
     """
     base = complex(base)
-    if abs(base) > 1.0 + 1e-12:
+    if not abs(base) <= 1.0 + 1e-12:
         raise ValueError("base must lie in the closed disk")
 
     anchors = [z for z, m in f.interior_roots if m % 2 == 1]

@@ -391,6 +391,8 @@ def reconstruct(f: RationalFactored, base, resolution: int = 256,
     built for (f, base); the state then uses it, with its memoised rim march
     and cached routes, instead of building its own.
     """
+    if resolution < 1:
+        raise ValueError("resolution must be at least 1")
     base = complex(base)
     if engine is not None and (engine.f is not f or engine.slit.base != base):
         raise ValueError("engine was built for another (f, base)")
@@ -478,27 +480,17 @@ def dirichlet_energy(state: SegregatedState) -> float:
     c = state.cell_centers
     X, Y = np.meshgrid(c, c)
 
-    def neighbor(axis, step):
-        """Signed-corrected neighbor field and validity mask."""
-        v = np.full_like(s, np.nan)
-        ok = np.zeros_like(inside)
-        if axis == 0 and step == 1:
-            v[:, :-1] = s[:, 1:] * np.where(state.cross_east[:, :-1] % 2 == 1, -1.0, 1.0)
-            ok[:, :-1] = inside[:, 1:]
-        elif axis == 0 and step == -1:
-            v[:, 1:] = s[:, :-1] * np.where(state.cross_east[:, :-1] % 2 == 1, -1.0, 1.0)
-            ok[:, 1:] = inside[:, :-1]
-        elif axis == 1 and step == 1:
-            v[:-1, :] = s[1:, :] * np.where(state.cross_south[:-1, :] % 2 == 1, -1.0, 1.0)
-            ok[:-1, :] = inside[1:, :]
-        else:
-            v[1:, :] = s[:-1, :] * np.where(state.cross_south[:-1, :] % 2 == 1, -1.0, 1.0)
-            ok[1:, :] = inside[:-1, :]
-        return v, ok
-
-    def gradient(axis):
-        vp, okp = neighbor(axis, 1)
-        vm, okm = neighbor(axis, -1)
+    def gradient(axis, cross):
+        """Difference of s along the numpy axis: central between two inside
+        neighbours, one-sided with one; a neighbour across an odd number of
+        cuts (cross counts them per step) enters with flipped sign."""
+        lo = (slice(None),) * axis + (slice(None, -1),)
+        hi = (slice(None),) * axis + (slice(1, None),)
+        flip = np.where(cross[lo] % 2 == 1, -1.0, 1.0)
+        vp, vm = np.full_like(s, np.nan), np.full_like(s, np.nan)
+        okp, okm = np.zeros_like(inside), np.zeros_like(inside)
+        vp[lo], okp[lo] = s[hi] * flip, inside[hi]
+        vm[hi], okm[hi] = s[lo] * flip, inside[lo]
         g = np.zeros_like(s)
         central = okp & okm
         g[central] = (vp[central] - vm[central]) / (2 * h)
@@ -508,8 +500,8 @@ def dirichlet_energy(state: SegregatedState) -> float:
         g[bwd] = (s[bwd] - vm[bwd]) / h
         return g
 
-    gx = gradient(0)
-    gy = gradient(1)
+    gx = gradient(1, state.cross_east)
+    gy = gradient(0, state.cross_south)
 
     w = inside.astype(float)
     rim = np.abs(np.hypot(X, Y) - 1.0) < 1.5 * h

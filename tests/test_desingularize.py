@@ -304,6 +304,14 @@ def test_split_rejects_merged_new_zero():
         split_zero(monomial(0.25, 3), 0.0, eps_target=1e9, branch=0, eps0=1e-13)
 
 
+def test_split_rejects_a_nan_target():
+    # sup + h1 > nan is False, so a NaN target or budget would accept any split
+    with pytest.raises(ValueError, match="eps_target must be positive"):
+        split_zero(monomial(0.25, 3), 0.0, eps_target=float("nan"))
+    with pytest.raises(ValueError, match="eps_budget must be positive"):
+        reduce_to_simple(monomial(0.25, 3), eps_budget=float("nan"))
+
+
 def test_split_requires_full_admissibility():
     # Re F vanishes at the odd base zero, so the state exists, but not at the
     # even zero 0.5 (residual 0.0101), so that zero is no critical point and

@@ -36,6 +36,9 @@ def test_config_invariants():
         DiffusionConfig(g=bad, resolution=64)
     with pytest.raises(ValueError):
         DiffusionConfig(g=-g, resolution=64)
+    for resolution in (0, -4, 513):
+        with pytest.raises(ValueError, match=r"resolution must lie in \[1, 512\]"):
+            DiffusionConfig(g=g, resolution=resolution)
 
 
 @pytest.mark.parametrize("mu", [np.nextafter(0.0, -1.0), np.nextafter(1e6, np.inf),
@@ -238,8 +241,9 @@ def _stop_quantity(fld, cfg, mu):
     return float(q[:, inside[1:-1, 1:-1]].max())
 
 
-def test_mu_zero_matches_sparse_lu():
-    cfg = _z3_config(64)
+@pytest.mark.parametrize("G", [64, 65, 97])
+def test_mu_zero_matches_sparse_lu(G):
+    cfg = _z3_config(G)
     fld = solve(cfg, mu=0.0)
     L, rhs, inside = _laplacian_system(cfg)
     assert np.array_equal(fld.inside, inside)
@@ -248,10 +252,10 @@ def test_mu_zero_matches_sparse_lu():
         assert np.abs(fld.u[j][inside] - lu.solve(rhs[j])).max() < 1e-6
 
 
-def test_coupled_system_matches_sparse_newton():
-    cfg = _z3_config(48)
-    mu = 1e4
-    mh2 = mu * (2.0 / 48) ** 2
+@pytest.mark.parametrize("G, mu", [(48, 1e4), (47, 1e4), (49, 1e6), (97, 1e6)])
+def test_coupled_system_matches_sparse_newton(G, mu):
+    cfg = _z3_config(G)
+    mh2 = mu * (2.0 / G) ** 2
     L, rhs, inside = _laplacian_system(cfg)
     n = L.shape[0]
     lu = splu(L)
@@ -263,7 +267,8 @@ def test_coupled_system_matches_sparse_newton():
             break
         J = sp.bmat([[L + sp.diags(mh2 * others[j]) if j == k else sp.diags(mh2 * u[j])
                       for k in range(5)] for j in range(5)], format="csc")
-        u = u - spsolve(J, F.ravel()).reshape(5, n)
+        # minimum degree on J + J^T: J's pattern is symmetric
+        u = u - spsolve(J, F.ravel(), permc_spec="MMD_AT_PLUS_A").reshape(5, n)
     else:
         pytest.fail("reference Newton did not converge")
     fld = solve(cfg, mu=mu)
@@ -275,6 +280,8 @@ def test_coupled_system_matches_sparse_newton():
     (_z3_config, 48, 1e4),
     (_z3_config, 96, 1e6),
     (_z3_config, 45, 1e3),
+    (_z3_config, 97, 1e6),
+    (_z3_config, 193, 1e4),
     (_halves_config, 64, 1e2),
 ])
 def test_returned_field_meets_stop_rule(make, G, mu):
@@ -285,6 +292,16 @@ def test_returned_field_meets_stop_rule(make, G, mu):
     assert q <= SWEEP_TOL
     assert fld.residual == pytest.approx(q, rel=1e-9, abs=1e-18)
     assert fld.cycles >= 1 and fld.sweeps >= fld.cycles
+
+
+def test_odd_grids_coarsen_like_even_ones():
+    # every G coarsens to (G+1)//2, so an odd grid costs about as many sweeps
+    # as the even grid below it; sweeps on G=97 alone take about five times
+    # as many as G=96's hierarchy
+    for mu in (1e2, 1e4):
+        assert [lev.G for lev in diffusion._hierarchy(_z3_config(97), mu)] == [97, 49, 25, 13, 7]
+        for G in (97, 193):
+            assert solve(_z3_config(G), mu).sweeps <= 1.25 * solve(_z3_config(G - 1), mu).sweeps
 
 
 def test_cycle_cap_raises(monkeypatch):

@@ -236,7 +236,15 @@ _SYMMETRIC = rational(0.25, roots=[(0.0, 2), (0.3, 1), (-0.3, 1)])
     (monomial(0.25, 3), ["reconstruct", "--resolution", "96"], "resolution >= 128"),
     (monomial(0.25, 3), ["check", "--base", "2,0"], "closed disk"),
     (monomial(0.25, 3), ["check", "--base", "abc"], "could not convert"),
-], ids=["branch", "general-position", "mu", "energy-resolution", "base-outside", "base-text"])
+    (monomial(0.25, 3), ["check", "--base", "nan,0"], "closed disk"),
+    (monomial(0.25, 3), ["index", "--resolution", "0"], "resolution must be at least 1"),
+    (monomial(0.25, 3), ["index", "--resolution", "-4"], "resolution must be at least 1"),
+    (monomial(0.25, 3), ["desingularize", "--eps", "0"], "eps0 must be finite and positive"),
+    (monomial(0.25, 3), ["desingularize", "--eps", "-0.01"], "eps0 must be finite and positive"),
+    (monomial(0.25, 3), ["desingularize", "--eps", "nan"], "eps0 must be finite and positive"),
+], ids=["branch", "general-position", "mu", "energy-resolution", "base-outside", "base-text",
+        "base-nan", "resolution-zero", "resolution-negative", "eps-zero", "eps-negative",
+        "eps-nan"])
 def test_cli_input_errors_end_in_the_error_report(tmp_path, capsys, f, argv, message):
     out = tmp_path / "out"
     code = main([argv[0], "-i", str(_write_spec(tmp_path, f)), "-o", str(out), *argv[1:]])
