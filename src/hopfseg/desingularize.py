@@ -32,7 +32,7 @@ from .errors import (
 from .mobius import apply, invert, is_general_position, make_general_position, pushforward_hopf
 from .primitive import PathEngine
 from .quadrature import gk15
-from .rational import RationalFactored, order_at
+from .rational import ROOT_MERGE_TOL, RationalFactored, order_at, root_at
 from .slits import build_slit_disk
 from .states import admissibility, reconstruct
 
@@ -150,7 +150,7 @@ def make_context(f: RationalFactored, z0, gamma_arg: float | None = None) -> Per
     n0 = order_at(f, z0)
     if n0 < 2:
         raise ValueError(f"zero at {z0} must have order >= 2 (got {n0})")
-    others = [(z - z0, m) for z, m in f.interior_roots if abs(z - z0) > 1e-13]
+    others = [(z - z0, m) for z, m in f.interior_roots if z != z0]
     others.sort(key=lambda p: abs(p[0]))
     dists = [abs(w) for w, _ in others]
     for d1, d2 in zip(dists[:-1], dists[1:]):
@@ -412,10 +412,10 @@ def _split(f, z0, eps_target=0.05, branch=0, eps0=None, state=None):
         raise ValueError("eps_target must be positive")
     if eps0 is not None and not 0.0 < eps0 < math.inf:
         raise ValueError("eps0 must be finite and positive")
-    z0 = complex(z0)
-    if state is not None and (
-            state.f is not f or state.resolution != STATE_RESOLUTION
-            or not any(abs(z - state.base) <= 1e-14 for z, _ in f.interior_roots)):
+    # z0 is the stored root it lies at, so that roots compare by equality
+    z0 = root_at(f, z0)[0]
+    if state is not None and (state.f is not f or state.resolution != STATE_RESOLUTION
+                              or order_at(f, state.base) == 0):
         raise ValueError(f"state was not built for this f at resolution {STATE_RESOLUTION}"
                          " and an interior zero")
     eng = PathEngine(f, build_slit_disk(f, z0))
@@ -486,8 +486,8 @@ def _split(f, z0, eps_target=0.05, branch=0, eps0=None, state=None):
             want = (ctx.m0, 1) + tuple(ctx.qs)
             got = tuple(order_at(f_new, z0 + w) for w in (0.0, omega0) + tuple(ctx.omegas))
             if got != want:
-                raise SplitOrderMismatch(f"zero orders {got} after splitting at eps = {eps:.3g}, "
-                                         f"expected {want}")
+                raise SplitOrderMismatch(f"zero orders {got} at eps = {eps:.3g}, not {want}: roots "
+                                         f"closer than ROOT_MERGE_TOL = {ROOT_MERGE_TOL:g} merge")
             eng_new = PathEngine(f_new, build_slit_disk(f_new, z0))
             rep_new = admissibility(f_new, z0, engine=eng_new)
             if not rep_new.admissible:
@@ -544,9 +544,9 @@ def reduce_to_simple(f: RationalFactored, eps_budget: float = 0.2) -> RationalFa
         return f
     per_step = eps_budget / alpha0
 
-    def step_eps(g, z0):
-        others = [abs(z - z0) for z, _ in g.interior_roots if abs(z - z0) > 1e-13]
-        return 0.25 * min(others) if others else 0.25
+    def isolation(g, z):
+        """Distance from the stored root z of g to its nearest other root (1 if none)."""
+        return min((abs(w - z) for w, _ in g.interior_roots if w != z), default=1.0)
 
     cur, state = f, None
     while True:
@@ -558,22 +558,17 @@ def reduce_to_simple(f: RationalFactored, eps_budget: float = 0.2) -> RationalFa
         # nearly equal distances from every later center, which is exactly
         # the degeneracy the system determinant cannot absorb
         top = max(m for _, m in cur.interior_roots)
-
-        def isolation(z):
-            others = [abs(z - w) for w, _ in cur.interior_roots if abs(w - z) > 1e-13]
-            return min(others) if others else 2.0
-
         cands = [(z, m) for z, m in cur.interior_roots if m == top]
-        cands.sort(key=lambda p: (-isolation(p[0]), abs(p[0]), np.angle(p[0])))
+        cands.sort(key=lambda p: (-isolation(cur, p[0]), abs(p[0]), np.angle(p[0])))
         z0, n0 = cands[0]
         pts = [z for z, _ in cur.interior_roots]
         if is_general_position(pts, z0):
-            res, state = _split(cur, z0, eps_target=per_step, eps0=step_eps(cur, z0),
+            res, state = _split(cur, z0, eps_target=per_step, eps0=0.25 * isolation(cur, z0),
                                 state=state)
             cur = res.f_new
             continue
         mob = make_general_position(pts, z0)
         g = pushforward_hopf(cur, invert(mob))
-        gz0 = complex(apply(mob, z0))
-        res = split_zero(g, gz0, eps_target=per_step, eps0=step_eps(g, gz0))
+        gz0 = root_at(g, apply(mob, z0))[0]
+        res = split_zero(g, gz0, eps_target=per_step, eps0=0.25 * isolation(g, gz0))
         cur, state = pushforward_hopf(res.f_new, mob), None

@@ -33,13 +33,13 @@ class DiffusionConfig:
     """Dirichlet data and grid of one diffusion problem; the competition
     rate mu is an argument of solve, not part of the data."""
 
-    g: np.ndarray          # (n_species, samples) non-negative, disjoint supports;
+    g: np.ndarray          # (n_species, samples) finite, non-negative, disjoint supports;
                            # sample k lies at the angle 2 pi k / samples
     resolution: int
 
     def __post_init__(self):
-        if np.any(self.g < 0):
-            raise ValueError("boundary data must be non-negative")
+        if not np.all((self.g >= 0) & (self.g < np.inf)):
+            raise ValueError("boundary data must be finite and non-negative")
         overlap = (self.g > 0).sum(axis=0)
         if np.any(overlap > 1):
             raise ValueError("boundary supports must be disjoint")
@@ -309,14 +309,14 @@ def solve(config: DiffusionConfig, mu: float) -> DiffusionField:
     lev = levels[0]
     res = _scaled_residual(u, None, lev, mu)
     cycles = 1
-    while res > SWEEP_TOL:
+    while not res <= SWEEP_TOL:          # so that a NaN residual cannot pass
         if cycles >= MAX_CYCLES:
             raise NoConvergence(f"residual {res:.3e} > {SWEEP_TOL:g} after "
                                 f"{cycles} cycles, the cap")
         sweeps += _cycle(levels, 0, u, None, mu)
         cycles += 1
         prev, res = res, _scaled_residual(u, None, lev, mu)
-        if res >= prev:
+        if not res < prev:
             raise NoConvergence(f"cycle {cycles} did not lower the residual "
                                 f"({prev:.3e} -> {res:.3e})")
 

@@ -159,10 +159,10 @@ def is_general_position(points, p0) -> bool:
     The half-line through p_j must also clear every other point of the
     configuration (it becomes a cut later on).  Gaps shrink proportionally
     for clustered configurations, where a fixed clearance would be
-    structurally unsatisfiable.
+    structurally unsatisfiable.  Points equal to p0 are left out.
     """
-    pts = [complex(p) for p in points if abs(complex(p) - complex(p0)) > 1e-14]
     p0 = complex(p0)
+    pts = [complex(p) for p in points if complex(p) != p0]
     dists = sorted(abs(p - p0) for p in pts)
     for d1, d2 in zip(dists[:-1], dists[1:]):
         if d2 - d1 < min(GENERAL_POSITION_GAP, 0.1 * d1):
@@ -203,7 +203,7 @@ def make_general_position(points, p0) -> MobiusMap:
         return candidate
 
     forbidden = []
-    qs = [z for z in q if abs(z) > 1e-14]
+    qs = [z for z in q if z != 0]
     for i in range(len(qs)):
         for j in range(i, len(qs)):
             forbidden.append(0.5 * (np.angle(qs[i]) + np.angle(qs[j])))

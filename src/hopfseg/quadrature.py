@@ -20,6 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ToleranceNotMet
+from .rational import AT_ROOT_TOL
 
 # QUADPACK 15-point Kronrod rule on [-1, 1]; Gauss nodes are every other one.
 _XGK = np.array([
@@ -46,8 +47,8 @@ _W15D = np.array([_WGK, _WGK])
 _W15D[1, 1::2] -= _WG7
 
 _MAX_ARG_STEP = 0.45 * np.pi
-# a segment end this close to a stored root is that root
-_ROOT_SNAP = 1e-13
+# the depth at which an interval's panels stop halving
+_MAX_DEPTH = 52
 # a panel's chain in half-widths from its start: the start, the Kronrod nodes, the end
 _U17 = np.concatenate(([0.0], _XGK + 1.0, [2.0]))
 
@@ -126,7 +127,7 @@ def _converged(err, half, tol):
     return (err <= tol) | (np.abs(half) < 1e-15)
 
 
-def _breadth_first(panel, lo, hi, tol, max_depth):
+def _breadth_first(panel, lo, hi, tol):
     """Adaptive GK15/G7 over the intervals [lo[i], hi[i]], all at once.
 
     panel(seg, lo, half) sees the open panels [lo, lo + 2 half] of the
@@ -138,7 +139,7 @@ def _breadth_first(panel, lo, hi, tol, max_depth):
     """
     seg = np.arange(len(lo))
     parts = []
-    for depth in range(max_depth + 1):
+    for depth in range(_MAX_DEPTH + 1):
         half = 0.5 * (hi - lo)
         w, ok, scale, data = panel(seg, lo, half)
         i15, err = _kronrod(half, w)
@@ -156,7 +157,7 @@ def _breadth_first(panel, lo, hi, tol, max_depth):
         seg, lo, hi = np.repeat(seg[rest], 2), lo[rest], hi[rest]
         mid = lo + half[rest]
         lo, hi = np.column_stack((lo, mid)).ravel(), np.column_stack((mid, hi)).ravel()
-    raise ToleranceNotMet(f"panels stuck above tol at depth {max_depth}")
+    raise ToleranceNotMet(f"panels stuck above tol at depth {_MAX_DEPTH}")
 
 
 def _per_interval(seg, x, n):
@@ -174,11 +175,11 @@ def gk15(fn, a, b, tol):
     def panel(seg, lo, half):
         return fn(seg, (lo + half)[:, None] + half[:, None] * _XGK), None, 1.0, None
 
-    seg, _, i15, _, _ = _breadth_first(panel, a, b, tol, 50)
+    seg, _, i15, _, _ = _breadth_first(panel, a, b, tol)
     return _per_interval(seg, i15, len(a))
 
 
-def sqrt_segments(fn, roots, za, zb, v_start=None, tol=1e-10, max_depth=52, chained=False):
+def sqrt_segments(fn, roots, za, zb, v_start=None, tol=1e-10, chained=False):
     """Integrals of f^{1/2} dz along the segments za[i] -> zb[i], in one pass.
 
     Each segment has its own f: fn(i, z) returns f of the segments i (one
@@ -189,7 +190,7 @@ def sqrt_segments(fn, roots, za, zb, v_start=None, tol=1e-10, max_depth=52, chai
     chained, each segment continues the one before from v_start at za[0].
     Returns (values, error estimates, continued f^{1/2} at each zb).  No za
     may be a root.  A segment runs in z = za + (zb - za) t, t from 0 to 1; one
-    whose zb is within 1e-13 of one of its roots ends at that root and runs
+    whose zb lies at one of its roots (rational.AT_ROOT_TOL) ends there and runs
     in z = zb + (za - zb) t^2, t from 1 down to exactly 0 (panel ends are
     dyadic), where the local factor (z - zb)^{n/2} is t^n times a smooth
     function for every order n, carrying 0 to zb.
@@ -197,7 +198,7 @@ def sqrt_segments(fn, roots, za, zb, v_start=None, tol=1e-10, max_depth=52, chai
     za = np.asarray(za, dtype=complex).reshape(-1)
     zb = np.asarray(zb, dtype=complex).reshape(-1)
     n = len(za)
-    near = np.abs(zb[:, None] - roots) < _ROOT_SNAP
+    near = np.abs(zb[:, None] - roots) < AT_ROOT_TOL
     quad = near.any(axis=1) if near.any() else None
     if quad is None:
         P, Q, t0 = za, zb - za, np.zeros(n)
@@ -223,7 +224,7 @@ def sqrt_segments(fn, roots, za, zb, v_start=None, tol=1e-10, max_depth=52, chai
         ok &= _winding_safe(z, r, near[seg])
         return v[:, 1:-1] * q * np.where(sq, 2.0 * t[:, 1:-1], 1.0), ok, scale[seg], v
 
-    seg, lo, i15, err, v = _breadth_first(panel, t0, 1.0 - t0, tol, max_depth)
+    seg, lo, i15, err, v = _breadth_first(panel, t0, 1.0 - t0, tol)
     if len(seg) == n and (n < 2 or not chained):
         # one panel per segment, continued from the root given at za
         sign = 1.0 if v_start is None else branch_sign(v_start, v[:, 0])
@@ -247,16 +248,15 @@ def sqrt_segments(fn, roots, za, zb, v_start=None, tol=1e-10, max_depth=52, chai
 class SqrtSegmentIntegrator:
     """Integrates f^{1/2} dz along straight segments: sqrt_segments bound to one f."""
 
-    def __init__(self, f, tol=1e-10, max_depth=52):
+    def __init__(self, f, tol=1e-10):
         self.f = f
         self.tol = tol
-        self.max_depth = max_depth
         self.roots = np.array([r for r, _ in f.interior_roots], dtype=complex)
 
     def segments(self, za, zb, v_start=None, tol=None, chained=False):
         """sqrt_segments of this f (see there); tol defaults to the integrator's."""
         return sqrt_segments(lambda _, z: self.f.eval(z), self.roots, za, zb, v_start,
-                             self.tol if tol is None else tol, self.max_depth, chained)
+                             self.tol if tol is None else tol, chained)
 
     def integrate(self, za, zb, v_start, tol=None):
         """Integral of f^{1/2} from za to zb; v_start continues the branch at za.

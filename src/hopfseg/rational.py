@@ -8,7 +8,10 @@ with interior roots r_i well inside the disk (|r| <= 1 - delta_bd) and the
 unit factor roots u_j, d_k strictly outside (|u| >= 1 + delta_bd), so the unit
 part never vanishes on a neighborhood of the closed disk.  Keeping roots
 explicit makes zero orders exact integers instead of numerically detected
-quantities, which the multiplicity bookkeeping downstream relies on.
+quantities, which the multiplicity bookkeeping downstream relies on.  One
+rule, used by every module, says where a point is: z lies at the stored root
+r when |z - r| < AT_ROOT_TOL, and at one root at most, as the constructor
+keeps roots ROOT_MERGE_TOL apart.  Two stored roots are one only when equal.
 """
 
 from __future__ import annotations
@@ -20,8 +23,8 @@ import numpy as np
 from .errors import NonIntegerWinding, PoleHit, RootHit, RootOnContour
 
 DELTA_BD_DEFAULT = 0.05
-ROOT_MERGE_TOL = 1e-12
-ORDER_MATCH_TOL = 1e-10
+ROOT_MERGE_TOL = 1e-12       # stored roots lie this far apart (the constructor merges closer ones)
+AT_ROOT_TOL = 1e-13          # z lies at r if |z - r| < this: under half the above, one r at most
 CONTOUR_GUARD = 1e-6         # the least distance of a root from a winding contour
 
 
@@ -93,7 +96,7 @@ class RationalFactored:
         scalar = np.isscalar(z) or getattr(z, "shape", None) == ()
         if scalar:
             for d, p in self.unit_den:
-                if abs(complex(z) - d) < 1e-14:
+                if abs(complex(z) - d) < AT_ROOT_TOL:
                     raise PoleHit(f"evaluation at pole {d}")
         zz = np.asarray(z, dtype=complex)
         out = np.full(zz.shape, self.leading, dtype=complex)
@@ -110,10 +113,10 @@ class RationalFactored:
         scalar = np.isscalar(z) or getattr(z, "shape", None) == ()
         if scalar:
             for r, _ in self.interior_roots + self.unit_num:
-                if abs(complex(z) - r) < 1e-14:
+                if abs(complex(z) - r) < AT_ROOT_TOL:
                     raise RootHit(f"log derivative at root {r}")
             for d, _ in self.unit_den:
-                if abs(complex(z) - d) < 1e-14:
+                if abs(complex(z) - d) < AT_ROOT_TOL:
                     raise PoleHit(f"log derivative at pole {d}")
         zz = np.asarray(z, dtype=complex)
         out = np.zeros(zz.shape, dtype=complex)
@@ -183,7 +186,7 @@ def multiply(f: RationalFactored, g: RationalFactored) -> RationalFactored:
 
     The constructor merges roots closer than ROOT_MERGE_TOL, which would move a
     root of f onto a nearby root of g, so that h(z) != f(z) g(z) next to them;
-    here only equal roots are merged.
+    here only equal roots are merged, so h may hold roots closer than ROOT_MERGE_TOL.
     """
     h = RationalFactored(leading=f.leading * g.leading, delta_bd=min(f.delta_bd, g.delta_bd))
     for name in ("interior_roots", "unit_num", "unit_den"):
@@ -191,13 +194,15 @@ def multiply(f: RationalFactored, g: RationalFactored) -> RationalFactored:
     return h
 
 
-def order_at(f: RationalFactored, z) -> int:
-    """Multiplicity of z as a stored interior root (0 if not a root)."""
+def root_at(f: RationalFactored, z) -> tuple:
+    """(r, multiplicity) of the stored interior root r that z lies at, or (z, 0)."""
     z = complex(z)
-    for r, m in f.interior_roots:
-        if abs(r - z) < ORDER_MATCH_TOL:
-            return m
-    return 0
+    return next(((r, m) for r, m in f.interior_roots if abs(r - z) < AT_ROOT_TOL), (z, 0))
+
+
+def order_at(f: RationalFactored, z) -> int:
+    """Multiplicity of the stored interior root that z lies at (0 if none)."""
+    return root_at(f, z)[1]
 
 
 def winding_count(f: RationalFactored, center, radius) -> int:

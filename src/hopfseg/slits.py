@@ -8,10 +8,10 @@ visibility graph whose only obstacles are the cuts; a blocked cut is rounded
 via three detour nodes placed just off its anchor.
 
 A point on a cut belongs to one side of it, by one rule that the grid fill,
-the chord fill, the router and the rim march all share through crosses: a
-point within ON_CUT_TOL * |cut| of a cut's line lies on its counterclockwise
-side, the side of i (end - anchor), and a step crosses the cut when its ends
-lie on different sides and it meets the line past the anchor.  A chord of
+the router and the rim march all share through crosses: a point within
+ON_CUT_TOL * |cut| of a cut's line lies on its counterclockwise side, the
+side of i (end - anchor), and a step crosses the cut when its ends lie on
+different sides and it meets the line past the anchor.  A chord of
 the closed disk meets the cut's ray only on the cut itself, so the far end
 needs no test.  Where the state exists |Re F| is continuous across the cuts,
 so the rule only fixes which branch of F a point on a cut reports: the
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CutSearchFailed, Unreachable
-from .rational import RationalFactored
+from .rational import AT_ROOT_TOL, RationalFactored
 
 GOLDEN_ANGLE = np.pi * (3.0 - np.sqrt(5.0))
 CUT_CLEARANCE = 1e-6
@@ -120,7 +120,7 @@ class SlitDisk:
         if abs(z) >= 1.0 - 1e-12:
             return False
         for c in self.cuts:
-            if abs(z - c.anchor) <= 1e-12:
+            if abs(z - c.anchor) < AT_ROOT_TOL:
                 return False
             if point_segment_distance(z, c.anchor, c.end) <= 1e-12:
                 return True
@@ -145,13 +145,13 @@ def _cut_ok(cand: Cut, placed, f: RationalFactored, base: complex) -> bool:
         if segment_segment_distance(cand.anchor, cand.end, other.anchor, other.end) < req:
             return False
     for r, _ in f.interior_roots:
-        if abs(r - cand.anchor) < 1e-12:
+        if r == cand.anchor:
             continue
         req = min(CUT_CLEARANCE, 0.2 * abs(r - cand.anchor))
         if point_segment_distance(r, cand.anchor, cand.end) < req:
             return False
     # the base may be the anchor itself but must not sit inside the cut
-    if abs(base - cand.anchor) > 1e-12:
+    if abs(base - cand.anchor) >= AT_ROOT_TOL:
         req = min(1e-9, 0.2 * abs(base - cand.anchor))
         if point_segment_distance(base, cand.anchor, cand.end) < req:
             return False
@@ -177,7 +177,7 @@ def build_slit_disk(f: RationalFactored, base, preferred_dirs=None) -> SlitDisk:
         if preferred_dirs is not None and a in preferred_dirs:
             d0 = preferred_dirs[a]
             d0 = d0 / abs(d0)
-        elif abs(a - base) > 1e-12:
+        elif abs(a - base) >= AT_ROOT_TOL:
             d0 = (a - base) / abs(a - base)
         else:
             d0 = 1.0 + 0.0j
@@ -202,7 +202,7 @@ def _detour_radius(cut: Cut, slit: SlitDisk, f: RationalFactored) -> float:
         d = segment_segment_distance(cut.anchor, cut.anchor, other.anchor, other.end)
         r = min(r, 0.2 * d)
     for root, _ in f.interior_roots:
-        if abs(root - cut.anchor) > 1e-12:
+        if root != cut.anchor:
             r = min(r, 0.2 * abs(root - cut.anchor))
     return max(r, 1e-7)
 
@@ -291,7 +291,7 @@ def _bump_root_grazes(waypoints, f: RationalFactored, slit: SlitDisk) -> tuple:
             new_seg = [seg[0]]
             for p, q in zip(seg[:-1], seg[1:]):
                 for root, _ in f.interior_roots:
-                    if abs(root - p) < 1e-13 or abs(root - q) < 1e-13:
+                    if abs(root - p) < AT_ROOT_TOL or abs(root - q) < AT_ROOT_TOL:
                         continue
                     if point_segment_distance(root, p, q) < 1e-7 and abs(q - p) > 1e-9:
                         u = (q - p) / abs(q - p)

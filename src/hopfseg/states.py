@@ -24,7 +24,7 @@ import numpy as np
 from .errors import GridTooCoarse, NotAdmissible, NotOnNodalSet
 from .primitive import PathEngine
 from .quadrature import GL6_W, GL6_X, SqrtSegmentIntegrator, branch_sign, nearest_sqrt
-from .rational import RationalFactored, order_at
+from .rational import AT_ROOT_TOL, RationalFactored, order_at
 from .serialize import csv_rows
 from .slits import SlitDisk, build_slit_disk, crosses
 
@@ -59,7 +59,7 @@ def admissibility(f: RationalFactored, base, tol: float | None = None,
         tol = ADMISSIBILITY_REL_TOL * max(scale, 1e-300)
     residuals = []
     for z, _ in f.interior_roots:
-        if abs(z - eng.slit.base) < 1e-14:
+        if abs(z - eng.slit.base) < AT_ROOT_TOL:
             residuals.append((z, 0.0))
         else:
             residuals.append((z, abs(eng.F(z).real)))
@@ -279,7 +279,7 @@ def _fill_grid(f, eng, Z, fZ, inside, cross_east, cross_south):
     for r, m in f.interior_roots:
         d = np.abs(Z - r)
         far &= d > 2.0 / G * max(3, m + 1)
-        node &= d > 1e-13
+        node &= d >= AT_ROOT_TOL
     east = np.zeros((G, G), dtype=bool)
     south = np.zeros((G, G), dtype=bool)
     east[:, :-1] = inside[:, :-1] & inside[:, 1:] & (cross_east[:, :-1] == 0)
@@ -292,7 +292,7 @@ def _fill_grid(f, eng, Z, fZ, inside, cross_east, cross_south):
         for r, _ in f.interior_roots:
             t = np.clip(((r - za) * np.conj(seg)).real / np.abs(seg) ** 2, 0.0, 1.0)
             ends = np.minimum(np.abs(za - r), np.abs(za + seg - r))
-            step[i] &= (ends <= 1e-13) | (np.abs(za + t * seg - r) >= 0.5 * ends)
+            step[i] &= (ends < AT_ROOT_TOL) | (np.abs(za + t * seg - r) >= 0.5 * ends)
 
     F = np.full(n, np.nan + 0.0j, dtype=complex)
     V = np.zeros(n, dtype=complex)

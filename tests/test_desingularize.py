@@ -298,10 +298,31 @@ def test_reduce_through_a_disk_automorphism(monkeypatch):
 
 
 def test_split_rejects_merged_new_zero():
-    # at eps 1e-13 the new zero merges with z0 (root merge tolerance 1e-12):
-    # a typed error that the eps backtracking does not swallow
-    with pytest.raises(SplitOrderMismatch):
-        split_zero(monomial(0.25, 3), 0.0, eps_target=1e9, branch=0, eps0=1e-13)
+    # below the root merge tolerance 1e-12 the new zero merges with z0: a
+    # typed error that the eps backtracking does not swallow
+    for eps0 in (1e-13, 5e-13):
+        with pytest.raises(SplitOrderMismatch, match="ROOT_MERGE_TOL"):
+            split_zero(monomial(0.25, 3), 0.0, eps_target=1e9, branch=0, eps0=eps0)
+
+
+@pytest.mark.parametrize("eps0", [5e-11, 2e-12])
+def test_split_keeps_a_new_zero_just_above_the_merge_scale(eps0):
+    # a new zero eps0 from z0 stays a simple zero of its own, and each stored
+    # root reports its own order
+    res = split_zero(monomial(0.25, 3), 0.0, eps_target=1e9, branch=0, eps0=eps0)
+    assert res.epsilon == eps0
+    assert (order_at(res.f_new, 0.0), order_at(res.f_new, res.new_zero)) == (2, 1)
+    assert sorted(m for _, m in res.f_new.interior_roots) == [1, 2]
+
+
+def test_split_at_a_point_near_the_zero_splits_the_stored_zero():
+    # z0 within AT_ROOT_TOL of the stored zero names that zero, whose other
+    # roots are then told apart from it by equality
+    f = monomial(0.25, 3)
+    near = split_zero(f, 5e-14j, eps_target=1e9, eps0=0.01)
+    at = split_zero(f, 0.0, eps_target=1e9, eps0=0.01)
+    assert near.z0 == 0.0
+    assert (near.f_new, near.theta) == (at.f_new, at.theta)
 
 
 def test_split_rejects_a_nan_target():

@@ -36,6 +36,11 @@ def test_config_invariants():
         DiffusionConfig(g=bad, resolution=64)
     with pytest.raises(ValueError):
         DiffusionConfig(g=-g, resolution=64)
+    for value in (np.nan, np.inf):
+        bad = g.copy()
+        bad[0, 3] = value
+        with pytest.raises(ValueError, match="boundary data must be finite and non-negative"):
+            DiffusionConfig(g=bad, resolution=64)
     for resolution in (0, -4, 513):
         with pytest.raises(ValueError, match=r"resolution must lie in \[1, 512\]"):
             DiffusionConfig(g=g, resolution=resolution)
@@ -260,15 +265,19 @@ def test_coupled_system_matches_sparse_newton(G, mu):
     n = L.shape[0]
     lu = splu(L)
     u = np.stack([lu.solve(b) for b in rhs])           # mu = 0 start
+    # the unknowns cell by cell, the species innermost: J is L (x) I_5 plus
+    # one 5 x 5 coupling block per cell
+    lap = sp.kron(L, sp.identity(5), format="csc")
+    cell, row, col = np.unravel_index(np.arange(25 * n), (n, 5, 5))
     for step in range(30):
         others = u.sum(axis=0)[None] - u
         F = np.stack([L @ u[j] for j in range(5)]) - rhs + mh2 * u * others
         if np.abs(F).max() < 1e-12:
             break
-        J = sp.bmat([[L + sp.diags(mh2 * others[j]) if j == k else sp.diags(mh2 * u[j])
-                      for k in range(5)] for j in range(5)], format="csc")
+        block = mh2 * np.where(row == col, others[row, cell], u[row, cell])
+        J = lap + sp.csc_matrix((block, (5 * cell + row, 5 * cell + col)), shape=(5 * n, 5 * n))
         # minimum degree on J + J^T: J's pattern is symmetric
-        u = u - spsolve(J, F.ravel(), permc_spec="MMD_AT_PLUS_A").reshape(5, n)
+        u = u - spsolve(J, F.T.ravel(), permc_spec="MMD_AT_PLUS_A").reshape(n, 5).T
     else:
         pytest.fail("reference Newton did not converge")
     fld = solve(cfg, mu=mu)
@@ -307,6 +316,14 @@ def test_odd_grids_coarsen_like_even_ones():
 def test_cycle_cap_raises(monkeypatch):
     monkeypatch.setattr(diffusion, "MAX_CYCLES", 1)
     with pytest.raises(NoConvergence, match=r"residual .* after 1 cycles"):
+        solve(_z3_config(48), mu=1e4)
+
+
+def test_nan_residual_is_not_converged(monkeypatch):
+    # NaN > SWEEP_TOL and NaN >= prev are both False: a NaN field would
+    # pass both stop tests as converged after one cycle
+    monkeypatch.setattr(diffusion, "_scaled_residual", lambda *args: np.nan)
+    with pytest.raises(NoConvergence, match=r"cycle 2 did not lower the residual \(nan -> nan\)"):
         solve(_z3_config(48), mu=1e4)
 
 

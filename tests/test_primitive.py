@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hopfseg import experiments
+from hopfseg import experiments, quadrature
 from hopfseg.desingularize import reduce_to_simple
 from hopfseg.errors import ToleranceNotMet, Unreachable
 from hopfseg.experiments import admissible_fw, figure5_function, tuned_multizero
@@ -352,10 +352,11 @@ def test_chords_match_integrate(monkeypatch):
     integ = SqrtSegmentIntegrator(f, 1e-11)
     za = np.array([0.9, -0.8j, 0.5 + 0.5j, -0.9 + 0.1j])
     zb = np.array([0.88 + 0.05j, 0.8j, -0.6 - 0.4j, 0.9 - 0.1j])
-    one_panel = SqrtSegmentIntegrator(f, 1e-11, max_depth=0)
-    one_panel.chords(za[:1], zb[:1])
-    with pytest.raises(ToleranceNotMet):
-        one_panel.chords(za, zb)
+    with monkeypatch.context() as m:
+        m.setattr(quadrature, "_MAX_DEPTH", 0)
+        integ.chords(za[:1], zb[:1])
+        with pytest.raises(ToleranceNotMet):
+            integ.chords(za, zb)
     calls = []
     integrate = SqrtSegmentIntegrator.integrate
 

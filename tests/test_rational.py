@@ -3,6 +3,8 @@ import pytest
 
 from hopfseg.errors import PoleHit, RootHit, RootOnContour
 from hopfseg.rational import (
+    AT_ROOT_TOL,
+    ROOT_MERGE_TOL,
     RationalFactored,
     monomial,
     multiply,
@@ -52,6 +54,18 @@ def test_order_at_examples():
     assert order_at(f, 0.5) == 0
     g = rational(0.25, roots=[(0, 1), (0.1, 2)])
     assert order_at(g, 0.1) == 2
+
+
+def test_order_at_tells_close_roots_apart():
+    # roots 5e-11 apart are kept apart (the constructor merges below
+    # ROOT_MERGE_TOL = 1e-12), and a point lies at one of them at most
+    a, b = 0.1, 0.1 + 5e-11
+    f = rational(0.25, roots=[(a, 3), (b, 1)])
+    assert len(f.interior_roots) == 2
+    assert (order_at(f, a), order_at(f, b)) == (3, 1)
+    assert order_at(f, a + 0.5 * AT_ROOT_TOL) == 3
+    assert order_at(f, a + 2.0 * AT_ROOT_TOL) == 0
+    assert AT_ROOT_TOL < 0.5 * ROOT_MERGE_TOL
 
 
 def test_order_matches_log_slope():
