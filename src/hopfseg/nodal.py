@@ -9,9 +9,12 @@ arrival uses up the end it lands on.
 
 Arcs are continued by predictor steps along the level set with a Newton
 corrector (the gradient of Re F is conj(F') = 2 conj(f^{1/2}), known in
-closed form along the continuation).  The step follows the geometry: the
-curvature of a level curve is at most |f'/f|/2, which sizes each step so
-that its chord stays within 0.1/G of the arc.  The seeds on a critical's
+closed form along the continuation).  Each predictor step is one integral,
+which carries F along the arc; a corrector move is a Taylor update of F
+where a Cauchy bound certifies it, and an integral elsewhere (next to a zero
+of f, or a long move).  The step follows the geometry: the curvature of a
+level curve is at most |f'/f|/2, which sizes each step so that its chord
+stays within 0.1/G of the arc.  The seeds on a critical's
 circle come from one ring march: a batch of chords composed round the
 circle from one radial value.  Crossing a cut merely flips the local
 sheet, Re F -> -Re F, so the marcher never needs to know where a cut runs;
@@ -196,7 +199,9 @@ class _Marcher:
     def _correct(self, z, v, Fz, cap):
         """Newton corrector onto Re F = 0 (the gradient of Re F is conj(F')).
 
-        Gives up on a step longer than cap; returns (z, v, F, converged).
+        A move is a Taylor update (_taylor) where certified, else an integral;
+        the residual is tested after every move.  Gives up on a step longer
+        than cap; returns (z, v, F, converged).
         """
         for _ in range(12):
             Fp = 2.0 * v
@@ -206,10 +211,27 @@ class _Marcher:
             corr = -Fz.real * np.conj(Fp) / g2
             if abs(corr) > cap:
                 break
-            z, v, Fz = self._advance(z, v, Fz, corr)
+            z, v, Fz = self._taylor(z, v, Fz, corr) or self._advance(z, v, Fz, corr)
             if abs(Fz.real) < self.tight:
                 return z, v, Fz, True
         return z, v, Fz, False
+
+    def _taylor(self, z, v, Fz, c):
+        """Move by c with F(z + c) = F(z) + 2c (v + c v'/2 + c^2 v''/6), or None.
+
+        v' = v L/2, v'' = v (L^2/4 + L'/2), L = f'/f.  On f.growth_disk's disk
+        |f^{1/2}| <= M = |v| g^{1/2}, so by Cauchy's estimates the remainder is at
+        most 2 M |c| q^3 / (1 - q), q = |c| / rho.  F is carried on from move to
+        move, so the update needs q < 1/2 and that bound below tight/10.
+        """
+        f = self.integ.f
+        rho, g = f.growth_disk(z)
+        q = abs(c) / rho
+        if q >= 0.5 or 20.0 * abs(v) * np.sqrt(g) * abs(c) * q ** 3 >= (1.0 - q) * self.tight:
+            return None
+        L, dL = f.log_derivative(z), f.log_derivative_prime(z)
+        dF = 2.0 * c * v * (1.0 + c * L / 4.0 + c * c * (L * L / 4.0 + dL / 2.0) / 6.0)
+        return z + c, nearest_sqrt(f.eval(z + c), v), Fz + dF
 
     def run(self, z0, v0, F0, direction, src):
         """Trace one arc until it reaches the rim or snaps to a critical.
@@ -246,7 +268,7 @@ class _Marcher:
                        0.5 * (1.0 - abs(z)))
             step = min(max(step, 2.0 / G), 0.1)
             if jmin >= 0:
-                step = min(step, max(0.35 * dmin, 1e-11))
+                step = min(step, 0.35 * dmin)
             zn, vn, Fn, ok = self._correct(*self._advance(z, v, Fz, step * d), 0.6 * step)
             if not ok and abs(Fn.real) > self.loose:
                 # halve and retry once, without the step cap, before giving up

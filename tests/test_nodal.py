@@ -248,6 +248,74 @@ def test_each_arc_marched_once(index_states, monkeypatch):
         assert len(marches) == len(g.arcs)
 
 
+def test_trace_integrations(index_states, monkeypatch):
+    # the corrector's short moves go in closed form where the Cauchy bound
+    # allows: the parent's integrate-every-move corrector made 3,052 calls on
+    # these twelve states, the closed-form one 1,711
+    calls = []
+    integrate = SqrtSegmentIntegrator.integrate
+
+    def counted(self, *args, **kw):
+        calls.append(args[:2])
+        return integrate(self, *args, **kw)
+
+    monkeypatch.setattr(SqrtSegmentIntegrator, "integrate", counted)
+    for st in index_states:
+        assert trace(st).clean
+    assert len(calls) <= 1800
+
+
+def test_taylor_move_matches_the_integral(index_states):
+    # z^3/4, figure 5 and the first random_even_function draw: on each arc
+    # point, the longest move the bound accepts in each of three directions
+    # (sizes 1e-8 * 1.5^k), and a move of 1e-7, agree with the integral to the
+    # corrector's tolerance
+    sizes = 1e-8 * 1.5 ** np.arange(35)
+    checked = 0
+    for st in (index_states[11], index_states[9], index_states[0]):
+        marcher = _Marcher(st)
+        f = st.f
+        for arc in trace(st).arcs:
+            for z in arc.points[1:-1]:
+                v = np.sqrt(f.eval(z))
+                for d in np.exp(2j * np.pi * np.arange(3) / 3):
+                    longest = max(s for s in sizes if marcher._taylor(z, v, 0j, s * d) is not None)
+                    assert longest < sizes[-1]
+                    for c in (1e-7 * d, longest * d):
+                        moved = marcher._taylor(z, v, 0j, c)
+                        val, _, v_end = marcher.integ.integrate(z, z + c, v, tol=1e-16)
+                        assert moved[0] == z + c
+                        assert abs(moved[2] - 2.0 * val) <= marcher.tight
+                        assert abs(moved[1] - v_end) <= 1e-12 * abs(v_end)
+                        checked += 1
+    assert checked >= 1000
+    # next to the triple zero of z^3/4 the Newton move from z = 1e-3 is -0.4 z,
+    # with q = 0.8: the corrector integrates it
+    st = index_states[11]
+    marcher = _Marcher(st)
+    z = 1e-3
+    v, F = np.sqrt(st.f.eval(z)), 0.4 * z ** 2.5
+    assert abs(-0.4 * z) / st.f.growth_disk(z)[0] >= 0.5
+    assert marcher._taylor(z, v, F, -0.4 * z) is None
+    calls = []
+    advance = marcher._advance
+    marcher._advance = lambda *args: calls.append(args) or advance(*args)
+    zn, _, Fn, ok = marcher._correct(z, v, F, np.inf)
+    assert ok and abs(Fn.real) < marcher.tight and len(calls) >= 1
+    assert calls[0][3] == pytest.approx(-0.4 * z, rel=1e-12)
+
+
+@pytest.mark.parametrize("eps", [2e-12, 5e-12, 2e-11])
+def test_trace_next_to_zeros_closer_than_a_step_floor(eps):
+    # a step floor of 1e-11 stepped past the simple zero eps from the double
+    # one, and the integral of that step never converged (ToleranceNotMet)
+    f = rational(0.25, roots=[(0, 2), (eps, 1)])
+    g = trace(reconstruct(f, find_base_point(f), resolution=96))
+    assert g.clean and (g.M, g.N, g.T) == (5, 5, 1)
+    rep = verify_index(g)
+    assert rep.formula_check and rep.euler_check
+
+
 def test_polylines_lie_on_the_nodal_set(index_states):
     # a fresh engine's routed F shares no state with the tracer
     for st in index_states:
