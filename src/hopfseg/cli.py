@@ -119,10 +119,9 @@ def run(args) -> int:
                 report["artifacts"] = ["fields.csv"]
 
     elif args.command == "desingularize":
-        roots = sorted(f.interior_roots, key=lambda p: (-p[1], abs(p[0])))
-        if not roots or roots[0][1] < 2:
+        if desing.excess_index(f) == 0:
             raise HopfSegError("no zero of order >= 2 to split")
-        z0 = roots[0][0]
+        z0 = desing.zero_to_split(f)
         res = desing.split_zero(f, z0, eps_target=1e9, branch=args.branch, eps0=args.eps)
         report["z0"] = res.z0
         report["omega0"] = res.omega0

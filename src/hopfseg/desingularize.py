@@ -7,10 +7,15 @@ The perturbed function is
 recentred at the zero being split.  The weights W kill the real parts of the
 primitive at the untouched zeros (a linear system built from radial-path
 integrals), and the direction of w0 solves a one-dimensional angular
-equation whose eps -> 0 limit is an explicit sine.  Every square root in the
-system integrals is evaluated through a fixed star-shaped determination
-(angles lifted against a chart cut), so entries are branch-safe pointwise
-and need no continuation bookkeeping.
+equation whose eps -> 0 limit is an explicit sine.  That limit vanishes at
+theta_k = (-arg a + 2 k pi) / (n0 + 2), a the leading Taylor coefficient of
+f at the zero of order n0, with no chart; branch k starts its Newton search
+from the k-th theta_k in [0, 2 pi).  Every square root in the system
+integrals is evaluated through a fixed star-shaped determination (angles
+lifted against a chart cut), so entries are branch-safe pointwise and need
+no continuation bookkeeping; a split uses one chart.  The zero that
+`hopfseg desingularize` splits, and that reduce_to_simple splits next, is
+zero_to_split's: of highest order, then the most isolated.
 """
 
 from __future__ import annotations
@@ -58,20 +63,16 @@ def gamma_moment(k: float, q: float) -> float:
     )
 
 
-def _lift(angle: float, gamma_arg: float) -> float:
-    """Lift an angle into the chart window (gamma_arg, gamma_arg + 2*pi]."""
+def _lift(angle, gamma_arg: float):
+    """Lift angles into the chart window (gamma_arg, gamma_arg + 2*pi]."""
     d = (angle - gamma_arg) % (2.0 * np.pi)
-    if d == 0.0:
-        d = 2.0 * np.pi
-    return gamma_arg + d
+    return gamma_arg + d + 2.0 * np.pi * (d == 0.0)
 
 
 def _pow_chart(zeta, p: float, gamma_arg: float):
     """zeta^p with arg(zeta) lifted against the chart cut (window (g, g+2pi])."""
     zeta = np.asarray(zeta, dtype=complex)
-    d = (np.angle(zeta) - gamma_arg) % (2.0 * np.pi)
-    d = np.where(d == 0.0, 2.0 * np.pi, d)
-    return np.exp(p * (np.log(np.abs(zeta)) + 1j * (gamma_arg + d)))
+    return np.exp(p * (np.log(np.abs(zeta)) + 1j * _lift(np.angle(zeta), gamma_arg)))
 
 
 def _halfpow_star(zeta, w: complex, q: int, lift_w: float):
@@ -125,37 +126,42 @@ class PerturbationContext:
         return base * self.H(zeta)
 
 
+def _unit_integrals(g, n: int):
+    """int_0^1 g(j, t) dt for j = 0, ..., n-1, all in one pass of the kernel.
+
+    g(j, t) takes an integer array j and one row of t per entry.  The
+    substitutions t = s^2 on [0, 1/2] and t = 1 - s^2 on [1/2, 1] keep the
+    integrand smooth at fractional powers of t and of 1 - t.
+    """
+    def E(i, s):
+        t = np.where((i < n)[:, None], s * s, 1.0 - s * s)
+        return g(i % n, t) * 2.0 * s
+
+    halves = gk15(E, np.zeros(2 * n), np.full(2 * n, math.sqrt(0.5)), INTEGRAL_TOL)
+    return halves[:n] + halves[n:]
+
+
 def _ray_integral(ctx: PerturbationContext, endpoints, omega0: complex, powers):
     """2 * int_0^{w} zeta^{k} core(zeta) dzeta along the radial path to each
     entry w of the complex array endpoints, with k the entry of the integer
-    array powers, all in one pass of the kernel.
-
-    Substitutions t = s^2 at both ends keep the integrand smooth at the
-    fractional endpoints.
+    array powers.
     """
-    n = len(endpoints)
-
-    def E(i, s):
-        j = i % n
-        t = np.where((i < n)[:, None], s * s, 1.0 - s * s)
+    def g(j, t):
         zeta = t * endpoints[j][:, None]
-        return ctx.sqrt_core(zeta, omega0) * zeta ** powers[j][:, None] * 2.0 * s
+        return ctx.sqrt_core(zeta, omega0) * zeta ** powers[j][:, None]
 
-    halves = gk15(E, np.zeros(2 * n), np.full(2 * n, math.sqrt(0.5)), INTEGRAL_TOL)
-    return 2.0 * endpoints * (halves[:n] + halves[n:])
+    return 2.0 * endpoints * _unit_integrals(g, len(endpoints))
 
 
 def make_context(f: RationalFactored, z0, gamma_arg: float | None = None) -> PerturbationContext:
-    z0 = complex(z0)
-    n0 = order_at(f, z0)
+    """The recentred data of f at the zero z0 lies at.  The chart cut keeps 0.02
+    from every other zero's ray (stepping on by 0.013); gamma_arg=None starts
+    it in the middle of the widest gap between those rays."""
+    z0, n0 = root_at(f, z0)
     if n0 < 2:
         raise ValueError(f"zero at {z0} must have order >= 2 (got {n0})")
     others = [(z - z0, m) for z, m in f.interior_roots if z != z0]
     others.sort(key=lambda p: abs(p[0]))
-    dists = [abs(w) for w, _ in others]
-    for d1, d2 in zip(dists[:-1], dists[1:]):
-        if d2 - d1 < max(1e-12, 1e-6 * d1):
-            raise ValueError("other zeros not in general position (equal distances)")
     if gamma_arg is None:
         if others:
             angs = sorted(np.angle(w) % (2 * np.pi) for w, _ in others)
@@ -167,14 +173,12 @@ def make_context(f: RationalFactored, z0, gamma_arg: float | None = None) -> Per
             gamma_arg = float((angs[i] + 0.5 * gaps[i]) % (2 * np.pi))
         else:
             gamma_arg = 0.1
-    if others:
-        # the chart cut must stay strictly off every zero ray
-        for _ in range(64):
-            if all(abs((gamma_arg - np.angle(w)) % (2 * np.pi)) > 1e-6
-                   and abs((np.angle(w) - gamma_arg) % (2 * np.pi)) > 1e-6
-                   for w, _ in others):
-                break
-            gamma_arg = (gamma_arg + 0.0137) % (2 * np.pi)
+    for _ in range(64):
+        if all(abs((gamma_arg - np.angle(w)) % (2 * np.pi)) > 0.02
+               and abs((np.angle(w) - gamma_arg) % (2 * np.pi)) > 0.02
+               for w, _ in others):
+            break
+        gamma_arg = (gamma_arg + 0.013) % (2 * np.pi)
     return PerturbationContext(
         f=f, z0=z0, m0=n0 - 1,
         omegas=tuple(w for w, _ in others),
@@ -190,11 +194,8 @@ def _limit_signs(ctx: PerturbationContext, theta: float) -> np.ndarray:
     along angle theta; rays whose lifted angle does not exceed the lifted
     theta pick up a factor -1 relative to the plain zeta^{1/2} chart branch.
     """
-    lift0 = _lift(theta, ctx.gamma_arg)
-    return np.array([
-        -1.0 if _lift(np.angle(w), ctx.gamma_arg) <= lift0 else 1.0
-        for w in ctx.omegas
-    ])
+    lifted = _lift(np.angle(ctx.omegas), ctx.gamma_arg)
+    return np.where(lifted <= _lift(theta, ctx.gamma_arg), -1.0, 1.0)
 
 
 def assemble_system(ctx: PerturbationContext, omega0, R: int | None = None):
@@ -212,19 +213,20 @@ def assemble_system(ctx: PerturbationContext, omega0, R: int | None = None):
     return rows[:, 1:], rows[:, 0]
 
 
+def _normalized_det(A: np.ndarray) -> float:
+    """|det A| with every row scaled to unit length; 0 when a row vanishes."""
+    norms = np.linalg.norm(A, axis=1)
+    if np.any(norms == 0):
+        return 0.0
+    return float(abs(np.linalg.det(A / norms[:, None])))
+
+
 def choose_R(ctx: PerturbationContext) -> int:
     """Smallest doubling R whose row-normalized system determinant clears 1e-8."""
-    if ctx.M == 0:
-        ctx.R = 2
-        ctx.B0 = np.zeros(0, dtype=complex)
-        return 2
     best = None
     for R in R_CANDIDATES + (1,):
         A0, B0 = assemble_system(ctx, 0.0, R=R)
-        norms = np.linalg.norm(A0, axis=1)
-        if np.any(norms == 0):
-            continue
-        det = abs(np.linalg.det(A0 / norms[:, None]))
+        det = _normalized_det(A0)
         if det >= DET_FLOOR:
             ctx.R = R
             ctx.B0 = B0
@@ -236,7 +238,7 @@ def choose_R(ctx: PerturbationContext) -> int:
     # floor while the system stays consistent.  Fall back to the best scale
     # and let the solve residual and the independent admissibility check of
     # the result act as the certificate.
-    if best is not None and best[0] >= 1e-12:
+    if best[0] >= 1e-12:
         ctx.R = best[1]
         ctx.B0 = best[2]
         return ctx.R
@@ -244,9 +246,7 @@ def choose_R(ctx: PerturbationContext) -> int:
 
 
 def normalized_det(ctx: PerturbationContext, R: int) -> float:
-    A0, _ = assemble_system(ctx, 0.0, R=R)
-    norms = np.linalg.norm(A0, axis=1)
-    return float(abs(np.linalg.det(A0 / norms[:, None])))
+    return _normalized_det(assemble_system(ctx, 0.0, R=R)[0])
 
 
 def solve_weights(A: np.ndarray, B: np.ndarray, B0: np.ndarray) -> np.ndarray:
@@ -264,9 +264,7 @@ def solve_weights(A: np.ndarray, B: np.ndarray, B0: np.ndarray) -> np.ndarray:
 
 
 def _weights(ctx: PerturbationContext, omega0: complex, theta: float):
-    """The weights W at omega0 = eps e^{i theta}, none when f has no other zero."""
-    if not ctx.M:
-        return np.zeros(0, dtype=complex)
+    """The weights W at omega0 = eps e^{i theta}."""
     A, B = assemble_system(ctx, omega0)
     return solve_weights(A, B, _limit_signs(ctx, theta) * ctx.B0)
 
@@ -297,27 +295,30 @@ def _K_scaled(ctx: PerturbationContext, omega0: complex, W) -> float:
     m0 = ctx.m0
     lift0 = _lift(np.angle(omega0), ctx.gamma_arg)
 
-    def E(i, s):
-        t = np.where((i == 0)[:, None], s * s, 1.0 - s * s)
+    def g(j, t):
         zeta = t * omega0
-        v = np.power(t, 0.5 * m0) * np.sqrt(1.0 - t) * ctx.H(zeta)
-        if len(W):
-            q = np.ones_like(zeta)
-            for ell, w in enumerate(W, start=1):
-                q = q + w * zeta ** (ell * ctx.R)
-            v = v * q
-        return v * 2.0 * s
+        q = np.ones_like(zeta)
+        for ell, w in enumerate(W, start=1):
+            q = q + w * zeta ** (ell * ctx.R)
+        return np.power(t, 0.5 * m0) * np.sqrt(1.0 - t) * ctx.H(zeta) * q
 
-    I = np.sum(gk15(E, np.zeros(2), np.full(2, math.sqrt(0.5)), INTEGRAL_TOL))
+    I = _unit_integrals(g, 1)[0]
     return float(np.real(1j * np.exp(0.5j * (m0 + 3) * lift0) * I))
 
 
-def limit_angles(ctx: PerturbationContext):
-    """The m0+3 zero directions of K(0, .), sorted in [0, 2*pi)."""
-    H0 = complex(ctx.H(np.array([0.0 + 0.0j]))[0])
-    phi = -np.angle(H0)
-    m = ctx.m0 + 3
-    return sorted(((2 * phi + 2 * k * np.pi) / m) % (2 * np.pi) for k in range(m))
+def limit_angles(f: RationalFactored, z0):
+    """The n0+2 zeros theta_k = (-arg a + 2 k pi) / (n0 + 2) of K(0, .) at the
+    zero z0 of order n0 >= 2, sorted in [0, 2*pi): H(0)^2 is f's leading
+    Taylor coefficient a at z0 in every chart, read off the factored form."""
+    z0, n0 = root_at(f, z0)
+    if n0 < 2:
+        raise ValueError(f"zero at {z0} must have order >= 2 (got {n0})")
+    a = f.leading
+    for r, n in f.interior_roots + f.unit_num + tuple((d, -p) for d, p in f.unit_den):
+        if r != z0:
+            a *= (z0 - r) ** n
+    m = n0 + 2
+    return sorted(((-np.angle(a) + 2 * k * np.pi) / m) % (2 * np.pi) for k in range(m))
 
 
 @dataclass(frozen=True)
@@ -397,7 +398,9 @@ def split_zero(f: RationalFactored, z0, eps_target: float = 0.05, branch: int = 
     leaves its branch basin or the new state strays beyond eps_target, and
     by quartering when a q-polynomial root comes too close to the disk.
     Each function gets one PathEngine, which serves both its admissibility
-    check and its resolution-96 state; R is chosen once, on the final chart.
+    check and its resolution-96 state; the split works in one chart, whose
+    cut lies half a branch spacing past the branch's seed angle, and chooses
+    R once.
     """
     return _split(f, z0, eps_target, branch, eps0)[0]
 
@@ -426,30 +429,18 @@ def _split(f, z0, eps_target=0.05, branch=0, eps0=None, state=None):
     if not is_general_position(pts, z0):
         raise ValueError("zeros not in general position with respect to z0")
 
-    # the default chart only fixes the branch's seed angle
-    ctx0 = make_context(f, z0)
-    m = ctx0.m0 + 3
+    angles = limit_angles(f, z0)
+    m = len(angles)
     if not 0 <= branch < m:
         raise ValueError(f"branch must lie in [0, {m})")
-    th_seed0 = limit_angles(ctx0)[branch]
-
-    # final chart: keep the cut far from the working angle and the zero rays
-    gamma = (th_seed0 + np.pi / m) % (2 * np.pi)
-    for _ in range(64):
-        if all(abs((gamma - np.angle(w)) % (2 * np.pi)) > 0.02
-               and abs((np.angle(w) - gamma) % (2 * np.pi)) > 0.02
-               for w in ctx0.omegas):
-            break
-        gamma = (gamma + 0.013) % (2 * np.pi)
-    ctx = make_context(f, z0, gamma_arg=gamma)
+    th_seed = angles[branch]
+    # one chart, its cut half a branch spacing past the seed
+    ctx = make_context(f, z0, gamma_arg=(th_seed + np.pi / m) % (2 * np.pi))
     choose_R(ctx)
-    if ctx.M:
-        scale_b = float(np.max(np.abs(ctx.B0)))
-        bad = float(np.max(np.abs(ctx.B0.real)))
-        if bad > max(1e-8, 1e-7 * scale_b):
-            raise NotAdmissible(f"system vector at 0 not purely imaginary: {bad}")
-    cand = limit_angles(ctx)
-    th_seed = min(cand, key=lambda a: abs((a - th_seed0 + np.pi) % (2 * np.pi) - np.pi))
+    scale_b = float(np.max(np.abs(ctx.B0), initial=0.0))
+    bad = float(np.max(np.abs(ctx.B0.real), initial=0.0))
+    if bad > max(1e-8, 1e-7 * scale_b):
+        raise NotAdmissible(f"system vector at 0 not purely imaginary: {bad}")
 
     w1 = abs(ctx.omegas[0]) if ctx.M else None
     eps = eps0 if eps0 is not None else (0.01 * w1 if w1 else 0.01)
@@ -525,8 +516,24 @@ def excess_index(f: RationalFactored) -> int:
     return sum(n - 1 for _, n in f.interior_roots)
 
 
+def _isolation(f: RationalFactored, z) -> float:
+    """Distance from the stored root z of f to its nearest other root (1 if none)."""
+    return min((abs(w - z) for w, _ in f.interior_roots if w != z), default=1.0)
+
+
+def zero_to_split(f: RationalFactored):
+    """The stored zero to split next: of highest order, then the most isolated,
+    then of least |z|, then of least angle.  Splitting the same center twice
+    in a row parks two fresh zeros at nearly equal distances from every later
+    center, which is exactly the degeneracy the system determinant cannot
+    absorb."""
+    top = max(m for _, m in f.interior_roots)
+    return min((z for z, m in f.interior_roots if m == top),
+               key=lambda z: (-_isolation(f, z), abs(z), np.angle(z)))
+
+
 def reduce_to_simple(f: RationalFactored, eps_budget: float = 0.2) -> RationalFactored:
-    """Split highest-order zeros until all are simple, one excess unit per step.
+    """Split zeros (zero_to_split) until all are simple, one excess unit per step.
 
     Each step may first move the configuration into general position by a
     disk automorphism (the state distance then carries that map's condition
@@ -544,31 +551,18 @@ def reduce_to_simple(f: RationalFactored, eps_budget: float = 0.2) -> RationalFa
         return f
     per_step = eps_budget / alpha0
 
-    def isolation(g, z):
-        """Distance from the stored root z of g to its nearest other root (1 if none)."""
-        return min((abs(w - z) for w, _ in g.interior_roots if w != z), default=1.0)
-
     cur, state = f, None
-    while True:
-        alpha = excess_index(cur)
-        if alpha == 0:
-            return cur
-        # among the highest-order zeros, split the most isolated first;
-        # splitting the same center twice in a row parks two fresh zeros at
-        # nearly equal distances from every later center, which is exactly
-        # the degeneracy the system determinant cannot absorb
-        top = max(m for _, m in cur.interior_roots)
-        cands = [(z, m) for z, m in cur.interior_roots if m == top]
-        cands.sort(key=lambda p: (-isolation(cur, p[0]), abs(p[0]), np.angle(p[0])))
-        z0, n0 = cands[0]
+    while excess_index(cur):
+        z0 = zero_to_split(cur)
         pts = [z for z, _ in cur.interior_roots]
         if is_general_position(pts, z0):
-            res, state = _split(cur, z0, eps_target=per_step, eps0=0.25 * isolation(cur, z0),
+            res, state = _split(cur, z0, eps_target=per_step, eps0=0.25 * _isolation(cur, z0),
                                 state=state)
             cur = res.f_new
-            continue
-        mob = make_general_position(pts, z0)
-        g = pushforward_hopf(cur, invert(mob))
-        gz0 = root_at(g, apply(mob, z0))[0]
-        res = split_zero(g, gz0, eps_target=per_step, eps0=0.25 * isolation(g, gz0))
-        cur, state = pushforward_hopf(res.f_new, mob), None
+        else:
+            mob = make_general_position(pts, z0)
+            g = pushforward_hopf(cur, invert(mob))
+            gz0 = root_at(g, apply(mob, z0))[0]
+            res = split_zero(g, gz0, eps_target=per_step, eps0=0.25 * _isolation(g, gz0))
+            cur, state = pushforward_hopf(res.f_new, mob), None
+    return cur

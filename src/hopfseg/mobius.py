@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import RootTooCloseToBoundary, SearchExhausted
 from .rational import RationalFactored
-from .slits import GOLDEN_ANGLE, point_segment_distance, segment_segment_distance
+from .slits import GOLDEN_ANGLE, point_segment_distance, ray_exit, segment_segment_distance
 
 GENERAL_POSITION_GAP = 1e-6
 
@@ -76,42 +76,24 @@ def pushforward_hopf(f: RationalFactored, m: MobiusMap) -> RationalFactored:
     interior = []
     unit_num = []
     unit_den = []
-
-    def push_factor(r, mult, bucket_interior):
-        nonlocal lead, den_pow
+    # a pole is a factor of power -mult
+    factors = ([(r, mult, interior) for r, mult in f.interior_roots]
+               + [(r, mult, unit_num) for r, mult in f.unit_num]
+               + [(r, -mult, unit_den) for r, mult in f.unit_den])
+    for r, power, bucket in factors:
         coeff = eth - r * ab
         if abs(coeff) < 1e-14:
             # r is the image of infinity; the factor becomes coeff'/(abar z + 1)
-            lead *= (eth * a - r) ** mult
-            den_pow += mult
-            return
-        rho = complex(apply(invert(m), r))
-        lead *= coeff**mult
-        den_pow += mult
-        if bucket_interior:
-            interior.append((rho, mult))
-        elif abs(rho) > 1.0:
-            unit_num.append((rho, mult))
-        else:
-            raise RootTooCloseToBoundary(f"unit root {r} pulled inside the disk")
-
-    for r, mult in f.interior_roots:
-        push_factor(r, mult, True)
-    for r, mult in f.unit_num:
-        push_factor(r, mult, False)
-    for r, mult in f.unit_den:
-        # denominator factors invert the bookkeeping
-        coeff = eth - r * ab
-        if abs(coeff) < 1e-14:
-            lead /= (eth * a - r) ** mult
-            den_pow -= mult
+            lead *= (eth * a - r) ** power
+            den_pow += power
             continue
         rho = complex(apply(invert(m), r))
-        lead /= coeff**mult
-        den_pow -= mult
-        if abs(rho) <= 1.0:
-            raise RootTooCloseToBoundary(f"pole {r} pulled into the disk")
-        unit_den.append((rho, mult))
+        lead *= coeff**power
+        den_pow += power
+        if bucket is not interior and abs(rho) <= 1.0:
+            kind = "pole" if power < 0 else "unit root"
+            raise RootTooCloseToBoundary(f"{kind} {r} pulled into the disk")
+        bucket.append((rho, abs(power)))
 
     # below |alpha| = 1e-12 the factor (abar z + 1)^p is 1 to within
     # |p| * 1e-12 on the disk and its bookkeeping (abar^p) would underflow,
@@ -143,16 +125,6 @@ def pushforward_hopf(f: RationalFactored, m: MobiusMap) -> RationalFactored:
     )
 
 
-def _clip_ray_to_disk(p, direction):
-    """Segment of {p + t*direction, t >= 0} inside the closed unit disk."""
-    b = (p.conjugate() * direction).real
-    disc = b * b + 1.0 - abs(p) ** 2
-    if disc <= 0:
-        return p, p
-    t = -b + np.sqrt(disc)
-    return p, p + max(t, 0.0) * direction
-
-
 def is_general_position(points, p0) -> bool:
     """Distinct distances from p0 and pairwise-disjoint outward half-lines.
 
@@ -167,10 +139,7 @@ def is_general_position(points, p0) -> bool:
     for d1, d2 in zip(dists[:-1], dists[1:]):
         if d2 - d1 < min(GENERAL_POSITION_GAP, 0.1 * d1):
             return False
-    rays = []
-    for p in pts:
-        d = (p - p0) / abs(p - p0)
-        rays.append(_clip_ray_to_disk(p, d))
+    rays = [(p, ray_exit(p, (p - p0) / abs(p - p0))) for p in pts]
     for i in range(len(rays)):
         di = abs(pts[i] - p0)
         for j in range(i + 1, len(rays)):

@@ -33,6 +33,7 @@ import numpy as np
 
 from .errors import TraceStall
 from .quadrature import SqrtSegmentIntegrator, nearest_sqrt, rtsafe
+from .slits import ray_exit
 from .states import SegregatedState, spanning_forest
 
 
@@ -219,17 +220,16 @@ class _Marcher:
     def _taylor(self, z, v, Fz, c):
         """Move by c with F(z + c) = F(z) + 2c (v + c v'/2 + c^2 v''/6), or None.
 
-        v' = v L/2, v'' = v (L^2/4 + L'/2), L = f'/f.  On f.growth_disk's disk
+        v' = v L/2, v'' = v (L^2/4 + L'/2), L = f'/f.  On f.taylor_data's disk
         |f^{1/2}| <= M = |v| g^{1/2}, so by Cauchy's estimates the remainder is at
         most 2 M |c| q^3 / (1 - q), q = |c| / rho.  F is carried on from move to
         move, so the update needs q < 1/2 and that bound below tight/10.
         """
         f = self.integ.f
-        rho, g = f.growth_disk(z)
+        rho, g, L, dL = f.taylor_data(z)
         q = abs(c) / rho
         if q >= 0.5 or 20.0 * abs(v) * np.sqrt(g) * abs(c) * q ** 3 >= (1.0 - q) * self.tight:
             return None
-        L, dL = f.log_derivative(z), f.log_derivative_prime(z)
         dF = 2.0 * c * v * (1.0 + c * L / 4.0 + c * c * (L * L / 4.0 + dL / 2.0) / 6.0)
         return z + c, nearest_sqrt(f.eval(z + c), v), Fz + dF
 
@@ -281,10 +281,7 @@ class _Marcher:
             z, v, Fz = zn, vn, Fn
             pts.append(z)
             if abs(z) >= 1.0 - 1.0 / G:
-                # where the line through z along d leaves the unit circle
-                b = (np.conj(z) * d).real
-                t = -b + np.sqrt(max(b * b + 1.0 - abs(z) ** 2, 0.0))
-                return None, np.angle(z + t * d), _inside(pts)
+                return None, np.angle(ray_exit(z, d)), _inside(pts)
         raise TraceStall("arc exceeded the step budget")
 
     def start_at_seed(self, i, ang, v):

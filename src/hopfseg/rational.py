@@ -110,14 +110,6 @@ class RationalFactored:
 
     def log_derivative(self, z):
         """f'(z)/f(z) as a partial-fraction sum."""
-        return self._partial_fractions(z, 1)
-
-    def log_derivative_prime(self, z):
-        """(f'/f)'(z): minus the sum of n/(z - r)^2 over roots, plus p/(z - d)^2 over poles."""
-        return -self._partial_fractions(z, 2)
-
-    def _partial_fractions(self, z, k):
-        """Sum of n/(z - r)^k over roots r of order n, minus p/(z - d)^k over poles d."""
         scalar = np.isscalar(z) or getattr(z, "shape", None) == ()
         if scalar:
             for r, _ in self.interior_roots + self.unit_num:
@@ -129,17 +121,31 @@ class RationalFactored:
         zz = np.asarray(z, dtype=complex)
         out = np.zeros(zz.shape, dtype=complex)
         for r, m in self.interior_roots + self.unit_num:
-            out += m / (zz - r) ** k
+            out += m / (zz - r)
         for d, m in self.unit_den:
-            out -= m / (zz - d) ** k
+            out -= m / (zz - d)
         return complex(out) if scalar else out
 
-    def growth_disk(self, z):
-        """(rho, g): on |w - z| <= rho, half the distance from the scalar z to the nearest
-        root or pole, |f(w)| <= g |f(z)|, as root factors grow by 3/2 and poles by 2 at most."""
-        roots = self.interior_roots + self.unit_num
-        rho = 0.5 * min((abs(z - r) for r, _ in roots + self.unit_den), default=np.inf)
-        return rho, 1.5 ** sum(m for _, m in roots) * 2.0 ** sum(p for _, p in self.unit_den)
+    def taylor_data(self, z):
+        """(rho, g, L, L') at the scalar z, in one pass over the factors.
+
+        rho is half the distance from z to the nearest root or pole, and on
+        |w - z| <= rho, |f(w)| <= g |f(z)|, as root factors grow by 3/2 and
+        poles by 2 at most.  L = f'/f and L' = (f'/f)' are the partial-fraction
+        sums: n/(z - r) and -n/(z - r)^2 over roots r of order n, with poles
+        entering with order -p.
+        """
+        z = complex(z)
+        dmin, g, L, dL = np.inf, 1.0, 0j, 0j
+        for r, n in self.interior_roots + self.unit_num + tuple((d, -p) for d, p in self.unit_den):
+            d = z - r
+            if abs(d) < AT_ROOT_TOL:
+                raise (RootHit if n > 0 else PoleHit)(f"log derivative at {r}")
+            dmin = min(dmin, abs(d))
+            g *= 1.5 ** n if n > 0 else 2.0 ** -n
+            L += n / d
+            dL -= n / (d * d)
+        return 0.5 * dmin, g, L, dL
 
     def unit_log(self, z):
         """Analytic branch of log(c * unit_num / unit_den) on the closed disk.

@@ -127,11 +127,11 @@ class SlitDisk:
         return False
 
 
-def _ray_circle_exit(anchor: complex, direction: complex) -> complex:
-    """The point where anchor + t*direction (t>0) meets |z| = 1."""
+def ray_exit(anchor: complex, direction: complex) -> complex:
+    """The point where anchor + t*direction (t>0, |direction| = 1) meets |z| = 1,
+    for an anchor in the closed disk (the discriminant is clamped at 0)."""
     b = (anchor.conjugate() * direction).real
-    disc = b * b + 1.0 - abs(anchor) ** 2
-    t = -b + np.sqrt(disc)
+    t = -b + np.sqrt(max(b * b + 1.0 - abs(anchor) ** 2, 0.0))
     return anchor + t * direction
 
 
@@ -184,7 +184,7 @@ def build_slit_disk(f: RationalFactored, base, preferred_dirs=None) -> SlitDisk:
         placedcut = None
         for k in range(256):
             d = d0 * np.exp(1j * GOLDEN_ANGLE * k)
-            cand = Cut(anchor=a, direction=d, end=_ray_circle_exit(a, d))
+            cand = Cut(anchor=a, direction=d, end=ray_exit(a, d))
             if _cut_ok(cand, cuts, f, base):
                 placedcut = cand
                 break

@@ -20,6 +20,7 @@ from hopfseg.desingularize import (
     reduce_to_simple,
     solve_weights,
     split_zero,
+    zero_to_split,
 )
 from hopfseg.errors import NotAdmissible, SingularSolve, SplitOrderMismatch
 from hopfseg.experiments import tuned_multizero
@@ -53,8 +54,53 @@ def test_context_and_limit_angles():
     ctx = make_context(f, 0.0)
     assert ctx.m0 == 2 and ctx.M == 0
     assert choose_R(ctx) == 2
-    angles = limit_angles(ctx)
+    angles = limit_angles(ctx.f, ctx.z0)
     assert np.allclose(angles, [2 * k * np.pi / 5 for k in range(5)], atol=1e-12)
+
+
+def _two_top_zeros():
+    """Double zeros at 0.2-0.1j and -0.45+0.3j, and a simple zero 0.02 from the first."""
+    f = tuned_multizero(0.2 - 0.1j, -0.45 + 0.3j, 3, 2)
+    return split_zero(f, 0.2 - 0.1j, eps_target=1e9, eps0=0.02).f_new
+
+
+@pytest.mark.parametrize("case", ["unit-roots-and-pole", "two-top-zeros"])
+def test_limit_angles_are_the_zeros_of_K_in_every_chart(case):
+    # the seeds come from f's Taylor coefficient alone; in three charts whose
+    # cuts keep 0.1 from every seed, K(0, .) vanishes at each seed and
+    # changes sign across it
+    if case == "unit-roots-and-pole":
+        f = rational(0.3 - 0.2j, roots=[(0.1 + 0.05j, 3), (-0.4 + 0.2j, 1), (0.2 - 0.5j, 2)],
+                     unit_num=[(1.5 - 0.5j, 1), (0.3 + 1.6j, 2)], unit_den=[(-1.3 + 0.9j, 2)])
+        zeros = (0.1 + 0.05j, 0.2 - 0.5j)
+    else:
+        f = _two_top_zeros()
+        zeros = (0.2 - 0.1j, -0.45 + 0.3j)
+    for z0 in zeros:
+        seeds = limit_angles(f, z0)
+        m = order_at(f, z0) + 2
+        assert len(seeds) == m and seeds == sorted(seeds) and 0.0 <= seeds[0] and seeds[-1] < 2 * np.pi
+        for k in range(3):
+            ctx = make_context(f, z0, gamma_arg=seeds[k] + np.pi / m + 0.05 * (k - 1))
+            assert min(abs((ctx.gamma_arg - th + np.pi) % (2 * np.pi) - np.pi) for th in seeds) > 0.1
+            for th in seeds:
+                assert abs(K_value(ctx, 0.0, th)) < 1e-12
+                assert K_value(ctx, 0.0, th - 0.1) * K_value(ctx, 0.0, th + 0.1) < 0
+
+
+def test_limit_angles_need_a_multiple_zero():
+    with pytest.raises(ValueError, match="order >= 2"):
+        limit_angles(rational(0.25, roots=[(0.1, 1)]), 0.1)
+
+
+def test_zero_to_split_takes_the_highest_order_then_the_most_isolated():
+    assert zero_to_split(_two_top_zeros()) == pytest.approx(-0.45 + 0.3j, abs=1e-15)
+    # orders first: the triple zero, however crowded
+    f = rational(0.25, roots=[(0.1, 3), (0.12, 1), (-0.5, 2)])
+    assert zero_to_split(f) == 0.1
+    # equally isolated: the least |z|, then the least angle
+    assert zero_to_split(rational(0.25, roots=[(0.4, 2), (-0.2, 2)])) == -0.2
+    assert zero_to_split(rational(0.25, roots=[(0.3j, 2), (-0.3j, 2)])) == -0.3j
 
 
 def test_K_closed_form_and_limit():
@@ -72,7 +118,7 @@ def test_K_limit_uniform_convergence():
     res = split_zero(monomial(0.25, 3), 0.0, eps_target=1.0, eps0=0.05)
     ctx = make_context(res.f_new, 0.0)
     choose_R(ctx)
-    ths = limit_angles(ctx)[0] + np.linspace(-0.3, 0.3, 7)
+    ths = limit_angles(ctx.f, ctx.z0)[0] + np.linspace(-0.3, 0.3, 7)
     sups = []
     for eps in (4e-4, 2e-4, 1e-4):
         sups.append(max(abs(K_value(ctx, eps, t) - K_value(ctx, 0.0, t)) for t in ths))
@@ -93,7 +139,7 @@ def test_weights_vanish_at_origin_split():
     res = split_zero(monomial(0.25, 3), 0.0, eps_target=1.0, eps0=0.05)
     ctx = make_context(res.f_new, 0.0)
     choose_R(ctx)
-    th = limit_angles(ctx)[0]
+    th = limit_angles(ctx.f, ctx.z0)[0]
     from hopfseg.desingularize import _limit_signs
 
     norms = []

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from hopfseg.errors import RootTooCloseToBoundary
 from hopfseg.mobius import (
     MobiusMap,
     apply,
@@ -71,6 +72,31 @@ def test_pushforward_chain_rule(rng):
     phi = apply(m, zs)
     dphi = np.exp(1j * m.theta) * (1 - abs(m.alpha) ** 2) / (np.conj(m.alpha) * zs + 1) ** 2
     assert np.allclose(g.eval(zs), f.eval(phi) * dphi**2, rtol=1e-12)
+
+
+@pytest.mark.parametrize("bucket", ["unit_num", "unit_den"])
+def test_pushforward_factor_at_the_image_of_infinity(rng, bucket):
+    # phi maps infinity to e^{i theta} / conj(alpha): a unit root or a pole
+    # there leaves only the Moebius denominator behind
+    m = MobiusMap(alpha=0.3 + 0.2j, theta=0.7)
+    r_inf = np.exp(1j * m.theta) / np.conj(m.alpha)
+    f = rational(0.5 - 0.1j, roots=[(0.1, 2), (-0.2 + 0.3j, 1)], **{bucket: [(r_inf, 2)]})
+    g = pushforward_hopf(f, m)
+    zs = 0.6 * (rng.random(12) + 1j * rng.random(12)) - 0.3 - 0.3j
+    phi = apply(m, zs)
+    dphi = np.exp(1j * m.theta) * (1 - abs(m.alpha) ** 2) / (np.conj(m.alpha) * zs + 1) ** 2
+    assert np.allclose(g.eval(zs), f.eval(phi) * dphi**2, rtol=1e-12)
+    assert [r for r, _ in g.unit_num + g.unit_den] == [pytest.approx(-1.0 / np.conj(m.alpha))]
+
+
+@pytest.mark.parametrize("bucket, kind", [("unit_num", "unit root"), ("unit_den", "pole")])
+def test_pushforward_rejects_a_factor_pulled_into_the_disk(bucket, kind):
+    # a factor on the unit circle stays on it, and its preimage rounds to |z| <= 1
+    m = MobiusMap(alpha=0.3 + 0.2j, theta=0.7)
+    f = rational(0.5, roots=[(0.1, 2)], delta_bd=1e-16, **{bucket: [(1.0, 1)]})
+    assert abs(apply(invert(m), 1.0)) <= 1.0
+    with pytest.raises(RootTooCloseToBoundary, match=f"{kind} .* pulled into the disk"):
+        pushforward_hopf(f, m)
 
 
 @pytest.mark.parametrize("alpha", [4.7e-103, 1e-20 - 3e-21j, 5e-13j])

@@ -295,7 +295,7 @@ def test_taylor_move_matches_the_integral(index_states):
     marcher = _Marcher(st)
     z = 1e-3
     v, F = np.sqrt(st.f.eval(z)), 0.4 * z ** 2.5
-    assert abs(-0.4 * z) / st.f.growth_disk(z)[0] >= 0.5
+    assert abs(-0.4 * z) / st.f.taylor_data(z)[0] >= 0.5
     assert marcher._taylor(z, v, F, -0.4 * z) is None
     calls = []
     advance = marcher._advance

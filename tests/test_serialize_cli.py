@@ -10,8 +10,9 @@ import pytest
 
 from hopfseg import cli
 from hopfseg.cli import main
+from hopfseg.desingularize import split_zero, zero_to_split
 from hopfseg.errors import SchemaError
-from hopfseg.experiments import admissible_fw, figure5_function
+from hopfseg.experiments import admissible_fw, figure5_function, tuned_multizero
 from hopfseg.rational import monomial, rational
 from hopfseg.serialize import emit_function, parse_function, render_svg
 
@@ -205,6 +206,20 @@ def test_cli_desingularize(tmp_path, capsys):
     assert (out / "f_new.svg").exists()
     rep = json.loads((out / "report.json").read_text())
     assert rep["epsilon"] == 0.01
+
+
+def test_cli_desingularize_splits_the_zero_a_reduction_splits(tmp_path, capsys):
+    # two double zeros, one with a simple zero 0.02 away: the command splits
+    # the isolated one, as reduce_to_simple would
+    f = split_zero(tuned_multizero(0.2 - 0.1j, -0.45 + 0.3j, 3, 2), 0.2 - 0.1j,
+                   eps_target=1e9, eps0=0.02).f_new
+    out = tmp_path / "out"
+    code = main(["desingularize", "-i", str(_write_spec(tmp_path, f)), "-o", str(out),
+                 "--resolution", "96"])
+    assert code == 0
+    rep = json.loads((out / "report.json").read_text())
+    assert complex(*rep["z0"]) == pytest.approx(zero_to_split(f), abs=1e-15)
+    assert complex(*rep["z0"]) == pytest.approx(-0.45 + 0.3j, abs=1e-15)
 
 
 def test_cli_deterministic_bytes(tmp_path, capsys):

@@ -7,11 +7,11 @@ from hopfseg.primitive import PathEngine
 from hopfseg.rational import monomial, rational
 from hopfseg.slits import (
     Cut,
-    _ray_circle_exit,
     _visible,
     build_slit_disk,
     crosses,
     point_segment_distance,
+    ray_exit,
     route_between,
     route_path,
     segment_segment_distance,
@@ -133,7 +133,7 @@ def test_crosses_rim_sample_by_cut_end_is_counterclockwise():
 
 
 def test_crosses_step_through_anchor():
-    cut = Cut(anchor=0.1 + 0.2j, direction=1j, end=_ray_circle_exit(0.1 + 0.2j, 1j))
+    cut = Cut(anchor=0.1 + 0.2j, direction=1j, end=ray_exit(0.1 + 0.2j, 1j))
     a, n = cut.anchor, 1j * cut.direction
     # across the anchor, from the anchor, into the anchor: no step past it
     assert not crosses(a - 0.1 * n, a + 0.1 * n, a, cut.end)
@@ -167,7 +167,7 @@ def test_crosses_matches_exact_side_test_off_the_band():
     for _ in range(40):
         a = 0.8 * np.sqrt(rng.random()) * np.exp(2j * np.pi * rng.random())
         d = np.exp(2j * np.pi * rng.random())
-        cut = Cut(anchor=a, direction=d, end=_ray_circle_exit(a, d))
+        cut = Cut(anchor=a, direction=d, end=ray_exit(a, d))
         p, q = (np.sqrt(rng.random(200)) * np.exp(2j * np.pi * rng.random(200)) for _ in range(2))
         keep = (np.abs(_side(p, cut)) > 1e-9) & (np.abs(_side(q, cut)) > 1e-9)
         p, q = p[keep], q[keep]
