@@ -98,6 +98,7 @@ def run(args) -> int:
             report["euler_check"] = rep.euler_check
             report["formula_check"] = rep.formula_check
             report["clean_trace"] = g.clean
+            report["diagnostics"] = {"trace": g.diagnostics}
             if args.command == "trace":
                 (out / "graph.json").write_text(dump_report(g.to_dict()))
                 report["artifacts"] = ["graph.json"]

@@ -9,25 +9,27 @@ arrival uses up the end it lands on.
 
 Arcs are continued by predictor steps along the level set with a Newton
 corrector (the gradient of Re F is conj(F') = 2 conj(f^{1/2}), known in
-closed form along the continuation).  Each predictor step is one integral,
-which carries F along the arc; a corrector move is a Taylor update of F
-where a Cauchy bound certifies it, and an integral elsewhere (next to a zero
-of f, or a long move).  The step follows the geometry: the curvature of a
-level curve is at most |f'/f|/2, which sizes each step so that its chord
-stays within 0.1/G of the arc.  The seeds on a critical's
-circle come from one ring march: a batch of chords composed round the
-circle from one radial value.  Crossing a cut merely flips the local
-sheet, Re F -> -Re F, so the marcher never needs to know where a cut runs;
-near critical points all values are taken relative to the critical point
-itself, which keeps full precision at any scale of approach.  The boundary
-zeros come from the state's PathEngine, which owns the boundary march and
-the cut ends on the rim.  A polyline runs from vertex to vertex, and every
-point between lies on the level set strictly inside the disk.
+closed form along the continuation).  Every move, predictor or corrector,
+carries F by a Taylor series of f^{1/2} from the point's f.jet, of the least
+order a Cauchy bound certifies, and by an integral where no order up to
+JET_CAP does (next to a zero of f, or a long move).  The step follows the
+geometry: the curvature of a level curve is at most |f'/f|/2, read from the
+same jet, which sizes each step so that its chord stays within 0.1/G of the
+arc.  The seeds on a critical's circle come from one ring march: a batch of
+chords composed round the circle from one radial value.  Crossing a cut
+merely flips the local sheet, Re F -> -Re F, so the marcher never needs to
+know where a cut runs; near critical points all values are taken relative to
+the critical point itself, which keeps full precision at any scale of
+approach.  The boundary zeros come from the state's PathEngine, which owns
+the boundary march and the cut ends on the rim.  A polyline runs from vertex
+to vertex, and every point between lies on the level set strictly inside the
+disk.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from operator import mul
 
 import numpy as np
 
@@ -35,6 +37,9 @@ from .errors import TraceStall
 from .quadrature import SqrtSegmentIntegrator, nearest_sqrt, rtsafe
 from .slits import ray_exit
 from .states import SegregatedState, spanning_forest
+
+# the most Taylor terms a tracer move may take before it falls back to the integral
+JET_CAP = 24
 
 
 @dataclass(frozen=True)
@@ -61,6 +66,8 @@ class NodalGraph:
     N: int
     T: int
     clean: bool = True
+    # the tracer's counters (steps, moves by kind, retries, integrals), not the graph's
+    diagnostics: dict = field(default_factory=dict, compare=False)
 
     def incident(self, vid: int) -> int:
         return sum(1 for arc in self.arcs if arc.a == vid) + sum(
@@ -191,18 +198,18 @@ class _Marcher:
         ]
         self.tight = 1e-12 * max(1.0, state.scale)
         self.loose = 1e-9 * max(1.0, state.scale)
+        self.counts = dict.fromkeys(("steps", "jet_moves", "integral_moves", "retries"), 0)
 
     def _advance(self, z, v, Fz, dz):
         """Move by dz, returning updated (z, v, F) by the adaptive GK15 integrator."""
         val, _, v2 = self.integ.integrate(z, z + dz, v, tol=1e-13 * max(abs(dz), 1e-12))
         return z + dz, v2, Fz + 2.0 * val
 
-    def _correct(self, z, v, Fz, cap):
+    def _correct(self, z, v, Fz, jet, cap):
         """Newton corrector onto Re F = 0 (the gradient of Re F is conj(F')).
 
-        A move is a Taylor update (_taylor) where certified, else an integral;
-        the residual is tested after every move.  Gives up on a step longer
-        than cap; returns (z, v, F, converged).
+        Each move goes through _move; the residual is tested after every move.
+        Gives up on a step longer than cap; returns (z, v, F, jet, converged).
         """
         for _ in range(12):
             Fp = 2.0 * v
@@ -212,26 +219,43 @@ class _Marcher:
             corr = -Fz.real * np.conj(Fp) / g2
             if abs(corr) > cap:
                 break
-            z, v, Fz = self._taylor(z, v, Fz, corr) or self._advance(z, v, Fz, corr)
+            z, v, Fz, jet = self._move(z, v, Fz, corr, jet)
             if abs(Fz.real) < self.tight:
-                return z, v, Fz, True
-        return z, v, Fz, False
+                return z, v, Fz, jet, True
+        return z, v, Fz, jet, False
 
-    def _taylor(self, z, v, Fz, c):
-        """Move by c with F(z + c) = F(z) + 2c (v + c v'/2 + c^2 v''/6), or None.
+    def _move(self, z, v, Fz, c, jet):
+        """(z, v, F, jet) moved by c, by the Taylor jet where certified (_jet_move),
+        else by the integral (_advance); jet is f.jet(z, JET_CAP) at every point."""
+        moved = self._jet_move(z, v, Fz, c, jet)
+        self.counts["jet_moves" if moved else "integral_moves"] += 1
+        z, v, Fz = moved or self._advance(z, v, Fz, c)
+        jet = self.integ.f.jet(z, JET_CAP)
+        return z, nearest_sqrt(jet[4], v), Fz, jet
 
-        v' = v L/2, v'' = v (L^2/4 + L'/2), L = f'/f.  On f.taylor_data's disk
-        |f^{1/2}| <= M = |v| g^{1/2}, so by Cauchy's estimates the remainder is at
-        most 2 M |c| q^3 / (1 - q), q = |c| / rho.  F is carried on from move to
-        move, so the update needs q < 1/2 and that bound below tight/10.
+    def _jet_move(self, z, v, Fz, c, jet):
+        """(z + c, the series' f^{1/2} there, F + 2 sum_{k<K} v_k c^(k+1)/(k+1)), or None.
+
+        f^{1/2} = sum v_k c^k with (k+1) v_{k+1} = 1/2 sum_i v_i l_{k-i}, as v' = v L/2.
+        By Cauchy's estimates on the jet's disk, where |f^{1/2}| <= M = |v| g^{1/2},
+        the rest is at most 2 M |c| q^K / (1 - q), q = |c| / rho < 1/2; F is carried
+        from move to move, so K is the least order from 3 (fewer terms err near
+        the bound on short Newton moves) to JET_CAP that puts it below tight/10.
         """
-        f = self.integ.f
-        rho, g, L, dL = f.taylor_data(z)
+        rho, g, _, ell, _ = jet
         q = abs(c) / rho
-        if q >= 0.5 or 20.0 * abs(v) * np.sqrt(g) * abs(c) * q ** 3 >= (1.0 - q) * self.tight:
+        Mc, lim = 20.0 * abs(v) * np.sqrt(g) * abs(c), (1.0 - q) * self.tight
+        K = next((k for k in range(3, JET_CAP + 1) if Mc * q ** k < lim), None)
+        if q >= 0.5 or K is None:
             return None
-        dF = 2.0 * c * v * (1.0 + c * L / 4.0 + c * c * (L * L / 4.0 + dL / 2.0) / 6.0)
-        return z + c, nearest_sqrt(f.eval(z + c), v), Fz + dF
+        vs = [v]
+        for k in range(K - 1):
+            vs.append(0.5 * sum(map(mul, vs, ell[k::-1])) / (k + 1))
+        dF = vc = 0j
+        for k in range(K - 1, -1, -1):
+            dF = (dF + vs[k] / (k + 1)) * c
+            vc = vc * c + vs[k]
+        return z + c, vc, Fz + 2.0 * dF
 
     def run(self, z0, v0, F0, direction, src):
         """Trace one arc until it reaches the rim or snaps to a critical.
@@ -249,9 +273,9 @@ class _Marcher:
         the rim.
         """
         pts = [z0]
-        z, v, Fz = z0, v0, F0
+        z, v, Fz, jet = z0, v0, F0, self.integ.f.jet(z0, JET_CAP)
         d = direction / abs(direction)
-        G, f = self.G, self.integ.f
+        G = self.G
         travelled = 0.0
         for _ in range(40 * G + 200):
             dmin, jmin = np.inf, -1
@@ -262,23 +286,25 @@ class _Marcher:
             if jmin >= 0 and dmin <= self.crit_snap[jmin]:
                 if src != jmin or travelled > 3.0 * self.crit_snap[jmin]:
                     return jmin, np.angle(z - self.crit_locs[jmin]), _inside(pts)
-            kappa2 = abs(f.log_derivative(z))  # at least twice the curvature
-            step = min(0.25 * f.min_root_distance(z),
+            kappa2 = abs(jet[3][0])  # |f'/f|, at least twice the curvature
+            step = min(0.25 * jet[2],
                        4.0 * np.sqrt(0.1 / (G * kappa2)) if kappa2 else np.inf,
                        0.5 * (1.0 - abs(z)))
             step = min(max(step, 2.0 / G), 0.1)
             if jmin >= 0:
                 step = min(step, 0.35 * dmin)
-            zn, vn, Fn, ok = self._correct(*self._advance(z, v, Fz, step * d), 0.6 * step)
+            self.counts["steps"] += 1
+            zn, vn, Fn, jn, ok = self._correct(*self._move(z, v, Fz, step * d, jet), 0.6 * step)
             if not ok and abs(Fn.real) > self.loose:
                 # halve and retry once, without the step cap, before giving up
-                zn, vn, Fn, _ = self._correct(*self._advance(z, v, Fz, 0.5 * step * d), np.inf)
+                self.counts["retries"] += 1
+                zn, vn, Fn, jn, _ = self._correct(*self._move(z, v, Fz, step * d / 2, jet), np.inf)
                 if abs(Fn.real) > self.loose:
                     raise TraceStall(f"Newton failed near {zn}")
             dnew = zn - z
             travelled += abs(dnew)
             d = dnew / abs(dnew)
-            z, v, Fz = zn, vn, Fn
+            z, v, Fz, jet = zn, vn, Fn, jn
             pts.append(z)
             if abs(z) >= 1.0 - 1.0 / G:
                 return None, np.angle(ray_exit(z, d)), _inside(pts)
@@ -299,7 +325,7 @@ class _Marcher:
         """
         z0 = (1.0 - 1.5 / self.G) * zb
         F0, v0 = self.engine.value_and_sqrt(z0)
-        z0, v0, F0, _ = self._correct(z0, v0, F0, np.inf)
+        z0, v0, F0, _, _ = self._correct(z0, v0, F0, self.integ.f.jet(z0, JET_CAP), np.inf)
         tangent = 1j * np.conj(v0)
         if (np.conj(zb) * tangent).real > 0:
             tangent = -tangent
@@ -323,6 +349,7 @@ def trace(state: SegregatedState) -> NodalGraph:
     critical with the wrong number of seeds, makes the trace unclean.
     """
     crits = [(z, n) for z, n, _ in state.criticals]
+    rim_integrals = state.engine.integrals
     bz = boundary_zeros(state)
     G = state.resolution
     marcher = _Marcher(state)
@@ -381,6 +408,8 @@ def trace(state: SegregatedState) -> NodalGraph:
         N=state.n_species,
         T=_components(len(vertices), arcs),
         clean=clean,
+        diagnostics={**marcher.counts, "integrals": marcher.integ.integrals
+                     + state.engine.integrals - rim_integrals},
     )
 
 

@@ -82,6 +82,11 @@ class PathEngine:
         self._marches: dict = {}
         self._F_base, _, self._base_err = self._raw(slit.base)
 
+    @property
+    def integrals(self) -> int:
+        """Single-segment integrals so far (boundary-zero refinement)."""
+        return self._integ.integrals
+
     # -- reference-anchored raw primitive -----------------------------------
 
     def _key(self, z: complex):

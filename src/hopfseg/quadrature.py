@@ -172,6 +172,8 @@ def gk15(fn, a, b, tol):
     the points x (one row of 15 nodes per entry of i); a and b are float
     arrays, and tol applies to each interval.
     """
+    if not len(a):
+        return np.zeros(0, complex)
     def panel(seg, lo, half):
         return fn(seg, (lo + half)[:, None] + half[:, None] * _XGK), None, 1.0, None
 
@@ -251,6 +253,7 @@ class SqrtSegmentIntegrator:
     def __init__(self, f, tol=1e-10):
         self.f = f
         self.tol = tol
+        self.integrals = 0      # calls of integrate
         self.roots = np.array([r for r, _ in f.interior_roots], dtype=complex)
 
     def segments(self, za, zb, v_start=None, tol=None, chained=False):
@@ -263,6 +266,7 @@ class SqrtSegmentIntegrator:
 
         Returns (value, err_estimate, v_end): segments on a batch of one.
         """
+        self.integrals += 1
         val, err, v_end = self.segments(za, zb, v_start, tol)
         return val[0], err[0], v_end[0]
 

@@ -17,6 +17,8 @@ keeps roots ROOT_MERGE_TOL apart.  Two stored roots are one only when equal.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate, repeat
+from operator import add, mul
 
 import numpy as np
 
@@ -126,26 +128,30 @@ class RationalFactored:
             out -= m / (zz - d)
         return complex(out) if scalar else out
 
-    def taylor_data(self, z):
-        """(rho, g, L, L') at the scalar z, in one pass over the factors.
+    def jet(self, z, K):
+        """(rho, g, droot, [l_0, ..., l_{K-1}], f(z)) at the scalar z, in one pass.
 
         rho is half the distance from z to the nearest root or pole, and on
         |w - z| <= rho, |f(w)| <= g |f(z)|, as root factors grow by 3/2 and
-        poles by 2 at most.  L = f'/f and L' = (f'/f)' are the partial-fraction
-        sums: n/(z - r) and -n/(z - r)^2 over roots r of order n, with poles
-        entering with order -p.
+        poles by 2 at most.  droot is the distance to the nearest interior root
+        (min_root_distance).  l_k = (-1)^k sum n (z - r)^-(k+1) over roots r of
+        order n, with poles entering with order -p, are the Taylor coefficients
+        of L = f'/f: L(z + c) = sum l_k c^k.
         """
         z = complex(z)
-        dmin, g, L, dL = np.inf, 1.0, 0j, 0j
-        for r, n in self.interior_roots + self.unit_num + tuple((d, -p) for d, p in self.unit_den):
+        dmin = droot = np.inf
+        g, ell, fz = 1.0, [0j] * K, self.leading
+        for i, (r, n) in enumerate(self.interior_roots + self.unit_num
+                                   + tuple((d, -p) for d, p in self.unit_den)):
             d = z - r
             if abs(d) < AT_ROOT_TOL:
                 raise (RootHit if n > 0 else PoleHit)(f"log derivative at {r}")
             dmin = min(dmin, abs(d))
+            droot = dmin if i < len(self.interior_roots) else droot  # they come first
             g *= 1.5 ** n if n > 0 else 2.0 ** -n
-            L += n / d
-            dL -= n / (d * d)
-        return 0.5 * dmin, g, L, dL
+            fz *= d ** n
+            ell = list(map(add, ell, accumulate(repeat(-1.0 / d, K - 1), mul, initial=n / d)))
+        return 0.5 * dmin, g, droot, ell, fz
 
     def unit_log(self, z):
         """Analytic branch of log(c * unit_num / unit_den) on the closed disk.

@@ -10,7 +10,7 @@ from hopfseg.experiments import (
     admissible_fw, figure5_function, random_even_function, reduction_sweep, tuned_multizero,
 )
 from hopfseg.nodal import (
-    _critical_seeds, _Marcher, _ring, boundary_zeros, counts, trace, verify_index,
+    JET_CAP, _critical_seeds, _Marcher, _ring, boundary_zeros, counts, trace, verify_index,
 )
 from hopfseg.primitive import PathEngine
 from hopfseg.quadrature import SqrtSegmentIntegrator
@@ -249,9 +249,9 @@ def test_each_arc_marched_once(index_states, monkeypatch):
 
 
 def test_trace_integrations(index_states, monkeypatch):
-    # the corrector's short moves go in closed form where the Cauchy bound
-    # allows: the parent's integrate-every-move corrector made 3,052 calls on
-    # these twelve states, the closed-form one 1,711
+    # every move goes by a certified Taylor jet where the Cauchy bound allows:
+    # integrating every move took 3,052 calls on these twelve states, a
+    # third-order closed-form corrector with integral predictor steps 1,711
     calls = []
     integrate = SqrtSegmentIntegrator.integrate
 
@@ -262,15 +262,42 @@ def test_trace_integrations(index_states, monkeypatch):
     monkeypatch.setattr(SqrtSegmentIntegrator, "integrate", counted)
     for st in index_states:
         assert trace(st).clean
-    assert len(calls) <= 1800
+    assert len(calls) <= 338
+
+
+def test_trace_diagnostics_count_every_move(index_states, monkeypatch):
+    # every move is a jet move or an integral move; each predictor step, each
+    # retry and each start on the rim runs the corrector once; and the
+    # integral count is every integrate call the trace makes (moves, seeds,
+    # starts and rim zeros)
+    moves, corrects, rims, calls = [], [], [], []
+    for name, log in (("_move", moves), ("_correct", corrects), ("start_on_rim", rims)):
+        monkeypatch.setattr(_Marcher, name, lambda self, *a, _f=getattr(_Marcher, name), _log=log:
+                            _log.append(a) or _f(self, *a))
+    integrate = SqrtSegmentIntegrator.integrate
+    monkeypatch.setattr(SqrtSegmentIntegrator, "integrate",
+                        lambda self, *a, **kw: calls.append(a) or integrate(self, *a, **kw))
+    total = dict.fromkeys(("steps", "jet_moves", "integral_moves", "retries", "integrals"), 0)
+    for st in index_states:
+        for log in (moves, corrects, rims, calls):
+            log.clear()
+        d = trace(st).diagnostics
+        assert set(d) == set(total)
+        assert d["jet_moves"] + d["integral_moves"] == len(moves)
+        assert d["steps"] + d["retries"] + len(rims) == len(corrects)
+        assert d["integrals"] == len(calls)
+        for k in total:
+            total[k] += d[k]
+    assert total["integral_moves"] < total["jet_moves"] // 10
+    assert total["integrals"] <= 338
 
 
 def test_taylor_move_matches_the_integral(index_states):
     # z^3/4, figure 5 and the first random_even_function draw: on each arc
     # point, the longest move the bound accepts in each of three directions
-    # (sizes 1e-8 * 1.5^k), and a move of 1e-7, agree with the integral to the
-    # corrector's tolerance
-    sizes = 1e-8 * 1.5 ** np.arange(35)
+    # (sizes 1e-8 * 1.5^k, extended to 0.84, beyond the q < 1/2 a jet needs),
+    # and a move of 1e-7, agree with the integral to the corrector's tolerance
+    sizes = 1e-8 * 1.5 ** np.arange(46)
     checked = 0
     for st in (index_states[11], index_states[9], index_states[0]):
         marcher = _Marcher(st)
@@ -278,11 +305,14 @@ def test_taylor_move_matches_the_integral(index_states):
         for arc in trace(st).arcs:
             for z in arc.points[1:-1]:
                 v = np.sqrt(f.eval(z))
+                jet = f.jet(z, JET_CAP)
                 for d in np.exp(2j * np.pi * np.arange(3) / 3):
-                    longest = max(s for s in sizes if marcher._taylor(z, v, 0j, s * d) is not None)
+                    longest = max(s for s in sizes
+                                  if marcher._jet_move(z, v, 0j, s * d, jet) is not None)
                     assert longest < sizes[-1]
                     for c in (1e-7 * d, longest * d):
-                        moved = marcher._taylor(z, v, 0j, c)
+                        assert marcher._jet_move(z, v, 0j, c, jet) is not None
+                        moved = marcher._move(z, v, 0j, c, jet)
                         val, _, v_end = marcher.integ.integrate(z, z + c, v, tol=1e-16)
                         assert moved[0] == z + c
                         assert abs(moved[2] - 2.0 * val) <= marcher.tight
@@ -295,14 +325,75 @@ def test_taylor_move_matches_the_integral(index_states):
     marcher = _Marcher(st)
     z = 1e-3
     v, F = np.sqrt(st.f.eval(z)), 0.4 * z ** 2.5
-    assert abs(-0.4 * z) / st.f.taylor_data(z)[0] >= 0.5
-    assert marcher._taylor(z, v, F, -0.4 * z) is None
+    assert abs(-0.4 * z) / st.f.jet(z, 1)[0] >= 0.5
+    assert marcher._jet_move(z, v, F, -0.4 * z, st.f.jet(z, JET_CAP)) is None
     calls = []
     advance = marcher._advance
     marcher._advance = lambda *args: calls.append(args) or advance(*args)
-    zn, _, Fn, ok = marcher._correct(z, v, F, np.inf)
+    zn, _, Fn, _, ok = marcher._correct(z, v, F, st.f.jet(z, JET_CAP), np.inf)
     assert ok and abs(Fn.real) < marcher.tight and len(calls) >= 1
     assert calls[0][3] == pytest.approx(-0.4 * z, rel=1e-12)
+
+
+def _move_mp(f, z, v, c):
+    """2 * int_z^{z+c} f^{1/2} along the segment, at 30 digits.
+
+    Along w = z + t c, f(w) = f(z) prod (1 + t c / (z - r))^n over the roots
+    and poles (order -p), and |c| < |z - r| / 2 keeps each factor's
+    principal power analytic there, so f^{1/2}(w) = v prod (1 + t c / (z - r))^(n/2).
+    """
+    with mp.workdps(30):
+        z_, c_ = mp.mpc(z), mp.mpc(c)
+        factors = [(z_ - mp.mpc(r), n) for r, n in f.interior_roots + f.unit_num]
+        factors += [(z_ - mp.mpc(r), -p) for r, p in f.unit_den]
+
+        def integrand(t):
+            out = mp.mpc(v)
+            for d, n in factors:
+                out *= mp.power(1 + t * c_ / d, mp.mpf(n) / 2)
+            return out
+
+        return complex(2 * c_ * mp.quad(integrand, [0, 1]))
+
+
+@pytest.mark.parametrize("case", ["z3", "figure5", "unit-roots-and-pole"])
+def test_jet_move_matches_mpmath(case):
+    # moves at q = |c| / rho up to just below 1/2, in three directions, at
+    # points 1e-3 to 0.3 from a zero and away from all: a move the bound
+    # accepts matches a 30-digit quadrature within tight/10, and a move at
+    # q >= 1/2 or one whose tail bound 2 M |c| q^K / (1 - q), M = |v| g^{1/2},
+    # is still above tight/10 at K = JET_CAP is refused
+    if case == "z3":
+        f, base = monomial(0.25, 3), 0.0
+    elif case == "figure5":
+        f, base = figure5_function()
+    else:
+        f = rational(0.5 - 0.25j, roots=[(0.2 + 0.1j, 2), (-0.3, 2)],
+                     unit_num=[(1.4, 1)], unit_den=[(-1.7 + 0.4j, 2)])
+        base = find_base_point(f)
+    marcher = _Marcher(reconstruct(f, base, resolution=32))
+    r0 = f.interior_roots[-1][0]
+    points = [r0 + s * np.exp(1j * (1.0 + s)) for s in (1e-3, 1e-2, 0.3)] + [0.6 - 0.7j]
+    accepted = refused = edge = 0
+    for z in points:
+        v = np.sqrt(f.eval(z))
+        jet = f.jet(z, JET_CAP)
+        rho, g = jet[:2]
+        for q in (0.1, 0.3, 0.45, 0.499, 0.5, 0.7):
+            for d in np.exp(2j * np.pi * (np.arange(3) + 0.3) / 3):
+                c = q * rho * d
+                moved = marcher._jet_move(z, v, 0j, c, jet)
+                bound = 2.0 * abs(v) * np.sqrt(g) * abs(c) * q ** JET_CAP / (1.0 - q)
+                if q >= 0.5 or bound >= marcher.tight / 10:
+                    assert moved is None
+                    refused += 1
+                    continue
+                assert moved[0] == z + c
+                assert abs(moved[2] - _move_mp(f, z, v, c)) <= marcher.tight / 10
+                accepted += 1
+                edge += q == 0.499
+    # 24 moves have q >= 1/2; the other refusals need more than JET_CAP terms
+    assert accepted >= 27 and refused >= 36 and edge >= 3
 
 
 @pytest.mark.parametrize("eps", [2e-12, 5e-12, 2e-11])

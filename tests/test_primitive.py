@@ -7,7 +7,8 @@ from hopfseg.errors import ToleranceNotMet, Unreachable
 from hopfseg.experiments import admissible_fw, figure5_function, tuned_multizero
 from hopfseg.primitive import PathEngine
 from hopfseg.quadrature import (
-    SqrtSegmentIntegrator, _principal_chain, branch_sign, nearest_sqrt, rtsafe, sqrt_segments,
+    SqrtSegmentIntegrator, _principal_chain, branch_sign, gk15, nearest_sqrt, rtsafe,
+    sqrt_segments,
 )
 from hopfseg.rational import monomial, rational
 from hopfseg.slits import build_slit_disk, route_between, route_path
@@ -402,6 +403,15 @@ def test_segments_match_integrate_one_by_one(rng):
         val, _, v = integ.integrate(a, b, v)
         assert abs(got - val) <= 1e-14 * max(1.0, abs(val))
         assert abs(got_v - v) <= 1e-14 * max(1.0, abs(v))
+
+
+def test_gk15_on_no_intervals():
+    # a split of a zero with no other zero integrates over no intervals
+    def fn(i, x):
+        raise AssertionError("the integrand of no interval was evaluated")
+
+    out = gk15(fn, np.zeros(0), np.zeros(0), 1e-12)
+    assert out.dtype == complex and np.array_equal(out, np.zeros(0, complex))
 
 
 def test_sqrt_segments_keeps_functions_apart(rng):

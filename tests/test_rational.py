@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from hopfseg.errors import PoleHit, RootHit, RootOnContour
+from hopfseg.nodal import JET_CAP
 from hopfseg.rational import (
     AT_ROOT_TOL,
     ROOT_MERGE_TOL,
@@ -54,27 +55,34 @@ def test_log_derivative_prime_matches_differences():
     z = np.array([0.1, -0.2 + 0.3j, 0.7j, 0.25 + 0.1j])
     h = 1e-6
     diff = (f.log_derivative(z + h) - f.log_derivative(z - h)) / (2 * h)
-    assert np.allclose([f.taylor_data(w)[3] for w in z], diff, rtol=1e-7, atol=0)
-    assert f.taylor_data(complex(z[1]))[3] == pytest.approx(diff[1], rel=1e-7)
-    assert monomial(0.25, 3).taylor_data(0.4 + 0.3j)[3] == pytest.approx(-3 / (0.4 + 0.3j) ** 2,
-                                                                         rel=1e-14)
+    assert np.allclose([f.jet(w, 2)[3][1] for w in z], diff, rtol=1e-7, atol=0)
+    assert f.jet(complex(z[1]), 2)[3][1] == pytest.approx(diff[1], rel=1e-7)
+    assert np.allclose([f.jet(w, 1)[3][0] for w in z], f.log_derivative(z), rtol=1e-14, atol=0)
+    # every coefficient up to the tracer's cap: l_k = (-1)^k n / z^(k+1) for c z^n
+    w = 0.4 + 0.3j
+    ell = monomial(0.25, 3).jet(w, JET_CAP)[3]
+    assert len(ell) == JET_CAP
+    for k, lk in enumerate(ell):
+        assert lk == pytest.approx((-1) ** k * 3 / w ** (k + 1), rel=1e-14)
     with pytest.raises(RootHit):
-        f.taylor_data(-0.3)
+        f.jet(-0.3, 2)
     with pytest.raises(RootHit):
-        f.taylor_data(1.4)
+        f.jet(1.4, 2)
     with pytest.raises(PoleHit):
-        f.taylor_data(-1.7 + 0.4j)
+        f.jet(-1.7 + 0.4j, 2)
 
 
 def test_growth_disk_bounds_f():
     f = rational(0.5 - 0.25j, roots=[(0.2 + 0.1j, 2), (-0.3, 1)],
                  unit_num=[(1.4, 1)], unit_den=[(-1.7 + 0.4j, 2)])
     for z in (0.1, -0.2 + 0.3j, 0.7j, 0.25 + 0.1j):
-        rho, g = f.taylor_data(z)[:2]
+        rho, g, droot, _, fz = f.jet(z, 1)
+        assert fz == pytest.approx(f.eval(z), rel=1e-14)
         assert rho == pytest.approx(0.5 * min(abs(z - r) for r in (0.2 + 0.1j, -0.3, 1.4, -1.7 + 0.4j)))
+        assert droot == pytest.approx(f.min_root_distance(z), rel=1e-15)
         w = z + rho * np.sqrt(np.linspace(0, 1, 9))[:, None] * np.exp(2j * np.pi * np.arange(64) / 64)
         assert np.abs(f.eval(w)).max() <= g * abs(f.eval(z))
-    assert rational(0.25).taylor_data(0.3)[:2] == (np.inf, 1.0)
+    assert rational(0.25).jet(0.3, 1)[:3] == (np.inf, 1.0, np.inf)
 
 
 def test_order_at_examples():

@@ -189,8 +189,16 @@ def test_cli_grid_commands_report_fill(tmp_path, capsys, command):
     code = main([command, "-i", str(p), "-o", str(out), "--resolution", "128",
                  "--samples", "256", "--mu", "100"])
     assert code == 0
-    fill = json.loads((out / "report.json").read_text())["grid_fill"]
+    rep = json.loads((out / "report.json").read_text())
+    fill = rep["grid_fill"]
     assert fill["routed"] == 1 and fill["chords"] > 0
+    # the graph commands report the tracer's counters; most moves are jets
+    if command == "reconstruct":
+        assert "diagnostics" not in rep
+    else:
+        moves = rep["diagnostics"]["trace"]
+        assert set(moves) == {"steps", "jet_moves", "integral_moves", "retries", "integrals"}
+        assert 0 < moves["steps"] < moves["jet_moves"] and moves["integral_moves"] < moves["jet_moves"]
 
 
 def test_cli_desingularize(tmp_path, capsys):
