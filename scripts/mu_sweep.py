@@ -25,7 +25,7 @@ def main():
           f"{'interface (cells)':>18}")
     for mu in args.mus:
         fld = solve(cfg, mu=mu)
-        d = interface_distance(fld, st, graph)
+        d = interface_distance(fld, graph)
         print(f"{mu:10.0f} {fld.cycles:7d} {fld.sweeps:7d} {fld.residual:10.2e} "
               f"{fld.defect:12.4e} {d:18.2f}")
 

@@ -115,7 +115,7 @@ def run(args) -> int:
                 report["cycles"] = fld.cycles
                 report["residual"] = fld.residual
                 report["segregation_defect"] = fld.defect
-                report["interface_distance_cells"] = diffusion.interface_distance(fld, st, g)
+                report["interface_distance_cells"] = diffusion.interface_distance(fld, g)
                 _export_fields_csv(fld, out / "fields.csv")
                 report["artifacts"] = ["fields.csv"]
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoConvergence
-from .nodal import NodalGraph, boundary_zeros, trace
+from .nodal import NodalGraph, boundary_zeros
 from .states import SegregatedState
 
 SWEEP_TOL = 1e-8             # bound on the scaled residual (see solve)
@@ -368,12 +368,9 @@ def _graph_points(graph: NodalGraph, spacing: float):
     return np.concatenate(pts, axis=0)
 
 
-def interface_distance(field: DiffusionField, state: SegregatedState,
-                       graph: NodalGraph | None = None) -> float:
+def interface_distance(field: DiffusionField, graph: NodalGraph) -> float:
     """Symmetric Hausdorff distance, in grid cells, between the argmax
     interface of the diffusion field and the traced nodal set."""
-    if graph is None:
-        graph = trace(state)
     h = 2.0 / field.resolution
     a = interface_cells(field)
     b = _graph_points(graph, 0.5 * h)

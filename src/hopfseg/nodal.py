@@ -15,15 +15,15 @@ order a Cauchy bound certifies, and by an integral where no order up to
 JET_CAP does (next to a zero of f, or a long move).  The step follows the
 geometry: the curvature of a level curve is at most |f'/f|/2, read from the
 same jet, which sizes each step so that its chord stays within 0.1/G of the
-arc.  The seeds on a critical's circle come from one ring march: a batch of
-chords composed round the circle from one radial value.  Crossing a cut
-merely flips the local sheet, Re F -> -Re F, so the marcher never needs to
-know where a cut runs; near critical points all values are taken relative to
-the critical point itself, which keeps full precision at any scale of
-approach.  The boundary zeros come from the state's PathEngine, which owns
-the boundary march and the cut ends on the rim.  A polyline runs from vertex
-to vertex, and every point between lies on the level set strictly inside the
-disk.
+arc.  The seeds on a critical's circle come from the march the rim uses
+(primitive.circle_march and circle_zeros), started from one radial value,
+and carry F to the arcs they start.  Crossing a cut merely flips the local
+sheet, Re F -> -Re F, so the marcher never needs to know where a cut runs;
+near critical points all values are taken relative to the critical point
+itself, which keeps full precision at any scale of approach.  The boundary
+zeros come from the state's PathEngine, which owns the boundary march.  A
+polyline runs from vertex to vertex, and every point between lies on the
+level set strictly inside the disk.
 """
 
 from __future__ import annotations
@@ -34,7 +34,8 @@ from operator import mul
 import numpy as np
 
 from .errors import TraceStall
-from .quadrature import SqrtSegmentIntegrator, nearest_sqrt, rtsafe
+from .primitive import chord_value, circle_march, circle_zeros
+from .quadrature import SqrtSegmentIntegrator, nearest_sqrt
 from .slits import ray_exit
 from .states import SegregatedState, spanning_forest
 
@@ -130,55 +131,26 @@ def boundary_zeros(state: SegregatedState):
 # -- seeds around a critical point -------------------------------------------
 
 
-def _radial(integ, zc: complex, point: complex, v: complex) -> complex:
-    """F(point) - F(zc) along the radius inward, where f^{1/2} is v at point."""
-    val, _, _ = integ.integrate(point, zc, v, tol=1e-16 + 1e-12 * abs(point - zc))
-    return -2.0 * val
-
-
-def _ring(f, integ, zc: complex, order: int, r_seed: float):
-    """(angles, points, carried f^{1/2}, F - F(zc)) at the 32*m samples of a
-    circle of radius r about the critical, and at sample 0 after one turn.
-
-    One radial integral gives the value at sample 0, and one chained batch of
-    chords round the circle (tolerance 1e-16 + 1e-12 r) the rest, from the
-    principal root there.  One turn multiplies root and value by (-1)^order.
-    """
-    nn = 32 * (order + 2)
-    th = 2 * np.pi * np.arange(nn + 1) / nn
-    w = zc + r_seed * np.exp(1j * th)
-    v0 = np.sqrt(f.eval(w[0]))
-    vals, _, vs = SqrtSegmentIntegrator(f, tol=1e-16 + 1e-12 * r_seed).segments(
-        w[:-1], w[1:], v0, chained=True)
-    return th, w, np.append(v0, vs), np.cumsum(np.append(_radial(integ, zc, w[0], v0), 2.0 * vals))
-
-
 def _critical_seeds(f, integ, zc: complex, order: int, r_seed: float):
-    """Crossing points of {Re F = 0} on a small circle around the critical.
+    """(angle, f^{1/2}, F - F(zc)) where {Re F = 0} crosses a small circle
+    around the critical.
 
-    The values Re(F - F(zc)) at the circle samples come from the ring march
-    (_ring), whose radial integrals keep precision relative to the local
-    scale r^{m/2}.  Each sign change between consecutive samples (the last
-    against (-1)^order times sample 0) is refined by Newton steps kept in its
-    bracket (rtsafe) on radial values, with the slope Re(2 i (w - zc) f^{1/2}).
+    One radial integral gives F - F(zc) at angle 0, and circle_march of
+    32 (order + 2) samples continues it round the circle; circle_zeros
+    refines each zero to 1e-12, and chord_value gives F and f^{1/2} there.
+    Every integral runs at tolerance 1e-16 + 1e-12 r, which keeps precision
+    relative to the local scale r^{m/2}; all but the chords of the march go
+    through integ.
     """
-    th, w, vs, vals = _ring(f, integ, zc, order, r_seed)
-    # sample 0 after one turn takes its own value, so that a seed on it
-    # (there g[0] is exactly 0) is not found again at 2 pi
-    g = np.append(vals.real[:-1], (-1) ** order * vals[0].real)
+    tol = 1e-16 + 1e-12 * r_seed
+    v0 = np.sqrt(f.eval(zc + r_seed))
+    val, _, _ = integ.integrate(zc + r_seed, zc, v0, tol=tol)
+    th, w, F, vs = circle_march(SqrtSegmentIntegrator(f, tol), zc, r_seed, 32 * (order + 2),
+                                -2.0 * val, v0)
     seeds = []
-    for k in range(len(th) - 1):
-        if g[k] == 0.0:
-            seeds.append((th[k], vs[k]))
-        elif g[k] * g[k + 1] < 0:
-            def local(theta, v_near=vs[k]):
-                """(g, dg/dtheta) at theta; g' = Re(2 i (w - zc) f^{1/2}(w))."""
-                wm = zc + r_seed * np.exp(1j * theta)
-                vm = nearest_sqrt(f.eval(wm), v_near)
-                return _radial(integ, zc, wm, vm).real, (2j * (wm - zc) * vm).real
-
-            t = rtsafe(local, th[k], th[k + 1], g[k], g[k + 1], 1e-12)
-            seeds.append((t, nearest_sqrt(f.eval(zc + r_seed * np.exp(1j * t)), vs[k])))
+    for t, k in circle_zeros(integ, zc, r_seed, th, w, F, vs, 1e-12, tol):
+        Ft, vt = chord_value(integ, zc, r_seed, w[k], F[k], vs[k], t, tol)
+        seeds.append((t, vt, Ft))
     return seeds
 
 
@@ -310,12 +282,11 @@ class _Marcher:
                 return None, np.angle(ray_exit(z, d)), _inside(pts)
         raise TraceStall("arc exceeded the step budget")
 
-    def start_at_seed(self, i, ang, v):
-        """March from the seed of critical i at angle ang, where f^{1/2} is v."""
+    def start_at_seed(self, i, ang, v, F):
+        """March from the seed of critical i at angle ang, where f^{1/2} is v
+        and F - F(zc) is F."""
         zc, r_seed = self.crit_locs[i], 2.0 * self.crit_snap[i]
-        z0 = zc + r_seed * np.exp(1j * ang)
-        val, _, _ = self.integ.integrate(z0, zc, v, tol=1e-16 + 1e-13 * r_seed)
-        return self.run(z0, v, -2.0 * val, np.exp(1j * ang), i)
+        return self.run(zc + r_seed * np.exp(1j * ang), v, F, np.exp(1j * ang), i)
 
     def start_on_rim(self, zb):
         """March from the boundary zero zb into the disk along the level set.
@@ -363,13 +334,13 @@ def trace(state: SegregatedState) -> NodalGraph:
         for k, ang in enumerate(bz)
     ]
 
-    # arc ends as (vertex id, angle, f^{1/2} at a seed or None at a boundary zero)
+    # arc ends as (vertex id, angle, (f^{1/2}, F) at a seed or None at a boundary zero)
     ends = []
     clean = True
     for i, (zc, n) in enumerate(crits):
         seeds = _critical_seeds(state.f, marcher.integ, zc, n, 2.0 * marcher.crit_snap[i])
         clean &= len(seeds) == n + 2
-        ends += [(i, ang, v) for ang, v in seeds]
+        ends += [(i, ang, (v, F)) for ang, v, F in seeds]
     ends += [(vert.id, ang, None) for vert, ang in zip(vertices[len(crits):], bz)]
     used = [False] * len(ends)
 
@@ -377,8 +348,8 @@ def trace(state: SegregatedState) -> NodalGraph:
         """Use up the unused end nearest angle at a critical (or on the rim if None)."""
         tol = max(0.1, 20.0 / G) if at is None else np.pi / (crits[at][1] + 2)
         gap, k = min(
-            ((abs((angle - a + np.pi) % (2 * np.pi) - np.pi), k) for k, (vid, a, v) in enumerate(ends)
-             if not used[k] and (vid == at if at is not None else v is None)),
+            ((abs((angle - a + np.pi) % (2 * np.pi) - np.pi), k) for k, (vid, a, seed) in enumerate(ends)
+             if not used[k] and (vid == at if at is not None else seed is None)),
             default=(np.inf, None),
         )
         if gap > tol:
@@ -387,14 +358,14 @@ def trace(state: SegregatedState) -> NodalGraph:
         return ends[k][0]
 
     arcs = []
-    for k, (vid, ang, v) in enumerate(ends):
+    for k, (vid, ang, seed) in enumerate(ends):
         if used[k]:
             continue
         used[k] = True
-        if v is None:
+        if seed is None:
             at, arrival, pts = marcher.start_on_rim(vertices[vid].location)
         else:
-            at, arrival, pts = marcher.start_at_seed(vid, ang, v)
+            at, arrival, pts = marcher.start_at_seed(vid, ang, *seed)
         b = claim(at, arrival)
         if b is None:
             clean = False

@@ -6,26 +6,28 @@ then F(target) - F(base), which both fixes one global determination per slit
 system and lets paths start at a point where the branch is well defined even
 when the base itself is a zero of f.
 
-The rim is handled here too: one memoised march per sample count gives the
-boundary values of F, the boundary scale, and the boundary zeros of Re F.
-The march integrates all its chords in one batch and composes them along
-each run of chords between cut ends; each zero is refined by Newton steps
-kept in its sample gap (rtsafe), on values integrated along a chord from the
-march's own samples rather than by fresh routed paths, with the slope
-dRe F/dtheta = Re(2 i w f^{1/2}(w)) from the chord's end root.
+The rim is handled here too, by the one march that also finds the seeds
+round a critical point (nodal): circle_march integrates all the chords of a
+circle in one batch and composes them from one value at angle 0, and
+circle_zeros refines each sign change of Re F by Newton steps kept in its
+sample gap (rtsafe), on values integrated along the chord from the sample
+before it.  The rim march starts from one routed value at 1 and never
+restarts: where f is admissible, continuing F across the cut of an odd zero
+flips the sign of Re F and nothing else, so the march needs no cut ends.
+One memoised march per sample count gives the boundary values of F, the
+boundary scale, and the boundary zeros of Re F.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
 from .errors import ToleranceNotMet, Unreachable
 from .quadrature import SqrtSegmentIntegrator, branch_sign, rtsafe
 from .rational import RationalFactored
-from .slits import GOLDEN_ANGLE, SlitDisk, crosses, route_path
+from .slits import GOLDEN_ANGLE, SlitDisk, route_path
 
 _REF_CANDIDATES = (
     0.3722 + 0.1107j,
@@ -137,103 +139,99 @@ class PathEngine:
     # -- the rim -------------------------------------------------------------
 
     def _march(self, samples: int):
-        """(angles, points, raw values, carried roots, cut ends per gap).
+        """circle_march round the rim from the routed value at 1, memoised per
+        sample count; its values are anchored at z_ref, as _raw's are.
 
-        Gap i runs from th[i] to the next sample, and holds a cut end exactly
-        when its chord crosses that cut (slits.crosses: a sample on a cut end
-        lies on its counterclockwise side, so the gap it ends holds the end).
         Chords between consecutive samples are homotopic to the boundary arcs
         (all roots sit well inside, unit factors well outside, so no sample
-        is a root), so the march needs a fresh routed value only after a gap
-        that holds a cut end.  Memoised per sample count.
+        is a root).
         """
         hit = self._marches.get(samples)
-        if hit is not None:
-            return hit
-        if samples < 16:
-            raise ValueError("need at least 16 boundary samples")
-        th = 2.0 * np.pi * np.arange(samples) / samples
-        pts = np.exp(1j * th)
-        nxt = np.roll(pts, -1)
-        gap_cuts = [[] for _ in range(samples)]
-        for c in self.slit.cuts:
-            end = np.angle(c.end) % (2 * np.pi)
-            for i in np.flatnonzero(crosses(pts, nxt, c.anchor, c.end)):
-                gap_cuts[i].append(end + 2 * np.pi if end < th[i] else end)
-        for cuts in gap_cuts:
-            cuts.sort()
-        # one batch of chords, composed along each run of gaps free of cut
-        # ends: a chord from the root s*p at its start adds s*D and carries
-        # s*sigma*p to its end; each run starts from a routed value
-        D, sigma = self._integ.chords(pts[:-1], pts[1:])
-        p = np.sqrt(self.f.eval(pts))
-        starts = [0] + [i + 1 for i in range(samples - 1) if gap_cuts[i]]
-        raws = np.empty(samples, dtype=complex)
-        roots = np.empty(samples, dtype=complex)
-        for lo, hi in zip(starts, starts[1:] + [samples]):
-            raw, v, _ = self._raw(pts[lo])
-            s = branch_sign(v, p[lo]) * np.cumprod(np.concatenate(([1.0], sigma[lo:hi - 1])))
-            raws[lo:hi] = np.cumsum(np.concatenate(([raw], s[:-1] * D[lo:hi - 1])))
-            roots[lo:hi] = s * p[lo:hi]
-        hit = self._marches[samples] = (th, pts, raws, roots, gap_cuts)
+        if hit is None:
+            if samples < 16:
+                raise ValueError("need at least 16 boundary samples")
+            raw, v, _ = self._raw(1.0)
+            hit = self._marches[samples] = circle_march(self._integ, 0.0, 1.0, samples, raw, v)
         return hit
 
     def boundary_values(self, samples: int):
-        """F at equispaced boundary angles, from the memoised boundary march."""
-        th, _, raws, _, _ = self._march(samples)
-        return th.copy(), raws - self._F_base
+        """F at equispaced boundary angles, continued along the rim from angle 0.
+
+        Past a cut end the continued F may differ from the slit
+        determination; |Re F| does not, to within the admissibility residual.
+        """
+        th, _, raws, _ = self._march(samples)
+        return th[:samples].copy(), raws[:samples] - self._F_base
 
     def boundary_scale(self) -> float:
         return float(np.max(np.abs(self.boundary_values(32)[1])))
 
     def boundary_zeros(self, samples: int):
-        """Increasing angles in [0, 2*pi) where Re F changes sign along the rim.
+        """Increasing angles in [0, 2*pi) where Re F changes sign along the rim,
+        refined to 1e-13 (circle_zeros)."""
+        th, pts, raws, roots = self._march(samples)
+        return [t for t, _ in circle_zeros(self._integ, 0.0, 1.0, th, pts, raws - self._F_base,
+                                           roots, 1e-13)]
 
-        Each gap of the march is split at the cut ends it holds (the sheet
-        flips there without U vanishing).  Each sign change in a piece is
-        refined by rtsafe to 1e-13, on values integrated along the chord from
-        the sample on the same side of the gap's cut ends, continuing that
-        sample's carried root; only a piece between two cut ends takes
-        routed values.
-        """
-        th, pts, raws, roots, gap_cuts = self._march(samples)
-        re = (raws - self._F_base).real
 
-        def value(k, theta):
-            """(Re F, dRe F/dtheta) at angle theta, along the chord from sample k
-            (routed if None); F' = 2 f^{1/2} at the chord's end."""
-            w = np.exp(1j * theta)
-            if k is None:
-                F, v = self.value_and_sqrt(w)
-            else:
-                val, _, v = self._integ.integrate(pts[k], w, roots[k])
-                F = raws[k] + 2.0 * val - self._F_base
-            return F.real, (2j * w * v).real
+# -- one march round a circle, and the zeros of Re F on it -------------------------
 
-        zeros = []
-        for i, cuts in enumerate(gap_cuts):
-            j = (i + 1) % samples
-            if re[i] == 0.0:
-                zeros.append(th[i])
-            pieces = [th[i]] + cuts + [th[j] if j else 2 * np.pi]
-            for lo, hi in zip(pieces[:-1], pieces[1:]):
-                if hi - lo < 3e-9:
-                    continue
-                lo_cut, hi_cut = lo in cuts, hi in cuts
-                k = j if lo_cut else i
-                if lo_cut and hi_cut:
-                    k = None
-                lo_in = lo + 1e-9 if lo_cut else lo
-                hi_in = hi - 1e-9 if hi_cut else hi
-                flo = value(k, lo_in)[0] if lo_cut else re[i]
-                fhi = value(k, hi_in)[0] if hi_cut else re[j]
-                if flo * fhi < 0:
-                    zeros.append(rtsafe(partial(value, k), lo_in, hi_in, flo, fhi, 1e-13))
-        half_gap = np.pi / samples
-        merged = []
-        for z in sorted(z % (2 * np.pi) for z in zeros):
-            if not merged or z - merged[-1] >= half_gap:
-                merged.append(z)
-        if len(merged) >= 2 and (merged[0] + 2 * np.pi - merged[-1]) < half_gap:
-            merged.pop()
-        return merged
+
+def circle_march(integ, center, radius, samples, F0, v0):
+    """(angles, points, F, carried f^{1/2}) at the samples + 1 equispaced points
+    of the circle |w - center| = radius, from angle 0 through one full turn,
+    where F is F0 and f^{1/2} is v0 at angle 0.
+
+    All chords are integrated in one batch (integ.chords) and composed from
+    (F0, v0): a chord from the root s*p at its start adds s*D and carries
+    s*sigma*p to its end.  No sample may be a root.
+    """
+    th = 2.0 * np.pi * np.arange(samples + 1) / samples
+    pts = center + radius * np.exp(1j * th)
+    D, sigma = integ.chords(pts[:-1], pts[1:])
+    p = np.sqrt(integ.f.eval(pts))
+    s = branch_sign(v0, p[0]) * np.cumprod(np.concatenate(([1.0], sigma)))
+    return th, pts, np.cumsum(np.concatenate(([F0], s[:-1] * D))), s * p
+
+
+def chord_value(integ, center, radius, z, Fz, vz, t, tol=None):
+    """(F, f^{1/2}) at angle t of the circle, along the chord from its point z,
+    where F is Fz and f^{1/2} is vz."""
+    val, _, v = integ.integrate(z, center + radius * np.exp(1j * t), vz, tol=tol)
+    return Fz + 2.0 * val, v
+
+
+def circle_zeros(integ, center, radius, th, pts, F, roots, xtol, tol=None):
+    """(angle, k) for each zero of Re F along a circle march, in increasing
+    angle in [0, 2*pi), with k the sample before it.
+
+    A sample where Re F is exactly 0 is a zero.  Each sign change between
+    samples k and k + 1 is refined to xtol by Newton steps kept in its gap
+    (rtsafe), on values along the chord from sample k continuing its root
+    (chord_value, at tolerance tol), with the slope
+    dRe F/dtheta = Re(2 i (w - center) f^{1/2}(w)).  Where f is admissible,
+    continuing F across the cut of an odd zero z_j maps it to 2 F(z_j) - F,
+    so Re F only changes sign there, and its sign changes along the march
+    are the zeros of U.  Zeros closer than half a sample gap, round the
+    circle, are one zero.
+    """
+    re = F.real
+    zeros = []
+    for k in range(len(th) - 1):
+        if re[k] == 0.0:
+            zeros.append((th[k], k))
+        elif re[k] * re[k + 1] <= 0.0:
+            def value(t, k=k):
+                Fw, v = chord_value(integ, center, radius, pts[k], F[k], roots[k], t, tol)
+                return Fw.real, (2j * radius * np.exp(1j * t) * v).real
+
+            t = rtsafe(value, th[k], th[k + 1], re[k], re[k + 1], xtol)
+            zeros.append((t % (2 * np.pi), k))
+    half_gap = np.pi / (len(th) - 1)
+    merged = []
+    for z in sorted(zeros):
+        if not merged or z[0] - merged[-1][0] >= half_gap:
+            merged.append(z)
+    if len(merged) >= 2 and merged[0][0] + 2 * np.pi - merged[-1][0] < half_gap:
+        merged.pop()
+    return merged

@@ -7,8 +7,8 @@ Routing between points of the slit disk is shortest-path over a small
 visibility graph whose only obstacles are the cuts; a blocked cut is rounded
 via three detour nodes placed just off its anchor.
 
-A point on a cut belongs to one side of it, by one rule that the grid fill,
-the router and the rim march all share through crosses: a point within
+A point on a cut belongs to one side of it, by one rule that the grid fill
+and the router share through crosses: a point within
 ON_CUT_TOL * |cut| of a cut's line lies on its counterclockwise side, the
 side of i (end - anchor), and a step crosses the cut when its ends lie on
 different sides and it meets the line past the anchor.  A chord of

@@ -196,7 +196,7 @@ def test_criterion_8_diffusion_cross_validation():
         cfg = boundary_from_state(st, samples=1024)
         assert cfg.g.shape[0] == n_exp
         fld = solve(cfg, mu=1e4)
-        dist = interface_distance(fld, st, g)
+        dist = interface_distance(fld, g)
         elapsed = time.time() - t0
         ok &= dist <= 2.0 and elapsed < 120.0
         results.append(f"N={n_exp}: dist={dist:.2f} cells t={elapsed:.0f}s")

@@ -134,7 +134,7 @@ def test_interface_matches_diameter(half_disk_state):
     assert len(pts) > 0
     assert np.abs(pts[:, 0]).max() < 3 * (2 / fld.resolution)
     g = trace(half_disk_state)
-    d = interface_distance(fld, half_disk_state, g)
+    d = interface_distance(fld, g)
     assert d <= 2.0
 
 
@@ -148,8 +148,8 @@ def test_identical_partitions_zero_distance(half_disk_state):
     g = trace(half_disk_state)
     cfg = boundary_from_state(half_disk_state, samples=512)
     fld = solve(cfg, mu=1e4)
-    d1 = interface_distance(fld, half_disk_state, g)
-    d2 = interface_distance(fld, half_disk_state, g)
+    d1 = interface_distance(fld, g)
+    d2 = interface_distance(fld, g)
     assert d1 == d2  # deterministic
 
 
@@ -164,7 +164,7 @@ def test_hausdorff_matches_kdtree(sizes, rng):
     assert diffusion._hausdorff(b, a) == ref
 
 
-def test_interface_distance_empty_sets(half_disk_state):
+def test_interface_distance_empty_sets():
     G = 16
     inside = np.ones((G, G), dtype=bool)
     one = DiffusionField(u=np.ones((1, G, G)), inside=inside, residual=0.0,
@@ -175,10 +175,10 @@ def test_interface_distance_empty_sets(half_disk_state):
                          sweeps=0, cycles=0, resolution=G)
     empty = NodalGraph(vertices=(), arcs=(), M=0, N=0, T=0)
     line = NodalGraph(vertices=(), arcs=(Arc(a=0, b=1, points=(-1j, 1j)),), M=2, N=2, T=1)
-    assert interface_distance(one, half_disk_state, empty) == 0.0
-    assert interface_distance(one, half_disk_state, line) == np.inf
-    assert interface_distance(two, half_disk_state, empty) == np.inf
-    assert np.isfinite(interface_distance(two, half_disk_state, line))
+    assert interface_distance(one, empty) == 0.0
+    assert interface_distance(one, line) == np.inf
+    assert interface_distance(two, empty) == np.inf
+    assert np.isfinite(interface_distance(two, line))
 
 # -- independent oracles for solve() ------------------------------------------
 

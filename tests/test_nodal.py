@@ -10,9 +10,9 @@ from hopfseg.experiments import (
     admissible_fw, figure5_function, random_even_function, reduction_sweep, tuned_multizero,
 )
 from hopfseg.nodal import (
-    JET_CAP, _critical_seeds, _Marcher, _ring, boundary_zeros, counts, trace, verify_index,
+    JET_CAP, _critical_seeds, _Marcher, boundary_zeros, counts, trace, verify_index,
 )
-from hopfseg.primitive import PathEngine
+from hopfseg.primitive import PathEngine, circle_march
 from hopfseg.quadrature import SqrtSegmentIntegrator
 from hopfseg.rational import monomial, rational
 from hopfseg.slits import build_slit_disk
@@ -60,9 +60,9 @@ def test_boundary_zero_angles(cubic_graph):
 @pytest.mark.parametrize("side", ["after", "before"])
 def test_boundary_zero_next_to_cut_end(side):
     # a simple zero at the base sends one cut to the rim at angle psi; a
-    # phase rotation puts a boundary zero inside psi's sample gap, on the
-    # piece right of psi (refined along chords from the next sample) or left
-    # of it (from the previous one)
+    # phase rotation puts a boundary zero inside psi's sample gap, after psi
+    # or before it; both are refined along the chord from the sample before
+    # them, which continues F across the cut
     root = 0.3 + 0.2j
     f0 = rational(0.25, roots=[(root, 1)])
     slit = build_slit_disk(f0, root)
@@ -251,7 +251,8 @@ def test_each_arc_marched_once(index_states, monkeypatch):
 def test_trace_integrations(index_states, monkeypatch):
     # every move goes by a certified Taylor jet where the Cauchy bound allows:
     # integrating every move took 3,052 calls on these twelve states, a
-    # third-order closed-form corrector with integral predictor steps 1,711
+    # third-order closed-form corrector with integral predictor steps 1,711;
+    # seeds that carry F to their arcs' starts, 336 against 338
     calls = []
     integrate = SqrtSegmentIntegrator.integrate
 
@@ -262,7 +263,7 @@ def test_trace_integrations(index_states, monkeypatch):
     monkeypatch.setattr(SqrtSegmentIntegrator, "integrate", counted)
     for st in index_states:
         assert trace(st).clean
-    assert len(calls) <= 338
+    assert len(calls) <= 336
 
 
 def test_trace_diagnostics_count_every_move(index_states, monkeypatch):
@@ -289,7 +290,7 @@ def test_trace_diagnostics_count_every_move(index_states, monkeypatch):
         for k in total:
             total[k] += d[k]
     assert total["integral_moves"] < total["jet_moves"] // 10
-    assert total["integrals"] <= 338
+    assert total["integrals"] <= 336
 
 
 def test_taylor_move_matches_the_integral(index_states):
@@ -502,6 +503,24 @@ def test_zero_on_a_sample_angle_is_not_bisected(monkeypatch):
     assert len(calls) <= 2 * len(bz)
 
 
+@pytest.mark.parametrize("G", [97, 128])
+def test_zero_at_the_march_start_is_found_once(G):
+    # F = 0.4i z^{5/2} from the triple zero: Re F vanishes on the rays at
+    # 2 pi k / 5, so one ray meets the rim and the seed ring at sample 0, where
+    # each march starts its turn and ends it
+    f = monomial(-0.25, 3)
+    st = reconstruct(f, 0.0, resolution=G)
+    bz = boundary_zeros(st)
+    marcher = _Marcher(st)
+    ((zc, order, _),) = st.criticals
+    seeds = _critical_seeds(f, marcher.integ, zc, order, 2.0 * marcher.crit_snap[0])
+    for angles in (bz, [ang for ang, _, _ in seeds]):
+        assert len(angles) == 5
+        assert sum(abs((a + np.pi) % (2 * np.pi) - np.pi) <= 1e-12 for a in angles) == 1
+    g = trace(st)
+    assert g.clean and counts(g) == (5, 5, 1)
+
+
 def _radial_primitive_mp(f, zc, order, w):
     """2 * int_{zc}^{w} f^{1/2} along the radius, at 30 digits, up to sign.
 
@@ -545,7 +564,7 @@ def test_critical_seeds_match_mpmath(case):
         r_seed = 2.0 * marcher.crit_snap[i]
         seeds = _critical_seeds(f, marcher.integ, zc, order, r_seed)
         assert len(seeds) == order + 2
-        for ang, v in seeds:
+        for ang, v, _ in seeds:
             w = zc + r_seed * np.exp(1j * ang)
             assert abs(v * v - f.eval(w)) <= 1e-12 * abs(f.eval(w))
             local = r_seed ** ((order + 2) / 2)
@@ -561,7 +580,11 @@ def test_ring_march_matches_radial_values(case):
     assert st.criticals
     for i, (zc, order, _) in enumerate(st.criticals):
         r_seed = 2.0 * marcher.crit_snap[i]
-        th, w, vs, vals = _ring(f, marcher.integ, zc, order, r_seed)
+        tol = 1e-16 + 1e-12 * r_seed
+        v0 = np.sqrt(f.eval(zc + r_seed))
+        F0 = -2.0 * marcher.integ.integrate(zc + r_seed, zc, v0, tol=tol)[0]
+        th, w, vals, vs = circle_march(SqrtSegmentIntegrator(f, tol), zc, r_seed,
+                                       32 * (order + 2), F0, v0)
         bound = 1e-12 * r_seed ** ((order + 2) / 2)
         # one radial integral into the critical per sample, as the seeds
         # were found before the ring march

@@ -12,7 +12,7 @@ from hopfseg.quadrature import (
 )
 from hopfseg.rational import monomial, rational
 from hopfseg.slits import build_slit_disk, route_between, route_path
-from hopfseg.states import find_base_point
+from hopfseg.states import admissibility, find_base_point
 
 
 @pytest.fixture(scope="module")
@@ -466,14 +466,14 @@ def rim_states():
     }
 
 
-def _march_oracle(eng, pts, gap_cuts):
-    """F and the carried root at each sample, integrating one chord at a time
-    from the previous sample's root, and routed after a gap with a cut end."""
+def _march_oracle(eng, pts):
+    """F and the carried root at each sample, routed at sample 0 and then
+    integrating one chord at a time from the previous sample's root."""
     integ = SqrtSegmentIntegrator(eng.f, eng.tol)
     F = np.empty(len(pts), dtype=complex)
     roots = np.empty(len(pts), dtype=complex)
     for i, z in enumerate(pts):
-        if i == 0 or gap_cuts[i - 1]:
+        if i == 0:
             F[i], roots[i] = eng.value_and_sqrt(z)
         else:
             val, _, roots[i] = integ.integrate(pts[i - 1], z, roots[i - 1], tol=eng.tol)
@@ -508,7 +508,26 @@ def test_batch_march_matches_chord_by_chord(rim_states, name, samples, monkeypat
     monkeypatch.undo()
     assert rejected == []
 
-    _, pts, _, roots, gap_cuts = eng._march(samples)
-    want, want_roots = _march_oracle(eng, pts, gap_cuts)
-    assert np.max(np.abs(vals - want)) <= 1e-13 * eng.boundary_scale()
+    _, pts, _, roots = eng._march(samples)
+    want, want_roots = _march_oracle(eng, pts)
+    assert np.max(np.abs(vals - want[:samples])) <= 1e-13 * eng.boundary_scale()
     assert np.all((roots * np.conj(want_roots)).real > 0)
+
+
+def test_rim_values_continue_across_cut_ends(rim_states):
+    # the reduction's rim passes the cut ends of odd zeros other than the
+    # base; there the continued values keep |Re F| of the slit determination,
+    # and one turn brings Re F back to +-Re F at angle 0
+    f, base = rim_states["reduced"]
+    eng = PathEngine(f, build_slit_disk(f, base))
+    assert sum(abs(c.anchor - base) > 1e-12 for c in eng.slit.cuts) >= 2
+    samples = 256
+    th, vals = eng.boundary_values(samples)
+    scale = eng.boundary_scale()
+    for k in range(0, samples, 8):
+        routed = eng.F(np.exp(1j * th[k]))
+        assert abs(abs(vals[k].real) - abs(routed.real)) <= 1e-9 * scale
+    residual = max(v for _, v in admissibility(f, base, engine=eng).residuals)
+    raws = eng._march(samples)[2]            # anchored at z_ref, through one full turn
+    turned = vals[0] + (raws[-1] - raws[0])
+    assert abs(abs(turned.real) - abs(vals[0].real)) <= 2 * residual + 1e-9 * scale
