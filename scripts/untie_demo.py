@@ -14,7 +14,7 @@ from hopfseg.desingularize import excess_index, reduce_to_simple, split_zero
 from hopfseg.nodal import trace, verify_index
 from hopfseg.rational import monomial
 from hopfseg.serialize import emit_function, render_svg
-from hopfseg.states import find_base_point, reconstruct
+from hopfseg.states import analytic_state, find_base_point
 
 
 def main():
@@ -42,7 +42,7 @@ def main():
     failed = False
     for name, fn in (("start", f), ("after_one_split", res.f_new), ("final", final)):
         base = find_base_point(fn)
-        st = reconstruct(fn, base, resolution=args.resolution)
+        st = analytic_state(fn, base, resolution=args.resolution)
         g = trace(st)
         rep = verify_index(g)
         (out / f"{name}.svg").write_text(render_svg(graph=g))

@@ -17,6 +17,7 @@ from .rational import (
 )
 from .states import (
     admissibility,
+    analytic_state,
     dirichlet_energy,
     find_base_point,
     hopf_l1,
@@ -33,6 +34,7 @@ __all__ = [
     "order_at",
     "winding_count",
     "admissibility",
+    "analytic_state",
     "find_base_point",
     "reconstruct",
     "multiplicity_at",

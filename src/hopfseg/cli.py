@@ -20,8 +20,8 @@ from .errors import HopfSegError
 from .nodal import trace as trace_graph
 from .nodal import verify_index
 from .serialize import csv_rows, dump_report, emit_function, parse_function, render_svg
-from .states import admissibility, export_grid_csv, find_base_point, hopf_l1, reconstruct
-from .states import dirichlet_energy
+from .states import admissibility, analytic_state, dirichlet_energy, export_grid_csv
+from .states import find_base_point, hopf_l1, reconstruct
 
 COMMANDS = ("check", "reconstruct", "trace", "index", "desingularize", "simulate", "render")
 
@@ -77,14 +77,18 @@ def run(args) -> int:
 
     elif args.command in ("reconstruct", "trace", "index", "render", "simulate"):
         base = _pick_base(f, args)
-        st = reconstruct(f, base, resolution=args.resolution)
+        # only reconstruct and simulate read the grid; the graph commands
+        # count the species as the nodal graph's faces
+        grid = args.command in ("reconstruct", "simulate")
+        st = (reconstruct if grid else analytic_state)(f, base, resolution=args.resolution)
         report["base"] = base
-        report["n_species"] = st.n_species
         report["criticals"] = [
             {"z": z, "order": n, "multiplicity": m} for z, n, m in st.criticals
         ]
         report["residuals"] = [[z, v] for z, v in st.residuals]
-        report["grid_fill"] = {"routed": st.routed, "chords": st.chords}
+        if grid:
+            report["n_species"] = st.n_species
+            report["grid_fill"] = {"routed": st.routed, "chords": st.chords}
         if args.command == "reconstruct":
             report["dirichlet_energy"] = dirichlet_energy(st)
             report["hopf_l1"] = hopf_l1(f)
@@ -93,6 +97,8 @@ def run(args) -> int:
         else:
             g = trace_graph(st)
             rep = verify_index(g)
+            if not grid:
+                report["n_species"] = g.N
             report["M"], report["N"], report["T"] = g.M, g.N, g.T
             report["index_sum"] = rep.index_sum
             report["euler_check"] = rep.euler_check
@@ -137,7 +143,7 @@ def run(args) -> int:
         report["residuals"] = [[z, v] for z, v in res.admissibility.residuals]
         (out / "f_new.json").write_text(emit_function(res.f_new))
         base = find_base_point(res.f_new)
-        st = reconstruct(res.f_new, base, resolution=args.resolution)
+        st = analytic_state(res.f_new, base, resolution=args.resolution)
         (out / "f_new.svg").write_text(render_svg(graph=trace_graph(st)))
         report["artifacts"] = ["f_new.json", "f_new.svg"]
         ok = res.admissibility.admissible

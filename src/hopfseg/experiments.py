@@ -25,7 +25,7 @@ from .primitive import PathEngine
 from .quadrature import branch_sign, rtsafe, sqrt_segments
 from .rational import DELTA_BD_DEFAULT, RationalFactored, monomial, rational
 from .slits import build_slit_disk
-from .states import ADMISSIBILITY_REL_TOL, find_base_point, reconstruct
+from .states import ADMISSIBILITY_REL_TOL, analytic_state, find_base_point, reconstruct
 
 MAX_DRAW_ATTEMPTS = 200
 RIGIDITY_TOL = 1e-11         # the tolerance of the rigidity integrals
@@ -179,8 +179,7 @@ def random_even_function(rng) -> RationalFactored:
             scale = eng.boundary_scale()
             if any(abs(eng.F(z).real) < 1e-2 * scale for z, _ in roots):
                 continue
-            st = reconstruct(f, 0.0, resolution=96, engine=eng)
-            bz = boundary_zeros(st)
+            bz = boundary_zeros(analytic_state(f, 0.0, resolution=96, engine=eng))
             gaps = np.diff(sorted(bz) + [sorted(bz)[0] + 2 * np.pi]) if bz else []
             # shallow boundary caps (close zero pairs) are invisible at
             # working resolutions; keep the arcs well separated

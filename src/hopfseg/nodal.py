@@ -24,6 +24,13 @@ itself, which keeps full precision at any scale of approach.  The boundary
 zeros come from the state's PathEngine, which owns the boundary march.  A
 polyline runs from vertex to vertex, and every point between lies on the
 level set strictly inside the disk.
+
+The tracer reads only the state's analytic part (states.AnalyticState), and
+no grid.  The species count N is the number of faces of the arcs and the rim
+pieces between boundary zeros, less the outer one, from a face walk in which
+each arc leaves a critical at the seed angle of the end it used (faces).
+Euler's relation then checks those cyclic orders, and M = N + T - 1 and
+sum i(z) = N - T - 1 check N.
 """
 
 from __future__ import annotations
@@ -37,7 +44,7 @@ from .errors import TraceStall
 from .primitive import chord_value, circle_march, circle_zeros
 from .quadrature import SqrtSegmentIntegrator, nearest_sqrt
 from .slits import ray_exit
-from .states import SegregatedState, spanning_forest
+from .states import AnalyticState, spanning_forest
 
 # the most Taylor terms a tracer move may take before it falls back to the integral
 JET_CAP = 24
@@ -57,6 +64,9 @@ class Arc:
     a: int
     b: int
     points: tuple
+    # the arc's seed angles at a and b, its place in the cyclic order round a
+    # critical; at a boundary zero, the zero's rim angle
+    angles: tuple
 
 
 @dataclass(frozen=True)
@@ -117,7 +127,7 @@ class IndexReport:
 # -- boundary zeros -----------------------------------------------------------
 
 
-def boundary_zeros(state: SegregatedState):
+def boundary_zeros(state: AnalyticState):
     """Angles where the boundary trace of Re F changes sign.
 
     The state's engine finds them along its own memoised boundary march
@@ -158,7 +168,7 @@ def _critical_seeds(f, integ, zc: complex, order: int, r_seed: float):
 
 
 class _Marcher:
-    def __init__(self, state: SegregatedState):
+    def __init__(self, state: AnalyticState):
         # every integration below passes its own tolerance
         self.integ = SqrtSegmentIntegrator(state.f)
         self.engine = state.engine
@@ -310,14 +320,15 @@ def _inside(pts):
 # -- public graph construction ---------------------------------------------------
 
 
-def trace(state: SegregatedState) -> NodalGraph:
+def trace(state: AnalyticState) -> NodalGraph:
     """Planar graph of the nodal set: critical vertices, boundary zeros, arcs.
 
     Every arc has two ends: a seed on a critical's snap circle or a boundary
     zero.  The ends are walked once, and an arc is marched only from an end
     that no earlier arc has arrived at; its arrival uses up the unused end
     nearest the arrival angle.  An arrival that finds no unused end, or a
-    critical with the wrong number of seeds, makes the trace unclean.
+    critical with the wrong number of seeds, makes the trace unclean.  N is
+    the number of faces less the outer one (faces).
     """
     crits = [(z, n) for z, n, _ in state.criticals]
     rim_integrals = state.engine.integrals
@@ -345,7 +356,8 @@ def trace(state: SegregatedState) -> NodalGraph:
     used = [False] * len(ends)
 
     def claim(at, angle):
-        """Use up the unused end nearest angle at a critical (or on the rim if None)."""
+        """Use up the unused end nearest angle at a critical (or on the rim if
+        None), and return it, or None if none is near."""
         tol = max(0.1, 20.0 / G) if at is None else np.pi / (crits[at][1] + 2)
         gap, k = min(
             ((abs((angle - a + np.pi) % (2 * np.pi) - np.pi), k) for k, (vid, a, seed) in enumerate(ends)
@@ -355,7 +367,7 @@ def trace(state: SegregatedState) -> NodalGraph:
         if gap > tol:
             return None
         used[k] = True
-        return ends[k][0]
+        return ends[k]
 
     arcs = []
     for k, (vid, ang, seed) in enumerate(ends):
@@ -366,22 +378,72 @@ def trace(state: SegregatedState) -> NodalGraph:
             at, arrival, pts = marcher.start_on_rim(vertices[vid].location)
         else:
             at, arrival, pts = marcher.start_at_seed(vid, ang, *seed)
-        b = claim(at, arrival)
-        if b is None:
+        end = claim(at, arrival)
+        if end is None:
             clean = False
             continue
+        b, b_ang, _ = end
         ends_at = (vertices[vid].location,) + pts + (vertices[b].location,)
-        arcs.append(Arc(a=vid, b=b, points=ends_at))
+        arcs.append(Arc(a=vid, b=b, points=ends_at, angles=(ang, b_ang)))
 
+    # the faces less the outer one; a rim without zeros, which the walk does
+    # not visit, adds two faces of its own, the disk and the outer one
+    N = len(faces(vertices, arcs)) - 1 + (0 if bz else 2)
     return NodalGraph(
         vertices=tuple(vertices), arcs=tuple(arcs),
-        M=len(bz) if bz else (1 if state.n_species else 0),
-        N=state.n_species,
+        M=len(bz) or 1,
+        N=N,
         T=_components(len(vertices), arcs),
         clean=clean,
         diagnostics={**marcher.counts, "integrals": marcher.integ.integrals
                      + state.engine.integrals - rim_integrals},
     )
+
+
+def faces(vertices, arcs) -> list:
+    """The faces of the arcs and the rim, each as the cycle of darts round it.
+
+    The graph is the arcs plus the rim pieces between consecutive boundary
+    zeros, walked as a rotation system (the face traversal of a doubly
+    connected edge list; de Berg et al., Computational Geometry, 3rd ed.,
+    2.2).  Round a critical, the darts leaving it are in the counterclockwise
+    order of their seed angles (Arc.angles); round a boundary zero, the rim
+    piece running counterclockwise, then its arc into the disk, then the
+    rim piece running clockwise.  A face's cycle keeps it on the left.  A
+    dart is (k, forward): k < len(arcs) is arcs[k], from a to b if forward,
+    and k = len(arcs) + j is the rim piece from the j-th boundary zero
+    counterclockwise to the next, run counterclockwise if forward.
+
+    With a planar cyclic order at every vertex and a connected graph, Euler's
+    relation holds for the faces found; a wrong order leaves fewer.  A rim
+    without zeros is not walked.
+    """
+    rim = [v.id for v in vertices if v.kind == "boundary-zero"]
+    critical = {v.id for v in vertices if v.kind == "interior-critical"}
+    out = {}                       # vertex -> [(key, dart)], the darts leaving it
+    for k, arc in enumerate(arcs):
+        for vid, ang, forward in ((arc.a, arc.angles[0], True), (arc.b, arc.angles[1], False)):
+            key = ang % (2 * np.pi) if vid in critical else 2.0
+            out.setdefault(vid, []).append((key, (k, forward)))
+    for j, vid in enumerate(rim):
+        out.setdefault(vid, []).append((1.0, (len(arcs) + j, True)))
+        out.setdefault(rim[(j + 1) % len(rim)], []).append((3.0, (len(arcs) + j, False)))
+    turn = {}                      # dart -> the dart before it round its origin
+    for darts in out.values():
+        darts.sort()
+        for (_, d), (_, before) in zip(darts, darts[-1:] + darts[:-1]):
+            turn[d] = before
+    seen, cycles = set(), []
+    for start in turn:
+        if start in seen:
+            continue
+        cycle, d = [], start
+        while d not in seen:
+            seen.add(d)
+            cycle.append(d)
+            d = turn[(d[0], not d[1])]
+        cycles.append(cycle)
+    return cycles
 
 
 def _components(n_vertices: int, arcs) -> int:

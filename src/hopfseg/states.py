@@ -1,5 +1,11 @@
 """Segregated states U = |Re F| on the disk: admissibility and reconstruction.
 
+A state has an analytic part (AnalyticState): f, its base point and slit
+disk, the PathEngine, the criticals and residuals from the admissibility
+test, the boundary scale and the resolution G, which sets the nodal
+tracer's scale.  analytic_state builds it; the nodal tracer and the graph
+commands need nothing more.  reconstruct adds the grid (SegregatedState).
+
 The grid fill samples F at the cell centres in passes linear in the number
 of cells.  An east or south step between inside cells is usable when it
 crosses no cut and keeps clear of the roots.  Cells joined by usable east
@@ -81,24 +87,17 @@ def find_base_point(f: RationalFactored) -> complex:
     return min(odd, key=lambda z: (abs(z), np.angle(z)), default=0.0 + 0.0j)
 
 
-# -- the reconstructed state ---------------------------------------------------
+# -- the state: its analytic part, and the grid ---------------------------------
 
 
 @dataclass
-class SegregatedState:
-    resolution: int
-    u: np.ndarray                 # |Re F| at cell centers, NaN outside
-    sre: np.ndarray               # signed Re F in the slit determination
-    inside: np.ndarray
-    species: np.ndarray           # 0 below threshold / outside, else 1..N
-    n_species: int
+class AnalyticState:
+    """The grid-free part of a state: everything the nodal tracer reads."""
+    resolution: int               # G: the tracer's scale, and the grid's in SegregatedState
     criticals: tuple              # ((location, order, multiplicity), ...)
     residuals: tuple              # ((odd zero, |Re F|), ...)
     scale: float
     engine: PathEngine = field(repr=False)
-    cross_east: np.ndarray = field(repr=False)   # cut crossings of east steps
-    cross_south: np.ndarray = field(repr=False)
-    source: np.ndarray = field(repr=False)       # FILL_* per inside cell, 0 outside
 
     @property
     def f(self) -> RationalFactored:
@@ -111,6 +110,23 @@ class SegregatedState:
     @property
     def slit(self) -> SlitDisk:
         return self.engine.slit
+
+    def value_at(self, z) -> float:
+        """U(z) evaluated exactly (routed primitive, not grid lookup)."""
+        return abs(self.engine.F(z).real)
+
+
+@dataclass
+class SegregatedState(AnalyticState):
+    """An analytic state with U sampled on the G x G grid of cell centres."""
+    u: np.ndarray                 # |Re F| at cell centers, NaN outside
+    sre: np.ndarray               # signed Re F in the slit determination
+    inside: np.ndarray
+    species: np.ndarray           # 0 below threshold / outside, else 1..N
+    n_species: int
+    cross_east: np.ndarray = field(repr=False)   # cut crossings of east steps
+    cross_south: np.ndarray = field(repr=False)
+    source: np.ndarray = field(repr=False)       # FILL_* per inside cell, 0 outside
 
     @property
     def routed(self) -> int:
@@ -131,10 +147,6 @@ class SegregatedState:
     def cell_centers(self) -> np.ndarray:
         c = -1.0 + (np.arange(self.resolution) + 0.5) * self.h
         return c
-
-    def value_at(self, z) -> float:
-        """U(z) evaluated exactly (routed primitive, not grid lookup)."""
-        return abs(self.engine.F(z).real)
 
 
 def _cut_crossings(cuts, Z):
@@ -380,16 +392,18 @@ def _label_species(u, sre, inside, Z, cross_east, cross_south, thr, grad_scale):
     return labels.reshape(G, G), int(np.count_nonzero(kept))
 
 
-def reconstruct(f: RationalFactored, base, resolution: int = 256,
-                engine: PathEngine | None = None) -> SegregatedState:
-    """Sampled state U = |Re F| with species labels and critical points.
+def analytic_state(f: RationalFactored, base, resolution: int = 256,
+                   engine: PathEngine | None = None) -> AnalyticState:
+    """The analytic part of the state U = |Re F|: criticals, residuals and
+    scale, with no grid.
 
     Requires Re F to vanish at the odd zeros (otherwise |Re F| has no
     continuous extension across the cuts and the state does not exist).
     Critical points come from the exact root list filtered by the residual
-    test, never from the grid.  engine, if given, is a PathEngine already
-    built for (f, base); the state then uses it, with its memoised rim march
-    and cached routes, instead of building its own.
+    test.  resolution is the G that sets the nodal tracer's scale.  engine,
+    if given, is a PathEngine already built for (f, base); the state then
+    uses it, with its memoised rim march and cached routes, instead of
+    building its own.
     """
     if resolution < 1:
         raise ValueError("resolution must be at least 1")
@@ -398,13 +412,27 @@ def reconstruct(f: RationalFactored, base, resolution: int = 256,
         raise ValueError("engine was built for another (f, base)")
     eng = engine or PathEngine(f, build_slit_disk(f, base))
     rep = admissibility(f, base, engine=eng)
-    scale, tol_adm = rep.scale, rep.tolerance
     orders = [m for _, m in f.interior_roots]
     odd_res = [zv for zv, m in zip(rep.residuals, orders) if m % 2 == 1]
-    bad = [(z, v) for z, v in odd_res if v > tol_adm]
+    bad = [(z, v) for z, v in odd_res if v > rep.tolerance]
     if bad:
         raise NotAdmissible(f"Re F does not vanish at odd zeros: {bad}")
+    crit = tuple(
+        (z, m, m + 2)
+        for (z, v), m in zip(rep.residuals, orders)
+        if v <= rep.tolerance
+    )
+    return AnalyticState(resolution=resolution, criticals=crit, residuals=tuple(odd_res),
+                         scale=rep.scale, engine=eng)
 
+
+def reconstruct(f: RationalFactored, base, resolution: int = 256,
+                engine: PathEngine | None = None) -> SegregatedState:
+    """analytic_state(f, base, resolution, engine) with U sampled on the
+    G x G grid of cell centres and its species labelled; the criticals
+    never come from the grid."""
+    state = analytic_state(f, base, resolution, engine)
+    eng = state.engine
     G = resolution
     c = -1.0 + (np.arange(G) + 0.5) * (2.0 / G)
     X, Y = np.meshgrid(c, c)          # [iy, ix]
@@ -415,26 +443,20 @@ def reconstruct(f: RationalFactored, base, resolution: int = 256,
     sre, source = _fill_grid(f, eng, Z, fZ, inside, cross_east, cross_south)
     u = np.abs(sre)
 
-    crit = tuple(
-        (z, m, m + 2)
-        for (z, v), m in zip(rep.residuals, orders)
-        if v <= tol_adm
-    )
-    thr = SPECIES_REL_THRESHOLD * max(scale, 1e-300)
+    thr = SPECIES_REL_THRESHOLD * max(state.scale, 1e-300)
     grad_scale = (2.0 / G) * np.sqrt(np.abs(fZ))
     species, n_species = _label_species(
         u, sre, inside, Z, cross_east, cross_south, thr, grad_scale
     )
 
     return SegregatedState(
-        resolution=resolution,
+        **vars(state),
         u=u, sre=sre, inside=inside, species=species, n_species=n_species,
-        criticals=crit, residuals=tuple(odd_res), scale=scale, engine=eng,
         cross_east=cross_east, cross_south=cross_south, source=source,
     )
 
 
-def multiplicity_at(state: SegregatedState, z) -> int:
+def multiplicity_at(state: AnalyticState, z) -> int:
     """2 + ord(f; z) for nodal points (the zero order is exact by storage)."""
     z = complex(z)
     if abs(state.engine.F(z).real) > 1e-6 * max(state.scale, 1e-300):
@@ -442,7 +464,7 @@ def multiplicity_at(state: SegregatedState, z) -> int:
     return 2 + order_at(state.f, z)
 
 
-def local_exponent(state: SegregatedState, z, radii) -> float:
+def local_exponent(state: AnalyticState, z, radii) -> float:
     """Least-squares slope of log max_theta U(z + r e^{i theta}) vs log r.
 
     The angular maximum of the leading r^{m/2} |cos(m/2 (theta+theta_0))|

@@ -99,6 +99,7 @@ def test_criterion_3_index_formula_suite():
         assert rep.formula_check, f"index formulas failed: {rep} for {f}"
         assert rep.euler_check, f"Euler relation failed: {rep}"
         assert g.clean, f"unclean trace for {f}"
+        assert g.N == st.n_species, f"{g.N} faces, {st.n_species} grid species for {f}"
         n_pass += 1
         if f is f5:
             fig5_counts = (g.M, g.N, g.T)

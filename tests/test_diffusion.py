@@ -174,7 +174,8 @@ def test_interface_distance_empty_sets():
     two = DiffusionField(u=u, inside=inside, residual=0.0, defect=0.0,
                          sweeps=0, cycles=0, resolution=G)
     empty = NodalGraph(vertices=(), arcs=(), M=0, N=0, T=0)
-    line = NodalGraph(vertices=(), arcs=(Arc(a=0, b=1, points=(-1j, 1j)),), M=2, N=2, T=1)
+    chord = Arc(a=0, b=1, points=(-1j, 1j), angles=(-np.pi / 2, np.pi / 2))
+    line = NodalGraph(vertices=(), arcs=(chord,), M=2, N=2, T=1)
     assert interface_distance(one, empty) == 0.0
     assert interface_distance(one, line) == np.inf
     assert interface_distance(two, empty) == np.inf

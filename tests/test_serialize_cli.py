@@ -13,6 +13,7 @@ from hopfseg.cli import main
 from hopfseg.desingularize import split_zero, zero_to_split
 from hopfseg.errors import SchemaError
 from hopfseg.experiments import admissible_fw, figure5_function, tuned_multizero
+from hopfseg.mobius import MobiusMap, pushforward_hopf
 from hopfseg.rational import monomial, rational
 from hopfseg.serialize import emit_function, parse_function, render_svg
 
@@ -145,13 +146,32 @@ def test_cli_index(tmp_path, capsys):
 @pytest.mark.parametrize("G", ["97", "129"])
 @pytest.mark.parametrize("name", ["z3", "fw2"])
 def test_cli_index_odd_resolution_cell_row_on_cut(tmp_path, capsys, name, G):
+    # simulate fills the grid (reconstruct's energy needs G >= 128); index
+    # counts the species as faces
     f = monomial(0.25, 3) if name == "z3" else admissible_fw(2)[0]
     p = _write_spec(tmp_path, f)
-    out = tmp_path / "out"
-    code = main(["index", "-i", str(p), "-o", str(out), "--resolution", G])
-    rep = json.loads((out / "report.json").read_text())
-    assert (rep["M"], rep["N"], rep["T"], rep["n_species"]) == (5, 5, 1, 5)
+    grid, graph = tmp_path / "grid", tmp_path / "graph"
+    assert main(["simulate", "-i", str(p), "-o", str(grid), "--resolution", G,
+                 "--samples", "256", "--mu", "100"]) == 0
+    rep = json.loads((grid / "report.json").read_text())
+    assert rep["n_species"] == 5
     assert rep["grid_fill"]["routed"] == 1
+    code = main(["index", "-i", str(p), "-o", str(graph), "--resolution", G])
+    rep = json.loads((graph / "report.json").read_text())
+    assert (rep["M"], rep["N"], rep["T"], rep["n_species"]) == (5, 5, 1, 5)
+    assert rep["clean_trace"] and "grid_fill" not in rep
+    assert code == 0
+
+
+def test_cli_index_moebius_image_of_figure5(tmp_path, capsys):
+    # at G = 128 the grid of this image reads 5 species against the 6 faces
+    # of its clean trace, which made index fail while N came from the grid
+    m = MobiusMap(alpha=0.18007644349524524 + 0.6515866563352986j, theta=3.956966454651954)
+    p = _write_spec(tmp_path, pushforward_hopf(figure5_function()[0], m))
+    out = tmp_path / "out"
+    code = main(["index", "-i", str(p), "-o", str(out), "--resolution", "128"])
+    rep = json.loads((out / "report.json").read_text())
+    assert (rep["M"], rep["N"], rep["T"], rep["clean_trace"]) == (7, 6, 2, True)
     assert code == 0
 
 
@@ -190,8 +210,12 @@ def test_cli_grid_commands_report_fill(tmp_path, capsys, command):
                  "--samples", "256", "--mu", "100"])
     assert code == 0
     rep = json.loads((out / "report.json").read_text())
-    fill = rep["grid_fill"]
-    assert fill["routed"] == 1 and fill["chords"] > 0
+    # only reconstruct and simulate fill a grid
+    if command in ("reconstruct", "simulate"):
+        fill = rep["grid_fill"]
+        assert fill["routed"] == 1 and fill["chords"] > 0
+    else:
+        assert "grid_fill" not in rep and rep["n_species"] == rep["N"] == 5
     # the graph commands report the tracer's counters; most moves are jets
     if command == "reconstruct":
         assert "diagnostics" not in rep
