@@ -20,8 +20,8 @@ from .errors import HopfSegError
 from .nodal import trace as trace_graph
 from .nodal import verify_index
 from .serialize import csv_rows, dump_report, emit_function, parse_function, render_svg
-from .states import admissibility, analytic_state, dirichlet_energy, export_grid_csv
-from .states import find_base_point, hopf_l1, reconstruct
+from .states import ENERGY_MIN_RESOLUTION, admissibility, analytic_state, dirichlet_energy
+from .states import export_grid_csv, find_base_point, hopf_l1, reconstruct
 
 COMMANDS = ("check", "reconstruct", "trace", "index", "desingularize", "simulate", "render")
 
@@ -76,6 +76,9 @@ def run(args) -> int:
         ok = rep.admissible
 
     elif args.command in ("reconstruct", "trace", "index", "render", "simulate"):
+        if args.command == "reconstruct" and args.resolution < ENERGY_MIN_RESOLUTION:
+            # reconstruct reports the energy: fail before the grid is filled
+            raise ValueError(f"energy requires resolution >= {ENERGY_MIN_RESOLUTION}")
         base = _pick_base(f, args)
         # only reconstruct and simulate read the grid; the graph commands
         # count the species as the nodal graph's faces
@@ -141,6 +144,7 @@ def run(args) -> int:
         report["sup_dist"] = res.sup_dist
         report["h1_dist"] = res.h1_dist
         report["residuals"] = [[z, v] for z, v in res.admissibility.residuals]
+        report["diagnostics"] = {"split": res.diagnostics}
         (out / "f_new.json").write_text(emit_function(res.f_new))
         base = find_base_point(res.f_new)
         st = analytic_state(res.f_new, base, resolution=args.resolution)

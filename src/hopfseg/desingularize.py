@@ -13,15 +13,18 @@ f at the zero of order n0, with no chart; branch k starts its Newton search
 from the k-th theta_k in [0, 2 pi).  Every square root in the system
 integrals is evaluated through a fixed star-shaped determination (angles
 lifted against a chart cut), so entries are branch-safe pointwise and need
-no continuation bookkeeping; a split uses one chart.  The zero that
-`hopfseg desingularize` splits, and that reduce_to_simple splits next, is
-zero_to_split's: of highest order, then the most isolated.
+no continuation bookkeeping; a split uses one chart.  The system and K
+integrals take an array of offsets, so each Newton step integrates K at
+theta and theta +- 1e-6 in one pass per kind, and keeps the converged
+step's weights.  The zero that `hopfseg desingularize` splits, and that
+reduce_to_simple splits next, is zero_to_split's: of highest order, then
+the most isolated.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -75,14 +78,15 @@ def _pow_chart(zeta, p: float, gamma_arg: float):
     return np.exp(p * (np.log(np.abs(zeta)) + 1j * _lift(np.angle(zeta), gamma_arg)))
 
 
-def _halfpow_star(zeta, w: complex, q: int, lift_w: float):
+def _halfpow_star(zeta, w, q: int, lift_w):
     """(zeta - w)^{q/2} continued from zeta = 0 along straight rays.
 
     Single valued off the radial cut {t w : t >= 1}; the constant branch
-    choice assigns angle lift_w + pi to (-w).
+    choice assigns angle lift_w + pi to (-w).  w and lift_w broadcast
+    against zeta (one w per row of zeta, say).
     """
     zeta = np.asarray(zeta, dtype=complex)
-    const = 0.5 * q * (np.log(abs(w)) + 1j * (lift_w + np.pi))
+    const = 0.5 * q * (np.log(np.abs(w)) + 1j * (lift_w + np.pi))
     return np.exp(const + 0.5 * q * np.log((zeta - w) / (-w)))
 
 
@@ -98,6 +102,7 @@ class PerturbationContext:
     gamma_arg: float
     R: int = 0
     B0: np.ndarray | None = None
+    det_fallback: bool = False   # choose_R accepted a determinant below DET_FLOOR
 
     @property
     def M(self) -> int:
@@ -114,15 +119,22 @@ class PerturbationContext:
             out = out * _halfpow_star(zeta, w, q, _lift(np.angle(w), self.gamma_arg))
         return out
 
-    def sqrt_core(self, zeta, omega0: complex):
-        """zeta^{m0/2} (zeta - omega0)^{1/2} H(zeta), chart determination."""
-        if omega0 == 0:
-            base = _pow_chart(zeta, 0.5 * (self.m0 + 1), self.gamma_arg)
+    def sqrt_core(self, zeta, omega0):
+        """zeta^{m0/2} (zeta - omega0)^{1/2} H(zeta), chart determination.
+
+        omega0 broadcasts against zeta (one offset per row, say); where it
+        is 0 the core is the plain chart branch zeta^{(m0+1)/2} H(zeta).
+        """
+        g = self.gamma_arg
+        at0 = np.asarray(omega0) == 0
+        if at0.all():
+            base = _pow_chart(zeta, 0.5 * (self.m0 + 1), g)
         else:
-            lift0 = _lift(np.angle(omega0), self.gamma_arg)
-            base = _pow_chart(zeta, 0.5 * self.m0, self.gamma_arg) * _halfpow_star(
-                zeta, omega0, 1, lift0
-            )
+            w = np.where(at0, 1.0, omega0)     # a stand-in where omega0 = 0
+            base = _pow_chart(zeta, 0.5 * self.m0, g) * _halfpow_star(
+                zeta, w, 1, _lift(np.angle(w), g))
+            if at0.any():
+                base = np.where(at0, _pow_chart(zeta, 0.5 * (self.m0 + 1), g), base)
         return base * self.H(zeta)
 
 
@@ -141,14 +153,17 @@ def _unit_integrals(g, n: int):
     return halves[:n] + halves[n:]
 
 
-def _ray_integral(ctx: PerturbationContext, endpoints, omega0: complex, powers):
+def _ray_integral(ctx: PerturbationContext, endpoints, omega0, powers):
     """2 * int_0^{w} zeta^{k} core(zeta) dzeta along the radial path to each
     entry w of the complex array endpoints, with k the entry of the integer
-    array powers.
+    array powers and the core's offset the entry of omega0 (a scalar serves
+    every entry).
     """
+    omega0 = np.broadcast_to(np.asarray(omega0, dtype=complex), np.shape(endpoints))
+
     def g(j, t):
         zeta = t * endpoints[j][:, None]
-        return ctx.sqrt_core(zeta, omega0) * zeta ** powers[j][:, None]
+        return ctx.sqrt_core(zeta, omega0[j][:, None]) * zeta ** powers[j][:, None]
 
     return 2.0 * endpoints * _unit_integrals(g, len(endpoints))
 
@@ -187,30 +202,35 @@ def make_context(f: RationalFactored, z0, gamma_arg: float | None = None) -> Per
     )
 
 
-def _limit_signs(ctx: PerturbationContext, theta: float) -> np.ndarray:
+def _limit_signs(ctx: PerturbationContext, theta) -> np.ndarray:
     """Per-ray signs of the omega0 -> 0 limit of the (zeta - omega0)^{1/2} factor.
 
     The radial cut hanging off omega0 sweeps the chart as omega0 shrinks
     along angle theta; rays whose lifted angle does not exceed the lifted
     theta pick up a factor -1 relative to the plain zeta^{1/2} chart branch.
+    An array of angles gives one row of signs per angle.
     """
     lifted = _lift(np.angle(ctx.omegas), ctx.gamma_arg)
-    return np.where(lifted <= _lift(theta, ctx.gamma_arg), -1.0, 1.0)
+    return np.where(lifted <= _lift(np.asarray(theta), ctx.gamma_arg)[..., None], -1.0, 1.0)
 
 
 def assemble_system(ctx: PerturbationContext, omega0, R: int | None = None):
     """System matrix and vector: entries are radial-path integrals to each w_j.
 
     At omega0 = 0 the entries are on the plain chart branch; _limit_signs
-    gives the limit of the omega0-system along a direction.
+    gives the limit of the omega0-system along a direction.  An array of
+    offsets omega0 gives one system per entry, stacked along the leading
+    axes, all from one pass of the kernel.
     """
     R = ctx.R if R is None else R
     M = ctx.M
+    omega0 = np.asarray(omega0, dtype=complex)
     # row j holds the ray integrals to w_j with the powers 0, R, ..., M R
-    ends = np.repeat(np.asarray(ctx.omegas, dtype=complex), M + 1)
-    rows = _ray_integral(ctx, ends, omega0, np.tile(R * np.arange(M + 1), M))
-    rows = rows.reshape(M, M + 1)
-    return rows[:, 1:], rows[:, 0]
+    ends = np.tile(np.repeat(np.asarray(ctx.omegas, dtype=complex), M + 1), omega0.size)
+    rows = _ray_integral(ctx, ends, np.repeat(omega0.ravel(), M * (M + 1)),
+                         np.tile(R * np.arange(M + 1), M * omega0.size))
+    rows = rows.reshape(omega0.shape + (M, M + 1))
+    return rows[..., 1:], rows[..., 0]
 
 
 def _normalized_det(A: np.ndarray) -> float:
@@ -241,6 +261,7 @@ def choose_R(ctx: PerturbationContext) -> int:
     if best[0] >= 1e-12:
         ctx.R = best[1]
         ctx.B0 = best[2]
+        ctx.det_fallback = True
         return ctx.R
     raise DeterminantFloor("no exponent scale R <= 64 gave a usable determinant")
 
@@ -250,44 +271,56 @@ def normalized_det(ctx: PerturbationContext, R: int) -> float:
 
 
 def solve_weights(A: np.ndarray, B: np.ndarray, B0: np.ndarray) -> np.ndarray:
-    """W = A^{-1} (B0 - B); the imaginary parts Lambda are fixed by B0 itself."""
-    if len(B) == 0:
-        return np.zeros(0, dtype=complex)
+    """W = A^{-1} (B0 - B); the imaginary parts Lambda are fixed by B0 itself.
+
+    Systems stacked along leading axes are solved in one call, and each
+    must meet the residual bound.
+    """
+    rhs = B0 - B
+    if rhs.shape[-1] == 0:
+        return np.zeros(rhs.shape, dtype=complex)
     try:
-        W = np.linalg.solve(A, B0 - B)
+        W = np.linalg.solve(A, rhs[..., None])[..., 0]
     except np.linalg.LinAlgError as exc:
         raise SingularSolve(str(exc)) from exc
-    resid = np.linalg.norm(A @ W - (B0 - B))
-    if resid > 1e-10 * max(1.0, float(np.linalg.norm(B0 - B))):
-        raise SingularSolve(f"solve residual {resid}")
+    resid = np.linalg.norm((A @ W[..., None])[..., 0] - rhs, axis=-1)
+    if np.any(resid > 1e-10 * np.maximum(1.0, np.linalg.norm(rhs, axis=-1))):
+        raise SingularSolve(f"solve residual {np.max(resid)}")
     return W
 
 
-def _weights(ctx: PerturbationContext, omega0: complex, theta: float):
-    """The weights W at omega0 = eps e^{i theta}."""
+def _K_and_weights(ctx: PerturbationContext, omega0, theta):
+    """K and the weights W at the offsets omega0 = eps e^{i theta}, one per
+    entry of the arrays omega0 and theta: one pass of the kernel for the
+    stacked systems, one stacked solve, and one pass for the K integrals."""
     A, B = assemble_system(ctx, omega0)
-    return solve_weights(A, B, _limit_signs(ctx, theta) * ctx.B0)
+    W = solve_weights(A, B, _limit_signs(ctx, theta) * ctx.B0)
+    return _K_scaled(ctx, omega0, W), W
 
 
-def K_value(ctx: PerturbationContext, eps: float, theta: float) -> float:
+def K_value(ctx: PerturbationContext, eps: float, theta):
     """Scaled real part of the primitive at the candidate simple zero.
 
     K(eps, theta) = eps^{-(m0+3)/2} * Re F(w0) / 2 with w0 = eps e^{i theta};
     at eps = 0 the closed form -|H(0)| c_{m0} sin((3+m0)/2 lift(theta) - phi)
-    with phi = -Arg H(0).
+    with phi = -Arg H(0).  A float for one angle; an array of angles gives
+    the array of their K, all from one pass (one angle is an array of one).
     """
     m0 = ctx.m0
+    thetas = np.atleast_1d(np.asarray(theta, dtype=float))
     if eps == 0.0:
         H0 = complex(ctx.H(np.array([0.0 + 0.0j]))[0])
         phi = -np.angle(H0)
-        th = _lift(theta, ctx.gamma_arg)
-        return float(-abs(H0) * beta_moment(m0) * math.sin(0.5 * (3 + m0) * th - phi))
-    omega0 = eps * np.exp(1j * theta)
-    return _K_scaled(ctx, omega0, _weights(ctx, omega0, theta))
+        th = _lift(thetas, ctx.gamma_arg)
+        K = -abs(H0) * beta_moment(m0) * np.sin(0.5 * (3 + m0) * th - phi)
+    else:
+        K = _K_and_weights(ctx, eps * np.exp(1j * thetas), thetas)[0]
+    return float(K[0]) if np.ndim(theta) == 0 else K
 
 
-def _K_scaled(ctx: PerturbationContext, omega0: complex, W) -> float:
-    """Re(i e^{i(m0+3) lift(theta)/2} * int t^{m0/2} sqrt(1-t) H(t w0) q(t w0) dt).
+def _K_scaled(ctx: PerturbationContext, omega0, W):
+    """Re(i e^{i(m0+3) lift(theta)/2} * int t^{m0/2} sqrt(1-t) H(t w0) q(t w0) dt)
+    for each entry w0 of the array omega0, with the weights of its row of W.
 
     The eps powers are factored out analytically, so the value never
     underflows however small |w0| is.
@@ -296,14 +329,14 @@ def _K_scaled(ctx: PerturbationContext, omega0: complex, W) -> float:
     lift0 = _lift(np.angle(omega0), ctx.gamma_arg)
 
     def g(j, t):
-        zeta = t * omega0
+        zeta = t * omega0[j][:, None]
         q = np.ones_like(zeta)
-        for ell, w in enumerate(W, start=1):
-            q = q + w * zeta ** (ell * ctx.R)
+        for ell in range(W.shape[-1]):
+            q = q + W[j, ell][:, None] * zeta ** ((ell + 1) * ctx.R)
         return np.power(t, 0.5 * m0) * np.sqrt(1.0 - t) * ctx.H(zeta) * q
 
-    I = _unit_integrals(g, 1)[0]
-    return float(np.real(1j * np.exp(0.5j * (m0 + 3) * lift0) * I))
+    I = _unit_integrals(g, len(omega0))
+    return np.real(1j * np.exp(0.5j * (m0 + 3) * lift0) * I)
 
 
 def limit_angles(f: RationalFactored, z0):
@@ -334,6 +367,9 @@ class DesingularizationResult:
     sup_dist: float
     h1_dist: float
     admissibility: object
+    # deterministic counters of the search: attempts, backtracks by reason,
+    # Newton passes over all attempts, the final R, and det_fallback
+    diagnostics: dict = field(default_factory=dict, compare=False)
 
     @property
     def new_zero(self) -> complex:
@@ -400,7 +436,8 @@ def split_zero(f: RationalFactored, z0, eps_target: float = 0.05, branch: int = 
     Each function gets one PathEngine, which serves both its admissibility
     check and its resolution-96 state; the split works in one chart, whose
     cut lies half a branch spacing past the branch's seed angle, and chooses
-    R once.
+    R once.  The result's diagnostics count the attempts, the backtracks by
+    reason and the Newton passes.
     """
     return _split(f, z0, eps_target, branch, eps0)[0]
 
@@ -451,27 +488,32 @@ def _split(f, z0, eps_target=0.05, branch=0, eps0=None, state=None):
     last_exc = None
     old_state = state         # built on first need, shared by every attempt
     tried_small_R = False
-    for _ in range(36):
+    backtracks = dict.fromkeys(("BranchLost", "ClosenessFailed", "RootTooCloseToBoundary"), 0)
+    passes = 0
+    for attempt in range(1, 37):
         try:
             theta = th_seed
-            K = K_value(ctx, eps, theta)
-            for _ in range(30):
-                if abs(K) <= NEWTON_TOL:
+            # one pass per step gives K at theta, its central difference, and
+            # at convergence the weights
+            for _ in range(31):
+                thetas = theta + np.array([0.0, 1e-6, -1e-6])
+                omegas = eps * np.exp(1j * thetas)
+                K, W = _K_and_weights(ctx, omegas, thetas)
+                passes += 1
+                if abs(K[0]) <= NEWTON_TOL:
                     break
-                dK = (K_value(ctx, eps, theta + 1e-6) - K_value(ctx, eps, theta - 1e-6)) / 2e-6
+                dK = (K[1] - K[2]) / 2e-6
                 if dK == 0:
                     raise BranchLost("flat K derivative")
-                step = -K / dK
+                step = -K[0] / dK
                 step = max(-0.3 * basin, min(0.3 * basin, step))
                 theta += step
                 if abs((theta - th_seed + np.pi) % (2 * np.pi) - np.pi) > basin:
                     raise BranchLost("Newton left the branch basin")
-                K = K_value(ctx, eps, theta)
-            if abs(K) > NEWTON_TOL:
-                raise BranchLost(f"Newton stalled at |K| = {abs(K)}")
+            else:
+                raise BranchLost(f"Newton stalled at |K| = {abs(K[0])}")
 
-            omega0 = eps * np.exp(1j * theta)
-            W = _weights(ctx, omega0, theta)
+            omega0, W = omegas[0], W[0]
             f_new = _assemble_f_new(ctx, omega0, W)
 
             want = (ctx.m0, 1) + tuple(ctx.qs)
@@ -493,12 +535,16 @@ def _split(f, z0, eps_target=0.05, branch=0, eps0=None, state=None):
                 f_new=f_new, z0=z0, omega0=omega0, W=tuple(W), R=ctx.R,
                 epsilon=eps, theta=theta, branch=branch,
                 sup_dist=sup, h1_dist=h1, admissibility=rep_new,
+                diagnostics={"attempts": attempt, "backtracks": backtracks,
+                             "newton_passes": passes, "R": ctx.R,
+                             "det_fallback": ctx.det_fallback},
             ), new_state
         except RootTooCloseToBoundary as exc:
             # representability failure: the weights scale like
             # eps / |w_1|^{lR+1}, so shrink hard, and prefer the
             # smallest exponent scale the determinant floor allows
             last_exc = exc
+            backtracks[type(exc).__name__] += 1
             if not tried_small_R and ctx.M and ctx.R > 1:
                 tried_small_R = True
                 if normalized_det(ctx, 1) >= DET_FLOOR:
@@ -507,6 +553,7 @@ def _split(f, z0, eps_target=0.05, branch=0, eps0=None, state=None):
             eps *= 0.25
         except (BranchLost, ClosenessFailed) as exc:
             last_exc = exc
+            backtracks[type(exc).__name__] += 1
             eps *= 0.5
     raise ClosenessFailed(f"backtracking exhausted: {last_exc}")
 

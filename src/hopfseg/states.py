@@ -38,6 +38,7 @@ ADMISSIBILITY_REL_TOL = 1e-8
 SPECIES_REL_THRESHOLD = 1e-6
 EXPONENT_ANGLES = 96             # angles per circle in local_exponent
 L1_RADII, L1_ANGLES = 128, 512   # Gauss-Legendre radii and trapezoid angles in hopf_l1
+ENERGY_MIN_RESOLUTION = 128      # the least grid resolution dirichlet_energy accepts
 # how a cell of the grid fill got its value
 FILL_TREE, FILL_CHORD, FILL_ROUTED = 1, 2, 3
 
@@ -493,8 +494,8 @@ def dirichlet_energy(state: SegregatedState) -> float:
     other side of a cut enter with flipped sign, which is the analytic
     continuation of the local branch.  Rim cells get subsampled area weights.
     """
-    if state.resolution < 128:
-        raise ValueError("energy requires resolution >= 128")
+    if state.resolution < ENERGY_MIN_RESOLUTION:
+        raise ValueError(f"energy requires resolution >= {ENERGY_MIN_RESOLUTION}")
     G = state.resolution
     h = state.h
     s = state.sre

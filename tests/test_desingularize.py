@@ -6,6 +6,7 @@ from hopfseg import desingularize
 from hopfseg.desingularize import (
     K_value,
     PerturbationContext,
+    _K_and_weights,
     _lift,
     _ray_integral,
     _split,
@@ -125,6 +126,70 @@ def test_K_limit_uniform_convergence():
     assert sups[0] > sups[-1]
 
 
+@pytest.mark.parametrize("case", ["tuned-pair", "two-top-zeros"])
+def test_K_value_on_an_array_matches_one_angle_calls(case):
+    # one pass over all the angles gives each angle's K within a few ulps of
+    # a call on that angle alone, and the same weights bit for bit; in
+    # split_zero's chart of branch 0, at M = 1 and M = 2 other zeros
+    if case == "tuned-pair":
+        f, z0 = tuned_multizero(-0.35, 0.4 + 0.1j, 2, 2), -0.35
+    else:
+        f, z0 = _two_top_zeros(), -0.45 + 0.3j
+    seeds = limit_angles(f, z0)
+    ctx = make_context(f, z0, gamma_arg=(seeds[0] + np.pi / len(seeds)) % (2 * np.pi))
+    choose_R(ctx)
+    assert ctx.M == (1 if case == "tuned-pair" else 2)
+    eps = 0.25 * abs(ctx.omegas[0])
+    thetas = seeds[0] + np.array([0.0, 1e-6, -1e-6, 0.1])
+    K = K_value(ctx, eps, thetas)
+    one = np.array([K_value(ctx, eps, t) for t in thetas])
+    assert isinstance(one[0], float) and K.shape == (4,)
+    assert np.all(np.abs(K - one) <= 4 * np.spacing(np.max(np.abs(one))))
+    omegas = eps * np.exp(1j * thetas)
+    W = _K_and_weights(ctx, omegas, thetas)[1]
+    assert W.shape == (4, ctx.M)
+    for i in range(4):
+        assert np.array_equal(W[i], _K_and_weights(ctx, omegas[i:i + 1], thetas[i:i + 1])[1][0])
+
+
+def test_reductions_take_one_integral_pass_per_system(monkeypatch):
+    # each Newton step evaluates K at theta and theta +- 1e-6 in one pass of
+    # the system integrals and one of the K integrals, and its converged
+    # weights are kept: three scalar K evaluations per step and a separate
+    # weights pass at convergence took 161 passes on these reductions; now
+    # 31 steps take 62, and choose_R and the small-R check 8 more
+    calls = []
+    unit = desingularize._unit_integrals
+    monkeypatch.setattr(desingularize, "_unit_integrals", lambda g, n: calls.append(n) or unit(g, n))
+    for f in (monomial(0.3, 2), monomial(0.25, 3), tuned_multizero(-0.35, 0.4 + 0.1j, 2, 2)):
+        assert excess_index(reduce_to_simple(f, eps_budget=8.0)) == 0
+    assert len(calls) <= 70
+
+
+def test_split_diagnostics_count_attempts_and_passes(monkeypatch):
+    # a split that converges on its first evaluation makes one attempt and
+    # one Newton pass
+    diag = split_zero(monomial(0.25, 3), 0.0, eps_target=1e9, branch=0, eps0=0.01).diagnostics
+    assert diag == {"attempts": 1, "newton_passes": 1, "R": 2, "det_fallback": False,
+                    "backtracks": {"BranchLost": 0, "ClosenessFailed": 0,
+                                   "RootTooCloseToBoundary": 0}}
+    # every failed attempt of a successful split is one backtrack
+    seen = []
+    real = desingularize._split
+
+    def logged(*args, **kw):
+        res = real(*args, **kw)
+        seen.append(res[0].diagnostics)
+        return res
+
+    monkeypatch.setattr(desingularize, "_split", logged)
+    reduce_to_simple(tuned_multizero(-0.35, 0.4 + 0.1j, 2, 2), eps_budget=8.0)
+    assert len(seen) == 2 and sum(sum(d["backtracks"].values()) for d in seen) > 0
+    for d in seen:
+        assert d["attempts"] == 1 + sum(d["backtracks"].values())
+        assert d["newton_passes"] >= d["attempts"] and d["R"] in (1, 2, 4, 8, 16, 32, 64)
+
+
 def test_solve_weights_examples():
     W = solve_weights(np.zeros((0, 0)), np.zeros(0), np.zeros(0))
     assert len(W) == 0
@@ -133,6 +198,13 @@ def test_solve_weights_examples():
     assert W[0] == pytest.approx(0.05j)
     with pytest.raises(SingularSolve):
         solve_weights(np.array([[0.0j]]), np.array([1.0 + 0j]), np.array([0.0j]))
+    # stacked systems: one solve, the same weights as one system at a time
+    A = np.array([[[2.0 + 0j, 1.0], [0.0, 4.0]], [[1.0, 0.0], [1.0j, 3.0]]])
+    B0 = np.array([0.5j, 1.0j])
+    W = solve_weights(A, np.zeros((2, 2), complex), B0)
+    assert W.shape == (2, 2)
+    for k in range(2):
+        assert np.array_equal(W[k], solve_weights(A[k], np.zeros(2, complex), B0))
 
 
 def test_weights_vanish_at_origin_split():

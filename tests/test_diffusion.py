@@ -15,9 +15,11 @@ from hopfseg.diffusion import (
     solve,
 )
 from hopfseg.errors import NoConvergence
+from hopfseg.experiments import figure5_function
+from hopfseg.mobius import MobiusMap, pushforward_hopf
 from hopfseg.nodal import Arc, NodalGraph, trace
 from hopfseg.rational import monomial, rational
-from hopfseg.states import reconstruct
+from hopfseg.states import find_base_point, reconstruct
 
 
 @pytest.fixture(scope="module")
@@ -335,3 +337,16 @@ def test_stalled_cycle_raises(monkeypatch):
     monkeypatch.setattr(diffusion, "MAX_COARSE_COUPLING", np.inf)
     with pytest.raises(NoConvergence, match=r"cycle \d+ did not lower the residual"):
         solve(_z3_config(48), mu=1e6)
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 4, second half: boundary_from_state labels "
+                   "the rim arcs from the grid, whose species count at G=128 misses a face here")
+def test_boundary_data_has_one_row_per_face_on_a_moebius_image_of_figure5():
+    # the clean trace of this image has 6 faces (test_cli_index_moebius_image_of_figure5),
+    # but the grid at G=128 reads 5 species, so 5 rows of boundary data
+    m = MobiusMap(alpha=0.18007644349524524 + 0.6515866563352986j, theta=3.956966454651954)
+    f = pushforward_hopf(figure5_function()[0], m)
+    st = reconstruct(f, find_base_point(f), resolution=128)
+    g = trace(st)
+    assert g.clean and g.N == 6
+    assert boundary_from_state(st).g.shape[0] == g.N

@@ -238,6 +238,15 @@ def test_cli_desingularize(tmp_path, capsys):
     assert (out / "f_new.svg").exists()
     rep = json.loads((out / "report.json").read_text())
     assert rep["epsilon"] == 0.01
+    # the split converges on its first Newton pass, and its counters keep
+    # the report byte-deterministic
+    assert rep["diagnostics"]["split"] == {
+        "attempts": 1, "newton_passes": 1, "R": 2, "det_fallback": False,
+        "backtracks": {"BranchLost": 0, "ClosenessFailed": 0, "RootTooCloseToBoundary": 0}}
+    again = tmp_path / "again"
+    main(["desingularize", "-i", str(p), "-o", str(again), "--eps", "0.01", "--branch", "0",
+          "--resolution", "128"])
+    assert (again / "report.json").read_bytes() == (out / "report.json").read_bytes()
 
 
 def test_cli_desingularize_splits_the_zero_a_reduction_splits(tmp_path, capsys):
@@ -261,6 +270,23 @@ def test_cli_deterministic_bytes(tmp_path, capsys):
     main(["trace", "-i", str(p), "-o", str(out2), "--resolution", "128"])
     assert (out1 / "graph.json").read_bytes() == (out2 / "graph.json").read_bytes()
     assert (out1 / "report.json").read_bytes() == (out2 / "report.json").read_bytes()
+
+
+def test_cli_reconstruct_below_the_energy_resolution_fills_no_grid(tmp_path, capsys, monkeypatch):
+    # reconstruct reports the grid energy, which needs G >= 128: the command
+    # fails before it builds a state, and writes no grid.csv
+    def never(*args, **kw):
+        raise AssertionError("no state below the energy resolution")
+
+    monkeypatch.setattr(cli, "reconstruct", never)
+    monkeypatch.setattr(cli, "analytic_state", never)
+    out = tmp_path / "out"
+    code = main(["reconstruct", "-i", str(_write_spec(tmp_path, monomial(0.25, 3))), "-o",
+                 str(out), "--resolution", "97"])
+    assert code == 1
+    rep = json.loads((out / "report.json").read_text())
+    assert rep == {"error": "ValueError", "message": "energy requires resolution >= 128"}
+    assert not (out / "grid.csv").exists()
 
 
 def test_cli_schema_error_exit(tmp_path, capsys):
