@@ -6,7 +6,7 @@ import argparse
 from hopfseg.diffusion import boundary_from_state, interface_distance, solve
 from hopfseg.nodal import trace
 from hopfseg.rational import monomial, rational
-from hopfseg.states import reconstruct
+from hopfseg.states import analytic_state
 
 
 def main():
@@ -17,9 +17,9 @@ def main():
     args = ap.parse_args()
 
     f = rational(0.25) if args.species == 2 else monomial(0.25, 3)
-    st = reconstruct(f, 0.0, resolution=args.resolution)
+    st = analytic_state(f, 0.0, resolution=args.resolution)
     graph = trace(st)
-    cfg = boundary_from_state(st, samples=512)
+    cfg = boundary_from_state(st, graph, samples=512)
     print(f"{args.species}-species data at resolution {args.resolution}")
     print(f"{'mu':>10} {'cycles':>7} {'sweeps':>7} {'residual':>10} {'defect':>12} "
           f"{'interface (cells)':>18}")

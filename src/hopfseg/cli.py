@@ -80,9 +80,9 @@ def run(args) -> int:
             # reconstruct reports the energy: fail before the grid is filled
             raise ValueError(f"energy requires resolution >= {ENERGY_MIN_RESOLUTION}")
         base = _pick_base(f, args)
-        # only reconstruct and simulate read the grid; the graph commands
-        # count the species as the nodal graph's faces
-        grid = args.command in ("reconstruct", "simulate")
+        # only reconstruct fills the grid; the graph commands count the
+        # species as the nodal graph's faces
+        grid = args.command == "reconstruct"
         st = (reconstruct if grid else analytic_state)(f, base, resolution=args.resolution)
         report["base"] = base
         report["criticals"] = [
@@ -92,7 +92,6 @@ def run(args) -> int:
         if grid:
             report["n_species"] = st.n_species
             report["grid_fill"] = {"routed": st.routed, "chords": st.chords}
-        if args.command == "reconstruct":
             report["dirichlet_energy"] = dirichlet_energy(st)
             report["hopf_l1"] = hopf_l1(f)
             export_grid_csv(st, out / "grid.csv")
@@ -100,8 +99,7 @@ def run(args) -> int:
         else:
             g = trace_graph(st)
             rep = verify_index(g)
-            if not grid:
-                report["n_species"] = g.N
+            report["n_species"] = g.N
             report["M"], report["N"], report["T"] = g.M, g.N, g.T
             report["index_sum"] = rep.index_sum
             report["euler_check"] = rep.euler_check
@@ -116,8 +114,12 @@ def run(args) -> int:
             elif args.command == "render":
                 (out / "state.svg").write_text(render_svg(graph=g))
                 report["artifacts"] = ["state.svg"]
+            elif args.command == "simulate" and not g.clean:
+                # the species are the trace's faces: an unclean trace gives
+                # no partition to take boundary data from
+                ok = False
             elif args.command == "simulate":
-                cfg = diffusion.boundary_from_state(st, samples=args.samples)
+                cfg = diffusion.boundary_from_state(st, g, samples=args.samples)
                 fld = diffusion.solve(cfg, mu=args.mu)
                 report["mu"] = args.mu
                 report["sweeps"] = fld.sweeps

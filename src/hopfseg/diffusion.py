@@ -1,12 +1,12 @@
 """Competition-diffusion system on the disk and cross-validation of states.
 
--Delta u_j = -mu u_j sum_{k != j} u_k with Dirichlet data from a segregated
-state's boundary trace.  Embedded-boundary 5-point Laplacian on a
-cell-centred Cartesian grid, solved by full approximation scheme (FAS)
-multigrid (Brandt, Math. Comp. 1977) over the grids G, (G+1)//2, ..., with
-red-black Gauss-Seidel, the coupling frozen per sweep (monotone for this
-sign structure), as the smoother; as mu grows the argmax partition
-converges to the analytic nodal partition.
+-Delta u_j = -mu u_j sum_{k != j} u_k with Dirichlet data from a state's
+boundary trace, split among the faces of its nodal graph.  Embedded-boundary
+5-point Laplacian on a cell-centred Cartesian grid, solved by full
+approximation scheme (FAS) multigrid (Brandt, Math. Comp. 1977) over the
+grids G, (G+1)//2, ..., with red-black Gauss-Seidel, the coupling frozen per
+sweep (monotone for this sign structure), as the smoother; as mu grows the
+argmax partition converges to the analytic nodal partition.
 """
 
 from __future__ import annotations
@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoConvergence
-from .nodal import NodalGraph, boundary_zeros
-from .states import SegregatedState
+from .nodal import NodalGraph, boundary_zeros, faces
+from .states import AnalyticState
 
 SWEEP_TOL = 1e-8             # bound on the scaled residual (see solve)
 MAX_CYCLES = 100
@@ -58,49 +58,32 @@ class DiffusionField:
     resolution: int
 
 
-def boundary_from_state(state: SegregatedState, samples: int = 1024) -> DiffusionConfig:
-    """Per-species boundary data: U on the species' boundary arcs, 0 elsewhere.
+def boundary_from_state(state: AnalyticState, graph: NodalGraph,
+                        samples: int = 1024) -> DiffusionConfig:
+    """Per-species boundary data: U on the species' rim pieces, 0 elsewhere.
 
-    Arcs between consecutive boundary zeros each belong to one species
-    (looked up from the state labels slightly inside the rim); disjointness
-    is then exact by construction.
+    The species are the faces of graph, the nodal trace of state
+    (nodal.faces).  Each rim piece between consecutive boundary zeros bounds
+    one face, the one on the left of the piece run counterclockwise; the
+    species are numbered in the order their first piece comes,
+    counterclockwise from the first boundary zero, and a face off the rim
+    keeps a row of zeros.  Disjointness is exact by construction.
     """
     th, vals = state.engine.boundary_values(samples)
     u_bd = np.abs(vals.real)
     bz = boundary_zeros(state)
-    n = state.n_species
-    g = np.zeros((n, samples))
+    g = np.zeros((graph.N, samples))
     if not bz:
         # positive trace everywhere; single species on the whole rim
         g[0] = u_bd
         return DiffusionConfig(g=g, resolution=state.resolution)
-
-    G = state.resolution
-
-    def label_at(angle):
-        for depth in (3.0, 5.0, 8.0, 12.0):
-            z = (1.0 - depth / G) * np.exp(1j * angle)
-            ix = int(np.clip((z.real + 1.0) / state.h, 0, G - 1))
-            iy = int(np.clip((z.imag + 1.0) / state.h, 0, G - 1))
-            lab = state.species[iy, ix]
-            if lab > 0:
-                return lab
-        return 0
-
-    arcs = []
-    for i, a in enumerate(bz):
-        b = bz[(i + 1) % len(bz)]
-        if i == len(bz) - 1:
-            b += 2 * np.pi
-        arcs.append((a, b, label_at(0.5 * (a + b))))
-
-    for k, t in enumerate(th):
-        tt = t if t >= bz[0] else t + 2 * np.pi
-        for a, b, lab in arcs:
-            if a <= tt < b:
-                if lab > 0:
-                    g[lab - 1, k] = u_bd[k]
-                break
+    face_of = {d: i for i, cycle in enumerate(faces(graph.vertices, graph.arcs)) for d in cycle}
+    species = {}
+    lab = np.array([species.setdefault(face_of[(len(graph.arcs) + j, True)], len(species))
+                    for j in range(len(bz))])
+    # sample k lies on piece j from bz[j] to bz[j + 1]; -1 wraps to the last
+    piece = np.searchsorted(bz, th, side="right") - 1
+    g[lab[piece], np.arange(samples)] = u_bd
     return DiffusionConfig(g=g, resolution=state.resolution)
 
 

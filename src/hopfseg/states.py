@@ -3,8 +3,9 @@
 A state has an analytic part (AnalyticState): f, its base point and slit
 disk, the PathEngine, the criticals and residuals from the admissibility
 test, the boundary scale and the resolution G, which sets the nodal
-tracer's scale.  analytic_state builds it; the nodal tracer and the graph
-commands need nothing more.  reconstruct adds the grid (SegregatedState).
+tracer's scale.  analytic_state builds it; the nodal tracer, the graph
+commands and the diffusion data, whose species are the traced faces, need
+nothing more.  reconstruct adds the grid (SegregatedState).
 
 The grid fill samples F at the cell centres in passes linear in the number
 of cells.  An east or south step between inside cells is usable when it

@@ -30,6 +30,7 @@ from hopfseg.rational import monomial, order_at, rational, winding_count
 from hopfseg.slits import build_slit_disk
 from hopfseg.states import (
     admissibility,
+    analytic_state,
     dirichlet_energy,
     find_base_point,
     hopf_l1,
@@ -192,9 +193,9 @@ def test_criterion_8_diffusion_cross_validation():
     ok = True
     for f, n_exp in ((rational(0.25), 2), (monomial(0.25, 3), 5)):
         t0 = time.time()
-        st = reconstruct(f, 0.0, resolution=256)
+        st = analytic_state(f, 0.0, resolution=256)
         g = trace(st)
-        cfg = boundary_from_state(st, samples=1024)
+        cfg = boundary_from_state(st, g, samples=1024)
         assert cfg.g.shape[0] == n_exp
         fld = solve(cfg, mu=1e4)
         dist = interface_distance(fld, g)
@@ -202,8 +203,8 @@ def test_criterion_8_diffusion_cross_validation():
         ok &= dist <= 2.0 and elapsed < 120.0
         results.append(f"N={n_exp}: dist={dist:.2f} cells t={elapsed:.0f}s")
         # monotone segregation defect over the mu sweep (coarser grid)
-        st_c = reconstruct(f, 0.0, resolution=128)
-        cfg_c = boundary_from_state(st_c, samples=512)
+        st_c = analytic_state(f, 0.0, resolution=128)
+        cfg_c = boundary_from_state(st_c, trace(st_c), samples=512)
         defects = [solve(cfg_c, mu=mu).defect for mu in (1e2, 1e3, 1e4)]
         ok &= defects[0] > defects[1] > defects[2]
         results.append(f"defects {defects[0]:.2e}>{defects[1]:.2e}>{defects[2]:.2e}")

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -5,6 +7,7 @@ from scipy.sparse.linalg import splu, spsolve
 from scipy.spatial import cKDTree
 
 from hopfseg import diffusion
+from hopfseg.cli import main
 from hopfseg.diffusion import (
     SWEEP_TOL,
     DiffusionConfig,
@@ -17,14 +20,20 @@ from hopfseg.diffusion import (
 from hopfseg.errors import NoConvergence
 from hopfseg.experiments import figure5_function
 from hopfseg.mobius import MobiusMap, pushforward_hopf
-from hopfseg.nodal import Arc, NodalGraph, trace
+from hopfseg.nodal import Arc, NodalGraph, boundary_zeros, trace
 from hopfseg.rational import monomial, rational
-from hopfseg.states import find_base_point, reconstruct
+from hopfseg.serialize import emit_function
+from hopfseg.states import analytic_state, find_base_point
 
 
 @pytest.fixture(scope="module")
 def half_disk_state():
-    return reconstruct(rational(0.25), 0.0, resolution=128)
+    return analytic_state(rational(0.25), 0.0, resolution=128)
+
+
+@pytest.fixture(scope="module")
+def half_disk_graph(half_disk_state):
+    return trace(half_disk_state)
 
 
 def test_config_invariants():
@@ -63,8 +72,8 @@ def test_harmonic_constant_data():
     assert np.abs(fld.u[0][fld.inside] - 1.0).max() < 1e-4
 
 
-def test_mu_zero_decouples(half_disk_state):
-    cfg = boundary_from_state(half_disk_state, samples=256)
+def test_mu_zero_decouples(half_disk_state, half_disk_graph):
+    cfg = boundary_from_state(half_disk_state, half_disk_graph, samples=256)
     fld = solve(cfg, mu=0.0)
     # each species solves an independent Dirichlet problem: u1 approximates
     # the harmonic extension of max(cos, 0), compare at the center
@@ -75,8 +84,8 @@ def test_mu_zero_decouples(half_disk_state):
     assert total == pytest.approx(2 / np.pi, rel=0.05)
 
 
-def test_boundary_from_state_halves(half_disk_state):
-    cfg = boundary_from_state(half_disk_state, samples=512)
+def test_boundary_from_state_halves(half_disk_state, half_disk_graph):
+    cfg = boundary_from_state(half_disk_state, half_disk_graph, samples=512)
     th = 2 * np.pi * np.arange(512) / 512
     # one species owns the cos > 0 arc, the other the cos < 0 arc
     right = [j for j in range(2) if cfg.g[j][0] > 0]
@@ -89,8 +98,8 @@ def test_boundary_from_state_halves(half_disk_state):
 
 
 def test_boundary_from_state_cubic_bumps():
-    st = reconstruct(monomial(0.25, 3), 0.0, resolution=128)
-    cfg = boundary_from_state(st, samples=640)
+    st = analytic_state(monomial(0.25, 3), 0.0, resolution=128)
+    cfg = boundary_from_state(st, trace(st), samples=640)
     assert cfg.g.shape[0] == 5
     th = 2 * np.pi * np.arange(640) / 640
     assert np.allclose(cfg.g.sum(axis=0), np.abs(0.4 * np.cos(2.5 * th)), atol=1e-6)
@@ -98,20 +107,26 @@ def test_boundary_from_state_cubic_bumps():
     for j in range(5):
         frac = (cfg.g[j] > 0).mean()
         assert frac == pytest.approx(0.2, abs=0.02)
+    # species 1 owns the rim piece after the first boundary zero, and the
+    # rest follow counterclockwise
+    bz = boundary_zeros(st)
+    for j in range(4):
+        piece = (th > bz[j]) & (th < bz[j + 1])
+        assert piece.any() and np.all(cfg.g[j, piece] > 0)
 
 
-def test_maximum_principle(half_disk_state):
-    cfg = boundary_from_state(half_disk_state, samples=256)
+def test_maximum_principle(half_disk_state, half_disk_graph):
+    cfg = boundary_from_state(half_disk_state, half_disk_graph, samples=256)
     fld = solve(cfg, mu=100.0)
     for j in range(2):
         assert fld.u[j].min() >= 0.0
         assert fld.u[j].max() <= cfg.g[j].max() + 1e-9
 
 
-def test_superharmonic_difference(half_disk_state):
+def test_superharmonic_difference(half_disk_state, half_disk_graph):
     # sum_k u_k - 2 u_j is discretely superharmonic away from the embedded
     # boundary ring (rim stencils see the raw Dirichlet data)
-    cfg = boundary_from_state(half_disk_state, samples=256)
+    cfg = boundary_from_state(half_disk_state, half_disk_graph, samples=256)
     fld = solve(cfg, mu=1000.0)
     G = fld.resolution
     h = 2.0 / G
@@ -129,29 +144,27 @@ def test_superharmonic_difference(half_disk_state):
         assert lap[core].max() <= 1e-6
 
 
-def test_interface_matches_diameter(half_disk_state):
-    cfg = boundary_from_state(half_disk_state, samples=512)
+def test_interface_matches_diameter(half_disk_state, half_disk_graph):
+    cfg = boundary_from_state(half_disk_state, half_disk_graph, samples=512)
     fld = solve(cfg, mu=1e4)
     pts = interface_cells(fld)
     assert len(pts) > 0
     assert np.abs(pts[:, 0]).max() < 3 * (2 / fld.resolution)
-    g = trace(half_disk_state)
-    d = interface_distance(fld, g)
+    d = interface_distance(fld, half_disk_graph)
     assert d <= 2.0
 
 
-def test_defect_decreases_with_mu(half_disk_state):
-    cfg = boundary_from_state(half_disk_state, samples=256)
+def test_defect_decreases_with_mu(half_disk_state, half_disk_graph):
+    cfg = boundary_from_state(half_disk_state, half_disk_graph, samples=256)
     defects = [solve(cfg, mu=mu).defect for mu in (1e2, 1e3, 1e4)]
     assert defects[0] > defects[1] > defects[2]
 
 
-def test_identical_partitions_zero_distance(half_disk_state):
-    g = trace(half_disk_state)
-    cfg = boundary_from_state(half_disk_state, samples=512)
+def test_identical_partitions_zero_distance(half_disk_state, half_disk_graph):
+    cfg = boundary_from_state(half_disk_state, half_disk_graph, samples=512)
     fld = solve(cfg, mu=1e4)
-    d1 = interface_distance(fld, g)
-    d2 = interface_distance(fld, g)
+    d1 = interface_distance(fld, half_disk_graph)
+    d2 = interface_distance(fld, half_disk_graph)
     assert d1 == d2  # deterministic
 
 
@@ -339,14 +352,21 @@ def test_stalled_cycle_raises(monkeypatch):
         solve(_z3_config(48), mu=1e6)
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 4, second half: boundary_from_state labels "
-                   "the rim arcs from the grid, whose species count at G=128 misses a face here")
-def test_boundary_data_has_one_row_per_face_on_a_moebius_image_of_figure5():
+def test_boundary_data_has_one_row_per_face_on_a_moebius_image_of_figure5(tmp_path, capsys):
     # the clean trace of this image has 6 faces (test_cli_index_moebius_image_of_figure5),
-    # but the grid at G=128 reads 5 species, so 5 rows of boundary data
+    # but the grid at G=128 reads 5 species: rim labels from the faces give
+    # each face its data, and simulate solves for 6 species
     m = MobiusMap(alpha=0.18007644349524524 + 0.6515866563352986j, theta=3.956966454651954)
     f = pushforward_hopf(figure5_function()[0], m)
-    st = reconstruct(f, find_base_point(f), resolution=128)
+    st = analytic_state(f, find_base_point(f), resolution=128)
     g = trace(st)
     assert g.clean and g.N == 6
-    assert boundary_from_state(st).g.shape[0] == g.N
+    cfg = boundary_from_state(st, g)
+    assert cfg.g.shape[0] == g.N and np.all(cfg.g.max(axis=1) > 0)
+    p, out = tmp_path / "f.json", tmp_path / "out"
+    p.write_text(emit_function(f))
+    assert main(["simulate", "-i", str(p), "-o", str(out), "--resolution", "128",
+                 "--samples", "512"]) == 0
+    assert json.loads((out / "report.json").read_text())["n_species"] == 6
+    header = (out / "fields.csv").read_text().split("\n", 1)[0]
+    assert header == "x,y," + ",".join(f"u{j}" for j in range(1, 7))

@@ -146,16 +146,16 @@ def test_cli_index(tmp_path, capsys):
 @pytest.mark.parametrize("G", ["97", "129"])
 @pytest.mark.parametrize("name", ["z3", "fw2"])
 def test_cli_index_odd_resolution_cell_row_on_cut(tmp_path, capsys, name, G):
-    # simulate fills the grid (reconstruct's energy needs G >= 128); index
-    # counts the species as faces
+    # the library call fills the grid (the reconstruct command's energy needs
+    # G >= 128); index counts the species as faces
+    from hopfseg.states import find_base_point, reconstruct
+
     f = monomial(0.25, 3) if name == "z3" else admissible_fw(2)[0]
+    st = reconstruct(f, find_base_point(f), resolution=int(G))
+    assert st.n_species == 5
+    assert st.routed == 1
     p = _write_spec(tmp_path, f)
-    grid, graph = tmp_path / "grid", tmp_path / "graph"
-    assert main(["simulate", "-i", str(p), "-o", str(grid), "--resolution", G,
-                 "--samples", "256", "--mu", "100"]) == 0
-    rep = json.loads((grid / "report.json").read_text())
-    assert rep["n_species"] == 5
-    assert rep["grid_fill"]["routed"] == 1
+    graph = tmp_path / "graph"
     code = main(["index", "-i", str(p), "-o", str(graph), "--resolution", G])
     rep = json.loads((graph / "report.json").read_text())
     assert (rep["M"], rep["N"], rep["T"], rep["n_species"]) == (5, 5, 1, 5)
@@ -187,6 +187,15 @@ def test_cli_index_unclean_trace_fails(tmp_path, capsys, monkeypatch):
     assert rep["clean_trace"] is False
     assert rep["formula_check"] and rep["euler_check"]
     assert code == 1
+    # simulate takes its species from the trace's faces, so it fails too,
+    # before the solve
+    sim = tmp_path / "sim"
+    code = main(["simulate", "-i", str(p), "-o", str(sim), "--resolution", "128",
+                 "--samples", "256", "--mu", "100"])
+    rep = json.loads((sim / "report.json").read_text())
+    assert rep["clean_trace"] is False and "sweeps" not in rep
+    assert not (sim / "fields.csv").exists()
+    assert code == 1
 
 
 def test_cli_reconstruct_artifacts(tmp_path, capsys):
@@ -210,8 +219,8 @@ def test_cli_grid_commands_report_fill(tmp_path, capsys, command):
                  "--samples", "256", "--mu", "100"])
     assert code == 0
     rep = json.loads((out / "report.json").read_text())
-    # only reconstruct and simulate fill a grid
-    if command in ("reconstruct", "simulate"):
+    # only reconstruct fills a grid
+    if command == "reconstruct":
         fill = rep["grid_fill"]
         assert fill["routed"] == 1 and fill["chords"] > 0
     else:
