@@ -125,6 +125,8 @@ def run(args) -> int:
                 report["sweeps"] = fld.sweeps
                 report["cycles"] = fld.cycles
                 report["residual"] = fld.residual
+                report["diagnostics"]["solve"] = {"level_sweeps": list(fld.level_sweeps),
+                                                  "coarsest_visits": fld.coarsest_visits}
                 report["segregation_defect"] = fld.defect
                 report["interface_distance_cells"] = diffusion.interface_distance(fld, g)
                 _export_fields_csv(fld, out / "fields.csv")

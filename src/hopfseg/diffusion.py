@@ -56,6 +56,8 @@ class DiffusionField:
     sweeps: int            # red-black sweeps on all grid levels
     cycles: int            # the nested first pass and the F-cycles after it
     resolution: int
+    level_sweeps: tuple = ()   # the sweeps on each grid level, finest first
+    coarsest_visits: int = 0   # coarsest-grid solves (_coarsest calls)
 
 
 def boundary_from_state(state: AnalyticState, graph: NodalGraph,
@@ -103,7 +105,9 @@ def _boundary_value_grid(config: DiffusionConfig, G: int):
 
 class _Level:
     """One grid of the hierarchy: padded (G+2)^2 cells, Dirichlet values in
-    the cells outside the disk, and the four red-black sub-blocks."""
+    the cells outside the disk, the sweeps and coarsest-grid visits made on
+    it, each species' offset in the flat u, and per colour, red ((r + c) even)
+    then black, the flat indices of its inside cells and N, S, W, E neighbours."""
 
     def __init__(self, config: DiffusionConfig, G: int):
         bvals, inside, h = _boundary_value_grid(config, G)
@@ -112,21 +116,12 @@ class _Level:
         self.inside = inside
         self.core = inside[1:-1, 1:-1]
         self.u0 = np.where(inside[None], 0.0, bvals)
-
-        def block(r0, c0):
-            rows = slice(r0, G + 1, 2)
-            cols = slice(c0, G + 1, 2)
-            nbs = (
-                (slice(None), slice(r0 - 1, G, 2), cols),
-                (slice(None), slice(r0 + 1, G + 2, 2), cols),
-                (slice(None), rows, slice(c0 - 1, G, 2)),
-                (slice(None), rows, slice(c0 + 1, G + 2, 2)),
-            )
-            return (slice(None), rows, cols), nbs, inside[rows, cols][None]
-
-        # red, red, black, black; a block with no inside cell is skipped
-        self.blocks = [b for b in (block(1, 1), block(2, 2), block(1, 2), block(2, 1))
-                       if b[2].any()]
+        self.sweeps = self.visits = 0
+        P = G + 2
+        r, c = np.nonzero(inside)
+        self.species = P * P * np.arange(len(bvals))[:, None]
+        self.colours = [(r * P + c)[(r + c) % 2 == k] + np.array([[0], [-P], [P], [-1], [1]])
+                        for k in (0, 1)]
 
 
 def _hierarchy(config: DiffusionConfig, mu: float):
@@ -180,20 +175,25 @@ def _restrict(a, down):
 def _smooth(u, b, lev, mu, sweeps):
     """Red-black Gauss-Seidel on (4 + mu h^2 sum_{k!=j} u_k) u_j - nb_j = b_j
     with the coupling frozen per sweep; b is the h^2-scaled FAS right-hand
-    side (None for zero).  The update of a non-negative iterate with
-    non-negative nb_j + b_j is non-negative; the clamp covers the rest."""
+    side (None for zero), u and b C-contiguous.  A colour's neighbours are all
+    of the other colour, so a half-sweep is one gather, the update and one
+    scatter.  The update is non-negative where nb_j + b_j is; the clamp
+    covers the rest."""
     mh2 = mu * lev.h2
+    lev.sweeps += sweeps
     for _ in range(sweeps):
-        total = u.sum(axis=0)
-        for sub, nbs, ins in lev.blocks:
-            nb = u[nbs[0]] + u[nbs[1]] + u[nbs[2]] + u[nbs[3]]
+        total = u.sum(axis=0).ravel()
+        for nbs in lev.colours:
+            old, n, s, w, e = u.reshape(len(u), -1).take(nbs, axis=1).transpose(1, 0, 2)
+            new = n + s
+            new += w
+            new += e
             if b is not None:
-                nb += b[sub]
-            old = u[sub]
-            coupling = total[sub[1], sub[2]][None] - old
-            new = nb / (4.0 + mh2 * np.maximum(coupling, 0.0))
+                new += b.reshape(len(b), -1).take(nbs[0], axis=1)
+            coupling = total.take(nbs[0]) - old
+            new /= 4.0 + mh2 * np.maximum(coupling, 0.0, out=coupling)
             np.maximum(new, 0.0, out=new)
-            u[sub] = np.where(ins, new, old)
+            u.reshape(-1)[(lev.species + nbs[0]).ravel()] = new.ravel()
 
 
 def _residual(u, b, lev, mu):
@@ -221,7 +221,8 @@ def _scaled_residual(u, b, lev, mu):
 def _coarsest(u, b, lev, mu):
     """Sweep the coarsest grid until its scaled residual falls by
     COARSE_REDUCTION, at most 4 G^2 sweeps (Gauss-Seidel needs O(G^2) sweeps
-    to reduce the smoothest error by a fixed factor); returns the sweeps."""
+    to reduce the smoothest error by a fixed factor)."""
+    lev.visits += 1
     target = COARSE_REDUCTION * _scaled_residual(u, b, lev, mu)
     sweeps = 0
     while sweeps < 4 * lev.G * lev.G:
@@ -229,15 +230,14 @@ def _coarsest(u, b, lev, mu):
         sweeps += COARSE_CHUNK
         if _scaled_residual(u, b, lev, mu) <= target:
             break
-    return sweeps
 
 
 def _cycle(levels, k, u, b, mu, v_only=False):
-    """One FAS F-cycle (V-cycle if v_only) on level k, updating u in place;
-    returns the sweeps made on all levels."""
+    """One FAS F-cycle (V-cycle if v_only) on level k, updating u in place."""
     lev = levels[k]
     if k == len(levels) - 1:
-        return _coarsest(u, b, lev, mu)
+        _coarsest(u, b, lev, mu)
+        return
     _smooth(u, b, lev, mu, SMOOTHING_SWEEPS)
     r, _ = _residual(u, b, lev, mu)
     coarse = levels[k + 1]
@@ -246,16 +246,14 @@ def _cycle(levels, k, u, b, mu, v_only=False):
     # FAS right-hand side A_H(R u) + R(r), h_H^2-scaled (h_H / h = G / G_H)
     rc, _ = _residual(uc, None, coarse, mu)
     bc = (lev.G / coarse.G) ** 2 * _restrict(r, lev.down) - rc
-    sweeps = 2 * SMOOTHING_SWEEPS
     if not v_only:
-        sweeps += _cycle(levels, k + 1, uc, bc, mu)
-    sweeps += _cycle(levels, k + 1, uc, bc, mu, v_only=True)
+        _cycle(levels, k + 1, uc, bc, mu)
+    _cycle(levels, k + 1, uc, bc, mu, v_only=True)
     e = np.where(coarse.inside[None], uc - start, 0.0)
     core = u[:, 1:-1, 1:-1]
     core[:, lev.core] += (lev.up @ e @ lev.up.T)[:, lev.core]
     np.maximum(core, 0.0, out=core)
     _smooth(u, b, lev, mu, SMOOTHING_SWEEPS)
-    return sweeps
 
 
 def solve(config: DiffusionConfig, mu: float) -> DiffusionField:
@@ -281,13 +279,13 @@ def solve(config: DiffusionConfig, mu: float) -> DiffusionField:
 
     # nested iteration: solve the coarsest grid, then one cycle per finer grid
     u = levels[-1].u0.copy()
-    sweeps = _coarsest(u, None, levels[-1], mu)
+    _coarsest(u, None, levels[-1], mu)
     for k in range(len(levels) - 2, -1, -1):
         lev = levels[k]
         fine = lev.u0.copy()
         fine[:, 1:-1, 1:-1][:, lev.core] = np.maximum((lev.up @ u @ lev.up.T)[:, lev.core], 0.0)
         u = fine
-        sweeps += _cycle(levels, k, u, None, mu)
+        _cycle(levels, k, u, None, mu)
 
     lev = levels[0]
     res = _scaled_residual(u, None, lev, mu)
@@ -296,7 +294,7 @@ def solve(config: DiffusionConfig, mu: float) -> DiffusionField:
         if cycles >= MAX_CYCLES:
             raise NoConvergence(f"residual {res:.3e} > {SWEEP_TOL:g} after "
                                 f"{cycles} cycles, the cap")
-        sweeps += _cycle(levels, 0, u, None, mu)
+        _cycle(levels, 0, u, None, mu)
         cycles += 1
         prev, res = res, _scaled_residual(u, None, lev, mu)
         if not res < prev:
@@ -306,9 +304,11 @@ def solve(config: DiffusionConfig, mu: float) -> DiffusionField:
     total = u.sum(axis=0)
     cross = 0.5 * (total * total - np.sum(u * u, axis=0))
     defect = float(np.sum(cross[lev.inside]) * lev.h2)
+    level_sweeps = tuple(lv.sweeps for lv in levels)
     return DiffusionField(
         u=u[:, 1:-1, 1:-1], inside=lev.core, residual=res,
-        defect=defect, sweeps=sweeps, cycles=cycles, resolution=lev.G,
+        defect=defect, sweeps=sum(level_sweeps), cycles=cycles, resolution=lev.G,
+        level_sweeps=level_sweeps, coarsest_visits=levels[-1].visits,
     )
 
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CutSearchFailed, Unreachable
-from .rational import AT_ROOT_TOL, RationalFactored
+from .rational import AT_ROOT_TOL, ROOT_MERGE_TOL, RationalFactored
 
 GOLDEN_ANGLE = np.pi * (3.0 - np.sqrt(5.0))
 CUT_CLEARANCE = 1e-6
@@ -195,6 +195,10 @@ def build_slit_disk(f: RationalFactored, base, preferred_dirs=None) -> SlitDisk:
 
 
 def _detour_radius(cut: Cut, slit: SlitDisk, f: RationalFactored) -> float:
+    """Radius of the detour nodes round cut's anchor: 1e-4, or a fifth of the
+    anchor's distance to the nearest other cut or root where that is less,
+    so that the nodes clear their neighbours however close those lie.
+    Raises Unreachable where it would fall below the merge scale."""
     r = 1e-4
     for other in slit.cuts:
         if other is cut:
@@ -204,7 +208,11 @@ def _detour_radius(cut: Cut, slit: SlitDisk, f: RationalFactored) -> float:
     for root, _ in f.interior_roots:
         if root != cut.anchor:
             r = min(r, 0.2 * abs(root - cut.anchor))
-    return max(r, 1e-7)
+    if r < ROOT_MERGE_TOL:
+        raise Unreachable(f"the cut at {cut.anchor} lies {5 * r:.3g} from another cut or "
+                          f"root: its detour radius {r:.3g} is below the merge scale "
+                          f"{ROOT_MERGE_TOL:g}")
+    return r
 
 
 def _visible(p, q, cuts) -> bool:

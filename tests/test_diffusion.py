@@ -329,6 +329,69 @@ def test_odd_grids_coarsen_like_even_ones():
             assert solve(_z3_config(G), mu).sweeps <= 1.25 * solve(_z3_config(G - 1), mu).sweeps
 
 
+def _smooth_reference(u, b, lev, mu, sweeps):
+    """_smooth one cell and one species at a time: the red cells ((r + c)
+    even) row by row, then the black ones, with sum_k u_k frozen per sweep."""
+    mh2 = mu * lev.h2
+    rows, cols = np.nonzero(lev.inside)
+    for _ in range(sweeps):
+        total = u.sum(axis=0)
+        for colour in (0, 1):
+            for r, c in zip(rows, cols):
+                if (r + c) % 2 != colour:
+                    continue
+                for j in range(len(u)):
+                    nb = ((u[j, r - 1, c] + u[j, r + 1, c]) + u[j, r, c - 1]) + u[j, r, c + 1]
+                    if b is not None:
+                        nb += b[j, r, c]
+                    u[j, r, c] = max(nb / (4.0 + mh2 * max(total[r, c] - u[j, r, c], 0.0)), 0.0)
+
+
+@pytest.mark.parametrize("G", [8, 9, 12])
+@pytest.mark.parametrize("n", [2, 5])
+@pytest.mark.parametrize("mh2", [0.0, 1.0, 1e3])
+def test_smoother_matches_a_cell_by_cell_loop(G, n, mh2, rng):
+    # a random non-negative iterate, inside the disk and in its Dirichlet cells
+    lev = diffusion._Level(DiffusionConfig(g=np.eye(n).repeat(8, axis=1), resolution=G), G)
+    mu = mh2 / lev.h2
+    for b in (None, rng.random((n, G + 2, G + 2))):
+        for sweeps in (1, 3):
+            u = rng.random((n, G + 2, G + 2))
+            want = u.copy()
+            _smooth_reference(want, b, lev, mu, sweeps)
+            diffusion._smooth(u, b, lev, mu, sweeps)
+            assert np.array_equal(u, want)
+
+
+@pytest.mark.parametrize("make, G, mu", [(_z3_config, 96, 1e4), (_z3_config, 97, 1e2),
+                                         (_halves_config, 64, 0.0), (_z3_config, 48, 1e6)])
+def test_level_sweeps_count_every_sweep(monkeypatch, make, G, mu):
+    # _smooth and _coarsest calls counted from outside, by grid size
+    counted, visits = {}, []
+    smooth, coarsest = diffusion._smooth, diffusion._coarsest
+
+    def counting_smooth(u, b, lev, mu, sweeps):
+        counted[lev.G] = counted.get(lev.G, 0) + sweeps
+        smooth(u, b, lev, mu, sweeps)
+
+    def counting_coarsest(u, b, lev, mu):
+        visits.append(lev.G)
+        coarsest(u, b, lev, mu)
+
+    monkeypatch.setattr(diffusion, "_smooth", counting_smooth)
+    monkeypatch.setattr(diffusion, "_coarsest", counting_coarsest)
+    fld = solve(make(G), mu)
+    sizes = [lev.G for lev in diffusion._hierarchy(make(G), mu)]
+    L = len(sizes)
+    assert len(fld.level_sweeps) == L and sum(fld.level_sweeps) == fld.sweeps
+    assert fld.level_sweeps == tuple(counted[s] for s in sizes)
+    assert fld.coarsest_visits == len(visits) and set(visits) == {sizes[-1]}
+    # an F-cycle from level k visits the coarsest grid L - k times: the
+    # nested pass once on the coarsest grid and once per finer level, and
+    # each cycle after it L times
+    assert fld.coarsest_visits == 1 + sum(range(2, L + 1)) + (fld.cycles - 1) * L
+
+
 def test_cycle_cap_raises(monkeypatch):
     monkeypatch.setattr(diffusion, "MAX_CYCLES", 1)
     with pytest.raises(NoConvergence, match=r"residual .* after 1 cycles"):

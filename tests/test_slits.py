@@ -3,6 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from hopfseg.errors import Unreachable
 from hopfseg.primitive import PathEngine
 from hopfseg.rational import monomial, rational
 from hopfseg.slits import (
@@ -75,6 +76,33 @@ def test_route_detours_around_cut():
         mid = 0.5 * (a + b)
         # interior clearance from the cut (endpoints may touch the anchor)
         assert point_segment_distance(mid, cut.anchor, cut.end) >= 1e-8
+
+
+def _wedge(spacing):
+    """Two cuts from anchors spacing apart: one along +1 from 0.1, one from
+    the other anchor on along the line between them, at 0.43 rad.  The wedge
+    between the cuts opens to the rest of the disk only through the gap
+    between the anchors."""
+    t = np.exp(0.43j)
+    f = rational(0.25, roots=[(0.1, 1), (0.1 + spacing * t, 1)])
+    return f, build_slit_disk(f, -0.5, preferred_dirs={0.1: 1.0 + 0j, 0.1 + spacing * t: t})
+
+
+def test_route_leaves_a_wedge_through_a_gap_of_8p5e_8():
+    # the anchors of sweep case 11:24, 8.5e-8 apart: a detour radius floored
+    # at 1e-7 put every node past the neighbouring cut
+    f, slit = _wedge(8.5e-8)
+    src = 0.1 + 0.5 * np.exp(0.2j)
+    wps = route_between(slit, f, src, -0.5)
+    assert wps[0] == src and wps[-1] == -0.5
+    assert all(_visible(a, b, slit.cuts) for a, b in zip(wps[:-1], wps[1:]))
+    assert all(abs(w - 0.1) < 1e-7 for w in wps[1:-1])
+
+
+def test_route_through_a_gap_below_the_merge_scale_names_it():
+    f, slit = _wedge(4e-12)
+    with pytest.raises(Unreachable, match=r"lies 1\.67e-12 from another cut or root"):
+        route_between(slit, f, 0.1 + 0.5 * np.exp(0.2j), -0.5)
 
 
 def _side(z, cut):
