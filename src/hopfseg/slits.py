@@ -196,22 +196,18 @@ def build_slit_disk(f: RationalFactored, base, preferred_dirs=None) -> SlitDisk:
 
 def _detour_radius(cut: Cut, slit: SlitDisk, f: RationalFactored) -> float:
     """Radius of the detour nodes round cut's anchor: 1e-4, or a fifth of the
-    anchor's distance to the nearest other cut or root where that is less,
-    so that the nodes clear their neighbours however close those lie.
-    Raises Unreachable where it would fall below the merge scale."""
+    anchor's distance to the nearest other cut where that is less, so that
+    the nodes clear it however close it lies.  A root without a cut blocks
+    no path, so it shrinks the radius to no less than 1e-7."""
     r = 1e-4
+    for root, _ in f.interior_roots:
+        if root != cut.anchor:
+            r = min(r, max(0.2 * abs(root - cut.anchor), 1e-7))
     for other in slit.cuts:
         if other is cut:
             continue
         d = segment_segment_distance(cut.anchor, cut.anchor, other.anchor, other.end)
         r = min(r, 0.2 * d)
-    for root, _ in f.interior_roots:
-        if root != cut.anchor:
-            r = min(r, 0.2 * abs(root - cut.anchor))
-    if r < ROOT_MERGE_TOL:
-        raise Unreachable(f"the cut at {cut.anchor} lies {5 * r:.3g} from another cut or "
-                          f"root: its detour radius {r:.3g} is below the merge scale "
-                          f"{ROOT_MERGE_TOL:g}")
     return r
 
 
@@ -245,8 +241,13 @@ def route_between(slit: SlitDisk, f: RationalFactored, src, dst) -> tuple:
         return (src, dst)
 
     nodes = [src, dst]
+    tight = None  # the cut with the least detour radius below the merge scale
     for c in slit.cuts:
         r = _detour_radius(c, slit, f)
+        if r < ROOT_MERGE_TOL:
+            if tight is None or r < tight[1]:
+                tight = (c, r)
+            continue
         u = c.direction
         for det in (c.anchor + 1j * r * u, c.anchor - 1j * r * u, c.anchor - r * u):
             if abs(det) < 1.0:
@@ -276,6 +277,11 @@ def route_between(slit: SlitDisk, f: RationalFactored, src, dst) -> tuple:
                 prev[j] = i
                 heapq.heappush(pq, (nd, j))
     if not np.isfinite(dist[1]):
+        if tight is not None:
+            c, r = tight
+            raise Unreachable(f"no route from {src} to {dst}: the cut at {c.anchor} lies "
+                              f"{5 * r:.3g} from another cut, and a detour radius {r:.3g} "
+                              f"is below the merge scale {ROOT_MERGE_TOL:g}")
         raise Unreachable(f"no route from {src} to {dst} in the slit disk")
     path = []
     i = 1

@@ -281,23 +281,6 @@ def test_cli_deterministic_bytes(tmp_path, capsys):
     assert (out1 / "report.json").read_bytes() == (out2 / "report.json").read_bytes()
 
 
-def test_cli_simulate_reports_solver_counters(tmp_path, capsys):
-    # z^3/4 at G=96 and mu=1e4 coarsens to G=6: five levels, and the sweeps
-    # of each add up to the reported total; two runs write the same bytes
-    p = _write_spec(tmp_path, monomial(0.25, 3))
-    out1, out2 = tmp_path / "o1", tmp_path / "o2"
-    for out in (out1, out2):
-        assert main(["simulate", "-i", str(p), "-o", str(out), "--resolution", "96",
-                     "--samples", "512", "--mu", "1e4"]) == 0
-    for name in ("report.json", "fields.csv"):
-        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
-    rep = json.loads((out1 / "report.json").read_text())
-    counters = rep["diagnostics"]["solve"]
-    assert set(counters) == {"level_sweeps", "coarsest_visits"}
-    assert len(counters["level_sweeps"]) == 5 and sum(counters["level_sweeps"]) == rep["sweeps"]
-    assert counters["coarsest_visits"] >= rep["cycles"]
-
-
 def test_cli_reconstruct_below_the_energy_resolution_fills_no_grid(tmp_path, capsys, monkeypatch):
     # reconstruct reports the grid energy, which needs G >= 128: the command
     # fails before it builds a state, and writes no grid.csv

@@ -101,8 +101,28 @@ def test_route_leaves_a_wedge_through_a_gap_of_8p5e_8():
 
 def test_route_through_a_gap_below_the_merge_scale_names_it():
     f, slit = _wedge(4e-12)
-    with pytest.raises(Unreachable, match=r"lies 1\.67e-12 from another cut or root"):
+    with pytest.raises(Unreachable, match=r"lies 1\.67e-12 from another cut"):
         route_between(slit, f, 0.1 + 0.5 * np.exp(0.2j), -0.5)
+
+
+def test_a_gap_below_the_merge_scale_blocks_only_routes_through_it():
+    # the wedge's pair 4e-12 apart has no detour nodes, but a route round a
+    # third cut, far from the pair, still finds its own
+    t = np.exp(0.43j)
+    f = rational(0.25, roots=[(0.1, 1), (0.1 + 4e-12 * t, 1), (-0.3, 1)])
+    slit = build_slit_disk(f, 0.5j, preferred_dirs={0.1: 1.0 + 0j, 0.1 + 4e-12 * t: t, -0.3: -1.0 + 0j})
+    wps = route_between(slit, f, -0.6 + 0.1j, -0.6 - 0.1j)
+    assert len(wps) == 3 and abs(wps[1] + 0.3) == pytest.approx(1e-4)
+
+
+def test_a_root_without_a_cut_keeps_the_detour_radius_above_1e_7():
+    # the double zero 2e-12 from the cut's anchor blocks no path: the route
+    # goes round the anchor at 1e-7, not at a fifth of 2e-12
+    f = rational(0.25, roots=[(0, 2), (2e-12, 1)])
+    slit = build_slit_disk(f, -0.5)
+    assert slit.cuts[0].direction == 1.0
+    wps = route_between(slit, f, 0.3722 + 0.1107j, 0.5 - 0.1j)
+    assert len(wps) == 3 and wps[1] == pytest.approx(2e-12 - 1e-7, abs=1e-20)
 
 
 def _side(z, cut):
