@@ -126,6 +126,7 @@ def run(args) -> int:
                 report["cycles"] = fld.cycles
                 report["residual"] = fld.residual
                 report["diagnostics"]["solve"] = {"level_sweeps": list(fld.level_sweeps),
+                                                  "level_residuals": list(fld.level_residuals),
                                                   "coarsest_visits": fld.coarsest_visits}
                 report["segregation_defect"] = fld.defect
                 report["interface_distance_cells"] = diffusion.interface_distance(fld, g)
@@ -167,7 +168,7 @@ def _export_fields_csv(fld, path):
     c = -1.0 + (np.arange(G) + 0.5) * h
     n = fld.u.shape[0]
     header = "x,y," + ",".join(f"u{j + 1}" for j in range(n))
-    rows = csv_rows(header, ",".join(["{:.17g}"] * (n + 2)), fld.inside, c, fld.u)
+    rows = csv_rows(header, ",".join(["%.17g"] * n), fld.inside, c, fld.u)
     Path(path).write_text("\n".join(rows) + "\n")
 
 

@@ -58,6 +58,7 @@ class DiffusionField:
     resolution: int
     level_sweeps: tuple = ()   # the sweeps on each grid level, finest first
     coarsest_visits: int = 0   # coarsest-grid solves (_coarsest calls)
+    level_residuals: tuple = ()   # residual evaluations on each grid level, finest first
 
 
 def boundary_from_state(state: AnalyticState, graph: NodalGraph,
@@ -105,23 +106,25 @@ def _boundary_value_grid(config: DiffusionConfig, G: int):
 
 class _Level:
     """One grid of the hierarchy: padded (G+2)^2 cells, Dirichlet values in
-    the cells outside the disk, the sweeps and coarsest-grid visits made on
-    it, each species' offset in the flat u, and per colour, red ((r + c) even)
-    then black, the flat indices of its inside cells and N, S, W, E neighbours."""
+    the cells outside the disk, the sweeps, residual evaluations and
+    coarsest-grid visits made on it, each species' offset in the flat u, and
+    cells (5, m): the flat index of each inside cell, then of its N, S, W and
+    E neighbours, the red cells ((r + c) even) first, then the black ones;
+    colours are its two column blocks (views)."""
 
     def __init__(self, config: DiffusionConfig, G: int):
         bvals, inside, h = _boundary_value_grid(config, G)
         self.G = G
         self.h2 = h * h
         self.inside = inside
-        self.core = inside[1:-1, 1:-1]
         self.u0 = np.where(inside[None], 0.0, bvals)
-        self.sweeps = self.visits = 0
+        self.sweeps = self.residuals = self.visits = 0
         P = G + 2
         r, c = np.nonzero(inside)
         self.species = P * P * np.arange(len(bvals))[:, None]
-        self.colours = [(r * P + c)[(r + c) % 2 == k] + np.array([[0], [-P], [P], [-1], [1]])
-                        for k in (0, 1)]
+        order = np.argsort((r + c) % 2, kind="stable")      # red first, each row-major
+        self.cells = (r * P + c)[order] + np.array([[0], [-P], [P], [-1], [1]])
+        self.colours = np.split(self.cells, [np.count_nonzero((r + c) % 2 == 0)], axis=1)
 
 
 def _hierarchy(config: DiffusionConfig, mu: float):
@@ -176,46 +179,61 @@ def _smooth(u, b, lev, mu, sweeps):
     """Red-black Gauss-Seidel on (4 + mu h^2 sum_{k!=j} u_k) u_j - nb_j = b_j
     with the coupling frozen per sweep; b is the h^2-scaled FAS right-hand
     side (None for zero), u and b C-contiguous.  A colour's neighbours are all
-    of the other colour, so a half-sweep is one gather, the update and one
-    scatter.  The update is non-negative where nb_j + b_j is; the clamp
-    covers the rest."""
+    of the other colour, so a half-sweep gathers the colour's five index rows,
+    updates and scatters once; the red half-sweep writes no black cell, so the
+    frozen sum_k u_k in a colour's cells is the sum of their gathered values.
+    The update is non-negative where nb_j + b_j is; the clamp covers the rest."""
     mh2 = mu * lev.h2
     lev.sweeps += sweeps
+    flat = u.reshape(len(u), -1)
     for _ in range(sweeps):
-        total = u.sum(axis=0).ravel()
         for nbs in lev.colours:
-            old, n, s, w, e = u.reshape(len(u), -1).take(nbs, axis=1).transpose(1, 0, 2)
-            new = n + s
-            new += w
-            new += e
+            old, new = flat.take(nbs[0], axis=1), flat.take(nbs[1], axis=1)
+            for i in nbs[2:]:            # ((n + s) + w) + e
+                new += flat.take(i, axis=1)
             if b is not None:
                 new += b.reshape(len(b), -1).take(nbs[0], axis=1)
-            coupling = total.take(nbs[0]) - old
+            coupling = old.sum(axis=0) - old
             new /= 4.0 + mh2 * np.maximum(coupling, 0.0, out=coupling)
             np.maximum(new, 0.0, out=new)
             u.reshape(-1)[(lev.species + nbs[0]).ravel()] = new.ravel()
 
 
-def _residual(u, b, lev, mu):
-    """(r, diag) on the padded grid: r = b - (diag u - nb), h^2-scaled, and
-    diag = 4 + mu h^2 sum_{k!=j} u_k; r is zero outside the disk."""
-    c = u[:, 1:-1, 1:-1]
-    nb = u[:, :-2, 1:-1] + u[:, 2:, 1:-1] + u[:, 1:-1, :-2] + u[:, 1:-1, 2:]
-    diag = 4.0 + (mu * lev.h2) * (c.sum(axis=0)[None] - c)
-    r = np.zeros_like(u)
-    rc = r[:, 1:-1, 1:-1]
-    rc[...] = nb - diag * c
+def _cell_residual(u, b, lev, mu):
+    """(r, diag) at the inside cells, in the order of lev.cells:
+    r = b - (diag u - nb), h^2-scaled, and diag = 4 + mu h^2 sum_{k!=j} u_k."""
+    lev.residuals += 1
+    flat = u.reshape(len(u), -1)
+    c, r = flat.take(lev.cells[0], axis=1), flat.take(lev.cells[1], axis=1)
+    for i in lev.cells[2:]:              # ((n + s) + w) + e
+        r += flat.take(i, axis=1)
+    diag = 4.0 + (mu * lev.h2) * (c.sum(axis=0) - c)
+    r -= diag * c
     if b is not None:
-        rc += b[:, 1:-1, 1:-1]
-    rc[:, ~lev.core] = 0.0
+        r += b.reshape(len(b), -1).take(lev.cells[0], axis=1)
     return r, diag
+
+
+def _residual(u, b, lev, mu):
+    """r of _cell_residual on the padded grid, zero outside the disk (for _restrict)."""
+    r = np.zeros_like(u)
+    r.reshape(len(u), -1)[:, lev.cells[0]] = _cell_residual(u, b, lev, mu)[0]
+    return r
 
 
 def _scaled_residual(u, b, lev, mu):
     """Largest |r_j| / (4 + mu h^2 sum_{k!=j} u_k) over the inside cells:
     the change one more Gauss-Seidel update would make there."""
-    r, diag = _residual(u, b, lev, mu)
-    return float((np.abs(r[:, 1:-1, 1:-1]) / diag).max())
+    r, diag = _cell_residual(u, b, lev, mu)
+    return float((np.abs(r) / diag).max())
+
+
+def _prolong(e, lev):
+    """lev.up @ e @ lev.up.T, e on the padded next coarser grid, at lev's
+    inside cells in the order of lev.cells (padded cell r, c is cell r - 1,
+    c - 1 of the G x G product)."""
+    q, P = lev.cells[0], lev.G + 2
+    return (lev.up @ e @ lev.up.T).reshape(len(e), -1).take(q - 2 * (q // P) - P + 1, axis=1)
 
 
 def _coarsest(u, b, lev, mu):
@@ -239,20 +257,19 @@ def _cycle(levels, k, u, b, mu, v_only=False):
         _coarsest(u, b, lev, mu)
         return
     _smooth(u, b, lev, mu, SMOOTHING_SWEEPS)
-    r, _ = _residual(u, b, lev, mu)
     coarse = levels[k + 1]
     uc = np.where(coarse.inside[None], _restrict(u, lev.down), coarse.u0)
     start = uc.copy()
     # FAS right-hand side A_H(R u) + R(r), h_H^2-scaled (h_H / h = G / G_H)
-    rc, _ = _residual(uc, None, coarse, mu)
-    bc = (lev.G / coarse.G) ** 2 * _restrict(r, lev.down) - rc
+    bc = (lev.G / coarse.G) ** 2 * _restrict(_residual(u, b, lev, mu), lev.down)
+    bc.reshape(len(u), -1)[:, coarse.cells[0]] -= _cell_residual(uc, None, coarse, mu)[0]
     if not v_only:
         _cycle(levels, k + 1, uc, bc, mu)
     _cycle(levels, k + 1, uc, bc, mu, v_only=True)
     e = np.where(coarse.inside[None], uc - start, 0.0)
-    core = u[:, 1:-1, 1:-1]
-    core[:, lev.core] += (lev.up @ e @ lev.up.T)[:, lev.core]
-    np.maximum(core, 0.0, out=core)
+    flat = u.reshape(len(u), -1)
+    new = flat.take(lev.cells[0], axis=1) + _prolong(e, lev)
+    flat[:, lev.cells[0]] = np.maximum(new, 0.0, out=new)
     _smooth(u, b, lev, mu, SMOOTHING_SWEEPS)
 
 
@@ -283,7 +300,7 @@ def solve(config: DiffusionConfig, mu: float) -> DiffusionField:
     for k in range(len(levels) - 2, -1, -1):
         lev = levels[k]
         fine = lev.u0.copy()
-        fine[:, 1:-1, 1:-1][:, lev.core] = np.maximum((lev.up @ u @ lev.up.T)[:, lev.core], 0.0)
+        fine.reshape(len(u), -1)[:, lev.cells[0]] = np.maximum(_prolong(u, lev), 0.0)
         u = fine
         _cycle(levels, k, u, None, mu)
 
@@ -306,9 +323,10 @@ def solve(config: DiffusionConfig, mu: float) -> DiffusionField:
     defect = float(np.sum(cross[lev.inside]) * lev.h2)
     level_sweeps = tuple(lv.sweeps for lv in levels)
     return DiffusionField(
-        u=u[:, 1:-1, 1:-1], inside=lev.core, residual=res,
+        u=u[:, 1:-1, 1:-1], inside=lev.inside[1:-1, 1:-1], residual=res,
         defect=defect, sweeps=sum(level_sweeps), cycles=cycles, resolution=lev.G,
         level_sweeps=level_sweeps, coarsest_visits=levels[-1].visits,
+        level_residuals=tuple(lv.residuals for lv in levels),
     )
 
 

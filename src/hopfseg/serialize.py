@@ -107,14 +107,15 @@ def _jsonable(x):
 
 
 def csv_rows(header: str, fmt: str, inside, centers, grids) -> list:
-    """The header, then fmt.format(x, y, *values) for each inside cell,
-    row-major, with the values from the grids; one grid row at a time, to
-    bound the memory."""
+    """The header, then "x,y," and fmt % values for each inside cell,
+    row-major: x, y as %.17g, each centre formatted once, and the values read
+    from the grids one row at a time, to bound the memory."""
     rows = [header]
+    xy = ["%.17g," % c for c in centers.tolist()]
     for iy, row in enumerate(inside):
-        ix = np.flatnonzero(row)
-        rows += map(fmt.format, centers[ix].tolist(), [float(centers[iy])] * len(ix),
-                    *(g[iy, ix].tolist() for g in grids))
+        ix = np.flatnonzero(row).tolist()
+        values = zip(*(g[iy, ix].tolist() for g in grids))
+        rows += [xy[i] + xy[iy] + fmt % v for i, v in zip(ix, values)]
     return rows
 
 

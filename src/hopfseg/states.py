@@ -552,7 +552,7 @@ def hopf_l1(f: RationalFactored) -> float:
 
 def export_grid_csv(state: SegregatedState, path):
     """CSV x,y,u,species, row-major over inside cells, 17 significant digits."""
-    rows = csv_rows("x,y,u,species", "{:.17g},{:.17g},{:.17g},{}", state.inside,
+    rows = csv_rows("x,y,u,species", "%.17g,%d", state.inside,
                     state.cell_centers, (state.u, state.species))
     text = "\n".join(rows) + "\n"
     with open(path, "w") as fh:

@@ -363,28 +363,102 @@ def test_smoother_matches_a_cell_by_cell_loop(G, n, mh2, rng):
             assert np.array_equal(u, want)
 
 
+def _residual_reference(u, b, lev, mu):
+    """(r, max |r| / diag) one cell and one species at a time:
+    r = ((n + s) + w) + e - diag u + b in the inside cells, zero elsewhere,
+    diag = 4 + mu h^2 (sum_k u_k - u_j)."""
+    mh2 = mu * lev.h2
+    total = u.sum(axis=0)
+    r = np.zeros_like(u)
+    worst = 0.0
+    for y, x in zip(*np.nonzero(lev.inside)):
+        for j in range(len(u)):
+            diag = 4.0 + mh2 * (total[y, x] - u[j, y, x])
+            nb = ((u[j, y - 1, x] + u[j, y + 1, x]) + u[j, y, x - 1]) + u[j, y, x + 1]
+            r[j, y, x] = nb - diag * u[j, y, x]
+            if b is not None:
+                r[j, y, x] += b[j, y, x]
+            worst = max(worst, abs(r[j, y, x]) / diag)
+    return r, worst
+
+
+@pytest.mark.parametrize("G", [8, 9, 12])
+@pytest.mark.parametrize("n", [2, 5])
+@pytest.mark.parametrize("mh2", [0.0, 1.0, 1e3])
+def test_residual_matches_a_cell_by_cell_loop(monkeypatch, G, n, mh2, rng):
+    # the residual, the FAS right-hand side of one coarse grid and its
+    # correction of the fine grid; the coarse solve sets the coarse inside
+    # cells to v, and the smoother is left out
+    cfg = DiffusionConfig(g=np.eye(n).repeat(8, axis=1), resolution=G)
+    Gc = (G + 1) // 2
+    fine, coarse = diffusion._Level(cfg, G), diffusion._Level(cfg, Gc)
+    fine.down, fine.up = diffusion._transfers(G, Gc)
+    mu = mh2 / fine.h2
+    v = 2.0 * rng.random((n, Gc + 2, Gc + 2)) - 1.0     # some corrections clamp at 0
+    got_b = []
+
+    def coarse_solve(uc, bc, lev, mu):
+        got_b.append(bc.copy())
+        uc[:, coarse.inside] = v[:, coarse.inside]
+
+    monkeypatch.setattr(diffusion, "_smooth", lambda *args: None)
+    monkeypatch.setattr(diffusion, "_coarsest", coarse_solve)
+    for b in (None, rng.random((n, G + 2, G + 2))):
+        u = rng.random((n, G + 2, G + 2))
+        r, worst = _residual_reference(u, b, fine, mu)
+        assert np.array_equal(diffusion._residual(u, b, fine, mu), r)
+        assert diffusion._scaled_residual(u, b, fine, mu) == worst
+        start = np.where(coarse.inside[None], diffusion._restrict(u, fine.down), coarse.u0)
+        want_b = (G / Gc) ** 2 * diffusion._restrict(r, fine.down) \
+            - _residual_reference(start, None, coarse, mu)[0]
+        corr = fine.up @ np.where(coarse.inside[None], v - start, 0.0) @ fine.up.T
+        want = u.copy()
+        for y, x in zip(*np.nonzero(fine.inside)):
+            for j in range(n):
+                want[j, y, x] = max(u[j, y, x] + corr[j, y - 1, x - 1], 0.0)
+        got_b.clear()
+        diffusion._cycle([fine, coarse], 0, u, b, mu)
+        assert len(got_b) == 2 and all(np.array_equal(bc, want_b) for bc in got_b)
+        assert np.array_equal(u, want)
+
+
 @pytest.mark.parametrize("make, G, mu", [(_z3_config, 96, 1e4), (_z3_config, 97, 1e2),
                                          (_halves_config, 64, 0.0), (_z3_config, 48, 1e6)])
 def test_level_sweeps_count_every_sweep(monkeypatch, make, G, mu):
-    # _smooth and _coarsest calls counted from outside, by grid size
-    counted, visits = {}, []
-    smooth, coarsest = diffusion._smooth, diffusion._coarsest
+    # _smooth, _cell_residual and _coarsest calls counted from outside, by grid size
+    counted, residuals, visits = {}, {}, []
+    smooth, cell_residual, coarsest = diffusion._smooth, diffusion._cell_residual, diffusion._coarsest
 
     def counting_smooth(u, b, lev, mu, sweeps):
         counted[lev.G] = counted.get(lev.G, 0) + sweeps
         smooth(u, b, lev, mu, sweeps)
+
+    def counting_residual(u, b, lev, mu):
+        residuals[lev.G] = residuals.get(lev.G, 0) + 1
+        return cell_residual(u, b, lev, mu)
 
     def counting_coarsest(u, b, lev, mu):
         visits.append(lev.G)
         coarsest(u, b, lev, mu)
 
     monkeypatch.setattr(diffusion, "_smooth", counting_smooth)
+    monkeypatch.setattr(diffusion, "_cell_residual", counting_residual)
     monkeypatch.setattr(diffusion, "_coarsest", counting_coarsest)
     fld = solve(make(G), mu)
     sizes = [lev.G for lev in diffusion._hierarchy(make(G), mu)]
     L = len(sizes)
     assert len(fld.level_sweeps) == L and sum(fld.level_sweeps) == fld.sweeps
     assert fld.level_sweeps == tuple(counted[s] for s in sizes)
+    assert fld.level_residuals == tuple(residuals[s] for s in sizes)
+    # solve checks the finest grid after each cycle; a coarsest-grid visit
+    # checks once, and once more per COARSE_CHUNK sweeps; with a coarser grid,
+    # each cycle also takes one residual of the finest grid for the FAS
+    # right-hand side
+    if L == 1:
+        assert fld.level_residuals == (fld.cycles + fld.coarsest_visits
+                                       + fld.sweeps // diffusion.COARSE_CHUNK,)
+    else:
+        assert fld.level_residuals[0] == 2 * fld.cycles
     assert fld.coarsest_visits == len(visits) and set(visits) == {sizes[-1]}
     # an F-cycle from level k visits the coarsest grid L - k times: the
     # nested pass once on the coarsest grid and once per finer level, and
