@@ -103,7 +103,7 @@ def _jsonable(x):
     raise TypeError(f"cannot serialize {type(x)}")
 
 
-# -- SVG -------------------------------------------------------------------
+# -- CSV and SVG -----------------------------------------------------------
 
 
 def csv_rows(header: str, fmt: str, inside, centers, grids) -> list:

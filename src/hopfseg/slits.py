@@ -5,7 +5,10 @@ unit circle, by default in the direction away from the base point (the choice
 of cuts is immaterial for |Re F|, so we exploit the freedom for determinism).
 Routing between points of the slit disk is shortest-path over a small
 visibility graph whose only obstacles are the cuts; a blocked cut is rounded
-via three detour nodes placed just off its anchor.
+via three detour nodes placed just off its anchor.  build_slit_disk places
+the nodes once and stores the shortest path between every pair of them, so a
+blocked route only picks the pair of nodes that its ends see and that makes
+it shortest.
 
 A point on a cut belongs to one side of it, by one rule that the grid fill
 and the router share through crosses: a point within
@@ -15,13 +18,14 @@ different sides and it meets the line past the anchor.  A chord of
 the closed disk meets the cut's ray only on the cut itself, so the far end
 needs no test.  Where the state exists |Re F| is continuous across the cuts,
 so the rule only fixes which branch of F a point on a cut reports: the
-counterclockwise one, reached by routes that arrive from that side.
+counterclockwise one, reached by routes that arrive from that side.  A point
+within AT_ROOT_TOL of an anchor is at the anchor: it lies inside no cut, and a
+step that ends there is not blocked by it.
 """
 
 from __future__ import annotations
 
-import heapq
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -33,6 +37,7 @@ CUT_CLEARANCE = 1e-6
 ON_CUT_TOL = 1e-12
 SEGMENT_TOUCH_TOL = 1e-14    # closed segments this close, relative to the longer, meet
 MAX_WAYPOINT_STEP = 0.5
+LEG_COST = 1e-14             # a route leg costs its length and this: of routes equal to rounding, the fewest legs win
 
 
 def _cross(a: complex, b: complex) -> float:
@@ -66,6 +71,16 @@ def crosses(p, q, anchor, end):
     # [0, 1], which lies past the anchor when its projection
     # (dp wq.real - dq wp.real) / (dp - dq) onto the cut is positive
     return ((dp >= 0) != (dq >= 0)) & ((dp * wq.real - dq * wp.real) * (dp - dq) > 0)
+
+
+def _inside(z, a, b):
+    """Does z lie strictly inside the segment [a, b]?  Vectorised: it lies in
+    crosses' band round the line, between the ends and at neither of them."""
+    s = b - a
+    L2 = s.real * s.real + s.imag * s.imag
+    w = (z - a) * s.conjugate()
+    return ((abs(w.imag) <= ON_CUT_TOL * L2) & (0.0 < w.real) & (w.real < L2)
+            & (abs(z - a) >= AT_ROOT_TOL) & (abs(z - b) >= AT_ROOT_TOL))
 
 
 def segment_segment_distance(p1, p2, q1, q2) -> float:
@@ -107,8 +122,15 @@ class Cut:
 
 @dataclass(frozen=True)
 class SlitDisk:
+    """The cuts and the base, and the router's detour graph round the cuts:
+    each cut's detour radius, the detour nodes, and the length, with LEG_COST
+    per leg, of the shortest path between any two nodes and its next hop."""
     cuts: tuple
     base: complex
+    radii: tuple = field(compare=False)
+    nodes: np.ndarray = field(compare=False)
+    dist: np.ndarray = field(compare=False)
+    hop: np.ndarray = field(compare=False)
 
     def distance_to_cuts(self, z) -> float:
         if not self.cuts:
@@ -116,15 +138,8 @@ class SlitDisk:
         return min(point_segment_distance(complex(z), c.anchor, c.end) for c in self.cuts)
 
     def on_cut_interior(self, z) -> bool:
-        z = complex(z)
-        if abs(z) >= 1.0 - 1e-12:
-            return False
-        for c in self.cuts:
-            if abs(z - c.anchor) < AT_ROOT_TOL:
-                return False
-            if point_segment_distance(z, c.anchor, c.end) <= 1e-12:
-                return True
-        return False
+        """Does z lie strictly inside a cut, by _inside?"""
+        return any(_inside(complex(z), c.anchor, c.end) for c in self.cuts)
 
 
 def ray_exit(anchor: complex, direction: complex) -> complex:
@@ -191,10 +206,10 @@ def build_slit_disk(f: RationalFactored, base, preferred_dirs=None) -> SlitDisk:
         if placedcut is None:
             raise CutSearchFailed(f"no cut direction found for anchor {a}")
         cuts.append(placedcut)
-    return SlitDisk(cuts=tuple(cuts), base=base)
+    return SlitDisk(tuple(cuts), base, *_detour_graph(cuts, f))
 
 
-def _detour_radius(cut: Cut, slit: SlitDisk, f: RationalFactored) -> float:
+def _detour_radius(cut: Cut, cuts, f: RationalFactored) -> float:
     """Radius of the detour nodes round cut's anchor: 1e-4, or a fifth of the
     anchor's distance to the nearest other cut where that is less, so that
     the nodes clear it however close it lies.  A root without a cut blocks
@@ -203,7 +218,7 @@ def _detour_radius(cut: Cut, slit: SlitDisk, f: RationalFactored) -> float:
     for root, _ in f.interior_roots:
         if root != cut.anchor:
             r = min(r, max(0.2 * abs(root - cut.anchor), 1e-7))
-    for other in slit.cuts:
+    for other in cuts:
         if other is cut:
             continue
         d = segment_segment_distance(cut.anchor, cut.anchor, other.anchor, other.end)
@@ -211,24 +226,42 @@ def _detour_radius(cut: Cut, slit: SlitDisk, f: RationalFactored) -> float:
     return r
 
 
-def _visible(p, q, cuts) -> bool:
-    """May a path run straight from p to q?  It crosses no cut, and no anchor,
-    a branch point, lies inside it (a step through an anchor crosses nothing)."""
-    r = q - p
-    L2 = abs(r) ** 2
-    for c in cuts:
-        if crosses(p, q, c.anchor, c.end):
-            return False
-        w = (c.anchor - p) * r.conjugate()
-        if abs(w.imag) <= ON_CUT_TOL * L2 and 0.0 < w.real < L2:
-            return False
-    return True
+def _detour_graph(cuts, f: RationalFactored):
+    """(radii, nodes, dist, hop) of SlitDisk: three nodes round each anchor
+    whose radius is at least the merge scale, those inside the disk, and
+    Floyd-Warshall over the visible pairs."""
+    radii = tuple(_detour_radius(c, cuts, f) for c in cuts)
+    nodes = np.array([det for c, r in zip(cuts, radii) if r >= ROOT_MERGE_TOL
+                      for det in (c.anchor + 1j * r * c.direction, c.anchor - 1j * r * c.direction,
+                                  c.anchor - r * c.direction) if abs(det) < 1.0], dtype=complex)
+    seen = np.triu(_visible(nodes[:, None], nodes, cuts))  # one test per pair: symmetric edges
+    gap = abs(nodes[:, None] - nodes)
+    dist = np.where(seen | seen.T, gap + LEG_COST * (gap > 0), np.inf)
+    hop = np.broadcast_to(np.arange(len(nodes)), dist.shape)
+    for k in range(len(nodes)):
+        via = dist[:, k, None] + dist[k]
+        hop = np.where(via < dist, hop[:, k, None], hop)
+        dist = np.minimum(dist, via)
+    return radii, nodes, dist, hop
 
 
-def route_between(slit: SlitDisk, f: RationalFactored, src, dst) -> tuple:
+def _visible(p, q, cuts):
+    """May a path run straight from p to q?  Vectorised over p and q: it
+    crosses no cut, and no anchor, a branch point, lies inside it by _inside
+    (a step through an anchor crosses nothing; one that ends there passes)."""
+    a = np.array([c.anchor for c in cuts], dtype=complex)
+    e = np.array([c.end for c in cuts], dtype=complex)
+    p, q = np.asarray(p)[..., None], np.asarray(q)[..., None]
+    return ~(crosses(p, q, a, e) | _inside(a, p, q)).any(axis=-1)
+
+
+def route_between(slit: SlitDisk, src, dst) -> tuple:
     """Waypoints of a shortest cut-avoiding polyline from src to dst.
 
-    An end on a cut lies on its counterclockwise side, so the polyline
+    A blocked route runs from src to a detour node i that it sees, along the
+    slit disk's shortest path to a node j that dst sees, and on to dst: the
+    pair with the least |src - i| + dist[i, j] + |j - dst|, with LEG_COST per
+    leg.  An end on a cut lies on its counterclockwise side, so the polyline
     leaves or reaches it from that side."""
     src = complex(src)
     dst = complex(dst)
@@ -239,57 +272,23 @@ def route_between(slit: SlitDisk, f: RationalFactored, src, dst) -> tuple:
         return (src,)
     if _visible(src, dst, slit.cuts):
         return (src, dst)
-
-    nodes = [src, dst]
-    tight = None  # the cut with the least detour radius below the merge scale
-    for c in slit.cuts:
-        r = _detour_radius(c, slit, f)
-        if r < ROOT_MERGE_TOL:
-            if tight is None or r < tight[1]:
-                tight = (c, r)
-            continue
-        u = c.direction
-        for det in (c.anchor + 1j * r * u, c.anchor - 1j * r * u, c.anchor - r * u):
-            if abs(det) < 1.0:
-                nodes.append(det)
-    n = len(nodes)
-    adj = [[] for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            if _visible(nodes[i], nodes[j], slit.cuts):
-                w = abs(nodes[i] - nodes[j])
-                adj[i].append((j, w))
-                adj[j].append((i, w))
-    dist = [np.inf] * n
-    prev = [-1] * n
-    dist[0] = 0.0
-    pq = [(0.0, 0)]
-    while pq:
-        d, i = heapq.heappop(pq)
-        if d > dist[i] + 1e-18:
-            continue
-        if i == 1:
-            break
-        for j, w in adj[i]:
-            nd = d + w
-            if nd < dist[j] - 1e-18:
-                dist[j] = nd
-                prev[j] = i
-                heapq.heappush(pq, (nd, j))
-    if not np.isfinite(dist[1]):
-        if tight is not None:
-            c, r = tight
+    ends = np.array([[src], [dst]])
+    leg = np.where(_visible(ends, slit.nodes, slit.cuts), abs(slit.nodes - ends) + LEG_COST, np.inf)
+    total = leg[0][:, None] + slit.dist + leg[1]
+    if not np.isfinite(total).any():
+        tight = [(r, c) for r, c in zip(slit.radii, slit.cuts) if r < ROOT_MERGE_TOL]
+        if tight:
+            r, c = min(tight, key=lambda t: t[0])
             raise Unreachable(f"no route from {src} to {dst}: the cut at {c.anchor} lies "
                               f"{5 * r:.3g} from another cut, and a detour radius {r:.3g} "
                               f"is below the merge scale {ROOT_MERGE_TOL:g}")
         raise Unreachable(f"no route from {src} to {dst} in the slit disk")
-    path = []
-    i = 1
-    while i != -1:
-        path.append(nodes[i])
-        i = prev[i]
-    path.reverse()
-    return tuple(path)
+    i, j = np.unravel_index(np.argmin(total), total.shape)
+    path = [src, slit.nodes[i]]
+    while i != j:
+        i = slit.hop[i, j]
+        path.append(slit.nodes[i])
+    return (*path, dst)
 
 
 def _bump_root_grazes(waypoints, f: RationalFactored, slit: SlitDisk) -> tuple:
@@ -334,6 +333,6 @@ def _split_long(waypoints) -> tuple:
 def route_path(slit: SlitDisk, f: RationalFactored, src, dst) -> tuple:
     """Integration waypoints from src to dst: the shortest cut-avoiding
     polyline, bumped off roots it grazes and split into short segments."""
-    wps = route_between(slit, f, src, dst)
+    wps = route_between(slit, src, dst)
     wps = _bump_root_grazes(wps, f, slit)
     return _split_long(wps)

@@ -224,7 +224,7 @@ def test_path_independence(rng):
         mid = 0.5 * z + 0.25j * (1 if z.imag < 0 else -1)
         if abs(mid) > 0.95 or slit.on_cut_interior(mid):
             continue
-        if route_between(slit, f, mid, z) != (mid, z):
+        if route_between(slit, mid, z) != (mid, z):
             continue
         F_mid, v_mid = eng.value_and_sqrt(mid)
         val, _, _ = SqrtSegmentIntegrator(f).integrate(mid, z, v_mid, tol=1e-11)

@@ -2,9 +2,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.sparse.csgraph import shortest_path
 
 from hopfseg.errors import Unreachable
-from hopfseg.primitive import PathEngine
+from hopfseg.primitive import PathEngine, pick_reference
 from hopfseg.rational import monomial, rational
 from hopfseg.slits import (
     Cut,
@@ -69,7 +70,7 @@ def test_route_detours_around_cut():
     f = rational(1.0, roots=[(0.0, 1)])
     slit = build_slit_disk(f, 0.3, preferred_dirs={0j: -1.0 + 0.0j})
     # route from a point above the cut [-1, 0] to one below it
-    wps = route_between(slit, f, -0.5 + 0.4j, -0.5 - 0.4j)
+    wps = route_between(slit, -0.5 + 0.4j, -0.5 - 0.4j)
     assert len(wps) > 2
     cut = slit.cuts[0]
     for a, b in zip(wps[:-1], wps[1:]):
@@ -93,7 +94,7 @@ def test_route_leaves_a_wedge_through_a_gap_of_8p5e_8():
     # at 1e-7 put every node past the neighbouring cut
     f, slit = _wedge(8.5e-8)
     src = 0.1 + 0.5 * np.exp(0.2j)
-    wps = route_between(slit, f, src, -0.5)
+    wps = route_between(slit, src, -0.5)
     assert wps[0] == src and wps[-1] == -0.5
     assert all(_visible(a, b, slit.cuts) for a, b in zip(wps[:-1], wps[1:]))
     assert all(abs(w - 0.1) < 1e-7 for w in wps[1:-1])
@@ -102,7 +103,7 @@ def test_route_leaves_a_wedge_through_a_gap_of_8p5e_8():
 def test_route_through_a_gap_below_the_merge_scale_names_it():
     f, slit = _wedge(4e-12)
     with pytest.raises(Unreachable, match=r"lies 1\.67e-12 from another cut"):
-        route_between(slit, f, 0.1 + 0.5 * np.exp(0.2j), -0.5)
+        route_between(slit, 0.1 + 0.5 * np.exp(0.2j), -0.5)
 
 
 def test_a_gap_below_the_merge_scale_blocks_only_routes_through_it():
@@ -111,7 +112,7 @@ def test_a_gap_below_the_merge_scale_blocks_only_routes_through_it():
     t = np.exp(0.43j)
     f = rational(0.25, roots=[(0.1, 1), (0.1 + 4e-12 * t, 1), (-0.3, 1)])
     slit = build_slit_disk(f, 0.5j, preferred_dirs={0.1: 1.0 + 0j, 0.1 + 4e-12 * t: t, -0.3: -1.0 + 0j})
-    wps = route_between(slit, f, -0.6 + 0.1j, -0.6 - 0.1j)
+    wps = route_between(slit, -0.6 + 0.1j, -0.6 - 0.1j)
     assert len(wps) == 3 and abs(wps[1] + 0.3) == pytest.approx(1e-4)
 
 
@@ -121,7 +122,7 @@ def test_a_root_without_a_cut_keeps_the_detour_radius_above_1e_7():
     f = rational(0.25, roots=[(0, 2), (2e-12, 1)])
     slit = build_slit_disk(f, -0.5)
     assert slit.cuts[0].direction == 1.0
-    wps = route_between(slit, f, 0.3722 + 0.1107j, 0.5 - 0.1j)
+    wps = route_between(slit, 0.3722 + 0.1107j, 0.5 - 0.1j)
     assert len(wps) == 3 and wps[1] == pytest.approx(2e-12 - 1e-7, abs=1e-20)
 
 
@@ -137,7 +138,7 @@ def test_route_to_target_on_cut_arrives_counterclockwise():
     target = cut.anchor + 0.5 * (cut.end - cut.anchor)
     # -0.5 lies on the cut's line behind the anchor: the straight edge to the
     # target runs through the anchor, which the router refuses
-    wps = route_between(slit, f, -0.5, target)
+    wps = route_between(slit, -0.5, target)
     assert wps[-1] == target and _side(wps[-2], cut) > 0
     for a, b in zip(wps[:-1], wps[1:]):
         assert _visible(a, b, slit.cuts)
@@ -194,6 +195,96 @@ def test_crosses_step_through_anchor():
     assert not _visible(a - 0.1 * n, a + 0.1 * n, (cut,))
     assert not _visible(a - 0.1 * cut.direction, a + 0.1 * cut.direction, (cut,))
     assert _visible(a, a - 0.1 * n, (cut,))
+
+
+def test_a_step_that_ends_at_its_cuts_anchor_is_visible():
+    # the anchor's projection on the step equals the step's squared length up
+    # to rounding: the anchor is at the end, not inside the step
+    rng = np.random.default_rng(29)
+    blocked = 0
+    for _ in range(1000):
+        a = 0.8 * np.sqrt(rng.random()) * np.exp(2j * np.pi * rng.random())
+        d = np.exp(2j * np.pi * rng.random())
+        cut = Cut(anchor=a, direction=d, end=ray_exit(a, d))
+        p = np.sqrt(rng.random()) * np.exp(2j * np.pi * rng.random())
+        blocked += not _visible(p, a, (cut,))
+    detours = 0
+    for _ in range(300):
+        z0 = 0.9 * np.sqrt(rng.random()) * np.exp(2j * np.pi * rng.random())
+        f = rational(0.25, roots=[(z0, 1)])
+        slit = build_slit_disk(f, 0.0)
+        detours += len(route_between(slit, pick_reference(f, slit), z0)) > 2
+    assert (blocked, detours) == (0, 0)
+
+
+def _blocked_pairs(seed, count):
+    """Seeded slit disks of 3-6 simple zeros, each with a route that the
+    first zero's cut blocks: its preferred direction points at the route's
+    middle."""
+    rng = np.random.default_rng(seed)
+
+    def disk(r):
+        return r * np.sqrt(rng.random()) * np.exp(2j * np.pi * rng.random())
+
+    while count:
+        roots, n = [disk(0.7)], rng.integers(3, 7)
+        while len(roots) < n:
+            z = disk(0.7)
+            if min(abs(z - r) for r in roots) > 0.05:
+                roots.append(z)
+        f = rational(0.25, roots=[(z, 1) for z in roots])
+        src, dst = disk(0.95), disk(0.95)
+        dirs = {z: np.exp(2j * np.pi * rng.random()) for z in roots}
+        dirs[roots[0]] = 0.5 * (src + dst) - roots[0]
+        slit = build_slit_disk(f, 0.0, preferred_dirs=dirs)
+        if slit.on_cut_interior(src) or slit.on_cut_interior(dst) or _visible(src, dst, slit.cuts):
+            continue
+        count -= 1
+        yield slit, src, dst
+
+
+def test_route_length_matches_a_shortest_path_oracle():
+    routed = 0
+    for slit, src, dst in _blocked_pairs(31, 40):
+        nodes = np.array([src, dst, *slit.nodes])
+        w = np.array([[abs(p - q) if _visible(p, q, slit.cuts) else 0.0 for q in nodes] for p in nodes])
+        want = shortest_path(w, directed=False, indices=0)[1]
+        # between any two nodes, the next-hop walk has the oracle's length
+        between = shortest_path(w[2:, 2:], directed=False)
+        assert np.array_equal(np.isfinite(slit.dist), np.isfinite(between))
+        for i, j in zip(*np.nonzero(np.isfinite(between))):
+            walk = [i]
+            while walk[-1] != j:
+                walk.append(slit.hop[walk[-1], j])
+            legs = slit.nodes[walk]
+            assert np.sum(np.abs(np.diff(legs))) == pytest.approx(between[i, j], rel=1e-12, abs=1e-15)
+            assert _visible(legs[:-1], legs[1:], slit.cuts).all()
+        if not np.isfinite(want):
+            with pytest.raises(Unreachable):
+                route_between(slit, src, dst)
+            continue
+        wps = route_between(slit, src, dst)
+        assert wps[0] == src and wps[-1] == dst and len(wps) > 2
+        assert np.sum(np.abs(np.diff(wps))) == pytest.approx(want, rel=1e-12, abs=0)
+        assert all(_visible(a, b, slit.cuts) for a, b in zip(wps[:-1], wps[1:]))
+        routed += 1
+    assert routed >= 30
+
+
+def test_a_point_in_the_band_of_a_short_cut_is_on_it():
+    # the cut [0.9, 1] has length 0.1 and a band of 1e-12 * 0.1 round its
+    # line: 5e-13 off the line a point lies on one side, 5e-15 off on the cut
+    f = rational(0.25, roots=[(0.9, 1)])
+    eng = PathEngine(f, build_slit_disk(f, 0.0))
+    up, down = (eng.primitive(0.95 + s * 5e-13j).value for s in (1, -1))
+    assert (up, down) == (eng.F(0.95 + 5e-13j), eng.F(0.95 - 5e-13j))
+    assert up.real == pytest.approx(-down.real, rel=1e-12) and up.real > 7e-3
+    for z in (0.95, 0.95 + 5e-15j, 0.95 - 5e-15j):
+        assert eng.slit.on_cut_interior(z)
+        with pytest.raises(Unreachable, match="strictly inside a cut"):
+            eng.primitive(z)
+    # the anchor and the end lie on the cut but not strictly inside it
+    assert not any(eng.slit.on_cut_interior(z) for z in (0.9, 1.0, 0.9 + 5e-14, 1.0 - 5e-14))
 
 
 def _exact_crosses(p, q, a, e):
