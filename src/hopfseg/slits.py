@@ -8,7 +8,9 @@ visibility graph whose only obstacles are the cuts; a blocked cut is rounded
 via three detour nodes placed just off its anchor.  build_slit_disk places
 the nodes once and stores the shortest path between every pair of them, so a
 blocked route only picks the pair of nodes that its ends see and that makes
-it shortest.
+it shortest.  The route is the integration path as it stands: a leg may pass
+a root however close, and the quadrature kernel refines its panels near
+roots (quadrature._winding_safe) and halves long legs as its tolerance asks.
 
 A point on a cut belongs to one side of it, by one rule that the grid fill
 and the router share through crosses: a point within
@@ -36,7 +38,6 @@ GOLDEN_ANGLE = np.pi * (3.0 - np.sqrt(5.0))
 CUT_CLEARANCE = 1e-6
 ON_CUT_TOL = 1e-12
 SEGMENT_TOUCH_TOL = 1e-14    # closed segments this close, relative to the longer, meet
-MAX_WAYPOINT_STEP = 0.5
 LEG_COST = 1e-14             # a route leg costs its length and this: of routes equal to rounding, the fewest legs win
 
 
@@ -289,50 +290,3 @@ def route_between(slit: SlitDisk, src, dst) -> tuple:
         i = slit.hop[i, j]
         path.append(slit.nodes[i])
     return (*path, dst)
-
-
-def _bump_root_grazes(waypoints, f: RationalFactored, slit: SlitDisk) -> tuple:
-    """Insert offsets so no segment interior passes through a root."""
-    out = [waypoints[0]]
-    for a, b in zip(waypoints[:-1], waypoints[1:]):
-        seg = [a, b]
-        changed = True
-        guard = 0
-        while changed and guard < 16:
-            changed = False
-            guard += 1
-            new_seg = [seg[0]]
-            for p, q in zip(seg[:-1], seg[1:]):
-                for root, _ in f.interior_roots:
-                    if abs(root - p) < AT_ROOT_TOL or abs(root - q) < AT_ROOT_TOL:
-                        continue
-                    if point_segment_distance(root, p, q) < 1e-7 and abs(q - p) > 1e-9:
-                        u = (q - p) / abs(q - p)
-                        for sign in (1.0, -1.0):
-                            w = root + sign * 1e-5 * 1j * u
-                            if abs(w) < 1.0 and _visible(p, w, slit.cuts) and _visible(w, q, slit.cuts):
-                                new_seg.append(w)
-                                changed = True
-                                break
-                        break
-                new_seg.append(q)
-            seg = new_seg
-        out.extend(seg[1:])
-    return tuple(out)
-
-
-def _split_long(waypoints) -> tuple:
-    out = [waypoints[0]]
-    for a, b in zip(waypoints[:-1], waypoints[1:]):
-        k = max(1, int(np.ceil(abs(b - a) / MAX_WAYPOINT_STEP)))
-        for i in range(1, k + 1):
-            out.append(a + (b - a) * (i / k))
-    return tuple(out)
-
-
-def route_path(slit: SlitDisk, f: RationalFactored, src, dst) -> tuple:
-    """Integration waypoints from src to dst: the shortest cut-avoiding
-    polyline, bumped off roots it grazes and split into short segments."""
-    wps = route_between(slit, src, dst)
-    wps = _bump_root_grazes(wps, f, slit)
-    return _split_long(wps)

@@ -11,7 +11,7 @@ from hopfseg.quadrature import (
     sqrt_segments,
 )
 from hopfseg.rational import monomial, rational
-from hopfseg.slits import build_slit_disk, route_between, route_path
+from hopfseg.slits import build_slit_disk, route_between
 from hopfseg.states import admissibility, find_base_point
 
 
@@ -106,7 +106,7 @@ def test_rigidity_values_match_fresh_engines():
         w = r * np.exp(1j * phi)
         f = rational(0.25, roots=[(0.0, 1), (w, 2)])
         eng = PathEngine(f, build_slit_disk(f, 0.0))
-        detours += len(route_path(eng.slit, f, eng.z_ref, w)) > 2
+        detours += len(route_between(eng.slit, eng.z_ref, w)) > 2
         F = eng.F(w)
         assert min(abs(v - F), abs(v + F)) <= 1e-12 * abs(F)
         assert abs(experiments.rigidity_value(r, phi) - v) <= 1e-14 * abs(v)
@@ -205,7 +205,7 @@ def test_continue_sqrt_arc_branch(cubic_engine):
 
 def test_sheet_consistency_along_paths(cubic_engine):
     f, slit, eng = cubic_engine
-    for z in _along(route_path(slit, f, slit.base, -0.6 + 0.4j)):
+    for z in _along(route_between(slit, slit.base, -0.6 + 0.4j)):
         _, v = eng.value_and_sqrt(z)
         w = f.eval(z)
         assert abs(v * v - w) <= 1e-12 * max(abs(w), 1e-30)
@@ -273,6 +273,28 @@ def test_engine_rejects_tolerance_below_floor(cubic_engine):
     f, slit, _ = cubic_engine
     with pytest.raises(ValueError):
         PathEngine(f, slit, tol=1e-13)
+
+
+def test_every_routed_value_checks_its_error_estimate(monkeypatch):
+    # once the integrator reports ten times the tolerance on every leg, each
+    # routed value refuses it: F, value_and_sqrt, primitive and the rim
+    # march's start
+    f = monomial(0.25, 3)
+    eng = PathEngine(f, build_slit_disk(f, 0.0))
+    segments = SqrtSegmentIntegrator.segments
+
+    def inflated(self, *args, **kw):
+        vals, errs, v = segments(self, *args, **kw)
+        return vals, errs + 10 * eng.tol, v
+
+    z = -0.3 + 0.4j
+    monkeypatch.setattr(SqrtSegmentIntegrator, "segments", inflated)
+    for value, arg in ((eng.F, z), (eng.value_and_sqrt, z), (eng.primitive, z),
+                       (eng.boundary_values, 32)):
+        with pytest.raises(ToleranceNotMet):
+            value(arg)
+    monkeypatch.undo()
+    assert eng.primitive(z).est_error <= 10 * eng.tol     # nothing refused was kept
 
 
 def test_boundary_values_match_pointwise(cubic_engine):

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 from hopfseg.mobius import MobiusMap, apply, compose, invert, pushforward_hopf
 from hopfseg.primitive import PathEngine
 from hopfseg.rational import multiply, rational, winding_count
-from hopfseg.slits import build_slit_disk, route_path
+from hopfseg.slits import build_slit_disk, route_between
 
 cx = st.complex_numbers(max_magnitude=0.4, allow_nan=False, allow_infinity=False)
 small_alpha = st.complex_numbers(max_magnitude=0.35, allow_nan=False, allow_infinity=False)
@@ -58,7 +58,7 @@ def test_sheet_consistency_everywhere(f, target):
     if slit.on_cut_interior(target):
         return
     eng = PathEngine(f, slit, tol=1e-11)
-    wps = route_path(slit, f, base, target)
+    wps = route_between(slit, base, target)
     for a, b in zip(wps[:-1], wps[1:]):
         for z in a + (b - a) * np.linspace(0.0, 1.0, 9)[1:]:
             _, v = eng.value_and_sqrt(z)

@@ -15,7 +15,6 @@ from hopfseg.slits import (
     point_segment_distance,
     ray_exit,
     route_between,
-    route_path,
     segment_segment_distance,
 )
 
@@ -56,13 +55,13 @@ def test_opposite_odd_zeros_cuts_clear():
 def test_route_no_cuts_single_segment():
     f = rational(0.25)
     slit = build_slit_disk(f, 0.0)
-    assert route_path(slit, f, 0.0, 0.5) == (0.0, 0.5)
+    assert route_between(slit, 0.0, 0.5) == (0.0, 0.5)
 
 
 def test_route_degenerate_target_is_base():
     f = rational(0.25)
     slit = build_slit_disk(f, 0.0)
-    assert route_path(slit, f, 0.0, 0.0) == (0.0,)
+    assert route_between(slit, 0.0, 0.0) == (0.0,)
 
 
 def test_route_detours_around_cut():
@@ -317,13 +316,6 @@ def test_crosses_matches_exact_side_test_off_the_band():
         agree += len(p)
         crossed += int(got.sum())
     assert agree > 7000 and crossed > 500
-
-
-def test_waypoint_spacing_bound():
-    f = rational(0.25)
-    slit = build_slit_disk(f, -0.9)
-    steps = np.abs(np.diff(np.array(route_path(slit, f, -0.9, 0.9))))
-    assert np.all(steps <= 0.5 + 1e-12)
 
 
 def test_cut_to_boundary_end():

@@ -9,7 +9,7 @@ from hopfseg.errors import NotAdmissible, NotOnNodalSet
 from hopfseg.experiments import admissible_fw, figure5_function, splitting_outputs
 from hopfseg.primitive import PathEngine
 from hopfseg.rational import monomial, rational
-from hopfseg.slits import build_slit_disk
+from hopfseg.slits import build_slit_disk, point_segment_distance, route_between
 from hopfseg.states import (
     FILL_CHORD,
     FILL_ROUTED,
@@ -414,9 +414,36 @@ def test_fill_matches_mpmath_primitive(fill_states, name, rng):
     st = fill_states[name]
     Z = _cell_grid(st)
     cells = _oracle_cells(st, rng)
-    worst = max(abs(st.u[iy, ix] - _mp_abs_re_F(st.f, st.base, Z[iy, ix]))
-                for iy, ix in cells)
+    want = {c: _mp_abs_re_F(st.f, st.base, Z[c]) for c in cells}
+    worst = max(abs(st.u[c] - want[c]) for c in cells)
     assert worst <= 1e-12 * st.scale
+    # the route from the reference point to a rim cell has a leg longer than
+    # 0.5, integrated in one piece: its routed value matches too
+    long = [c for c in cells
+            if np.abs(np.diff(route_between(st.slit, st.engine.z_ref, Z[c]))).max() > 0.5]
+    assert long
+    assert max(abs(st.value_at(Z[c]) - want[c]) for c in long) <= 1e-12 * st.scale
+
+
+@pytest.mark.parametrize("gap", [1e-8, 1e-11])
+@pytest.mark.parametrize("order, side", [(3, 1), (3, -1), (2, 1), (2, -1)],
+                         ids=["z3-left", "z3-right", "z2-left", "z2-right"])
+def test_routed_leg_grazing_a_root_matches_mpmath(order, side, gap):
+    # f = z^order / 4 with base 0 at its zero; the leg from the reference
+    # point to w passes the zero gap away on the side side * i u, and an odd
+    # zero's cut runs off the other side, so the leg stays straight
+    f = monomial(0.25, order)
+    eng0 = PathEngine(f, build_slit_disk(f, 0.0))
+    rho = abs(eng0.z_ref)
+    u = -eng0.z_ref / rho
+    dirs = {0j: -side * 1j * u} if order % 2 else None
+    eng = PathEngine(f, build_slit_disk(f, 0.0, preferred_dirs=dirs))
+    assert eng.z_ref == eng0.z_ref
+    w = 0.5 * u + side * gap * (0.5 + rho) / rho * 1j * u
+    assert route_between(eng.slit, eng.z_ref, w) == (eng.z_ref, w)
+    assert 0.9 * gap < point_segment_distance(0j, eng.z_ref, w) < 1.1 * gap
+    want = _mp_abs_re_F(f, 0.0, w)
+    assert abs(abs(eng.F(w).real) - want) <= 1e-12 * eng.boundary_scale()
 
 
 @pytest.mark.parametrize("G", [97, 129])
