@@ -22,13 +22,14 @@ def main():
     cfg = boundary_from_state(st, graph, samples=512)
     print(f"{args.species}-species data at resolution {args.resolution}")
     print(f"{'mu':>10} {'cycles':>7} {'sweeps':>7} {'residual':>10} {'defect':>12} "
-          f"{'interface (cells)':>18} {'coarsest':>8}  sweeps, then residual evaluations, "
-          f"per level, finest first")
+          f"{'interface (cells)':>18} {'coarsest':>8} {'rim':>5}  sweeps, then residual "
+          f"evaluations, per level, finest first")
     for mu in args.mus:
         fld = solve(cfg, mu=mu)
         d = interface_distance(fld, graph)
         print(f"{mu:10.0f} {fld.cycles:7d} {fld.sweeps:7d} {fld.residual:10.2e} "
-              f"{fld.defect:12.4e} {d:18.2f} {fld.coarsest_visits:8d}  {list(fld.level_sweeps)} "
+              f"{fld.defect:12.4e} {d:18.2f} {fld.coarsest_visits:8d} {fld.rim_sweeps:5d}  "
+              f"{list(fld.level_sweeps)} "
               f"{list(fld.level_residuals)}")
 
 

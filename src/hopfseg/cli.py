@@ -127,7 +127,8 @@ def run(args) -> int:
                 report["residual"] = fld.residual
                 report["diagnostics"]["solve"] = {"level_sweeps": list(fld.level_sweeps),
                                                   "level_residuals": list(fld.level_residuals),
-                                                  "coarsest_visits": fld.coarsest_visits}
+                                                  "coarsest_visits": fld.coarsest_visits,
+                                                  "rim_sweeps": fld.rim_sweeps}
                 report["segregation_defect"] = fld.defect
                 report["interface_distance_cells"] = diffusion.interface_distance(fld, g)
                 _export_fields_csv(fld, out / "fields.csv")

@@ -6,7 +6,10 @@ boundary trace, split among the faces of its nodal graph.  Embedded-boundary
 approximation scheme (FAS) multigrid (Brandt, Math. Comp. 1977) over the
 grids G, (G+1)//2, ..., with red-black Gauss-Seidel, the coupling frozen per
 sweep (monotone for this sign structure), as the smoother; as mu grows the
-argmax partition converges to the analytic nodal partition.
+argmax partition converges to the analytic nodal partition.  The staircase
+boundary limits the cycle's contraction, so the finest grid's rim band, the
+inside cells within RIM_WIDTH cells of the rim, gets extra sweeps of its own
+after each smoothing there (Brandt's local relaxation).
 """
 
 from __future__ import annotations
@@ -22,6 +25,8 @@ from .states import AnalyticState
 SWEEP_TOL = 1e-8             # bound on the scaled residual (see solve)
 MAX_CYCLES = 100
 SMOOTHING_SWEEPS = 2         # before and after each coarse-grid correction
+RIM_WIDTH = 3                # the rim band: inside cells with |z| > 1 - RIM_WIDTH h
+RIM_SWEEPS = 4               # band sweeps after each finest-grid smoothing
 MIN_COARSE = 6               # no grid fewer cells across than this
 MAX_COARSE_COUPLING = 1e3    # no grid with mu h^2 max g above this (see _hierarchy)
 COARSE_CHUNK = 5             # coarsest-grid sweeps between residual checks
@@ -59,6 +64,7 @@ class DiffusionField:
     level_sweeps: tuple = ()   # the sweeps on each grid level, finest first
     coarsest_visits: int = 0   # coarsest-grid solves (_coarsest calls)
     level_residuals: tuple = ()   # residual evaluations on each grid level, finest first
+    rim_sweeps: int = 0        # red-black sweeps of the finest grid's rim band alone
 
 
 def boundary_from_state(state: AnalyticState, graph: NodalGraph,
@@ -110,7 +116,8 @@ class _Level:
     coarsest-grid visits made on it, each species' offset in the flat u, and
     cells (5, m): the flat index of each inside cell, then of its N, S, W and
     E neighbours, the red cells ((r + c) even) first, then the black ones;
-    colours are its two column blocks (views)."""
+    colours are its two column blocks (views), and rim each colour's columns
+    in the rim band, |z| > 1 - RIM_WIDTH h at the cell centre."""
 
     def __init__(self, config: DiffusionConfig, G: int):
         bvals, inside, h = _boundary_value_grid(config, G)
@@ -118,13 +125,17 @@ class _Level:
         self.h2 = h * h
         self.inside = inside
         self.u0 = np.where(inside[None], 0.0, bvals)
-        self.sweeps = self.residuals = self.visits = 0
+        self.sweeps = self.rim_sweeps = self.residuals = self.visits = 0
         P = G + 2
         r, c = np.nonzero(inside)
         self.species = P * P * np.arange(len(bvals))[:, None]
         order = np.argsort((r + c) % 2, kind="stable")      # red first, each row-major
         self.cells = (r * P + c)[order] + np.array([[0], [-P], [P], [-1], [1]])
-        self.colours = np.split(self.cells, [np.count_nonzero((r + c) % 2 == 0)], axis=1)
+        red = [np.count_nonzero((r + c) % 2 == 0)]
+        centre = -1.0 - 0.5 * h + np.arange(P) * h           # as in _boundary_value_grid
+        band = np.split((np.hypot(centre[r], centre[c]) > 1.0 - RIM_WIDTH * h)[order], red)
+        self.colours = np.split(self.cells, red, axis=1)
+        self.rim = [nbs[:, m] for nbs, m in zip(self.colours, band)]
 
 
 def _hierarchy(config: DiffusionConfig, mu: float):
@@ -175,28 +186,37 @@ def _restrict(a, down):
     return out
 
 
-def _smooth(u, b, lev, mu, sweeps):
+def _smooth(u, b, lev, mu, sweeps, rim=False):
     """Red-black Gauss-Seidel on (4 + mu h^2 sum_{k!=j} u_k) u_j - nb_j = b_j
     with the coupling frozen per sweep; b is the h^2-scaled FAS right-hand
     side (None for zero), u and b C-contiguous.  A colour's neighbours are all
     of the other colour, so a half-sweep gathers the colour's five index rows,
     updates and scatters once; the red half-sweep writes no black cell, so the
     frozen sum_k u_k in a colour's cells is the sum of their gathered values.
-    The update is non-negative where nb_j + b_j is; the clamp covers the rest."""
+    The update is non-negative where nb_j + b_j is; the clamp covers the rest.
+    With rim, only the cells of lev.rim are swept, counted in lev.rim_sweeps
+    rather than lev.sweeps."""
     mh2 = mu * lev.h2
-    lev.sweeps += sweeps
+    if rim:
+        lev.rim_sweeps += sweeps
+    else:
+        lev.sweeps += sweeps
+    blocks = lev.rim if rim else lev.colours
     flat = u.reshape(len(u), -1)
+    # the same in every sweep: each block's scatter index into u, and its b
+    dests = [(lev.species + nbs[0]).ravel() for nbs in blocks]
+    bs = [None if b is None else b.reshape(len(b), -1).take(nbs[0], axis=1) for nbs in blocks]
     for _ in range(sweeps):
-        for nbs in lev.colours:
+        for nbs, dest, bc in zip(blocks, dests, bs):
             old, new = flat.take(nbs[0], axis=1), flat.take(nbs[1], axis=1)
             for i in nbs[2:]:            # ((n + s) + w) + e
                 new += flat.take(i, axis=1)
-            if b is not None:
-                new += b.reshape(len(b), -1).take(nbs[0], axis=1)
+            if bc is not None:
+                new += bc
             coupling = old.sum(axis=0) - old
             new /= 4.0 + mh2 * np.maximum(coupling, 0.0, out=coupling)
             np.maximum(new, 0.0, out=new)
-            u.reshape(-1)[(lev.species + nbs[0]).ravel()] = new.ravel()
+            u.reshape(-1)[dest] = new.ravel()
 
 
 def _cell_residual(u, b, lev, mu):
@@ -257,6 +277,8 @@ def _cycle(levels, k, u, b, mu, v_only=False):
         _coarsest(u, b, lev, mu)
         return
     _smooth(u, b, lev, mu, SMOOTHING_SWEEPS)
+    if k == 0:
+        _smooth(u, b, lev, mu, RIM_SWEEPS, True)      # the rim band alone
     coarse = levels[k + 1]
     uc = np.where(coarse.inside[None], _restrict(u, lev.down), coarse.u0)
     start = uc.copy()
@@ -271,6 +293,8 @@ def _cycle(levels, k, u, b, mu, v_only=False):
     new = flat.take(lev.cells[0], axis=1) + _prolong(e, lev)
     flat[:, lev.cells[0]] = np.maximum(new, 0.0, out=new)
     _smooth(u, b, lev, mu, SMOOTHING_SWEEPS)
+    if k == 0:
+        _smooth(u, b, lev, mu, RIM_SWEEPS, True)      # the rim band alone
 
 
 def solve(config: DiffusionConfig, mu: float) -> DiffusionField:
@@ -283,6 +307,13 @@ def solve(config: DiffusionConfig, mu: float) -> DiffusionField:
     smoother is red-black Gauss-Seidel with the coupling frozen per sweep,
     which keeps every iterate non-negative; coarse-grid corrections are
     interpolated to the inside cells of the finer grid and clamped at 0.
+    On the finest grid each smoothing, before and after the correction, is
+    followed by RIM_SWEEPS sweeps of the rim band alone (_Level).  Each grid
+    draws the disk's staircase boundary differently, so coarse corrections
+    are worst next to the rim, and the residual a cycle leaves peaks within
+    two cells of it; without the band sweeps an F-cycle cuts the scaled
+    residual by 0.13-0.17, with them by 0.05-0.08 (G = 64 to 128).  The
+    coarser grids get no band sweeps: there they cost more than they save.
     The first iterate is nested: each grid starts from the interpolated
     solution of the next coarser one.  Stops when
     max |r_j| / (4 + mu h^2 sum_{k!=j} u_k) over the inside cells is at most
@@ -326,7 +357,7 @@ def solve(config: DiffusionConfig, mu: float) -> DiffusionField:
         u=u[:, 1:-1, 1:-1], inside=lev.inside[1:-1, 1:-1], residual=res,
         defect=defect, sweeps=sum(level_sweeps), cycles=cycles, resolution=lev.G,
         level_sweeps=level_sweeps, coarsest_visits=levels[-1].visits,
-        level_residuals=tuple(lv.residuals for lv in levels),
+        level_residuals=tuple(lv.residuals for lv in levels), rim_sweeps=lev.rim_sweeps,
     )
 
 

@@ -425,13 +425,15 @@ def test_residual_matches_a_cell_by_cell_loop(monkeypatch, G, n, mh2, rng):
 @pytest.mark.parametrize("make, G, mu", [(_z3_config, 96, 1e4), (_z3_config, 97, 1e2),
                                          (_halves_config, 64, 0.0), (_z3_config, 48, 1e6)])
 def test_level_sweeps_count_every_sweep(monkeypatch, make, G, mu):
-    # _smooth, _cell_residual and _coarsest calls counted from outside, by grid size
-    counted, residuals, visits = {}, {}, []
+    # _smooth, _cell_residual and _coarsest calls counted from outside, by
+    # grid size; rim-band sweeps apart
+    counted, rim_counted, residuals, visits = {}, {}, {}, []
     smooth, cell_residual, coarsest = diffusion._smooth, diffusion._cell_residual, diffusion._coarsest
 
-    def counting_smooth(u, b, lev, mu, sweeps):
-        counted[lev.G] = counted.get(lev.G, 0) + sweeps
-        smooth(u, b, lev, mu, sweeps)
+    def counting_smooth(u, b, lev, mu, sweeps, rim=False):
+        tally = rim_counted if rim else counted
+        tally[lev.G] = tally.get(lev.G, 0) + sweeps
+        smooth(u, b, lev, mu, sweeps, rim)
 
     def counting_residual(u, b, lev, mu):
         residuals[lev.G] = residuals.get(lev.G, 0) + 1
@@ -464,6 +466,63 @@ def test_level_sweeps_count_every_sweep(monkeypatch, make, G, mu):
     # nested pass once on the coarsest grid and once per finer level, and
     # each cycle after it L times
     assert fld.coarsest_visits == 1 + sum(range(2, L + 1)) + (fld.cycles - 1) * L
+    # each cycle, the nested pass included, sweeps the finest grid's rim band
+    # after both of its smoothings; a one-grid solve has no smoothing outside
+    # _coarsest
+    if L == 1:
+        assert fld.rim_sweeps == 0 and rim_counted == {}
+    else:
+        assert fld.rim_sweeps == 2 * diffusion.RIM_SWEEPS * fld.cycles
+        assert rim_counted == {sizes[0]: fld.rim_sweeps}
+
+
+@pytest.mark.parametrize("G", [8, 9, 47, 96])
+def test_rim_band_is_the_cells_near_the_rim(G):
+    # the inside cells whose centre lies within RIM_WIDTH cells of the rim,
+    # from the padded cell centres, one colour at a time, each row-major
+    lev = diffusion._Level(_z3_config(G), G)
+    h = 2.0 / G
+    x = -1.0 - 0.5 * h + np.arange(G + 2) * h
+    X, Y = np.meshgrid(x, x)
+    R = np.sqrt(X * X + Y * Y)
+    rows, cols = np.indices(X.shape)
+    band = (R < 1.0) & (R > 1.0 - diffusion.RIM_WIDTH * h)
+    assert 0 < np.count_nonzero(band) < np.count_nonzero(lev.inside)
+    for colour, (nbs, all_nbs) in enumerate(zip(lev.rim, lev.colours)):
+        want = np.flatnonzero(band & ((rows + cols) % 2 == colour))
+        assert np.array_equal(nbs[0], want)
+        # the colour's index block restricted to the band's columns
+        assert np.array_equal(nbs, all_nbs[:, np.isin(all_nbs[0], want)])
+
+
+@pytest.mark.parametrize("make, G", [(_halves_config, 64), (_z3_config, 47)])
+def test_one_grid_solve_makes_no_rim_sweeps(monkeypatch, make, G):
+    # mu = 1e6 leaves one grid, where _coarsest does all the sweeping: the
+    # solve is the same bits with the band sweeps switched off
+    assert len(diffusion._hierarchy(make(G), 1e6)) == 1
+    fld = solve(make(G), 1e6)
+    monkeypatch.setattr(diffusion, "RIM_SWEEPS", 0)
+    plain = solve(make(G), 1e6)
+    assert fld.rim_sweeps == 0
+    assert np.array_equal(fld.u, plain.u) and fld.residual == plain.residual
+    assert (fld.cycles, fld.sweeps) == (plain.cycles, plain.sweeps)
+
+
+def test_rim_band_saves_two_cycles(monkeypatch):
+    # z^3/4 at G = 96, mu = 1e4: five F-cycles, seven without the band sweeps
+    assert solve(_z3_config(96), 1e4).cycles == 5
+    monkeypatch.setattr(diffusion, "RIM_SWEEPS", 0)
+    assert solve(_z3_config(96), 1e4).cycles == 7
+
+
+def test_field_is_near_a_tight_reference_solve(monkeypatch):
+    # the default stop rule leaves the field within 1.5e-8 of a solve to a
+    # scaled residual of 1e-13 (7.0e-9 with the band sweeps, 2.6e-8 without)
+    fld = solve(_z3_config(96), 1e4)
+    monkeypatch.setattr(diffusion, "SWEEP_TOL", 1e-13)
+    ref = solve(_z3_config(96), 1e4)
+    assert ref.residual <= 1e-13
+    assert np.abs(fld.u - ref.u).max() <= 1.5e-8
 
 
 def test_cycle_cap_raises(monkeypatch):
