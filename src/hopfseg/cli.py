@@ -178,7 +178,11 @@ def main(argv=None) -> int:
     try:
         return run(args)
     except (HopfSegError, ValueError) as exc:    # a typed failure or an input out of range
-        text = dump_report({"error": type(exc).__name__, "message": str(exc)})
+        report = {"error": type(exc).__name__, "message": str(exc)}
+        if hasattr(exc, "diagnostics"):
+            # a failed split's counters: what led to the failure
+            report["diagnostics"] = {"split": exc.diagnostics}
+        text = dump_report(report)
         Path(args.out).mkdir(parents=True, exist_ok=True)
         (Path(args.out) / "report.json").write_text(text)
         print(text, end="")

@@ -32,6 +32,7 @@ from .errors import (
     BranchLost,
     ClosenessFailed,
     DeterminantFloor,
+    HopfSegError,
     NotAdmissible,
     RootTooCloseToBoundary,
     SingularSolve,
@@ -42,9 +43,9 @@ from .primitive import PathEngine
 from .quadrature import gk15
 from .rational import ROOT_MERGE_TOL, RationalFactored, order_at, root_at
 from .slits import build_slit_disk
-from .states import admissibility, reconstruct
+from .states import admissibility, grid_state
 
-R_CANDIDATES = (2, 4, 8, 16, 32, 64)
+R_CANDIDATES = (1, 2, 4, 8, 16, 32, 64)
 DET_FLOOR = 1e-8
 INTEGRAL_TOL = 1e-12         # the tolerance of every system and K integral
 NEWTON_TOL = 1e-9            # |K| at which the search for the new zero's angle stops
@@ -242,9 +243,16 @@ def _normalized_det(A: np.ndarray) -> float:
 
 
 def choose_R(ctx: PerturbationContext) -> int:
-    """Smallest doubling R whose row-normalized system determinant clears 1e-8."""
+    """Smallest R of 1, 2, 4, ..., 64 whose row-normalized system determinant
+    clears 1e-8, stored in ctx with the system vector B0 at omega0 = 0.
+
+    R = 1 comes first: the q-weights scale like eps / |w_1|^{lR+1}, so the
+    least R keeps the q-polynomial's roots farthest from the disk.  B0 is
+    the power-0 column, the same for every R, and with M = 0 there are no
+    weights, so R has no effect there.
+    """
     best = None
-    for R in R_CANDIDATES + (1,):
+    for R in R_CANDIDATES:
         A0, B0 = assemble_system(ctx, 0.0, R=R)
         det = _normalized_det(A0)
         if det >= DET_FLOOR:
@@ -376,15 +384,12 @@ class DesingularizationResult:
         return self.z0 + self.omega0
 
 
-def _assemble_f_new(ctx: PerturbationContext, omega0: complex, W: np.ndarray):
-    """Factored form of z^{m0}(z - w0) h^2 q^2 prod (z - w_j)^{q_j}, recentred back."""
+def _q_factors(ctx: PerturbationContext, W: np.ndarray):
+    """The leading coefficient, the unit factors and the boundary margin of
+    f times q^2, q = 1 + sum_l W_l (z - z0)^{lR}; RootTooCloseToBoundary
+    when a root of q lies too close to the disk."""
     f = ctx.f
     z0 = ctx.z0
-    roots = [(z0 + omega0, 1)]
-    if ctx.m0 >= 1:
-        roots.append((z0, ctx.m0))
-    for w, q in zip(ctx.omegas, ctx.qs):
-        roots.append((z0 + w, q))
     lead = f.leading
     unit_num = list(f.unit_num)
     if len(W) and np.max(np.abs(W)) > 1e-300:
@@ -401,11 +406,23 @@ def _assemble_f_new(ctx: PerturbationContext, omega0: complex, W: np.ndarray):
     delta = min(f.delta_bd, 0.9 * (min_outside - 1.0)) if unit_num else f.delta_bd
     if delta <= 1e-9:
         raise RootTooCloseToBoundary("q-polynomial roots too close to the disk")
+    return lead, tuple(unit_num), delta
+
+
+def _assemble_f_new(ctx: PerturbationContext, omega0: complex, W: np.ndarray):
+    """Factored form of z^{m0}(z - w0) h^2 q^2 prod (z - w_j)^{q_j}, recentred back."""
+    z0 = ctx.z0
+    roots = [(z0 + omega0, 1)]
+    if ctx.m0 >= 1:
+        roots.append((z0, ctx.m0))
+    for w, q in zip(ctx.omegas, ctx.qs):
+        roots.append((z0 + w, q))
+    lead, unit_num, delta = _q_factors(ctx, W)
     return RationalFactored(
         leading=lead,
         interior_roots=tuple(roots),
-        unit_num=tuple(unit_num),
-        unit_den=f.unit_den,
+        unit_num=unit_num,
+        unit_den=ctx.f.unit_den,
         delta_bd=delta,
     )
 
@@ -432,22 +449,26 @@ def split_zero(f: RationalFactored, z0, eps_target: float = 0.05, branch: int = 
     general position of the remaining zeros seen from z0 (arrange via the
     Moebius helpers first if needed).  Backtracks eps by halving when Newton
     leaves its branch basin or the new state strays beyond eps_target, and
-    by quartering when a q-polynomial root comes too close to the disk.
+    by quartering when a q-polynomial root comes too close to the disk: at
+    convergence, or already with the weights of the first Newton pass.
     Each function gets one PathEngine, which serves both its admissibility
-    check and its resolution-96 state; the split works in one chart, whose
-    cut lies half a branch spacing past the branch's seed angle, and chooses
-    R once.  The result's diagnostics count the attempts, the backtracks by
-    reason and the Newton passes.
+    check and its resolution-96 grid state (grid_state: the distances read
+    no species labels); the split works in one chart, whose cut lies half a
+    branch spacing past the branch's seed angle, and chooses R once
+    (choose_R: R = 1 unless its determinant is too small).  The result's
+    diagnostics count the attempts, the backtracks by reason and the Newton
+    passes; a typed error raised on the way carries the counters gathered
+    so far as its diagnostics attribute.
     """
     return _split(f, z0, eps_target, branch, eps0)[0]
 
 
 def _split(f, z0, eps_target=0.05, branch=0, eps0=None, state=None):
-    """split_zero, and the resolution-96 state of f_new it built; a result
-    does not hold it, or every caller that keeps results would keep grids.
-    state, if given, is a resolution-96 state of f already built at an
-    interior zero of f: once f is admissible at z0, Re F vanishes at every
-    zero, so U = |Re F| is the same from any of them."""
+    """split_zero, and the resolution-96 grid state of f_new it built; a
+    result does not hold it, or every caller that keeps results would keep
+    grids.  state, if given, is a resolution-96 grid state of f already
+    built at an interior zero of f: once f is admissible at z0, Re F
+    vanishes at every zero, so U = |Re F| is the same from any of them."""
     if not eps_target > 0.0:
         raise ValueError("eps_target must be positive")
     if eps0 is not None and not 0.0 < eps0 < math.inf:
@@ -458,6 +479,21 @@ def _split(f, z0, eps_target=0.05, branch=0, eps0=None, state=None):
                               or order_at(f, state.base) == 0):
         raise ValueError(f"state was not built for this f at resolution {STATE_RESOLUTION}"
                          " and an interior zero")
+    # the search's counters, attached to the result or to a typed error
+    diag = {"attempts": 0,
+            "backtracks": dict.fromkeys(("BranchLost", "ClosenessFailed",
+                                         "RootTooCloseToBoundary"), 0),
+            "newton_passes": 0, "R": 0, "det_fallback": False}
+    try:
+        return _search(f, z0, eps_target, branch, eps0, state, diag)
+    except HopfSegError as exc:
+        exc.diagnostics = diag
+        raise
+
+
+def _search(f, z0, eps_target, branch, eps0, old_state, diag):
+    """The body of _split, counting into diag as it goes; old_state, built
+    on first need when not given, serves every attempt."""
     eng = PathEngine(f, build_slit_disk(f, z0))
     rep = admissibility(f, z0, engine=eng)
     if not rep.admissible:
@@ -473,7 +509,8 @@ def _split(f, z0, eps_target=0.05, branch=0, eps0=None, state=None):
     th_seed = angles[branch]
     # one chart, its cut half a branch spacing past the seed
     ctx = make_context(f, z0, gamma_arg=(th_seed + np.pi / m) % (2 * np.pi))
-    choose_R(ctx)
+    diag["R"] = choose_R(ctx)
+    diag["det_fallback"] = ctx.det_fallback
     scale_b = float(np.max(np.abs(ctx.B0), initial=0.0))
     bad = float(np.max(np.abs(ctx.B0.real), initial=0.0))
     if bad > max(1e-8, 1e-7 * scale_b):
@@ -486,22 +523,26 @@ def _split(f, z0, eps_target=0.05, branch=0, eps0=None, state=None):
 
     basin = np.pi / m
     last_exc = None
-    old_state = state         # built on first need, shared by every attempt
-    tried_small_R = False
-    backtracks = dict.fromkeys(("BranchLost", "ClosenessFailed", "RootTooCloseToBoundary"), 0)
-    passes = 0
+    backtracks = diag["backtracks"]
     for attempt in range(1, 37):
+        diag["attempts"] = attempt
         try:
             theta = th_seed
             # one pass per step gives K at theta, its central difference, and
             # at convergence the weights
-            for _ in range(31):
+            for npass in range(31):
                 thetas = theta + np.array([0.0, 1e-6, -1e-6])
                 omegas = eps * np.exp(1j * thetas)
                 K, W = _K_and_weights(ctx, omegas, thetas)
-                passes += 1
+                diag["newton_passes"] += 1
                 if abs(K[0]) <= NEWTON_TOL:
                     break
+                if npass == 0:
+                    # the seed angle's weights already settle representability:
+                    # a q-root they put too close to the disk, the converged
+                    # weights put there too (so on all 922 attempts of the
+                    # seed 11-13 reduction sweeps), and the search stops here
+                    _q_factors(ctx, W[0])
                 dK = (K[1] - K[2]) / 2e-6
                 if dK == 0:
                     raise BranchLost("flat K derivative")
@@ -526,8 +567,8 @@ def _split(f, z0, eps_target=0.05, branch=0, eps0=None, state=None):
             if not rep_new.admissible:
                 raise ClosenessFailed(f"perturbed function failed admissibility: {rep_new.residuals}")
             if old_state is None:
-                old_state = reconstruct(f, z0, resolution=STATE_RESOLUTION, engine=eng)
-            new_state = reconstruct(f_new, z0, resolution=STATE_RESOLUTION, engine=eng_new)
+                old_state = grid_state(f, z0, resolution=STATE_RESOLUTION, engine=eng)
+            new_state = grid_state(f_new, z0, resolution=STATE_RESOLUTION, engine=eng_new)
             sup, h1 = _state_distances(old_state, new_state)
             if sup + h1 > eps_target:
                 raise ClosenessFailed(f"state moved by {sup + h1} > {eps_target}")
@@ -535,21 +576,13 @@ def _split(f, z0, eps_target=0.05, branch=0, eps0=None, state=None):
                 f_new=f_new, z0=z0, omega0=omega0, W=tuple(W), R=ctx.R,
                 epsilon=eps, theta=theta, branch=branch,
                 sup_dist=sup, h1_dist=h1, admissibility=rep_new,
-                diagnostics={"attempts": attempt, "backtracks": backtracks,
-                             "newton_passes": passes, "R": ctx.R,
-                             "det_fallback": ctx.det_fallback},
+                diagnostics=diag,
             ), new_state
         except RootTooCloseToBoundary as exc:
             # representability failure: the weights scale like
-            # eps / |w_1|^{lR+1}, so shrink hard, and prefer the
-            # smallest exponent scale the determinant floor allows
+            # eps / |w_1|^{lR+1}, so shrink hard
             last_exc = exc
             backtracks[type(exc).__name__] += 1
-            if not tried_small_R and ctx.M and ctx.R > 1:
-                tried_small_R = True
-                if normalized_det(ctx, 1) >= DET_FLOOR:
-                    ctx.R = 1
-                    continue
             eps *= 0.25
         except (BranchLost, ClosenessFailed) as exc:
             last_exc = exc

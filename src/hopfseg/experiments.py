@@ -25,7 +25,7 @@ from .primitive import PathEngine
 from .quadrature import branch_sign, rtsafe, sqrt_segments
 from .rational import DELTA_BD_DEFAULT, RationalFactored, monomial, rational
 from .slits import build_slit_disk
-from .states import ADMISSIBILITY_REL_TOL, analytic_state, find_base_point, reconstruct
+from .states import ADMISSIBILITY_REL_TOL, analytic_state, find_base_point, grid_state
 
 MAX_DRAW_ATTEMPTS = 200
 RIGIDITY_TOL = 1e-11         # the tolerance of the rigidity integrals
@@ -244,7 +244,7 @@ def reduction_sweep(seed: int, count: int, resolution: int = 128):
     for f in [random_multizero(rng) for _ in range(count)]:
         try:
             g = reduce_to_simple(f, eps_budget=8.0)
-            st = reconstruct(g, find_base_point(g), resolution=resolution)
+            st = grid_state(g, find_base_point(g), resolution=resolution)
             gr = trace(st)
         except HopfSegError as exc:
             yield f, type(exc).__name__, None

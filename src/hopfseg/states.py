@@ -5,7 +5,9 @@ disk, the PathEngine, the criticals and residuals from the admissibility
 test, the boundary scale and the resolution G, which sets the nodal
 tracer's scale.  analytic_state builds it; the nodal tracer, the graph
 commands and the diffusion data, whose species are the traced faces, need
-nothing more.  reconstruct adds the grid (SegregatedState).
+nothing more.  grid_state adds the grid (GridState), which is all that a
+distance between two states reads; reconstruct adds the species labels to
+it (SegregatedState).
 
 The grid fill samples F at the cell centres in passes linear in the number
 of cells.  An east or south step between inside cells is usable when it
@@ -18,8 +20,8 @@ forest's steps are integrated: 6-point Gauss where the step is certified
 segment integrator otherwise.  Pointer jumping carries F and the branch of
 f^{1/2} from the seeds to every cell they join.  A cell at a root takes one
 integrator step from a neighbour, or the routed primitive if it has no
-usable one.  SegregatedState.source records which of these gave each value.
-The species labels come from the same row-run search.
+usable one.  GridState.source records which of these gave each value.
+reconstruct's species labels come from the same row-run search.
 """
 
 from __future__ import annotations
@@ -95,7 +97,7 @@ def find_base_point(f: RationalFactored) -> complex:
 @dataclass
 class AnalyticState:
     """The grid-free part of a state: everything the nodal tracer reads."""
-    resolution: int               # G: the tracer's scale, and the grid's in SegregatedState
+    resolution: int               # G: the tracer's scale, and the grid's in GridState
     criticals: tuple              # ((location, order, multiplicity), ...)
     residuals: tuple              # ((odd zero, |Re F|), ...)
     scale: float
@@ -119,13 +121,11 @@ class AnalyticState:
 
 
 @dataclass
-class SegregatedState(AnalyticState):
+class GridState(AnalyticState):
     """An analytic state with U sampled on the G x G grid of cell centres."""
     u: np.ndarray                 # |Re F| at cell centers, NaN outside
     sre: np.ndarray               # signed Re F in the slit determination
     inside: np.ndarray
-    species: np.ndarray           # 0 below threshold / outside, else 1..N
-    n_species: int
     cross_east: np.ndarray = field(repr=False)   # cut crossings of east steps
     cross_south: np.ndarray = field(repr=False)
     source: np.ndarray = field(repr=False)       # FILL_* per inside cell, 0 outside
@@ -149,6 +149,13 @@ class SegregatedState(AnalyticState):
     def cell_centers(self) -> np.ndarray:
         c = -1.0 + (np.arange(self.resolution) + 0.5) * self.h
         return c
+
+
+@dataclass
+class SegregatedState(GridState):
+    """A grid state with its species labelled."""
+    species: np.ndarray           # 0 below threshold / outside, else 1..N
+    n_species: int
 
 
 def _cut_crossings(cuts, Z):
@@ -428,14 +435,10 @@ def analytic_state(f: RationalFactored, base, resolution: int = 256,
                          scale=rep.scale, engine=eng)
 
 
-def reconstruct(f: RationalFactored, base, resolution: int = 256,
-                engine: PathEngine | None = None) -> SegregatedState:
-    """analytic_state(f, base, resolution, engine) with U sampled on the
-    G x G grid of cell centres and its species labelled; the criticals
-    never come from the grid."""
-    state = analytic_state(f, base, resolution, engine)
-    eng = state.engine
-    G = resolution
+def _sample(state: AnalyticState):
+    """The grid fill of the analytic state, and the cell centres Z and the
+    values of f there that labelling the species reads."""
+    f, eng, G = state.f, state.engine, state.resolution
     c = -1.0 + (np.arange(G) + 0.5) * (2.0 / G)
     X, Y = np.meshgrid(c, c)          # [iy, ix]
     Z = X + 1j * Y
@@ -443,19 +446,31 @@ def reconstruct(f: RationalFactored, base, resolution: int = 256,
     fZ = f.eval(Z)
     cross_east, cross_south = _cut_crossings(eng.slit.cuts, Z)
     sre, source = _fill_grid(f, eng, Z, fZ, inside, cross_east, cross_south)
-    u = np.abs(sre)
+    grid = GridState(**vars(state), u=np.abs(sre), sre=sre, inside=inside,
+                     cross_east=cross_east, cross_south=cross_south, source=source)
+    return grid, Z, fZ
 
-    thr = SPECIES_REL_THRESHOLD * max(state.scale, 1e-300)
-    grad_scale = (2.0 / G) * np.sqrt(np.abs(fZ))
+
+def grid_state(f: RationalFactored, base, resolution: int = 256,
+               engine: PathEngine | None = None) -> GridState:
+    """analytic_state(f, base, resolution, engine) with U sampled on the
+    G x G grid of cell centres, and no species labels: U, the signed Re F,
+    the inside mask, the cut crossings of the grid steps and each cell's
+    fill source."""
+    return _sample(analytic_state(f, base, resolution, engine))[0]
+
+
+def reconstruct(f: RationalFactored, base, resolution: int = 256,
+                engine: PathEngine | None = None) -> SegregatedState:
+    """grid_state(f, base, resolution, engine) with its species labelled;
+    the criticals never come from the grid."""
+    grid, Z, fZ = _sample(analytic_state(f, base, resolution, engine))
+    thr = SPECIES_REL_THRESHOLD * max(grid.scale, 1e-300)
+    grad_scale = grid.h * np.sqrt(np.abs(fZ))
     species, n_species = _label_species(
-        u, sre, inside, Z, cross_east, cross_south, thr, grad_scale
+        grid.u, grid.sre, grid.inside, Z, grid.cross_east, grid.cross_south, thr, grad_scale
     )
-
-    return SegregatedState(
-        **vars(state),
-        u=u, sre=sre, inside=inside, species=species, n_species=n_species,
-        cross_east=cross_east, cross_south=cross_south, source=source,
-    )
+    return SegregatedState(**vars(grid), species=species, n_species=n_species)
 
 
 def multiplicity_at(state: AnalyticState, z) -> int:

@@ -2,7 +2,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from hopfseg import desingularize
+from hopfseg import desingularize, states
 from hopfseg.desingularize import (
     K_value,
     PerturbationContext,
@@ -54,7 +54,7 @@ def test_context_and_limit_angles():
     f = monomial(0.25, 3)
     ctx = make_context(f, 0.0)
     assert ctx.m0 == 2 and ctx.M == 0
-    assert choose_R(ctx) == 2
+    assert choose_R(ctx) == 1
     angles = limit_angles(ctx.f, ctx.z0)
     assert np.allclose(angles, [2 * k * np.pi / 5 for k in range(5)], atol=1e-12)
 
@@ -156,21 +156,23 @@ def test_reductions_take_one_integral_pass_per_system(monkeypatch):
     # each Newton step evaluates K at theta and theta +- 1e-6 in one pass of
     # the system integrals and one of the K integrals, and its converged
     # weights are kept: three scalar K evaluations per step and a separate
-    # weights pass at convergence took 161 passes on these reductions; now
-    # 31 steps take 62, and choose_R and the small-R check 8 more
+    # weights pass at convergence took 161 passes on these reductions.  With
+    # R = 1 tried first, and an attempt whose first pass puts a q-root too
+    # close to the disk stopped there, 16 steps take 32, and choose_R's one
+    # determinant per split 5 more
     calls = []
     unit = desingularize._unit_integrals
     monkeypatch.setattr(desingularize, "_unit_integrals", lambda g, n: calls.append(n) or unit(g, n))
     for f in (monomial(0.3, 2), monomial(0.25, 3), tuned_multizero(-0.35, 0.4 + 0.1j, 2, 2)):
         assert excess_index(reduce_to_simple(f, eps_budget=8.0)) == 0
-    assert len(calls) <= 70
+    assert len(calls) <= 37
 
 
 def test_split_diagnostics_count_attempts_and_passes(monkeypatch):
     # a split that converges on its first evaluation makes one attempt and
     # one Newton pass
     diag = split_zero(monomial(0.25, 3), 0.0, eps_target=1e9, branch=0, eps0=0.01).diagnostics
-    assert diag == {"attempts": 1, "newton_passes": 1, "R": 2, "det_fallback": False,
+    assert diag == {"attempts": 1, "newton_passes": 1, "R": 1, "det_fallback": False,
                     "backtracks": {"BranchLost": 0, "ClosenessFailed": 0,
                                    "RootTooCloseToBoundary": 0}}
     # every failed attempt of a successful split is one backtrack
@@ -188,6 +190,37 @@ def test_split_diagnostics_count_attempts_and_passes(monkeypatch):
     for d in seen:
         assert d["attempts"] == 1 + sum(d["backtracks"].values())
         assert d["newton_passes"] >= d["attempts"] and d["R"] in (1, 2, 4, 8, 16, 32, 64)
+
+
+def test_a_failed_split_carries_its_counters():
+    # at eps 1e-13 the new zero merges with the old one on the first
+    # attempt's one Newton pass; the typed error says so
+    with pytest.raises(SplitOrderMismatch) as exc:
+        split_zero(monomial(0.25, 3), 0.0, eps_target=1e9, eps0=1e-13)
+    assert exc.value.diagnostics == {
+        "attempts": 1, "newton_passes": 1, "R": 1, "det_fallback": False,
+        "backtracks": {"BranchLost": 0, "ClosenessFailed": 0, "RootTooCloseToBoundary": 0}}
+
+
+def test_splits_and_reductions_read_no_species_labels(monkeypatch):
+    # the closeness check compares grid states, which carry no labels; the
+    # reductions end on the same zeros as when the check labelled its states
+    def never(*args, **kw):
+        raise AssertionError("species labelled")
+
+    monkeypatch.setattr(states, "_label_species", never)
+    for k in range(5):
+        res = split_zero(monomial(0.25, 3), 0.0, eps_target=1e9, branch=k, eps0=0.01)
+        assert (res.R, res.epsilon) == (1, 0.01)
+    roots = [reduce_to_simple(f, eps_budget=8.0).interior_roots
+             for f in (monomial(0.3, 2), monomial(0.25, 3),
+                       tuned_multizero(-0.35, 0.4 + 0.1j, 2, 2))]
+    assert roots == [
+        ((0j, 1), (0.25 + 0j, 1)),
+        ((0j, 1), (0.011010320300795117 + 0.01108663483090784j, 1), (0.25 + 0j, 1)),
+        ((-0.35 + 0j, 1), (-0.29338947691222683 + 0.07576649111400571j, 1),
+         (0.4 + 0.1j, 1), (0.43095938848166876 + 0.1303626771200104j, 1)),
+    ]
 
 
 def test_solve_weights_examples():
@@ -296,7 +329,7 @@ def test_identity_permutation_dominates_as_R_grows():
         diag = np.prod(np.diag(A))
         ratios.append(abs(np.linalg.det(A) - diag) / abs(diag))
     assert ratios[0] > ratios[1] > ratios[2]
-    assert choose_R(ctx) == 2
+    assert choose_R(ctx) == 1
     assert normalized_det(ctx, 2) >= 1e-8
 
 

@@ -279,7 +279,7 @@ def test_cli_desingularize(tmp_path, capsys):
     # the split converges on its first Newton pass, and its counters keep
     # the report byte-deterministic
     assert rep["diagnostics"]["split"] == {
-        "attempts": 1, "newton_passes": 1, "R": 2, "det_fallback": False,
+        "attempts": 1, "newton_passes": 1, "R": 1, "det_fallback": False,
         "backtracks": {"BranchLost": 0, "ClosenessFailed": 0, "RootTooCloseToBoundary": 0}}
     again = tmp_path / "again"
     main(["desingularize", "-i", str(p), "-o", str(again), "--eps", "0.01", "--branch", "0",
@@ -370,8 +370,15 @@ def test_cli_desingularize_merged_zero_reports_error(tmp_path, capsys):
     p = _write_spec(tmp_path, monomial(0.25, 3))
     code = main(["desingularize", "-i", str(p), "-o", str(tmp_path / "out"), "--eps", "1e-13"])
     assert code == 1
-    msg = json.loads(capsys.readouterr().out)
+    text = capsys.readouterr().out
+    msg = json.loads(text)
     assert msg["error"] == "SplitOrderMismatch"
+    # the error report carries the split's counters up to the failure: the
+    # first attempt's one Newton pass put the new zero on the old one
+    assert msg["diagnostics"]["split"] == {
+        "attempts": 1, "newton_passes": 1, "R": 1, "det_fallback": False,
+        "backtracks": {"BranchLost": 0, "ClosenessFailed": 0, "RootTooCloseToBoundary": 0}}
+    assert (tmp_path / "out" / "report.json").read_text() == text
 
 
 def test_cli_index_figure5_negative_base(tmp_path, capsys):
