@@ -285,7 +285,10 @@ def _cycle(levels, k, u, b, mu, v_only=False):
     # FAS right-hand side A_H(R u) + R(r), h_H^2-scaled (h_H / h = G / G_H)
     bc = (lev.G / coarse.G) ** 2 * _restrict(_residual(u, b, lev, mu), lev.down)
     bc.reshape(len(u), -1)[:, coarse.cells[0]] -= _cell_residual(uc, None, coarse, mu)[0]
-    if not v_only:
+    # F and V meet on the coarsest grid in one solve; under the finest of two
+    # grids that solve is the whole correction and runs twice (once, mu = 1e6
+    # at G = 96 and 128 took 1-2 more cycles and stalled near a residual of 5e-9)
+    if not v_only and (k + 2 < len(levels) or k == 0):
         _cycle(levels, k + 1, uc, bc, mu)
     _cycle(levels, k + 1, uc, bc, mu, v_only=True)
     e = np.where(coarse.inside[None], uc - start, 0.0)

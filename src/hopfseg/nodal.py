@@ -9,13 +9,15 @@ arrival uses up the end it lands on.
 
 Arcs are continued by predictor steps along the level set with a Newton
 corrector (the gradient of Re F is conj(F') = 2 conj(f^{1/2}), known in
-closed form along the continuation).  Every move, predictor or corrector,
-carries F by a Taylor series of f^{1/2} from the point's f.jet, of the least
-order a Cauchy bound certifies, and by an integral where no order up to
-JET_CAP does (next to a zero of f, or a long move).  The step follows the
-geometry: the curvature of a level curve is at most |f'/f|/2, read from the
-same jet, which sizes each step so that its chord stays within 0.1/G of the
-arc.  The seeds on a critical's circle come from the march the rim uses
+closed form along the continuation).  Each step builds one f.jet, at its
+start: the predictor and every Newton iterate take F and f^{1/2} from that
+jet's Taylor series of f^{1/2}, of the least order a Cauchy bound
+certifies, and only the accepted point gets a new jet.  An iterate that no
+order up to JET_CAP certifies re-centres, on a fresh jet at the last
+iterate, else by an integral (next to a zero of f, or a long move).  The
+step follows the geometry: the curvature of a level curve is at most
+|f'/f|/2, read from the same jet, which sizes each step so that its chord
+stays within 0.1/G of the arc.  The seeds on a critical's circle come from the march the rim uses
 (primitive.circle_march and circle_zeros), started from one radial value,
 and carry F to the arcs they start.  Crossing a cut merely flips the local
 sheet, Re F -> -Re F, so the marcher never needs to know where a cut runs;
@@ -46,8 +48,8 @@ from .quadrature import SqrtSegmentIntegrator, nearest_sqrt
 from .slits import ray_exit
 from .states import AnalyticState, spanning_forest
 
-# the most Taylor terms a tracer move may take before it falls back to the integral
-JET_CAP = 24
+# the most Taylor terms a series value may take before the tracer re-centres
+JET_CAP = 32
 
 
 @dataclass(frozen=True)
@@ -178,8 +180,8 @@ class _Marcher:
             min(2.0 / G, 0.3 * min([abs(z - w) for w in self.crit_locs if w != z] + [2.0]))
             for z in self.crit_locs
         ]
-        self.tight = 1e-12 * max(1.0, state.scale)
-        self.loose = 1e-9 * max(1.0, state.scale)
+        scale = max(1.0, float(state.scale))     # a Python float: the series runs on scalars
+        self.tight, self.loose = 1e-12 * scale, 1e-9 * scale
         self.counts = dict.fromkeys(("steps", "jet_moves", "integral_moves", "retries"), 0)
 
     def _advance(self, z, v, Fz, dz):
@@ -187,57 +189,80 @@ class _Marcher:
         val, _, v2 = self.integ.integrate(z, z + dz, v, tol=1e-13 * max(abs(dz), 1e-12))
         return z + dz, v2, Fz + 2.0 * val
 
-    def _correct(self, z, v, Fz, jet, cap):
-        """Newton corrector onto Re F = 0 (the gradient of Re F is conj(F')).
+    def _jet(self, z):
+        """f.jet(z, JET_CAP), and the series of (f(z + c) / f(z))^{1/2} it
+        has grown so far (_jet_move), [u_0] = [1]."""
+        return self.integ.f.jet(z, JET_CAP) + ([1.0],)
 
-        Each move goes through _move; the residual is tested after every move.
-        Gives up on a step longer than cap; returns (z, v, F, jet, converged).
+    def _correct(self, z, v, Fz, jet, c, cap):
+        """Newton corrector onto Re F = 0 from z + c (the gradient of Re F is conj(F')).
+
+        (z, v, F, jet) is a centre: a point, f^{1/2} and F there, and its
+        _jet.  Every iterate, the predictor z + c first, takes f^{1/2} and F
+        from the centre's series (_jet_move), and the residual is tested
+        after every Newton move.  An iterate that no order up to JET_CAP
+        certifies re-centres (_centre): at the last iterate, from which the
+        series may reach it, else at the iterate itself by the integral.
+        Gives up on a Newton move longer than cap.  Only the last iterate
+        gets a new jet; returns it as a centre, (z, v, F, jet, converged).
         """
-        for _ in range(12):
-            Fp = 2.0 * v
-            g2 = abs(Fp) ** 2
-            if g2 < 1e-60:
+        w, last, converged = z + c, None, False     # last: the last iterate, unless the centre
+        for n in range(13):                         # the predictor and 12 Newton moves
+            at = self._jet_move(z, v, Fz, w - z, jet)
+            if at is None and last:
+                z, v, Fz, jet = self._centre(*last)
+                at = self._jet_move(z, v, Fz, w - z, jet)
+            if at is None:
+                z, v, Fz, jet = self._centre(*self._advance(z, v, Fz, w - z), "integral_moves")
+                w, at = z, (z, v, Fz)
+            last = at if w != z else None
+            if n and abs(at[2].real) < self.tight:
+                converged = True
                 break
-            corr = -Fz.real * np.conj(Fp) / g2
+            Fp = 2.0 * at[1]
+            g2 = abs(Fp) ** 2
+            if n == 12 or g2 < 1e-60:
+                break
+            corr = -at[2].real * np.conj(Fp) / g2
             if abs(corr) > cap:
                 break
-            z, v, Fz, jet = self._move(z, v, Fz, corr, jet)
-            if abs(Fz.real) < self.tight:
-                return z, v, Fz, jet, True
-        return z, v, Fz, jet, False
+            w = at[0] + corr
+        if last:
+            z, v, Fz, jet = self._centre(*last)
+        return z, v, Fz, jet, converged
 
-    def _move(self, z, v, Fz, c, jet):
-        """(z, v, F, jet) moved by c, by the Taylor jet where certified (_jet_move),
-        else by the integral (_advance); jet is f.jet(z, JET_CAP) at every point."""
-        moved = self._jet_move(z, v, Fz, c, jet)
-        self.counts["jet_moves" if moved else "integral_moves"] += 1
-        z, v, Fz = moved or self._advance(z, v, Fz, c)
-        jet = self.integ.f.jet(z, JET_CAP)
+    def _centre(self, z, v, Fz, kind="jet_moves"):
+        """(z, v, F, jet): z made a centre, reached by a move of the kind
+        counted, its f^{1/2} v put on the sheet of f(z) nearest v, with a
+        fresh _jet; every centre but an arc's first comes from here."""
+        self.counts[kind] += 1
+        jet = self._jet(z)
         return z, nearest_sqrt(jet[4], v), Fz, jet
 
     def _jet_move(self, z, v, Fz, c, jet):
-        """(z + c, the series' f^{1/2} there, F + 2 sum_{k<K} v_k c^(k+1)/(k+1)), or None.
+        """(z + c, the series' f^{1/2} there, F + 2 v sum_{k<K} u_k c^(k+1)/(k+1)), or None.
 
-        f^{1/2} = sum v_k c^k with (k+1) v_{k+1} = 1/2 sum_i v_i l_{k-i}, as v' = v L/2.
+        f^{1/2}(z + c) = v sum u_k c^k with (k+1) u_{k+1} = 1/2 sum_i u_i l_{k-i},
+        as u' = u L/2; the jet keeps the u_k, grown to the longest K asked of it.
         By Cauchy's estimates on the jet's disk, where |f^{1/2}| <= M = |v| g^{1/2},
         the rest is at most 2 M |c| q^K / (1 - q), q = |c| / rho < 1/2; F is carried
-        from move to move, so K is the least order from 3 (fewer terms err near
-        the bound on short Newton moves) to JET_CAP that puts it below tight/10.
+        from centre to centre, so K is the least order from 3 (fewer terms err
+        near the bound on short Newton moves) to JET_CAP that puts it below tight/10.
         """
-        rho, g, _, ell, _ = jet
+        rho, g, _, ell, _, u = jet
+        c = complex(c)             # the series' arithmetic runs on Python scalars
         q = abs(c) / rho
-        Mc, lim = 20.0 * abs(v) * np.sqrt(g) * abs(c), (1.0 - q) * self.tight
+        Mc, lim = 20.0 * float(abs(v)) * g ** 0.5 * abs(c), (1.0 - q) * self.tight
         K = next((k for k in range(3, JET_CAP + 1) if Mc * q ** k < lim), None)
         if q >= 0.5 or K is None:
             return None
-        vs = [v]
-        for k in range(K - 1):
-            vs.append(0.5 * sum(map(mul, vs, ell[k::-1])) / (k + 1))
+        for k in range(len(u) - 1, K - 1):
+            u.append(0.5 * sum(map(mul, u, ell[k::-1])) / (k + 1))
         dF = vc = 0j
         for k in range(K - 1, -1, -1):
-            dF = (dF + vs[k] / (k + 1)) * c
-            vc = vc * c + vs[k]
-        return z + c, vc, Fz + 2.0 * dF
+            dF = (dF + u[k] / (k + 1)) * c
+            vc = vc * c + u[k]
+        return z + c, v * vc, Fz + 2.0 * v * dF
 
     def run(self, z0, v0, F0, direction, src):
         """Trace one arc until it reaches the rim or snaps to a critical.
@@ -255,7 +280,7 @@ class _Marcher:
         the rim.
         """
         pts = [z0]
-        z, v, Fz, jet = z0, v0, F0, self.integ.f.jet(z0, JET_CAP)
+        z, v, Fz, jet = z0, v0, F0, self._jet(z0)
         d = direction / abs(direction)
         G = self.G
         travelled = 0.0
@@ -276,11 +301,11 @@ class _Marcher:
             if jmin >= 0:
                 step = min(step, 0.35 * dmin)
             self.counts["steps"] += 1
-            zn, vn, Fn, jn, ok = self._correct(*self._move(z, v, Fz, step * d, jet), 0.6 * step)
+            zn, vn, Fn, jn, ok = self._correct(z, v, Fz, jet, step * d, 0.6 * step)
             if not ok and abs(Fn.real) > self.loose:
                 # halve and retry once, without the step cap, before giving up
                 self.counts["retries"] += 1
-                zn, vn, Fn, jn, _ = self._correct(*self._move(z, v, Fz, step * d / 2, jet), np.inf)
+                zn, vn, Fn, jn, _ = self._correct(z, v, Fz, jet, step * d / 2, np.inf)
                 if abs(Fn.real) > self.loose:
                     raise TraceStall(f"Newton failed near {zn}")
             dnew = zn - z
@@ -306,7 +331,7 @@ class _Marcher:
         """
         z0 = (1.0 - 1.5 / self.G) * zb
         F0, v0 = self.engine.value_and_sqrt(z0)
-        z0, v0, F0, _, _ = self._correct(z0, v0, F0, self.integ.f.jet(z0, JET_CAP), np.inf)
+        z0, v0, F0, _, _ = self._correct(z0, v0, F0, self._jet(z0), 0, np.inf)
         tangent = 1j * np.conj(v0)
         if (np.conj(zb) * tangent).real > 0:
             tangent = -tangent

@@ -131,9 +131,9 @@ class RationalFactored:
     def jet(self, z, K):
         """(rho, g, droot, [l_0, ..., l_{K-1}], f(z)) at the scalar z, in one pass.
 
-        rho is half the distance from z to the nearest root or pole, and on
-        |w - z| <= rho, |f(w)| <= g |f(z)|, as root factors grow by 3/2 and
-        poles by 2 at most.  droot is the distance to the nearest interior root
+        rho is 3/4 of the distance from z to the nearest root or pole, and on
+        |w - z| <= rho, |f(w)| <= g |f(z)|, as root factors grow by 7/4 and
+        poles by 4 at most.  droot is the distance to the nearest interior root
         (min_root_distance).  l_k = (-1)^k sum n (z - r)^-(k+1) over roots r of
         order n, with poles entering with order -p, are the Taylor coefficients
         of L = f'/f: L(z + c) = sum l_k c^k.
@@ -148,10 +148,10 @@ class RationalFactored:
                 raise (RootHit if n > 0 else PoleHit)(f"log derivative at {r}")
             dmin = min(dmin, abs(d))
             droot = dmin if i < len(self.interior_roots) else droot  # they come first
-            g *= 1.5 ** n if n > 0 else 2.0 ** -n
+            g *= 1.75 ** n if n > 0 else 4.0 ** -n
             fz *= d ** n
             ell = list(map(add, ell, accumulate(repeat(-1.0 / d, K - 1), mul, initial=n / d)))
-        return 0.5 * dmin, g, droot, ell, fz
+        return 0.75 * dmin, g, droot, ell, fz
 
     def unit_log(self, z):
         """Analytic branch of log(c * unit_num / unit_den) on the closed disk.

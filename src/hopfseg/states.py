@@ -27,6 +27,7 @@ reconstruct's species labels come from the same row-run search.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
@@ -554,14 +555,23 @@ def dirichlet_energy(state: SegregatedState) -> float:
     return float(np.sum(dens * w) * h * h)
 
 
-def hopf_l1(f: RationalFactored) -> float:
-    """2 * int_D |f|, by polar Gauss-Legendre x trapezoid quadrature."""
+@cache
+def _l1_rule():
+    """hopf_l1's polar nodes r e^{i theta}, radii r and radial weights, built on
+    the first call rather than at import: leggauss(128) alone takes milliseconds."""
     x, wgt = np.polynomial.legendre.leggauss(L1_RADII)
     r = 0.5 * (x + 1.0)
-    wr = 0.5 * wgt
     th = 2.0 * np.pi * np.arange(L1_ANGLES) / L1_ANGLES
-    Zp = r[:, None] * np.exp(1j * th[None, :])
-    vals = np.abs(f.eval(Zp)) * r[:, None]
+    rule = r[:, None] * np.exp(1j * th[None, :]), r[:, None], 0.5 * wgt
+    for a in rule:
+        a.flags.writeable = False
+    return rule
+
+
+def hopf_l1(f: RationalFactored) -> float:
+    """2 * int_D |f|, by polar Gauss-Legendre x trapezoid quadrature."""
+    Zp, r, wr = _l1_rule()
+    vals = np.abs(f.eval(Zp)) * r
     return float(2.0 * (2.0 * np.pi / L1_ANGLES) * np.sum(vals @ np.ones(L1_ANGLES) * wr))
 
 

@@ -423,7 +423,8 @@ def test_residual_matches_a_cell_by_cell_loop(monkeypatch, G, n, mh2, rng):
 
 
 @pytest.mark.parametrize("make, G, mu", [(_z3_config, 96, 1e4), (_z3_config, 97, 1e2),
-                                         (_halves_config, 64, 0.0), (_z3_config, 48, 1e6)])
+                                         (_halves_config, 64, 0.0), (_z3_config, 48, 1e6),
+                                         (_z3_config, 96, 1e6)])
 def test_level_sweeps_count_every_sweep(monkeypatch, make, G, mu):
     # _smooth, _cell_residual and _coarsest calls counted from outside, by
     # grid size; rim-band sweeps apart
@@ -462,10 +463,15 @@ def test_level_sweeps_count_every_sweep(monkeypatch, make, G, mu):
     else:
         assert fld.level_residuals[0] == 2 * fld.cycles
     assert fld.coarsest_visits == len(visits) and set(visits) == {sizes[-1]}
-    # an F-cycle from level k visits the coarsest grid L - k times: the
-    # nested pass once on the coarsest grid and once per finer level, and
-    # each cycle after it L times
-    assert fld.coarsest_visits == 1 + sum(range(2, L + 1)) + (fld.cycles - 1) * L
+    # an F-cycle from level k < L - 1 visits the coarsest grid L - 1 - k
+    # times, as its F- and V-cycles meet there in one solve, and twice from
+    # the finer of two grids; the nested pass visits it once and then in an
+    # F-cycle from each finer level, and each cycle after it as an F-cycle
+    # from level 0 does (27 visits at L = 5 and 5 cycles, 19 at L = 4)
+    def visits(k):
+        return 1 if k == L - 1 else L - 1 - k + (L == 2)
+
+    assert fld.coarsest_visits == 1 + sum(map(visits, range(L - 1))) + (fld.cycles - 1) * visits(0)
     # each cycle, the nested pass included, sweeps the finest grid's rim band
     # after both of its smoothings; a one-grid solve has no smoothing outside
     # _coarsest

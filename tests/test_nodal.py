@@ -16,7 +16,7 @@ from hopfseg.nodal import (
 )
 from hopfseg.primitive import PathEngine, circle_march
 from hopfseg.quadrature import SqrtSegmentIntegrator
-from hopfseg.rational import monomial, rational
+from hopfseg.rational import RationalFactored, monomial, rational
 from hopfseg.serialize import emit_function
 from hopfseg.slits import build_slit_disk
 from hopfseg.states import analytic_state, find_base_point, reconstruct
@@ -331,10 +331,10 @@ def test_each_arc_marched_once(index_states, monkeypatch):
 
 
 def test_trace_integrations(index_states, monkeypatch):
-    # every move goes by a certified Taylor jet where the Cauchy bound allows:
-    # integrating every move took 3,052 calls on these twelve states, a
+    # every value goes by a certified Taylor series where the Cauchy bound
+    # allows: integrating every move took 3,052 calls on these twelve states, a
     # third-order closed-form corrector with integral predictor steps 1,711;
-    # seeds that carry F to their arcs' starts, 336 against 338
+    # seeds that carry F to their arcs' starts 336, one jet per step 203
     calls = []
     integrate = SqrtSegmentIntegrator.integrate
 
@@ -345,16 +345,16 @@ def test_trace_integrations(index_states, monkeypatch):
     monkeypatch.setattr(SqrtSegmentIntegrator, "integrate", counted)
     for st in index_states:
         assert trace(st).clean
-    assert len(calls) <= 336
+    assert len(calls) <= 203
 
 
 def test_trace_diagnostics_count_every_move(index_states, monkeypatch):
-    # every move is a jet move or an integral move; each predictor step, each
-    # retry and each start on the rim runs the corrector once; and the
-    # integral count is every integrate call the trace makes (moves, seeds,
-    # starts and rim zeros)
-    moves, corrects, rims, calls = [], [], [], []
-    for name, log in (("_move", moves), ("_correct", corrects), ("start_on_rim", rims)):
+    # every re-centring is one move, a jet move or an integral move; each
+    # predictor step, each retry and each start on the rim runs the corrector
+    # once; and the integral count is every integrate call the trace makes
+    # (moves, seeds, starts and rim zeros)
+    centres, corrects, rims, calls = [], [], [], []
+    for name, log in (("_centre", centres), ("_correct", corrects), ("start_on_rim", rims)):
         monkeypatch.setattr(_Marcher, name, lambda self, *a, _f=getattr(_Marcher, name), _log=log:
                             _log.append(a) or _f(self, *a))
     integrate = SqrtSegmentIntegrator.integrate
@@ -362,17 +362,40 @@ def test_trace_diagnostics_count_every_move(index_states, monkeypatch):
                         lambda self, *a, **kw: calls.append(a) or integrate(self, *a, **kw))
     total = dict.fromkeys(("steps", "jet_moves", "integral_moves", "retries", "integrals"), 0)
     for st in index_states:
-        for log in (moves, corrects, rims, calls):
+        for log in (centres, corrects, rims, calls):
             log.clear()
         d = trace(st).diagnostics
         assert set(d) == set(total)
-        assert d["jet_moves"] + d["integral_moves"] == len(moves)
+        assert d["jet_moves"] + d["integral_moves"] == len(centres)
         assert d["steps"] + d["retries"] + len(rims) == len(corrects)
         assert d["integrals"] == len(calls)
         for k in total:
             total[k] += d[k]
     assert total["integral_moves"] < total["jet_moves"] // 10
-    assert total["integrals"] <= 336
+    assert total["integrals"] <= 203
+
+
+def test_one_jet_per_step(index_states, monkeypatch):
+    # a jet is built where an arc or a start on the rim begins and at every
+    # re-centring, and nowhere else: a jet at every move took 2,904 f.jet
+    # calls and 139 integral moves on these twelve states, one jet per step
+    # 1,002 and 6 (quarter-distance steps next to zeros are certified on the
+    # 3/4 disk)
+    jets, runs, rims = [], [], []
+    monkeypatch.setattr(RationalFactored, "jet", lambda self, *a, _f=RationalFactored.jet:
+                        jets.append(a) or _f(self, *a))
+    for name, log in (("run", runs), ("start_on_rim", rims)):
+        monkeypatch.setattr(_Marcher, name, lambda self, *a, _f=getattr(_Marcher, name), _log=log:
+                            _log.append(a) or _f(self, *a))
+    total = dict.fromkeys(("jets", "integral_moves"), 0)
+    for st in index_states:
+        for log in (jets, runs, rims):
+            log.clear()
+        d = trace(st).diagnostics
+        assert len(jets) == len(runs) + len(rims) + d["jet_moves"] + d["integral_moves"]
+        total["jets"] += len(jets)
+        total["integral_moves"] += d["integral_moves"]
+    assert total["jets"] <= 1002 and total["integral_moves"] <= 6
 
 
 def test_taylor_move_matches_the_integral(index_states):
@@ -388,14 +411,13 @@ def test_taylor_move_matches_the_integral(index_states):
         for arc in trace(st).arcs:
             for z in arc.points[1:-1]:
                 v = np.sqrt(f.eval(z))
-                jet = f.jet(z, JET_CAP)
+                jet = marcher._jet(z)
                 for d in np.exp(2j * np.pi * np.arange(3) / 3):
                     longest = max(s for s in sizes
                                   if marcher._jet_move(z, v, 0j, s * d, jet) is not None)
                     assert longest < sizes[-1]
                     for c in (1e-7 * d, longest * d):
-                        assert marcher._jet_move(z, v, 0j, c, jet) is not None
-                        moved = marcher._move(z, v, 0j, c, jet)
+                        moved = marcher._centre(*marcher._jet_move(z, v, 0j, c, jet))
                         val, _, v_end = marcher.integ.integrate(z, z + c, v, tol=1e-16)
                         assert moved[0] == z + c
                         assert abs(moved[2] - 2.0 * val) <= marcher.tight
@@ -403,17 +425,17 @@ def test_taylor_move_matches_the_integral(index_states):
                         checked += 1
     assert checked >= 1000
     # next to the triple zero of z^3/4 the Newton move from z = 1e-3 is -0.4 z,
-    # with q = 0.8: the corrector integrates it
+    # with q = 0.53: the corrector integrates it
     st = index_states[11]
     marcher = _Marcher(st)
     z = 1e-3
     v, F = np.sqrt(st.f.eval(z)), 0.4 * z ** 2.5
     assert abs(-0.4 * z) / st.f.jet(z, 1)[0] >= 0.5
-    assert marcher._jet_move(z, v, F, -0.4 * z, st.f.jet(z, JET_CAP)) is None
+    assert marcher._jet_move(z, v, F, -0.4 * z, marcher._jet(z)) is None
     calls = []
     advance = marcher._advance
     marcher._advance = lambda *args: calls.append(args) or advance(*args)
-    zn, _, Fn, _, ok = marcher._correct(z, v, F, st.f.jet(z, JET_CAP), np.inf)
+    zn, _, Fn, _, ok = marcher._correct(z, v, F, marcher._jet(z), 0, np.inf)
     assert ok and abs(Fn.real) < marcher.tight and len(calls) >= 1
     assert calls[0][3] == pytest.approx(-0.4 * z, rel=1e-12)
 
@@ -441,11 +463,14 @@ def _move_mp(f, z, v, c):
 
 @pytest.mark.parametrize("case", ["z3", "figure5", "unit-roots-and-pole"])
 def test_jet_move_matches_mpmath(case):
-    # moves at q = |c| / rho up to just below 1/2, in three directions, at
-    # points 1e-3 to 0.3 from a zero and away from all: a move the bound
-    # accepts matches a 30-digit quadrature within tight/10, and a move at
-    # q >= 1/2 or one whose tail bound 2 M |c| q^K / (1 - q), M = |v| g^{1/2},
-    # is still above tight/10 at K = JET_CAP is refused
+    # the series of one jet per point, 1e-3 to 0.3 from a zero and away from
+    # all, at offsets c of q = |c| / rho (as the marcher computes it) up to just
+    # below 1/2, in three directions, in an order that grows the series and
+    # reuses it: a value the bound accepts matches 30 digits, F within tight/10
+    # and f^{1/2} within its own tail bound, and a value at q >= 1/2 or whose
+    # tail bound 2 M |c| q^K / (1 - q), M = |v| g^{1/2}, is still above
+    # tight/10 at K = JET_CAP is refused.  A quarter of the root distance, the
+    # step next to a zero, is q = 1/3 when the root is nearest: it is accepted
     if case == "z3":
         f, base = monomial(0.25, 3), 0.0
     elif case == "figure5":
@@ -457,26 +482,41 @@ def test_jet_move_matches_mpmath(case):
     marcher = _Marcher(reconstruct(f, base, resolution=32))
     r0 = f.interior_roots[-1][0]
     points = [r0 + s * np.exp(1j * (1.0 + s)) for s in (1e-3, 1e-2, 0.3)] + [0.6 - 0.7j]
-    accepted = refused = edge = 0
+    accepted = refused = edge = quarter = 0
     for z in points:
         v = np.sqrt(f.eval(z))
-        jet = f.jet(z, JET_CAP)
+        jet = marcher._jet(z)
         rho, g = jet[:2]
-        for q in (0.1, 0.3, 0.45, 0.499, 0.5, 0.7):
+        for share in (0.45, 0.1, 0.499, 1 / 3, 0.5, 0.3, 0.7):
             for d in np.exp(2j * np.pi * (np.arange(3) + 0.3) / 3):
-                c = q * rho * d
+                c = share * rho * d
+                q = abs(c) / rho
                 moved = marcher._jet_move(z, v, 0j, c, jet)
+                if share == 1 / 3 and f.min_root_distance(z) == pytest.approx(rho / 0.75):
+                    assert moved is not None
+                    quarter += 1
                 bound = 2.0 * abs(v) * np.sqrt(g) * abs(c) * q ** JET_CAP / (1.0 - q)
                 if q >= 0.5 or bound >= marcher.tight / 10:
                     assert moved is None
                     refused += 1
                     continue
                 assert moved[0] == z + c
-                assert abs(moved[2] - _move_mp(f, z, v, c)) <= marcher.tight / 10
+                F_mp, v_mp = _move_mp(f, z, v, c), _sqrt_mp(f, z, v, c)
+                assert abs(moved[2] - F_mp) <= marcher.tight / 10
+                assert abs(moved[1] - v_mp) <= marcher.tight / (20 * abs(c)) + 1e-14 * abs(v_mp)
                 accepted += 1
-                edge += q == 0.499
-    # 24 moves have q >= 1/2; the other refusals need more than JET_CAP terms
-    assert accepted >= 27 and refused >= 36 and edge >= 3
+                edge += share == 0.499
+        assert len(jet[5]) <= JET_CAP
+    assert accepted >= 45 and refused >= 35 and edge >= 3 and quarter == 12
+
+
+def _sqrt_mp(f, z, v, c):
+    """f^{1/2}(z + c) = v prod (1 + c / (z - r))^(n/2), at 30 digits (_move_mp)."""
+    with mp.workdps(30):
+        out = mp.mpc(v)
+        for r, n in f.interior_roots + f.unit_num + tuple((d, -p) for d, p in f.unit_den):
+            out *= mp.power(1 + mp.mpc(c) / (mp.mpc(z) - mp.mpc(r)), mp.mpf(n) / 2)
+        return complex(out)
 
 
 @pytest.mark.parametrize("eps", [2e-12, 5e-12, 2e-11])

@@ -78,10 +78,14 @@ def test_growth_disk_bounds_f():
     for z in (0.1, -0.2 + 0.3j, 0.7j, 0.25 + 0.1j):
         rho, g, droot, _, fz = f.jet(z, 1)
         assert fz == pytest.approx(f.eval(z), rel=1e-14)
-        assert rho == pytest.approx(0.5 * min(abs(z - r) for r in (0.2 + 0.1j, -0.3, 1.4, -1.7 + 0.4j)))
+        assert rho == pytest.approx(0.75 * min(abs(z - r) for r in (0.2 + 0.1j, -0.3, 1.4, -1.7 + 0.4j)))
         assert droot == pytest.approx(f.min_root_distance(z), rel=1e-15)
         w = z + rho * np.sqrt(np.linspace(0, 1, 9))[:, None] * np.exp(2j * np.pi * np.arange(64) / 64)
         assert np.abs(f.eval(w)).max() <= g * abs(f.eval(z))
+    # a root factor reaches 7/4 of itself on the disk's edge, pointing away from the root
+    rho, g, _, _, fz = monomial(0.25, 3).jet(0.4, 1)
+    assert (rho, g) == (pytest.approx(0.3), pytest.approx(1.75 ** 3))
+    assert abs(monomial(0.25, 3).eval(0.4 + rho)) == pytest.approx(g * abs(fz), rel=1e-14)
     assert rational(0.25).jet(0.3, 1)[:3] == (np.inf, 1.0, np.inf)
 
 

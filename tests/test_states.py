@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import mpmath as mp
 import numpy as np
 import pytest
@@ -173,6 +178,32 @@ def test_local_exponents(cubic_state):
     assert local_exponent(st1, 0.0, [0.1, 0.05, 0.025]) == pytest.approx(1.5, abs=0.05)
     stc = reconstruct(rational(0.25), 0.0, resolution=128)
     assert local_exponent(stc, 0.5j, [0.1, 0.05, 0.025]) == pytest.approx(1.0, abs=0.05)
+
+
+def test_hopf_l1_builds_its_rule_once(monkeypatch):
+    # the Gauss-Legendre rule is built on the first call, neither at import
+    # (the benchmark's set-up times the import) nor on every call, and the
+    # value has the same bits as from a rule built afresh
+    f = rational(0.5 - 0.25j, roots=[(0.2 + 0.1j, 2), (-0.3, 1)], unit_num=[(1.4, 1)])
+    x, wgt = np.polynomial.legendre.leggauss(states.L1_RADII)
+    r = 0.5 * (x + 1.0)
+    th = 2.0 * np.pi * np.arange(states.L1_ANGLES) / states.L1_ANGLES
+    vals = np.abs(f.eval(r[:, None] * np.exp(1j * th[None, :]))) * r[:, None]
+    fresh = float(2.0 * (2.0 * np.pi / states.L1_ANGLES)
+                  * np.sum(vals @ np.ones(states.L1_ANGLES) * (0.5 * wgt)))
+    built = []
+    leggauss = np.polynomial.legendre.leggauss
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss",
+                        lambda n: built.append(n) or leggauss(n))
+    states._l1_rule.cache_clear()
+    assert hopf_l1(f) == hopf_l1(f) == fresh
+    assert built == [states.L1_RADII]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import hopfseg.cli, hopfseg.states as s; print(s._l1_rule.cache_info().currsize)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120, check=True)
+    assert out.stdout.strip() == "0"
 
 
 def test_energy_identity_closed_forms(cubic_state):
